@@ -10,9 +10,10 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.accel import NeighborSearchEngine
-from repro.core import ApproxSetting, approximate_ball_query
+from repro.core import ApproxSetting
 from repro.geometry import sample_shape
 from repro.kdtree import ball_query, build_kdtree
+from repro.runtime import SearchJob, approximate_search
 
 
 def main() -> None:
@@ -30,8 +31,8 @@ def main() -> None:
 
     # 3. Crescent's approximate search: split tree (h_t) + elision (h_e).
     setting = ApproxSetting(top_height=4, elision_height=8)
-    approx_idx, approx_cnt, report = approximate_ball_query(
-        tree, queries, radius=0.1, max_neighbors=16, setting=setting
+    ((approx_idx, approx_cnt, report),) = approximate_search(
+        [SearchJob(tree, queries, radius=0.1, max_neighbors=16, setting=setting)]
     )
     recall = sum(
         len(set(a[:ca]) & set(e[:ce])) / max(ce, 1)

@@ -1,15 +1,16 @@
 """The Crescent neighbor search engine (paper Sec. 3.2, Fig. 7).
 
-Combines the functional approximate search of
-:mod:`repro.core.approx_search` with cycle and energy accounting:
+Combines the functional approximate search
+(:func:`repro.runtime.approximate_search`, one job) with cycle and energy
+accounting:
 
 * **Phase 1 (top tree)** — queries stream through the PEs in groups of
   ``num_pes``, descending level-synchronously.  Fetches of the *same* node
   by several PEs are broadcast (one bank read serves all ports); fetches of
   different nodes in the same bank stall, since elision is not applied in
   the top-tree phase (a dropped fetch would leave the query unrouted).
-* **Phase 2 (sub-trees)** — the lockstep simulation from the core package
-  provides per-sub-tree visit cycles and stalls; the five-stage-PE timing
+* **Phase 2 (sub-trees)** — the forest lockstep simulation provides
+  per-sub-tree visit cycles and stalls; the five-stage-PE timing
   contract (verified in :mod:`repro.accel.pe`) converts them to cycles.
 * **DRAM** — every transfer is a streaming DMA by construction of the
   split-tree layout: queries in, top tree in, staged queries out/in, each
@@ -27,13 +28,14 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.session import SearchSession
 
-from ..core.approx_search import SearchReport, approximate_ball_query
+from ..core.approx_search import SearchReport
 from ..core.bank_conflict import TreeBufferBanking
 from ..core.config import ApproxSetting, CrescentHardwareConfig
 from ..core.split_tree import SplitTree
 from ..kdtree.build import NODE_BYTES, KdTree
 from ..memsim.dram import DramModel, DramUsage
 from ..memsim.energy import EnergyBreakdown
+from ..runtime.approx import SearchJob, approximate_search
 from ..runtime.topphase import vectorized_top_phase
 from .pe import PIPELINE_DEPTH, FiveStagePipeline
 
@@ -125,16 +127,10 @@ class NeighborSearchEngine:
         setting = setting.scaled_to(tree.height)
         hw = self.hw
         split = self._split_for(tree, setting.top_height)
-        indices, counts, report = approximate_ball_query(
-            tree,
-            queries,
-            radius,
-            max_neighbors,
-            setting,
+        ((indices, counts, report),) = approximate_search(
+            [SearchJob(tree, queries, radius, max_neighbors, setting, True)],
             banking=self.banking,
             num_pes=hw.num_pes,
-            simulate_conflicts=True,
-            split=split,
         )
         m = len(queries)
 

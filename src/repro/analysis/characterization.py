@@ -16,11 +16,11 @@ import numpy as np
 from ..accel.workloads import evaluation_networks, workload_points
 from ..core.bank_conflict import PointBufferBanking, aggregation_conflict_rate
 from ..core.bank_conflict import TreeBufferBanking
+from ..core.config import ApproxSetting
 from ..kdtree.build import NODE_BYTES, build_kdtree
 from ..memsim.cache import FullyAssociativeCache
-from ..memsim.sram import SramStats
+from ..runtime.approx import SearchJob, approximate_search
 from ..runtime.batched import BatchedBallQuery
-from ..runtime.lockstep import VectorizedLockstep
 from ..runtime.traced import TracedBallQuery
 from ..memsim.trace import fraction_noncontiguous, interleave_round_robin
 from .reporting import format_table
@@ -142,18 +142,15 @@ def search_conflict_rate_vs_banks(
     tree = build_kdtree(pts)
     rng = np.random.default_rng(seed)
     queries = pts[rng.choice(len(pts), num_queries, replace=False)]
-    groups = [(tree.root, np.arange(num_queries, dtype=np.int64))]
-    max_hits = np.full(num_queries, 16, dtype=np.int64)
+    # No top tree and no elision: the whole tree is one sub-tree searched
+    # by every query, stall-only, with 16-neighbor result buffers.
+    job = SearchJob(tree, queries, radius, 16, ApproxSetting(0, None), True)
     rates: Dict[int, float] = {}
     for banks in banks_list:
-        sram = SramStats()
-        # Vectorized lockstep, cycle/stat-identical to driving one
-        # SubtreeSearch machine per query through run_subtree_lockstep.
-        engine = VectorizedLockstep(
-            tree, banking=TreeBufferBanking(banks), num_pes=num_parallel
+        ((_, _, report),) = approximate_search(
+            [job], banking=TreeBufferBanking(banks), num_pes=num_parallel
         )
-        engine.run(queries, radius, groups, max_hits, sram=sram)
-        rates[int(banks)] = sram.conflict_rate
+        rates[int(banks)] = report.tree_sram.conflict_rate
     return rates
 
 

@@ -14,10 +14,10 @@ import numpy as np
 from ..accel.accelerator import NetworkResult, NetworkSpec, PointCloudAccelerator
 from ..accel.baselines import make_mesorasi
 from ..accel.search_engine import NeighborSearchEngine
-from ..core.approx_search import approximate_ball_query
 from ..core.config import ApproxSetting, CrescentHardwareConfig
 from ..kdtree.build import build_kdtree
 from ..memsim.sram import BankedSramConfig
+from ..runtime.approx import SearchJob, approximate_search
 from ..runtime.network import plan_for, worker_session
 from ..runtime.session import SearchSession
 from ..runtime.sweep import SweepRunner
@@ -44,13 +44,15 @@ def nodes_visited_vs_top_height(
     scope.
     """
     tree = build_kdtree(points)
+    searched = approximate_search(
+        [
+            SearchJob(tree, queries, radius, max_neighbors, ApproxSetting(ht, None))
+            for ht in heights
+        ]
+    )
     results: Dict[int, float] = {}
     base: Optional[float] = None
-    for ht in heights:
-        _, _, report = approximate_ball_query(
-            tree, queries, radius, max_neighbors, ApproxSetting(ht, None),
-            simulate_conflicts=False,
-        )
+    for ht, (_, _, report) in zip(heights, searched):
         per_query = report.traversal.nodes_visited / max(report.traversal.queries, 1)
         if base is None:
             base = per_query
@@ -73,12 +75,15 @@ def nodes_skipped_vs_elision_height(
     ``h_e`` grows (fewer levels are elidable).
     """
     tree = build_kdtree(points)
+    searched = approximate_search(
+        [
+            SearchJob(tree, queries, radius, max_neighbors, ApproxSetting(top_height, he))
+            for he in elision_heights
+        ],
+        num_pes=num_pes,
+    )
     skipped: Dict[int, float] = {}
-    for he in elision_heights:
-        _, _, report = approximate_ball_query(
-            tree, queries, radius, max_neighbors,
-            ApproxSetting(top_height, he), num_pes=num_pes,
-        )
+    for he, (_, _, report) in zip(elision_heights, searched):
         skipped[int(he)] = report.traversal.nodes_skipped / max(
             report.traversal.queries, 1
         )

@@ -21,14 +21,13 @@ When elision is disabled the result is bit-identical to running the exact
 sub-tree-restricted search per query, and the lockstep machinery is only
 engaged if the caller asks for conflict/cycle statistics.
 
-Two interchangeable phase-2 implementations exist: the per-step reference
-(:func:`run_subtree_lockstep` driving :class:`~repro.kdtree.SubtreeSearch`
-machines, one Python call per node visit) and the vectorized engine
-(:class:`~repro.runtime.VectorizedLockstep`, all PEs of all sub-trees as
-NumPy stack arrays).  They are cycle-, stall-, stat-, and hit-identical —
-pinned by the randomized equivalence suite — and ``engine=`` selects one;
-the vectorized engine is the default because the reference loop made the
-simulator, not the workload, the bottleneck of every figure benchmark.
+This module is the per-step *reference*: :func:`run_subtree_lockstep`
+drives one :class:`~repro.kdtree.SubtreeSearch` machine per query, one
+Python call per node visit.  Production searches run through
+:func:`repro.runtime.approximate_search`, which batches many searches into
+one forest cycle loop and is pinned index-, cycle-, stall- and
+stat-identical to this function, job by job, by the forest equivalence
+suite.
 """
 
 from __future__ import annotations
@@ -60,6 +59,8 @@ class SearchReport:
     stall_cycles: int = 0
     subtrees_loaded: int = 0
     queue_occupancy: Dict[int, int] = field(default_factory=dict)
+    # Lockstep cycles per sub-tree batch (conflict-simulated runs only).
+    subtree_cycles: Dict[int, int] = field(default_factory=dict)
     top_tree_visits: int = 0
 
     @property
@@ -166,48 +167,28 @@ def approximate_ball_query(
     num_pes: int = 4,
     simulate_conflicts: Optional[bool] = None,
     record_trace: bool = False,
-    engine: str = "vector",
-    split: Optional[SplitTree] = None,
+    elide_policy: str = "skip",
 ) -> Tuple[np.ndarray, np.ndarray, SearchReport]:
-    """Approximate neighbor search over a query batch.
+    """Approximate neighbor search over a query batch (per-step reference).
 
     Same contract as :func:`repro.kdtree.ball_query` — an ``(M, K)`` padded
     index matrix plus true-hit counts — with the Crescent approximations
     applied.  ``simulate_conflicts`` defaults to "on iff the setting uses
     elision" (without elision, conflicts change timing but not results).
 
-    ``engine`` selects the phase-2 implementation: ``"vector"`` (default)
-    runs the :class:`~repro.runtime.VectorizedLockstep` engine — every
-    sub-tree batch advances as NumPy stack arrays, cycle- and
-    stat-identical to the reference; ``"reference"`` drives one
-    :class:`~repro.kdtree.SubtreeSearch` machine per query through
-    :func:`run_subtree_lockstep`, one Python step per node visit.
-    ``record_trace`` needs the per-visit hook and therefore always uses
-    the reference engine.  ``split`` optionally reuses an existing
-    :class:`~repro.core.split_tree.SplitTree` over ``tree`` (it must match
-    the scaled ``setting.top_height``), the reuse path sessions provide.
+    Phase 2 drives one :class:`~repro.kdtree.SubtreeSearch` machine per
+    query through :func:`run_subtree_lockstep` (``elide_policy`` as
+    there); ``record_trace`` keeps each machine's visit trace.
 
     With ``setting = ApproxSetting(0, None)`` the output is exactly the
     exact ball query (the baseline), which the tests pin down.
     """
     if max_neighbors <= 0:
         raise ValueError("max_neighbors must be positive")
-    if engine not in ("vector", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if record_trace:
-        engine = "reference"  # the vectorized engine records no visit trace
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     setting = setting.scaled_to(tree.height)
     if simulate_conflicts is None:
         simulate_conflicts = setting.uses_elision
-    # ``split`` may come from a session cache keyed by structural digest,
-    # so it can be a different object over an identical tree — but its
-    # split height must match the (scaled) setting.
-    if split is not None and split.top_height != setting.top_height:
-        raise ValueError(
-            f"split has top_height {split.top_height}, "
-            f"setting wants {setting.top_height}"
-        )
 
     report = SearchReport()
     m = len(queries)
@@ -262,83 +243,38 @@ def approximate_ball_query(
     group_q_ids = [
         np.nonzero(inverse == root_pos)[0] for root_pos in range(len(uniq_roots))
     ]
-    if engine == "vector":
-        # repro: allow[reference-freeze] -- explicit engine routing: only the engine="vector" branch touches this import; the engine="reference" path below stays per-step and never loads the vectorized machine
-        from ..runtime.lockstep import VectorizedLockstep
-
-        vls = VectorizedLockstep(tree, banking=banking, num_pes=num_pes)
-        mach_queries = (
-            np.concatenate(group_q_ids) if group_q_ids else np.zeros(0, np.int64)
-        )
-        remaining = np.array(
-            [max(max_neighbors - len(hits_per_query[qi]), 0) for qi in mach_queries],
-            dtype=np.int64,
-        )
+    split = SplitTree(tree, setting.top_height)
+    for root, q_ids in zip(uniq_roots, group_q_ids):
+        machines: List[SubtreeSearch] = []
+        for qi in q_ids:
+            remaining = max_neighbors - len(hits_per_query[qi])
+            machines.append(
+                SubtreeSearch(
+                    tree,
+                    queries[qi],
+                    radius,
+                    root=int(root),
+                    max_neighbors=remaining if remaining > 0 else 0,
+                    elide_depth=setting.elision_height,
+                    stats=report.traversal,
+                    record_trace=record_trace,
+                )
+            )
         if simulate_conflicts:
-            groups = [
-                (int(root), q_ids) for root, q_ids in zip(uniq_roots, group_q_ids)
-            ]
-            outcome = vls.run(
-                queries,
-                radius,
-                groups,
-                remaining,
-                elide_depth=setting.elision_height,
-                traversal=report.traversal,
-                sram=report.tree_sram,
+            nodes = split.subtree_nodes(int(root))
+            slot_map = {int(n): i for i, n in enumerate(nodes)}
+            cycles, stalls = run_subtree_lockstep(
+                machines, slot_map, banking, num_pes, report.tree_sram,
+                elide_policy=elide_policy,
             )
-            report.lockstep_cycles += outcome.cycles
-            report.stall_cycles += outcome.stalls
-            machine_hits = outcome.hits
+            report.lockstep_cycles += cycles
+            report.stall_cycles += stalls
+            report.subtree_cycles[int(root)] = cycles
         else:
-            roots_per_machine = np.repeat(
-                uniq_roots, [len(q) for q in group_q_ids]
-            ).astype(np.int64)
-            machine_hits = vls.run_free(
-                queries[mach_queries],
-                radius,
-                roots_per_machine,
-                remaining,
-                traversal=report.traversal,
-            )
-        for qi, found in zip(mach_queries, machine_hits):
-            hits_per_query[qi].extend(found)
-    else:
-        if split is None:
-            split = SplitTree(tree, setting.top_height)
-        node_to_slot_cache: Dict[int, Dict[int, int]] = {}
-        for root, q_ids in zip(uniq_roots, group_q_ids):
-            machines: List[SubtreeSearch] = []
-            for qi in q_ids:
-                remaining = max_neighbors - len(hits_per_query[qi])
-                machines.append(
-                    SubtreeSearch(
-                        tree,
-                        queries[qi],
-                        radius,
-                        root=int(root),
-                        max_neighbors=remaining if remaining > 0 else 0,
-                        elide_depth=setting.elision_height,
-                        stats=report.traversal,
-                        record_trace=record_trace,
-                    )
-                )
-            if simulate_conflicts:
-                slot_map = node_to_slot_cache.get(int(root))
-                if slot_map is None:
-                    nodes = split.subtree_nodes(int(root))
-                    slot_map = {int(n): i for i, n in enumerate(nodes)}
-                    node_to_slot_cache[int(root)] = slot_map
-                cycles, stalls = run_subtree_lockstep(
-                    machines, slot_map, banking, num_pes, report.tree_sram
-                )
-                report.lockstep_cycles += cycles
-                report.stall_cycles += stalls
-            else:
-                for machine in machines:
-                    machine.run_to_completion()
-            for qi, machine in zip(q_ids, machines):
-                hits_per_query[qi].extend(machine.hits)
+            for machine in machines:
+                machine.run_to_completion()
+        for qi, machine in zip(q_ids, machines):
+            hits_per_query[qi].extend(machine.hits)
 
     # ------------------------------------------------------------------
     # Assemble the padded index matrix (the ball_query contract).

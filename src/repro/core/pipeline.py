@@ -6,7 +6,8 @@ the neighbor index matrix a network layer consumes:
 1. K-d tree construction over the layer's points,
 2. neighbor search — exact (through the batched runtime engine), or
    Crescent's approximate search under a setting ``h = <h_t, h_e>`` with
-   tree-buffer conflict simulation,
+   tree-buffer conflict simulation (through the forest runtime engine,
+   :func:`~repro.runtime.approximate_search`),
 3. optional point-buffer conflict elision during aggregation (the
    replicating rewrite of the index matrix).
 
@@ -24,7 +25,7 @@ hazard the old ad-hoc dict cache had).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,9 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
     from ..runtime.epoch import MaterializeReport, MaterializeRequest
     from ..runtime.sweep import SweepRunner
 
+from ..runtime.approx import SearchJob, approximate_search
 from ..runtime.batched import BatchedBallQuery
 from ..runtime.session import SearchSession
-from .approx_search import approximate_ball_query
 from .bank_conflict import (
     PointBufferBanking,
     TreeBufferBanking,
@@ -132,31 +133,49 @@ class ApproximationPipeline:
         queries_arr = np.atleast_2d(np.asarray(queries, dtype=np.float64))
 
         def compute() -> Tuple[np.ndarray, np.ndarray]:
-            tree = self.session.tree_for(points)
-            if setting.uses_split_tree or setting.uses_elision:
-                indices, counts, _ = approximate_ball_query(
-                    tree,
-                    queries_arr,
-                    radius,
-                    max_neighbors,
-                    setting,
-                    banking=self.tree_banking,
-                    num_pes=self.num_pes,
-                )
-            else:
-                indices, counts = BatchedBallQuery(tree).query(
-                    queries_arr, radius, max_neighbors
-                )
-            if self.elide_aggregation:
-                indices = apply_aggregation_elision(
-                    indices, self.point_banking, self.agg_ports
-                )
-            return indices, counts
+            return self.compute_many(
+                [(points, queries_arr, radius, max_neighbors, setting)]
+            )[0]
 
         if cache_key is None:
             return compute()
         key = self._site_key(setting, radius, max_neighbors, cache_key)
         return self.session.memoize(key, (points, queries_arr), compute)
+
+    def compute_many(
+        self, items: Sequence[Tuple[np.ndarray, np.ndarray, float, int, ApproxSetting]]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Uncached ``(indices, counts)`` per ``(points, queries, radius,
+        max_neighbors, setting)`` item.
+
+        Trees come from the session (one lookup per item, in order).  Every
+        approximate item joins one forest search
+        (:func:`~repro.runtime.approximate_search`); exact items run the
+        batched exact engine.  :meth:`query_with_counts` is the one-item
+        case; epoch materialization passes a whole epoch's misses.
+        """
+        results: List[Tuple[np.ndarray, np.ndarray]] = []
+        jobs, slots = [], []
+        for points, queries, radius, max_neighbors, setting in items:
+            tree = self.session.tree_for(np.asarray(points, dtype=np.float64))
+            queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+            if setting.uses_split_tree or setting.uses_elision:
+                slots.append(len(results))
+                jobs.append(SearchJob(tree, queries, radius, max_neighbors, setting))
+                results.append(None)
+            else:
+                results.append(BatchedBallQuery(tree).query(queries, radius, max_neighbors))
+        searched = approximate_search(
+            jobs, banking=self.tree_banking, num_pes=self.num_pes
+        )
+        for slot, (indices, counts, _) in zip(slots, searched):
+            results[slot] = (indices, counts)
+        if self.elide_aggregation:
+            results = [
+                (apply_aggregation_elision(idx, self.point_banking, self.agg_ports), cnt)
+                for idx, cnt in results
+            ]
+        return results
 
     # ------------------------------------------------------------------
     def _site_key(

@@ -95,9 +95,9 @@ class ReferenceFreezeRule(Rule):
         "kdtree/build.py, kdtree/dynamic_reference.py, "
         "core/approx_search.py, core/split_tree.py, runtime/topphase.py, "
         "nn/reference.py) must not import the vectorized/tape/incremental "
-        "engines they are the ground truth for (runtime.batched, "
-        "runtime.lockstep, runtime.treebuild, kdtree.dynamic, "
-        "vectorized_top_phase, nn.tape, nn.tensor)."
+        "engines they are the ground truth for (runtime.approx, "
+        "runtime.batched, runtime.lockstep, runtime.treebuild, "
+        "kdtree.dynamic, vectorized_top_phase, nn.tape, nn.tensor)."
     )
     motivation = (
         "ROADMAP standing constraint: the per-step reference paths are what "
@@ -107,7 +107,9 @@ class ReferenceFreezeRule(Rule):
         "reference that pins the tape engine's gradients bit for bit; PR 9 "
         "to the per-node tree builders that pin the level-synchronous "
         "runtime.treebuild constructors; PR 10 to the rebuild-from-scratch "
-        "parity path that pins the incremental DynamicKdTree fast path."
+        "parity path that pins the incremental DynamicKdTree fast path; and "
+        "the per-step approximate search is frozen against the forest "
+        "search (runtime.approx) that replaced it as the production route."
     )
 
     FROZEN_SUFFIXES = (
@@ -121,6 +123,7 @@ class ReferenceFreezeRule(Rule):
         "nn/reference.py",
     )
     FORBIDDEN_MODULES = (
+        "runtime.approx",
         "runtime.batched",
         "runtime.lockstep",
         "runtime.treebuild",
@@ -132,6 +135,9 @@ class ReferenceFreezeRule(Rule):
     # legitimate; only the vectorized entry point is off limits.
     FORBIDDEN_TOPPHASE_SYMBOLS = {"vectorized_top_phase", "*"}
     FORBIDDEN_RUNTIME_SYMBOLS = {
+        "approx",
+        "approximate_search",
+        "SearchJob",
         "batched",
         "lockstep",
         "treebuild",

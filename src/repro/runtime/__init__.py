@@ -17,10 +17,16 @@ Four pieces, composable but independently usable:
   optionally fanned across a process pool — before the gradient loop runs
   against a warm cache.
 - :class:`VectorizedLockstep` — the accelerator model's lockstep sub-tree
-  search as NumPy stack arrays: arbitration, broadcast, elision, and stall
-  decisions per cycle as array ops, cycle- and stat-identical to the
-  per-step reference (:func:`repro.core.approx_search.run_subtree_lockstep`),
-  which the lockstep equivalence suite enforces.
+  search as NumPy stack arrays over a *forest* of K-d trees: arbitration,
+  broadcast, elision, and stall decisions per cycle as array ops for every
+  sub-tree batch of every search at once, cycle- and stat-identical per
+  search to the per-step reference
+  (:func:`repro.core.approx_search.run_subtree_lockstep`), which the
+  lockstep and forest equivalence suites enforce.
+- :func:`approximate_search` — the production approximate search: a batch
+  of :class:`SearchJob` searches through one top-tree descent, one forest
+  lockstep run and one flat result assembly; job-by-job identical to the
+  per-step :func:`repro.core.approx_search.approximate_ball_query`.
 - :func:`vectorized_top_phase` — the engine's phase-1 top-tree descent
   with **all** PE groups advancing level-synchronously as stacked arrays;
   cycle- and stall-identical to the per-group loop (kept as
@@ -80,6 +86,7 @@ from .topphase import reference_top_phase, vectorized_top_phase
 # whose pipeline module imports .session from this package — everything
 # it needs is already bound above by the time that re-entrant import runs.
 from .treebuild import VectorizedSplitTree, euler_tour, vectorized_build_kdtree
+from .approx import SearchJob, approximate_search
 
 __all__ = [
     "layer_sampling_plan",
@@ -100,6 +107,8 @@ __all__ = [
     "materialize_requests",
     "LockstepResult",
     "VectorizedLockstep",
+    "SearchJob",
+    "approximate_search",
     "CacheStats",
     "LruCache",
     "SearchSession",

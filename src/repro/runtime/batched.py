@@ -51,7 +51,7 @@ is the kernel under the request-coalescing serving layer
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Sequence, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -202,7 +202,9 @@ def _frontier_levels(
         depth += 1
 
 
-def batched_nearest_node(tree: KdTree, queries: np.ndarray) -> np.ndarray:
+def batched_nearest_node(
+    tree: KdTree, queries: np.ndarray, roots: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Vectorized ``knn_search(tree, q, 1)[0]`` for every query.
 
     Bit-identical tie-breaking included: for ``k = 1`` the reference
@@ -215,8 +217,10 @@ def batched_nearest_node(tree: KdTree, queries: np.ndarray) -> np.ndarray:
     synchronous sweep tracks as a running per-query best while pruning far
     children against it (any valid upper bound is equally safe).
 
-    Used by both batched engines to resolve all zero-neighbor rows of a
+    Used by the batched engines to resolve all zero-neighbor rows of a
     batch in one pass instead of a per-query Python ``knn_search`` loop.
+    ``roots`` (default: ``tree.root`` for all) starts each query at its own
+    node, so one pass serves a forest of trees sharing one node array.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     _check_rank_depth(tree)
@@ -227,7 +231,10 @@ def batched_nearest_node(tree: KdTree, queries: np.ndarray) -> np.ndarray:
     if m == 0:
         return best_pid
     fq = np.arange(m, dtype=np.int64)
-    fnode = np.full(m, tree.root, dtype=np.int64)
+    fnode = (
+        np.full(m, tree.root, dtype=np.int64) if roots is None
+        else np.asarray(roots, dtype=np.int64)
+    )
     frank = np.zeros(m, dtype=np.float64)
     scale = 0.5
     while len(fq):

@@ -13,20 +13,24 @@ pulls the whole epoch's search work out in front:
   stay bit-identical seed for seed.
 * :func:`materialize_requests` dedupes the scheduled neighbor queries by
   memoization key, drops the ones the shared
-  :class:`~repro.runtime.SearchSession` already holds, groups the rest by
-  ``(point-geometry digest, setting)`` — one K-d tree build per group —
-  and computes them either in process (warming the session cache directly)
-  or fanned across a :class:`~repro.runtime.SweepRunner` process pool.
-  Workers reuse PR 3's :func:`~repro.runtime.network.worker_session`
-  economy (long-lived per-worker sessions pool trees across jobs) and ship
-  ``(memo key, (indices, counts))`` pairs back for insertion into the
-  caller's session, so the gradient loop then runs against a warm cache.
+  :class:`~repro.runtime.SearchSession` already holds, and computes the
+  rest either in process — every approximate miss of the epoch in one
+  forest search (:func:`~repro.runtime.approximate_search`), filed
+  straight into the session cache — or grouped by ``(point-geometry
+  digest, setting)`` (one K-d tree build per group) and fanned across a
+  :class:`~repro.runtime.SweepRunner` process pool.  Workers reuse PR 3's
+  :func:`~repro.runtime.network.worker_session` economy (long-lived
+  per-worker sessions pool trees across jobs) and ship ``(memo key,
+  (indices, counts))`` pairs back for insertion into the caller's
+  session, so the gradient loop then runs against a warm cache.
 
 Bit-identity is by construction: materialization calls the exact same
-:meth:`~repro.core.pipeline.ApproximationPipeline.query_with_counts`
-compute path the forward pass would, just earlier (and possibly in a
-worker); the forward pass then hits the cache — or, after an LRU
-eviction, deterministically recomputes the same matrix.
+:meth:`~repro.core.pipeline.ApproximationPipeline.compute_many` path the
+forward pass's :meth:`~repro.core.pipeline.ApproximationPipeline.query_with_counts`
+would, just earlier, for many requests at once (and possibly in a worker);
+a forest search is job-by-job identical to searching alone, so the forward
+pass then hits the cache — or, after an LRU eviction, deterministically
+recomputes the same matrix.
 
 What a model must expose to ride this path: a ``query_plan(points,
 cache_key)`` method returning the :class:`QueryRequest` list its forward
@@ -187,10 +191,12 @@ def materialize_requests(
 
     Requests with ``cache_key=None`` are uncacheable and skipped (the
     forward pass will compute them per step, as before).  The rest are
-    deduped by full memoization key and grouped by ``(points digest,
-    setting)`` so each process job builds each K-d tree once; without a
-    fanning runner the group structure is irrelevant and every miss is
-    computed in process, which warms the cache directly.
+    deduped by full memoization key.  Without a fanning runner every miss
+    is computed in process in one
+    :meth:`~repro.core.pipeline.ApproximationPipeline.compute_many` call
+    (one forest search) and filed into the cache; with one, misses are
+    grouped by ``(points digest, setting)`` so each process job builds
+    each K-d tree once.
     """
     report = MaterializeReport()
     session = pipeline.session
@@ -222,8 +228,15 @@ def materialize_requests(
         )
         unique.setdefault(key, req)
     report.deduped = len(unique)
+    # One lookup per working-set key.  A hit refreshes its recency — the
+    # upcoming inserts must evict unrelated old entries, never the cached
+    # half of the very grid being materialized — and a miss is counted
+    # like the forward pass's own lookup would have been.
+    missing = object()
     todo = {
-        key: req for key, req in unique.items() if key not in session.results
+        key: req
+        for key, req in unique.items()
+        if session.results.get(key, missing) is missing
     }
     report.already_cached = report.deduped - len(todo)
     report.computed = len(todo)
@@ -238,21 +251,19 @@ def materialize_requests(
     if report.deduped > session.results.max_entries:
         session.results.max_entries = report.deduped
     report.cache_grown_to = session.results.max_entries
-    # Refresh recency on the working-set keys the session already holds:
-    # the upcoming inserts must evict unrelated old entries, never the
-    # cached half of the very grid being materialized.
-    for key in unique:
-        if key not in todo:
-            session.results.get(key)
     if not todo:
         return report
 
     if runner is None or not runner.will_fan_out(len(todo)):
-        for req in todo.values():
-            pipeline.query_with_counts(
-                req.points, req.queries, req.radius, req.max_neighbors,
-                req.setting, cache_key=req.cache_key,
-            )
+        # One forest search for every approximate miss of the epoch.
+        values = pipeline.compute_many(
+            [
+                (req.points, req.queries, req.radius, req.max_neighbors, req.setting)
+                for req in todo.values()
+            ]
+        )
+        for key, value in zip(todo, values):
+            session.results.put(key, value)
         return report
 
     # Group by (geometry digest of the searched cloud, setting): one tree

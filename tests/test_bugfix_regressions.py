@@ -35,7 +35,7 @@ from repro.kdtree import SubtreeSearch, build_kdtree
 from repro.kdtree.build import KdTree
 from repro.memsim import SramStats
 from repro.memsim.sram import BankedSramConfig
-from repro.runtime import LruCache, SearchSession
+from repro.runtime import LruCache, SearchJob, SearchSession, approximate_search
 
 
 # ----------------------------------------------------------------------
@@ -201,15 +201,13 @@ class TestBroadcastServed:
         points = rng.normal(size=(300, 3))
         tree = build_kdtree(points)
         queries = np.repeat(points[:4], 3, axis=0)  # triples share addresses
-        kwargs = dict(banking=TreeBufferBanking(4), num_pes=4,
-                      simulate_conflicts=True)
         _, _, ref = approximate_ball_query(
-            tree, queries, 0.5, 8, ApproxSetting(2, 3), engine="reference",
-            **kwargs,
+            tree, queries, 0.5, 8, ApproxSetting(2, 3),
+            banking=TreeBufferBanking(4), num_pes=4, simulate_conflicts=True,
         )
-        _, _, vec = approximate_ball_query(
-            tree, queries, 0.5, 8, ApproxSetting(2, 3), engine="vector",
-            **kwargs,
+        ((_, _, vec),) = approximate_search(
+            [SearchJob(tree, queries, 0.5, 8, ApproxSetting(2, 3), True)],
+            banking=TreeBufferBanking(4), num_pes=4,
         )
         assert ref.tree_sram.broadcasts > 0
         assert vec.tree_sram.broadcasts == ref.tree_sram.broadcasts

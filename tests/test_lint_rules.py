@@ -61,6 +61,15 @@ class TestReferenceFreeze:
         )
         assert "reference-freeze" in rules_fired(lint(tmp_path))
 
+    def test_reference_search_importing_forest_search_fires(self, tmp_path):
+        self._package(tmp_path)
+        write(
+            tmp_path,
+            "pkg/core/approx_search.py",
+            "from ..runtime import approximate_search\n",
+        )
+        assert "reference-freeze" in rules_fired(lint(tmp_path))
+
     def test_vectorized_topphase_symbol_fires(self, tmp_path):
         self._package(tmp_path)
         write(

@@ -4,9 +4,11 @@ The vectorized engine claims to be *cycle-, stall-, stat-, and
 hit-identical* to :func:`repro.core.approx_search.run_subtree_lockstep`
 driving one :class:`~repro.kdtree.SubtreeSearch` machine per query.  These
 tests pin that claim on randomized clouds, settings, and hardware shapes —
-both through the public ``approximate_ball_query`` routing (full
-:class:`SearchReport` comparison) and at the raw engine level (including
-the ``descend`` elision policy the public API does not expose).
+both end to end (the one-job :func:`repro.runtime.approximate_search`
+against the per-step ``approximate_ball_query``, full
+:class:`SearchReport` comparison) and at the raw engine level, one tree
+at a time.  Mixed multi-tree forests are pinned in
+``tests/test_runtime_forest.py``.
 """
 
 import numpy as np
@@ -17,8 +19,7 @@ from repro.core.approx_search import approximate_ball_query
 from repro.core.split_tree import SplitTree
 from repro.kdtree import SubtreeSearch, build_kdtree
 from repro.kdtree.stats import TraversalStats
-from repro.memsim import SramStats
-from repro.runtime import VectorizedLockstep
+from repro.runtime import SearchJob, VectorizedLockstep, approximate_search
 
 
 def report_fingerprint(report):
@@ -30,6 +31,7 @@ def report_fingerprint(report):
         "subtrees_loaded": report.subtrees_loaded,
         "top_tree_visits": report.top_tree_visits,
         "queue_occupancy": dict(report.queue_occupancy),
+        "subtree_cycles": dict(report.subtree_cycles),
         "nodes_visited": t.nodes_visited,
         "nodes_skipped": t.nodes_skipped,
         "nodes_pruned": t.nodes_pruned,
@@ -47,18 +49,33 @@ def report_fingerprint(report):
 
 
 def run_both(tree, queries, radius, k, setting, banks, pes, simulate):
-    kwargs = dict(
-        banking=TreeBufferBanking(banks),
-        num_pes=pes,
-        simulate_conflicts=simulate,
-    )
     ref = approximate_ball_query(
-        tree, queries, radius, k, setting, engine="reference", **kwargs
+        tree, queries, radius, k, setting, banking=TreeBufferBanking(banks),
+        num_pes=pes, simulate_conflicts=simulate,
     )
-    vec = approximate_ball_query(
-        tree, queries, radius, k, setting, engine="vector", **kwargs
+    (vec,) = approximate_search(
+        [SearchJob(tree, queries, radius, k, setting, simulate)],
+        banking=TreeBufferBanking(banks), num_pes=pes,
     )
     return ref, vec
+
+
+def machines_of(groups):
+    """``[(root, query_ids), ...]`` -> per-machine ``(query_ids, roots)``."""
+    mach_queries = np.concatenate([q for _, q in groups])
+    roots = np.concatenate(
+        [np.full(len(q), root, dtype=np.int64) for root, q in groups]
+    )
+    return mach_queries, roots
+
+
+def hits_by_query(mach_queries, outcome):
+    """Each machine's hits in visit order, keyed by its query id."""
+    hits = {int(q): [] for q in mach_queries}
+    order = np.argsort(outcome.hit_machine, kind="stable")
+    for mach, pid in zip(outcome.hit_machine[order], outcome.hit_point[order]):
+        hits[int(mach_queries[mach])].append(int(pid))
+    return hits
 
 
 class TestRandomizedEquivalence:
@@ -142,15 +159,15 @@ class TestEngineLevelEquivalence:
         engine = VectorizedLockstep(
             tree, banking=banking, num_pes=pes, elide_policy=policy
         )
-        vstats, vsram = TraversalStats(), SramStats()
-        mach_queries = np.concatenate([q for _, q in groups])
+        mach_queries, roots = machines_of(groups)
         outcome = engine.run(
-            queries, radius, groups, np.full(len(mach_queries), k),
-            elide_depth=he, traversal=vstats, sram=vsram,
+            queries[mach_queries], roots, np.full(len(mach_queries), k),
+            radius, elide_depth=he,
         )
-        assert outcome.cycles == cycles
-        assert outcome.stalls == stalls
-        assert {int(q): h for q, h in zip(mach_queries, outcome.hits)} == hits
+        (vstats,), (vsram,) = outcome.traversal, outcome.sram
+        assert outcome.cycles.tolist() == [cycles]
+        assert outcome.stalls.tolist() == [stalls]
+        assert hits_by_query(mach_queries, outcome) == hits
         for field in ("nodes_visited", "nodes_skipped", "nodes_pruned",
                       "stack_pushes", "stack_pops", "neighbors_found"):
             assert getattr(vstats, field) == getattr(stats, field), field
@@ -161,12 +178,13 @@ class TestEngineLevelEquivalence:
     def test_group_cycles_sum_to_total(self, problem_builder):
         tree, queries, split, groups = problem_builder(ht=3)
         engine = VectorizedLockstep(tree, banking=TreeBufferBanking(4), num_pes=4)
-        mach_queries = np.concatenate([q for _, q in groups])
+        mach_queries, roots = machines_of(groups)
         outcome = engine.run(
-            queries, 0.5, groups, np.full(len(mach_queries), 8), elide_depth=3
+            queries[mach_queries], roots, np.full(len(mach_queries), 8), 0.5,
+            elide_depth=3,
         )
         assert len(outcome.group_cycles) == len(groups)
-        assert int(outcome.group_cycles.sum()) == outcome.cycles
+        assert int(outcome.group_cycles.sum()) == int(outcome.cycles[0])
 
     def test_run_free_matches_run_to_completion(self, problem_builder):
         tree, queries, split, groups = problem_builder(ht=2)
@@ -181,30 +199,28 @@ class TestEngineLevelEquivalence:
                 machine.run_to_completion()
                 expected[int(qi)] = list(machine.hits)
         engine = VectorizedLockstep(tree)
-        vstats = TraversalStats()
-        mach_queries = np.concatenate([q for _, q in groups])
-        roots = np.concatenate(
-            [np.full(len(q), root, dtype=np.int64) for root, q in groups]
+        mach_queries, roots = machines_of(groups)
+        outcome = engine.run_free(
+            queries[mach_queries], roots, np.full(len(mach_queries), 8), 0.5,
         )
-        hits = engine.run_free(
-            queries[mach_queries], 0.5, roots,
-            np.full(len(mach_queries), 8), traversal=vstats,
-        )
-        assert {int(q): h for q, h in zip(mach_queries, hits)} == expected
+        (vstats,) = outcome.traversal
+        assert hits_by_query(mach_queries, outcome) == expected
         for field in ("nodes_visited", "nodes_pruned", "stack_pushes",
                       "stack_pops", "neighbors_found"):
             assert getattr(vstats, field) == getattr(stats, field), field
 
     def test_preorder_slots_match_split_tree_enumeration(self, rng):
         # The vectorized engine derives bank slots from Euler tin indices;
-        # they must equal the reference's SplitTree.subtree_nodes order.
-        tree = build_kdtree(rng.normal(size=(257, 3)))
-        tree._ensure_euler()
-        split = SplitTree(tree, 3)
-        for root in split.subtree_roots:
-            nodes = split.subtree_nodes(int(root))
-            slots = tree.tin[nodes] - tree.tin[int(root)]
-            assert np.array_equal(slots, np.arange(len(nodes)))
+        # they must equal the reference's SplitTree.subtree_nodes order, in
+        # every tree of a forest.
+        trees = [build_kdtree(rng.normal(size=(n, 3))) for n in (257, 40)]
+        engine = VectorizedLockstep(trees)
+        for tree, offset in zip(trees, engine.offsets):
+            split = SplitTree(tree, 3)
+            for root in split.subtree_roots:
+                nodes = split.subtree_nodes(int(root)) + offset
+                slots = engine.tin[nodes] - engine.tin[int(root) + offset]
+                assert np.array_equal(slots, np.arange(len(nodes)))
 
     def test_rejects_bad_arguments(self, rng):
         tree = build_kdtree(rng.normal(size=(31, 3)))
@@ -212,18 +228,27 @@ class TestEngineLevelEquivalence:
             VectorizedLockstep(tree, num_pes=0)
         with pytest.raises(ValueError):
             VectorizedLockstep(tree, elide_policy="bogus")
+        with pytest.raises(ValueError):
+            VectorizedLockstep([])
         engine = VectorizedLockstep(tree)  # no banking
         with pytest.raises(ValueError):
-            engine.run(np.zeros((1, 3)), 0.5, [(0, np.array([0]))], np.array([4]))
+            engine.run(np.zeros((1, 3)), [0], np.array([4]), 0.5)
+        engine = VectorizedLockstep(tree, banking=TreeBufferBanking(2))
+        with pytest.raises(ValueError):  # one capacity per machine
+            engine.run(np.zeros((2, 3)), [0, 0], np.array([4]), 0.5)
+        with pytest.raises(ValueError):  # one query row per machine
+            engine.run_free(np.zeros((1, 3)), [0, 0], np.array([4, 4]), 0.5)
 
     def test_record_trace_routes_to_reference(self, rng):
-        # The vectorized engine records no visit trace; record_trace must
-        # transparently use the reference machines.
+        # The forest engine records no visit trace; visit traces come from
+        # the per-step reference machines.
         points = rng.normal(size=(120, 3))
         tree = build_kdtree(points)
         queries = points[:10]
         _, _, report = approximate_ball_query(
             tree, queries, 0.5, 8, ApproxSetting(2, None),
-            simulate_conflicts=False, record_trace=True, engine="vector",
+            simulate_conflicts=False, record_trace=True,
         )
-        assert len(report.traversal.visit_trace) > 0
+        # Every sub-tree visit is traced (top-tree visits are not).
+        sub_tree_visits = report.traversal.nodes_visited - report.top_tree_visits
+        assert len(report.traversal.visit_trace) == sub_tree_visits > 0

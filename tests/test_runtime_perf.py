@@ -7,12 +7,12 @@ reference, ≥5× for the vectorized top phase vs the per-group descent
 loop, and ≥5× for the traced batched engine vs the per-query
 ``record_trace=True`` loop the motivation studies used to run (measured
 margins are typically well above all four, so the assertions have real
-headroom against noisy machines).  Also benches the epoch-batched
-training materialization fan-out.  Marked ``slow``: the Python reference
-loops themselves are the expensive part.
+headroom against noisy machines).  Also pins that the epoch-batched
+training materialization fills identical caches fanned out or serial.
+Marked ``slow``: the Python reference loops themselves are the expensive
+part.
 """
 
-import os
 import time
 
 import numpy as np
@@ -24,7 +24,6 @@ from repro.core.split_tree import SplitTree
 from repro.kdtree import ball_query, build_kdtree
 from repro.kdtree.exact import radius_search
 from repro.kdtree.stats import TraversalStats
-from repro.memsim import SramStats
 from repro.models.layers import farthest_point_sampling
 from repro.runtime import (
     BatchedBallQuery,
@@ -59,7 +58,6 @@ LOCKSTEP_BANKS = 8
 LOCKSTEP_MIN_SPEEDUP = 5.0
 TOPPHASE_MIN_SPEEDUP = 5.0
 TRACED_MIN_SPEEDUP = 5.0
-EPOCH_FANOUT_MIN_SPEEDUP = 1.2
 # Small per-request batches are the serving regime coalescing exists for:
 # per-request sweep overhead dominates, so merging pays the most there.
 SERVE_REQUESTS = 128
@@ -110,6 +108,7 @@ def test_vectorized_lockstep_beats_reference_loop_on_4k_cloud(
     groups, split = lockstep_groups_builder(tree, queries, LOCKSTEP_TOP_HEIGHT)
     banking = TreeBufferBanking(LOCKSTEP_BANKS)
     mach_queries = np.concatenate([q for _, q in groups])
+    roots = np.concatenate([np.full(len(q), root) for root, q in groups])
     max_hits = np.full(len(mach_queries), MAX_NEIGHBORS, dtype=np.int64)
 
     def reference():
@@ -120,16 +119,18 @@ def test_vectorized_lockstep_beats_reference_loop_on_4k_cloud(
         return cycles, stalls, hits, sram
 
     def vectorized():
-        sram = SramStats()
         engine = VectorizedLockstep(
             tree, banking=banking, num_pes=LOCKSTEP_PES
         )
         outcome = engine.run(
-            queries, LOCKSTEP_RADIUS, groups, max_hits,
-            elide_depth=LOCKSTEP_ELISION, sram=sram,
+            queries[mach_queries], roots, max_hits, LOCKSTEP_RADIUS,
+            elide_depth=LOCKSTEP_ELISION,
         )
-        hits = {int(q): h for q, h in zip(mach_queries, outcome.hits)}
-        return outcome.cycles, outcome.stalls, hits, sram
+        hits = {int(q): [] for q in mach_queries}
+        order = np.argsort(outcome.hit_machine, kind="stable")
+        for mach, pid in zip(outcome.hit_machine[order], outcome.hit_point[order]):
+            hits[int(mach_queries[mach])].append(int(pid))
+        return int(outcome.cycles[0]), int(outcome.stalls[0]), hits, outcome.sram[0]
 
     vectorized()  # warm-up
     ref_time, ref = _best_of(1, reference)
@@ -250,8 +251,10 @@ def test_coalesced_serving_beats_sequential_on_4k_cloud(rng):
 def test_epoch_materialization_fanout_beats_serial(rng):
     # One epoch's worth of approximate neighbor materialization (the
     # conflict-simulated search is the expensive part of Sec. 5 training):
-    # the process fan-out must beat computing the same groups serially,
-    # and must fill the session with identical entries.
+    # the serial path's one forest search and the process fan-out's
+    # per-group workers must fill the session with identical entries.
+    # No wall-clock floor: on small machines the forest serial path beats
+    # the pool outright.
     clouds = [rng.normal(size=(1024, 3)) for _ in range(8)]
     settings = [ApproxSetting(4, 8), ApproxSetting(3, None)]
     requests = []
@@ -266,16 +269,12 @@ def test_epoch_materialization_fanout_beats_serial(rng):
             )
 
     serial = ApproximationPipeline()
-    t0 = time.perf_counter()
     report = serial.materialize(requests)
-    serial_time = time.perf_counter() - t0
     assert report.computed == len(requests)
 
     fanned = ApproximationPipeline()
     runner = SweepRunner(num_workers=4, backend="process")
-    t0 = time.perf_counter()
     fanned.materialize(requests, runner=runner)
-    fanout_time = time.perf_counter() - t0
 
     # Identical cache contents regardless of where the work ran.
     a, b = serial.session.results._data, fanned.session.results._data
@@ -283,11 +282,3 @@ def test_epoch_materialization_fanout_beats_serial(rng):
     for key in a:
         np.testing.assert_array_equal(a[key][0], b[key][0])
         np.testing.assert_array_equal(a[key][1], b[key][1])
-
-    if (os.cpu_count() or 1) < 2:
-        pytest.skip("single-CPU machine: process fan-out cannot be faster")
-    speedup = serial_time / fanout_time
-    assert speedup >= EPOCH_FANOUT_MIN_SPEEDUP, (
-        f"epoch materialization fan-out only {speedup:.2f}x faster "
-        f"({serial_time:.3f}s serial vs {fanout_time:.3f}s fanned)"
-    )
