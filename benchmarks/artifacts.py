@@ -12,9 +12,11 @@ finally tripping.
 Records are shallow-merged per area: several tests in one bench module
 (e.g. cold-build and end-to-end serving in ``test_treebuild_perf.py``)
 contribute sections to the same file without clobbering each other.
-Every record carries the schema version, a wall-clock stamp, and the
-process's peak RSS alongside the bench's own payload (throughput,
-speedup, cloud size, ...).
+Every record carries the schema version, a wall-clock stamp, the
+process's peak RSS, the total line count of ``src/**/*.py`` and the
+machine's CPU count alongside the bench's own payload (throughput,
+speedup, cloud size, ...): a deletion then shows as a number in every
+record, and so does a result that depends on the core count.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ import os
 import resource
 import sys
 import time
+from pathlib import Path
 from typing import Dict, Sequence
 
 __all__ = [
     "ARTIFACT_DIR_ENV",
     "latency_percentiles",
     "peak_rss_bytes",
+    "src_lines",
     "write_bench_artifact",
 ]
 
@@ -38,6 +42,7 @@ __all__ = [
 ARTIFACT_DIR_ENV = "REPRO_BENCH_DIR"
 DEFAULT_DIR = "bench_artifacts"
 SCHEMA_VERSION = 1
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def peak_rss_bytes() -> int:
@@ -45,6 +50,11 @@ def peak_rss_bytes() -> int:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss is KiB on Linux, bytes on macOS.
     return int(peak) if sys.platform == "darwin" else int(peak) * 1024
+
+
+def src_lines() -> int:
+    """Total lines of ``src/**/*.py``, counted as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in SRC_DIR.rglob("*.py"))
 
 
 def latency_percentiles(samples: Sequence[float]) -> Dict[str, float]:
@@ -74,8 +84,8 @@ def write_bench_artifact(area: str, payload: Dict) -> str:
 
     ``area`` names the subsystem (``treebuild``, ``serve``, ...).  An
     existing record for the area is updated key-by-key, so independent
-    tests can each contribute their section; the stamp, schema, and peak
-    RSS refresh on every write.
+    tests can each contribute their section; the stamp, schema, peak
+    RSS, ``src`` line count and CPU count refresh on every write.
     """
     directory = os.environ.get(ARTIFACT_DIR_ENV) or DEFAULT_DIR
     os.makedirs(directory, exist_ok=True)
@@ -94,6 +104,8 @@ def write_bench_artifact(area: str, payload: Dict) -> str:
     record["area"] = area
     record["created_unix"] = round(time.time(), 3)
     record["peak_rss_bytes"] = peak_rss_bytes()
+    record["src_lines"] = src_lines()
+    record["cpu_count"] = os.cpu_count()
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -8,8 +8,8 @@ Subpackages
 - :mod:`repro.memsim`   — DRAM/SRAM/cache/energy models
 - :mod:`repro.core`     — the paper's contribution (split-tree search,
   bank-conflict elision, approximation pipeline)
-- :mod:`repro.runtime`  — batched query engine, memoizing search
-  sessions, multiprocessing sweep fan-out
+- :mod:`repro.runtime`  — batched query engine, forest approximate
+  search, memoizing search sessions, respawnable worker processes
 - :mod:`repro.accel`    — cycle-level accelerator simulator + baselines
 - :mod:`repro.nn`       — NumPy autograd and layers
 - :mod:`repro.models`   — PointNet++ (c/s), DensePoint, F-PointNet

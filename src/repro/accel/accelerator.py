@@ -25,9 +25,8 @@ from ..core.config import ApproxSetting, CrescentHardwareConfig
 from ..kdtree.build import KdTree
 from ..memsim.dram import DramUsage
 from ..memsim.energy import EnergyBreakdown
-from ..runtime.network import layer_sampling_plan, run_network_grid
+from ..runtime.network import layer_sampling_plan, plan_for
 from ..runtime.session import SearchSession
-from ..runtime.sweep import SweepRunner
 from .aggregation import AggregationUnit
 from .search_engine import NeighborSearchEngine, SearchEngineResult
 from .systolic import SystolicArray
@@ -185,9 +184,8 @@ class PointCloudAccelerator:
         """Execute one layer over ``points``; returns the next layer's points.
 
         Centroids are either sampled from ``rng`` or passed pre-sampled as
-        ``queries`` (the shared-plan path of
-        :func:`~repro.runtime.network.run_network_grid`, where one draw
-        serves every setting of a sweep).
+        ``queries`` (the shared-plan path of :meth:`run_many`, where one
+        draw serves every setting of a sweep).
         """
         points = np.asarray(points, dtype=np.float64)
         if spec.num_queries > len(points):
@@ -278,31 +276,23 @@ class PointCloudAccelerator:
         clouds: Sequence[np.ndarray],
         settings: Sequence[ApproxSetting],
         seed: int = 0,
-        runner: Optional[SweepRunner] = None,
     ) -> List[List[NetworkResult]]:
         """Run ``spec`` for every ``settings x clouds`` combination.
 
         The network-level sweep entry: ``results[i][j]`` is
         ``run_network(spec, clouds[j], settings[i], seed)``, so a figure
-        driver gets its whole settings-by-clouds grid in one call.  With a
-        :class:`~repro.runtime.SweepRunner` the grid fans out across
-        worker processes (order-preserving, so tables stay deterministic);
-        the default runs serially through this accelerator's shared
-        session, which reuses each cloud's trees across every setting.
-
-        Worker processes rebuild the accelerator from picklable parts —
-        the hardware config, the elision flag, and the search engine
-        *class* (reconstructed as ``type(engine)(hw, session=...)``, or
-        ``type(engine)(hw)`` for engines without a session parameter) —
-        so engines with unpicklable runtime state still sweep; engines
-        whose constructors need more than that should be swept serially.
-        Each worker process keeps one long-lived session, so its jobs
-        share trees, split-tree layouts, and sampling plans.  The rebuild
-        only happens when the runner will actually engage its pool: a
-        runner that resolves to serial execution (``backend="serial"``,
-        or ``"auto"`` with one worker or one job) takes the faithful
-        in-process path through this accelerator's own engine.
+        driver gets its whole settings-by-clouds grid in one call.  Each
+        cloud is sampled once (:func:`~repro.runtime.network.plan_for`)
+        and the plan replayed under every setting through this
+        accelerator's shared session, which reuses each cloud's trees and
+        split-tree layouts across the grid.
         """
-        return run_network_grid(
-            self, spec, clouds, settings, seed=seed, runner=runner
-        )
+        settings = list(settings)
+        grid: List[List[NetworkResult]] = [[] for _ in settings]
+        for cloud in clouds:
+            plan = plan_for(self.session, spec, cloud, seed)
+            for i, setting in enumerate(settings):
+                grid[i].append(
+                    self.run_network(spec, cloud, setting, seed=seed, plan=plan)
+                )
+        return grid

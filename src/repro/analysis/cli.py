@@ -9,9 +9,9 @@ Regenerates the paper's figures from the terminal without pytest::
     python -m repro.analysis.cli serve           # serving-layer trace replay
     python -m repro.analysis.cli serve --workers 4   # + sharded tier replay
 
-Figures are independent experiments, so ``--workers N`` fans them across
-``N`` worker processes through :class:`repro.runtime.SweepRunner`; output
-order matches the requested figure order regardless of worker count.
+Figures are independent experiments, so ``--workers N`` renders them in
+a pool of up to ``N`` worker processes; output order matches the
+requested figure order regardless of worker count.
 
 ``serve`` replays a synthetic concurrent-request trace through the
 request-coalescing serving front-end (:mod:`repro.serve`) and reports the
@@ -29,6 +29,8 @@ comparison (Fig. 24).
 from __future__ import annotations
 
 import argparse
+import math
+import multiprocessing
 import statistics
 import sys
 from typing import Callable, Dict, List
@@ -37,7 +39,6 @@ import numpy as np
 
 from ..accel.workloads import evaluation_hardware, evaluation_networks, workload_points
 from ..core.config import ApproxSetting
-from ..runtime.sweep import SweepRunner
 from .characterization import (
     aggregation_conflict_by_network,
     dram_traffic_study,
@@ -248,7 +249,7 @@ FIGURES: Dict[str, Callable[[], str]] = {
 
 
 def _render_figure(fig: str) -> str:
-    """Module-level sweep point (process backends need to pickle it)."""
+    """Module-level so the ``--workers`` pool can pickle it."""
     return FIGURES[fig]()
 
 
@@ -283,8 +284,27 @@ def _serve_main(argv: List[str]) -> int:
                         "serving worker processes (default: skip)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    # Exit code 1 means "results not identical", so bad arguments must
+    # stop here with 2 instead of a traceback from deep in the replay.
+    for flag, value in (
+        ("--requests", args.requests), ("--clouds", args.clouds),
+        ("--cloud-size", args.cloud_size), ("--queries", args.queries),
+        ("--max-batch", args.max_batch),
+    ):
+        if value <= 0:
+            print(f"{flag} must be a positive integer", file=sys.stderr)
+            return 2
+    if not (math.isfinite(args.window_ms) and args.window_ms >= 0):
+        print("--window-ms must be a non-negative number", file=sys.stderr)
+        return 2
+    if args.max_pending < args.max_batch:
+        print("--max-pending must be at least --max-batch", file=sys.stderr)
+        return 2
     if args.workers < 0:
         print("--workers must be non-negative", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print("--seed must be non-negative", file=sys.stderr)
         return 2
 
     trace = synthetic_trace(
@@ -369,9 +389,17 @@ def main(argv: List[str] | None = None) -> int:
     if args.workers < 1:
         print("--workers must be a positive integer", file=sys.stderr)
         return 2
-    runner = SweepRunner(num_workers=args.workers, backend="auto")
-    for rendered in runner.map(_render_figure, args.figures):
-        print(rendered)
+    if args.workers > 1 and len(args.figures) > 1:
+        # The platform-default start method is deliberate: fork on Linux
+        # (workers share the already-imported library), spawn on macOS /
+        # Windows where forking a NumPy-initialized process is unsafe.
+        ctx = multiprocessing.get_context()
+        with ctx.Pool(processes=min(args.workers, len(args.figures))) as pool:
+            rendered = pool.map(_render_figure, args.figures)
+    else:
+        rendered = [_render_figure(fig) for fig in args.figures]
+    for text in rendered:
+        print(text)
         print()
     return 0
 

@@ -23,7 +23,6 @@ from ..accel.search_engine import NeighborSearchEngine
 from ..accel.workloads import evaluation_hardware, evaluation_networks, workload_points
 from ..core.config import ApproxSetting, CrescentHardwareConfig
 from ..runtime.network import plan_for, worker_session
-from ..runtime.sweep import SweepRunner
 
 __all__ = ["SuiteResult", "run_evaluation_suite", "energy_saving_contributions"]
 
@@ -71,14 +70,14 @@ def _suite_point(
     setting_bce: ApproxSetting,
     seed: int,
 ) -> SuiteResult:
-    """All variants' results for one network (module-level: pools pickle it).
+    """All variants' results for one network.
 
     One :class:`~repro.runtime.SearchSession` serves every variant — the
     Mesorasi baseline, ANS, and ANS+BCE all query the same layer clouds,
     so trees are built once per layer, split-tree layouts once per
     ``h_t`` — and one sampling plan fixes the centroids for all three.
-    Under :class:`~repro.runtime.SweepRunner` fan-out the session is the
-    worker process's long-lived one, pooling across networks too.
+    It is the process-wide :func:`~repro.runtime.worker_session`, so it
+    pools across networks and across calls too.
     """
     session = worker_session()
     spec = evaluation_networks()[name]
@@ -115,21 +114,14 @@ def run_evaluation_suite(
     setting_ans: ApproxSetting = HEADLINE_SETTING_ANS,
     setting_bce: ApproxSetting = HEADLINE_SETTING_BCE,
     seed: int = 0,
-    runner: Optional[SweepRunner] = None,
 ) -> Dict[str, SuiteResult]:
-    """Run all four networks on Mesorasi, ANS, ANS+BCE, and the GPU models.
-
-    Networks are independent sweep points: pass a
-    :class:`~repro.runtime.SweepRunner` to fan them across worker
-    processes (order-preserving; each worker's long-lived session pools
-    trees across its jobs).  The default runs them in-process through one
-    shared session.
-    """
+    """Run all four networks on Mesorasi, ANS, ANS+BCE, and the GPU models,
+    in Table-1 order through one shared session."""
     hw = hw or evaluation_hardware()
-    names = list(evaluation_networks())
-    jobs = [(hw, name, setting_ans, setting_bce, seed) for name in names]
-    runner = runner or SweepRunner(backend="serial")
-    return {r.name: r for r in runner.starmap(_suite_point, jobs)}
+    return {
+        name: _suite_point(hw, name, setting_ans, setting_bce, seed)
+        for name in evaluation_networks()
+    }
 
 
 def energy_saving_contributions(result: SuiteResult) -> Dict[str, float]:

@@ -20,7 +20,6 @@ from ..memsim.sram import BankedSramConfig
 from ..runtime.approx import SearchJob, approximate_search
 from ..runtime.network import plan_for, worker_session
 from ..runtime.session import SearchSession
-from ..runtime.sweep import SweepRunner
 
 __all__ = [
     "nodes_visited_vs_top_height",
@@ -107,13 +106,13 @@ def _sensitivity_cell(
     banks: int,
     base_hw: CrescentHardwareConfig,
 ) -> SensitivityCell:
-    """One Fig. 22 grid cell (module-level: process pools pickle it).
+    """One Fig. 22 grid cell.
 
     K-d trees and split-tree layouts are geometry-only, so every cell of
-    the #PE × #banks grid shares them through the calling process's
-    long-lived session (:func:`~repro.runtime.worker_session`) — the
-    hardware override changes arbitration and timing, not layout.  The
-    sampling plan is shared the same way.
+    the #PE × #banks grid shares them through the process-wide session
+    (:func:`~repro.runtime.worker_session`) — the hardware override
+    changes arbitration and timing, not layout.  The sampling plan is
+    shared the same way.
     """
     session = worker_session()
     hw = base_hw.with_overrides(
@@ -145,25 +144,20 @@ def hw_sensitivity(
     pes_list: Sequence[int],
     banks_list: Sequence[int],
     base_hw: CrescentHardwareConfig = CrescentHardwareConfig(),
-    runner: Optional[SweepRunner] = None,
 ) -> List[SensitivityCell]:
     """Fig. 22: speedup and normalized energy over #PE × #banks.
 
     Each cell compares Crescent (ANS+BCE) against the Mesorasi baseline
-    *on the same hardware configuration*, as the paper does.  Cells are
-    independent sweep points: the grid goes through a
-    :class:`~repro.runtime.SweepRunner` (serial by default), sharing
-    trees, split-tree layouts, and centroid plans per process since none
-    of them depend on the swept hardware.
+    *on the same hardware configuration*, as the paper does.  Cells run
+    bank-major and share trees, split-tree layouts, and centroid plans,
+    since none of them depend on the swept hardware.
     """
     points = np.asarray(points, dtype=np.float64)
-    jobs = [
-        (spec, points, setting, pes, banks, base_hw)
+    return [
+        _sensitivity_cell(spec, points, setting, pes, banks, base_hw)
         for banks in banks_list
         for pes in pes_list
     ]
-    runner = runner or SweepRunner(backend="serial")
-    return runner.starmap(_sensitivity_cell, jobs)
 
 
 def knob_performance_sweep(
@@ -171,7 +165,6 @@ def knob_performance_sweep(
     points: np.ndarray,
     settings: Sequence[ApproxSetting],
     hw: CrescentHardwareConfig = CrescentHardwareConfig(),
-    runner: Optional["SweepRunner"] = None,
 ) -> Dict[Tuple[int, Optional[int]], Tuple[float, float]]:
     """Fig. 23 support: speedup and normalized energy per ``<h_t, h_e>``.
 
@@ -179,8 +172,7 @@ def knob_performance_sweep(
     baseline; the accuracy axis comes from the trained models.  The
     settings grid goes through :meth:`PointCloudAccelerator.run_many`
     (one call per elision mode, since BCE flips the aggregation
-    discipline), so trees and split-trees are laid out once per cloud and
-    an optional ``runner`` fans the grid across worker processes.
+    discipline), so trees and split-trees are laid out once per cloud.
     """
     session = SearchSession()
     baseline = make_mesorasi(hw, session=session).run_network(
@@ -197,7 +189,7 @@ def knob_performance_sweep(
         # (shared in turn with the baseline), so trees *and* split-tree
         # layouts pool across the baseline and both elision-mode subsets.
         acc = PointCloudAccelerator(hw, elide_aggregation=elide, session=session)
-        for setting, row in zip(subset, acc.run_many(spec, [points], subset, runner=runner)):
+        for setting, row in zip(subset, acc.run_many(spec, [points], subset)):
             runs[(setting.top_height, setting.elision_height)] = row[0]
     out: Dict[Tuple[int, Optional[int]], Tuple[float, float]] = {}
     for setting in settings:  # preserve the caller's settings order

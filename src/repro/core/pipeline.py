@@ -31,7 +31,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
     from ..runtime.epoch import MaterializeReport, MaterializeRequest
-    from ..runtime.sweep import SweepRunner
 
 from ..runtime.approx import SearchJob, approximate_search
 from ..runtime.batched import BatchedBallQuery
@@ -212,8 +211,8 @@ class ApproximationPipeline:
         """The full session-cache key a :meth:`query_with_counts` call uses.
 
         Batch materializers (:func:`repro.runtime.epoch.materialize_requests`)
-        dedupe scheduled work with this and file worker-computed results
-        under it, so the later forward-pass lookup is a guaranteed hit.
+        dedupe scheduled work with this and file computed results under
+        it, so the later forward-pass lookup is a guaranteed hit.
         ``digest`` short-circuits the geometry hashing when the caller has
         already digested this ``(points, queries)`` pair (a settings grid
         reuses each pair once per setting).
@@ -225,32 +224,16 @@ class ApproximationPipeline:
             return self.session.memo_key(site, (points, queries_arr))
         return self.session.memo_key(site, digest=digest)
 
-    def picklable_config(self) -> tuple:
-        """The constructor arguments a worker process needs to rebuild an
-        equivalent pipeline (everything except the session, which workers
-        supply themselves)."""
-        return (
-            self.tree_banking,
-            self.point_banking,
-            self.num_pes,
-            self.agg_ports,
-            self.elide_aggregation,
-        )
-
     def materialize(
-        self,
-        requests: Sequence["MaterializeRequest"],
-        runner: Optional["SweepRunner"] = None,
+        self, requests: Sequence["MaterializeRequest"]
     ) -> "MaterializeReport":
         """Batch-materialize neighbor matrices into the session cache.
 
         The epoch-batched counterpart of :meth:`query_with_counts`: dedupe
         the scheduled requests, skip what the session already holds, and
-        compute the rest — in process, or fanned across a
-        :class:`~repro.runtime.SweepRunner` process pool grouped so each
-        job builds each K-d tree once.  See
+        compute the rest in one forest search.  See
         :func:`repro.runtime.epoch.materialize_requests`.
         """
         from ..runtime.epoch import materialize_requests
 
-        return materialize_requests(self, requests, runner=runner)
+        return materialize_requests(self, requests)

@@ -12,9 +12,8 @@ Four pieces, composable but independently usable:
   the traced equivalence suite); what the Sec. 2 motivation studies run.
 - :mod:`~repro.runtime.epoch` — epoch-batched training materialization:
   the whole ``(sample, setting)`` schedule drawn up front
-  (RNG-stream-compatible), neighbor matrices deduped, grouped by
-  ``(cloud, setting)``, and materialized through one shared session —
-  optionally fanned across a process pool — before the gradient loop runs
+  (RNG-stream-compatible), neighbor matrices deduped and materialized into
+  one shared session by one forest search before the gradient loop runs
   against a warm cache.
 - :class:`VectorizedLockstep` — the accelerator model's lockstep sub-tree
   search as NumPy stack arrays over a *forest* of K-d trees: arbitration,
@@ -40,14 +39,13 @@ Four pieces, composable but independently usable:
   to :func:`repro.kdtree.build.build_kdtree` / :class:`SplitTree`, built
   in O(log N) NumPy passes instead of per-node Python; what sessions use
   to fill cache misses by default.
-- :class:`SweepRunner` — fans parameter sweeps across ``multiprocessing``
-  workers with deterministic, order-preserving results; its long-lived
-  promotion :class:`WorkerProcess` (mailbox + heartbeat + in-place
-  respawn) is what the sharded serving tier builds its workers on.
-- :mod:`~repro.runtime.network` — the network-level grid runtime behind
-  ``PointCloudAccelerator.run_many``: per-cloud sampling plans shared
-  across settings, and per-worker-process sessions so fan-out jobs stop
-  rebuilding trees and split-tree layouts.
+- :class:`WorkerProcess` — one long-lived, respawnable worker process
+  (mailbox + heartbeat + in-place respawn); what the sharded serving tier
+  builds its workers on.
+- :mod:`~repro.runtime.network` — the helpers behind
+  ``PointCloudAccelerator.run_many`` and the figure drivers: per-cloud
+  sampling plans shared across settings, and the process-wide
+  :func:`worker_session` they and the sharded serving workers share.
 
 The step-machines in :mod:`repro.kdtree.traversal` remain the behavioral
 reference for hardware statistics; this package accelerates both the
@@ -55,12 +53,7 @@ result-only paths (training, accuracy sweeps) and the cycle-accounted
 simulation the figure benchmarks run.
 """
 
-from .batched import (
-    BatchedBallQuery,
-    batched_ball_query,
-    batched_nearest_node,
-    frontier_sweep,
-)
+from .batched import BatchedBallQuery, batched_nearest_node, frontier_sweep
 from .epoch import (
     EpochPlan,
     EpochSchedule,
@@ -70,7 +63,7 @@ from .epoch import (
     materialize_requests,
 )
 from .lockstep import LockstepResult, VectorizedLockstep
-from .traced import TracedBallQuery, TracedBatchResult, traced_ball_query
+from .traced import TracedBallQuery, TracedBatchResult
 from .session import (
     CacheStats,
     LruCache,
@@ -78,8 +71,8 @@ from .session import (
     geometry_digest,
     tree_digest,
 )
-from .network import layer_sampling_plan, run_network_grid, worker_session
-from .sweep import SweepRunner, WorkerProcess
+from .network import layer_sampling_plan, worker_session
+from .sweep import WorkerProcess
 from .topphase import reference_top_phase, vectorized_top_phase
 
 # Imported last: treebuild pulls in repro.core (for the SplitTree base),
@@ -90,15 +83,12 @@ from .approx import SearchJob, approximate_search
 
 __all__ = [
     "layer_sampling_plan",
-    "run_network_grid",
     "worker_session",
     "BatchedBallQuery",
-    "batched_ball_query",
     "batched_nearest_node",
     "frontier_sweep",
     "TracedBallQuery",
     "TracedBatchResult",
-    "traced_ball_query",
     "EpochPlan",
     "EpochSchedule",
     "MaterializeReport",
@@ -114,7 +104,6 @@ __all__ = [
     "SearchSession",
     "geometry_digest",
     "tree_digest",
-    "SweepRunner",
     "WorkerProcess",
     "reference_top_phase",
     "vectorized_top_phase",

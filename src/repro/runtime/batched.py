@@ -61,7 +61,6 @@ from ..kdtree.exact import ball_query
 __all__ = [
     "BatchedBallQuery",
     "FrontierLevel",
-    "batched_ball_query",
     "batched_nearest_node",
     "frontier_sweep",
 ]
@@ -480,10 +479,3 @@ class BatchedBallQuery:
                 idx[rows], cnt[rows] = ball_query(self.tree, qs[rows], float(rad), k)
             out.append((idx, cnt))
         return out
-
-
-def batched_ball_query(
-    tree: KdTree, queries: np.ndarray, radius: float, max_neighbors: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One-shot convenience wrapper over :class:`BatchedBallQuery`."""
-    return BatchedBallQuery(tree).query(queries, radius, max_neighbors)

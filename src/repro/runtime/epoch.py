@@ -4,8 +4,8 @@ The Sec. 5 trainers used to materialize neighbor index matrices one cloud
 at a time from inside the gradient loop: each training step called
 :meth:`~repro.core.pipeline.ApproximationPipeline.query` for each layer of
 its one input, interleaving cheap Python bookkeeping with the actual
-search work and leaving nothing for a process pool to grab.  This module
-pulls the whole epoch's search work out in front:
+search work, one small search at a time.  This module pulls the whole
+epoch's search work out in front:
 
 * :class:`EpochPlan` draws the **entire** ``(sample, setting)`` schedule —
   every epoch's permutation and per-input :class:`SettingSampler` draw —
@@ -14,23 +14,17 @@ pulls the whole epoch's search work out in front:
 * :func:`materialize_requests` dedupes the scheduled neighbor queries by
   memoization key, drops the ones the shared
   :class:`~repro.runtime.SearchSession` already holds, and computes the
-  rest either in process — every approximate miss of the epoch in one
-  forest search (:func:`~repro.runtime.approximate_search`), filed
-  straight into the session cache — or grouped by ``(point-geometry
-  digest, setting)`` (one K-d tree build per group) and fanned across a
-  :class:`~repro.runtime.SweepRunner` process pool.  Workers reuse PR 3's
-  :func:`~repro.runtime.network.worker_session` economy (long-lived
-  per-worker sessions pool trees across jobs) and ship ``(memo key,
-  (indices, counts))`` pairs back for insertion into the caller's
-  session, so the gradient loop then runs against a warm cache.
+  rest in one forest search (:func:`~repro.runtime.approximate_search`)
+  filed straight into the session cache, so the gradient loop then runs
+  against a warm cache.
 
 Bit-identity is by construction: materialization calls the exact same
 :meth:`~repro.core.pipeline.ApproximationPipeline.compute_many` path the
 forward pass's :meth:`~repro.core.pipeline.ApproximationPipeline.query_with_counts`
-would, just earlier, for many requests at once (and possibly in a worker);
-a forest search is job-by-job identical to searching alone, so the forward
-pass then hits the cache — or, after an LRU eviction, deterministically
-recomputes the same matrix.
+would, just earlier and for many requests at once; a forest search is
+job-by-job identical to searching alone, so the forward pass then hits
+the cache — or, after an LRU eviction, deterministically recomputes the
+same matrix.
 
 What a model must expose to ride this path: a ``query_plan(points,
 cache_key)`` method returning the :class:`QueryRequest` list its forward
@@ -43,13 +37,11 @@ Models without ``query_plan`` simply train through the per-step path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
-from .network import worker_session
 from .session import geometry_digest
-from .sweep import SweepRunner
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
     from ..core.config import ApproxSetting
@@ -185,18 +177,14 @@ class EpochPlan:
 def materialize_requests(
     pipeline: "ApproximationPipeline",
     requests: Sequence[MaterializeRequest],
-    runner: Optional[SweepRunner] = None,
 ) -> MaterializeReport:
     """Warm ``pipeline.session`` with every request's neighbor matrix.
 
     Requests with ``cache_key=None`` are uncacheable and skipped (the
     forward pass will compute them per step, as before).  The rest are
-    deduped by full memoization key.  Without a fanning runner every miss
-    is computed in process in one
+    deduped by full memoization key, and every miss is computed in one
     :meth:`~repro.core.pipeline.ApproximationPipeline.compute_many` call
-    (one forest search) and filed into the cache; with one, misses are
-    grouped by ``(points digest, setting)`` so each process job builds
-    each K-d tree once.
+    (one forest search) and filed into the cache.
     """
     report = MaterializeReport()
     session = pipeline.session
@@ -254,82 +242,13 @@ def materialize_requests(
     if not todo:
         return report
 
-    if runner is None or not runner.will_fan_out(len(todo)):
-        # One forest search for every approximate miss of the epoch.
-        values = pipeline.compute_many(
-            [
-                (req.points, req.queries, req.radius, req.max_neighbors, req.setting)
-                for req in todo.values()
-            ]
-        )
-        for key, value in zip(todo, values):
-            session.results.put(key, value)
-        return report
-
-    # Group by (geometry digest of the searched cloud, setting): one tree
-    # build per job, jobs deterministic in first-appearance order.  The
-    # digest is cached by array identity — many requests share one cloud
-    # object (every setting of a grid, every layer-1 request of a sample)
-    # and hashing a cloud's bytes once is enough.  The cache pins the
-    # arrays it has seen, so an ``id`` can't be recycled mid-loop.
-    digest_cache: Dict[int, Tuple[np.ndarray, str]] = {}
-
-    def cloud_digest(points: np.ndarray) -> str:
-        cached = digest_cache.get(id(points))
-        if cached is None or cached[0] is not points:
-            cached = (points, geometry_digest(np.asarray(points, dtype=np.float64)))
-            digest_cache[id(points)] = cached
-        return cached[1]
-
-    groups: Dict[Tuple[str, "ApproxSetting"], List[Tuple[Hashable, MaterializeRequest]]] = {}
-    for key, req in todo.items():
-        gkey = (cloud_digest(req.points), req.setting)
-        groups.setdefault(gkey, []).append((key, req))
-    config = pipeline.picklable_config()
-    # Each job ships its group's cloud exactly once; per-request payload
-    # is just the (small) query set and scalars.
-    jobs = [
-        (
-            config,
-            group[0][1].points,
-            [
-                (key, req.queries, req.radius, req.max_neighbors,
-                 req.setting, req.cache_key)
-                for key, req in group
-            ],
-        )
-        for group in groups.values()
-    ]
-    for pairs in runner.starmap(_materialize_job, jobs):
-        for key, value in pairs:
-            session.results.put(key, value)
-    return report
-
-
-def _materialize_job(config: tuple, points: np.ndarray, items: list) -> list:
-    """One (cloud, setting) group of neighbor queries (module-level:
-    process pools pickle it).
-
-    The worker keeps one long-lived session for its lifetime
-    (:func:`~repro.runtime.network.worker_session`), so consecutive jobs
-    over the same cloud — e.g. every setting of a sweep — build its tree
-    and split-tree layouts once per worker rather than once per job.
-    """
-    from ..core.pipeline import ApproximationPipeline
-
-    tree_banking, point_banking, num_pes, agg_ports, elide_aggregation = config
-    pipeline = ApproximationPipeline(
-        tree_banking=tree_banking,
-        point_banking=point_banking,
-        num_pes=num_pes,
-        agg_ports=agg_ports,
-        elide_aggregation=elide_aggregation,
-        session=worker_session(),
+    # One forest search for every approximate miss of the epoch.
+    values = pipeline.compute_many(
+        [
+            (req.points, req.queries, req.radius, req.max_neighbors, req.setting)
+            for req in todo.values()
+        ]
     )
-    out = []
-    for key, queries, radius, max_neighbors, setting, cache_key in items:
-        value = pipeline.query_with_counts(
-            points, queries, radius, max_neighbors, setting, cache_key=cache_key
-        )
-        out.append((key, value))
-    return out
+    for key, value in zip(todo, values):
+        session.results.put(key, value)
+    return report

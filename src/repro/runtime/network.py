@@ -1,50 +1,39 @@
-"""Network-level batched runtime: ``settings x clouds`` grids as one unit.
+"""Network-level sweep helpers: sampling plans and the process-wide session.
 
 The figure drivers (Figs. 14–17, 22, 23) all reduce to the same shape of
 work: run a :class:`~repro.accel.NetworkSpec` over a grid of approximation
-settings and point clouds.  Before this module each grid point resampled
-its per-layer centroids, re-derived each layer's point population, and —
-under process fan-out — rebuilt every K-d tree and split-tree layout from
-scratch, because each sweep job constructed a fresh engine.
-
-Three pieces remove that per-point overhead:
+settings and point clouds.  Two pieces keep that from repeating work per
+grid point:
 
 * :func:`layer_sampling_plan` — the canonical per-layer ``(points,
   queries)`` chain of one network run.  Centroid sampling depends only on
   ``(spec, cloud, seed)``, never on the approximation setting, so a sweep
   samples once per cloud and shares the plan across every setting —
   *the* invariant that makes a settings grid array-parallel.
-* :func:`run_network_grid` — the in-process grid path
-  :meth:`~repro.accel.PointCloudAccelerator.run_many` delegates to: one
-  sampling plan per cloud, every setting replayed over it through the
-  accelerator's shared :class:`~repro.runtime.SearchSession` (trees and
-  split-tree layouts built once per cloud / ``h_t``).
-* :func:`worker_session` + :func:`_run_network_job` — the process path.
-  Each worker process keeps one module-global session for its lifetime,
-  so consecutive jobs on the same worker stop re-laying-out split trees
-  per layer; sampling plans are memoized in that session too (keyed by
-  ``(spec, seed)`` plus the cloud's geometry digest).
+  :func:`plan_for` memoizes plans in a :class:`SearchSession`, keyed by
+  ``(spec, seed)`` plus the cloud's geometry digest.
+* :func:`worker_session` — the process-wide :class:`SearchSession` the
+  figure drivers (:func:`~repro.analysis.run_evaluation_suite`,
+  :func:`~repro.analysis.hw_sensitivity`) and the sharded serving workers
+  share, so trees, split-tree layouts and plans pool across every call a
+  process makes.
 
-Grid results are always returned setting-major and order-preserving —
-``results[i][j]`` is ``settings[i]`` on ``clouds[j]`` — regardless of
-worker count, so figure tables stay deterministic.
+The ``settings x clouds`` grid itself is
+:meth:`~repro.accel.PointCloudAccelerator.run_many`.
 """
 
 from __future__ import annotations
 
-import inspect
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from .session import SearchSession
-from .sweep import SweepRunner
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
-    from ..accel.accelerator import NetworkResult, NetworkSpec, PointCloudAccelerator
-    from ..core.config import ApproxSetting, CrescentHardwareConfig
+    from ..accel.accelerator import NetworkSpec
 
-__all__ = ["layer_sampling_plan", "plan_for", "run_network_grid", "worker_session"]
+__all__ = ["layer_sampling_plan", "plan_for", "worker_session"]
 
 LayerPlan = List[Tuple[np.ndarray, np.ndarray]]
 
@@ -80,8 +69,8 @@ def plan_for(
 ) -> LayerPlan:
     """The :func:`layer_sampling_plan` for ``(spec, points, seed)``, memoized.
 
-    Every grid path — the in-process array path, the per-worker process
-    jobs, and the analysis drivers — shares plans through this one helper,
+    Every grid path — :meth:`~repro.accel.PointCloudAccelerator.run_many`
+    and the analysis drivers — shares plans through this one helper,
     keyed by ``(spec, seed)`` plus the cloud's geometry digest so mutated
     clouds recompute instead of hitting a stale plan.
     """
@@ -93,107 +82,18 @@ def plan_for(
     )
 
 
-def run_network_grid(
-    accelerator: "PointCloudAccelerator",
-    spec: "NetworkSpec",
-    clouds: Sequence[np.ndarray],
-    settings: Sequence["ApproxSetting"],
-    seed: int = 0,
-    runner: Optional[SweepRunner] = None,
-) -> List[List["NetworkResult"]]:
-    """Run ``spec`` for every ``settings x clouds`` combination.
-
-    The serial path is the array path: one sampling plan per cloud shared
-    by all settings, all trees pooled in ``accelerator.session``.  With a
-    :class:`SweepRunner` that will actually engage its pool, grid points
-    fan out to :func:`_run_network_job` workers instead (see module docs
-    for what each worker reuses); the accelerator is then rebuilt from
-    picklable parts, so engines whose constructors need more than
-    ``hw`` (+ optionally ``session``) should be swept serially.
-    """
-    clouds = list(clouds)
-    settings = list(settings)
-    if runner is None or not runner.will_fan_out(len(settings) * len(clouds)):
-        grid: List[List["NetworkResult"]] = [[] for _ in settings]
-        for j, cloud in enumerate(clouds):
-            plan = plan_for(accelerator.session, spec, cloud, seed)
-            for i, setting in enumerate(settings):
-                grid[i].append(
-                    accelerator.run_network(spec, cloud, setting, seed=seed, plan=plan)
-                )
-        return grid
-    jobs = [
-        (
-            accelerator.hw,
-            type(accelerator.search_engine),
-            accelerator.elide_aggregation,
-            spec,
-            np.asarray(cloud, dtype=np.float64),
-            setting,
-            seed,
-        )
-        for setting in settings
-        for cloud in clouds
-    ]
-    flat = runner.starmap(_run_network_job, jobs)
-    ncols = len(clouds)
-    return [flat[i : i + ncols] for i in range(0, len(flat), ncols)]
-
-
-# ----------------------------------------------------------------------
-# Process-pool worker plumbing
-# ----------------------------------------------------------------------
 _WORKER_SESSION: Optional[SearchSession] = None
 
 
 def worker_session() -> SearchSession:
-    """The calling process's long-lived :class:`SearchSession`.
+    """The process-wide :class:`SearchSession`.
 
-    Worker processes outlive individual sweep jobs, so trees, split-tree
-    layouts, and memoized sampling plans pool across every job a worker
-    executes — the same economy the in-process path gets from the
-    accelerator's own session.  Cache misses are filled by the
-    level-synchronous builders (the session's default ``builder="vector"``
-    routing through :mod:`repro.runtime.treebuild`), so a worker's first
-    contact with a distinct cloud no longer pays the per-node Python
-    build.
+    The figure drivers in one process and each sharded serving worker
+    share it, so trees, split-tree layouts, and memoized sampling plans
+    pool across every call the process makes.  Callers that need cold
+    caches (a benchmark timing a fresh figure run) ``clear()`` it.
     """
     global _WORKER_SESSION
     if _WORKER_SESSION is None:
         _WORKER_SESSION = SearchSession()
     return _WORKER_SESSION
-
-
-def _engine_for(engine_cls: Type, hw: "CrescentHardwareConfig", session: SearchSession):
-    """Rebuild a sweep engine, threading the worker session if accepted.
-
-    The signature is inspected rather than probed with try/except, so a
-    ``TypeError`` raised *inside* an engine's constructor propagates
-    instead of being silently retried without the session.
-    """
-    if "session" in inspect.signature(engine_cls).parameters:
-        return engine_cls(hw, session=session)
-    return engine_cls(hw)
-
-
-def _run_network_job(
-    hw: "CrescentHardwareConfig",
-    engine_cls: Type,
-    elide_aggregation: bool,
-    spec: "NetworkSpec",
-    cloud: np.ndarray,
-    setting: "ApproxSetting",
-    seed: int,
-) -> "NetworkResult":
-    """One grid point (module-level: process pools pickle it)."""
-    from ..accel.accelerator import PointCloudAccelerator
-
-    session = worker_session()
-    accelerator = PointCloudAccelerator(
-        hw,
-        _engine_for(engine_cls, hw, session),
-        elide_aggregation=elide_aggregation,
-        session=session,
-    )
-    plan = plan_for(session, spec, cloud, seed)
-    return accelerator.run_network(spec, cloud, setting, seed=seed, plan=plan)

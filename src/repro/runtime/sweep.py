@@ -1,22 +1,8 @@
-"""Parameter-sweep fan-out and long-lived worker-process lifecycle.
+"""Long-lived worker-process lifecycle.
 
-The figure drivers and training studies are embarrassingly parallel over
-their sweep axis (settings, figures, bank counts, …), and every sweep
-point is a pure function of picklable inputs.  :class:`SweepRunner` is the
-one place that policy lives: it maps a callable over sweep points either
-inline (``backend="serial"``) or on a ``multiprocessing`` pool
-(``backend="process"``), always preserving input order so downstream
-tables and golden files stay deterministic regardless of worker count.
-
-``backend="auto"`` picks the pool only when it can help (more than one
-worker requested and more than one item to process); anything the pool
-cannot pickle is a caller bug worth surfacing, so there is no silent
-serial fallback.
-
-:class:`WorkerProcess` is the long-lived promotion of the pool pattern:
-where a pool worker is anonymous and job-scoped, a ``WorkerProcess`` owns
-an inbox queue the parent keeps feeding, a monotonic heartbeat the parent
-can age-check, and a :meth:`~WorkerProcess.respawn` that replaces a dead
+:class:`WorkerProcess` owns one child process together with an inbox
+queue the parent keeps feeding, a monotonic heartbeat the parent can
+age-check, and a :meth:`~WorkerProcess.respawn` that replaces a dead
 incarnation in place (fresh process, fresh inbox).  The sharded serving
 tier (:mod:`repro.serve.sharded`) builds its dispatcher/worker discipline
 — heartbeats, dead-worker detection, orphaned-request requeue — on it.
@@ -25,81 +11,10 @@ tier (:mod:`repro.serve.sharded`) builds its dispatcher/worker discipline
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Optional, Tuple
 
-T = TypeVar("T")
-R = TypeVar("R")
-
-__all__ = ["SweepRunner", "WorkerProcess"]
-
-
-class SweepRunner:
-    """Run ``fn`` over sweep points, optionally across worker processes.
-
-    Parameters
-    ----------
-    num_workers:
-        Worker process count; ``None`` uses the CPU count (capped at 8 —
-        the sweeps are short enough that more mostly buys startup cost).
-    backend:
-        ``"serial"``, ``"process"``, or ``"auto"`` (process iff it can
-        help).  The callable and items must be picklable for the process
-        backend — module-level functions and dataclasses qualify, closures
-        do not.
-    """
-
-    def __init__(self, num_workers: Optional[int] = None, backend: str = "auto"):
-        if backend not in ("serial", "process", "auto"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if num_workers is not None and num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        self.num_workers = num_workers or min(os.cpu_count() or 1, 8)
-        self.backend = backend
-
-    def _use_pool(self, num_items: int) -> bool:
-        if self.backend == "serial":
-            return False
-        if self.backend == "process":
-            return True
-        return self.num_workers > 1 and num_items > 1
-
-    def will_fan_out(self, num_items: int) -> bool:
-        """Would :meth:`map`/:meth:`starmap` use the pool for this many items?
-
-        Callers whose pooled path has different fidelity than their
-        in-process path (e.g. sweep points that must be rebuilt from
-        picklable parts) use this to take the pooled route only when a
-        pool will actually be engaged.
-        """
-        return self._use_pool(num_items)
-
-    def _pool(self, num_items: int):
-        # The platform-default start method is deliberate: fork on Linux
-        # (workers share the already-imported library), spawn on macOS /
-        # Windows where forking a NumPy-initialized process is unsafe.
-        ctx = multiprocessing.get_context()
-        return ctx.Pool(processes=min(self.num_workers, num_items))
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        """``[fn(x) for x in items]``, possibly fanned across processes.
-
-        Result order always matches input order (``Pool.map`` semantics).
-        """
-        items = list(items)
-        if not items or not self._use_pool(len(items)):
-            return [fn(x) for x in items]
-        with self._pool(len(items)) as pool:
-            return pool.map(fn, items)
-
-    def starmap(self, fn: Callable[..., R], items: Iterable[Sequence]) -> List[R]:
-        """Like :meth:`map` for callables taking positional tuples."""
-        items = list(items)
-        if not items or not self._use_pool(len(items)):
-            return [fn(*x) for x in items]
-        with self._pool(len(items)) as pool:
-            return pool.starmap(fn, items)
+__all__ = ["WorkerProcess"]
 
 
 class WorkerProcess:

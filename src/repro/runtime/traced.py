@@ -59,7 +59,7 @@ from ..kdtree.exact import knn_search, radius_search
 from ..kdtree.stats import TraversalStats
 from .batched import batched_nearest_node, frontier_sweep
 
-__all__ = ["TracedBallQuery", "TracedBatchResult", "traced_ball_query"]
+__all__ = ["TracedBallQuery", "TracedBatchResult"]
 
 # Memory guard: the traced sweep buffers every visited (query, node) pair
 # before sorting, so a huge radius on a huge batch costs O(visits) memory.
@@ -318,10 +318,3 @@ def _reference_traced(
         indices=indices, counts=counts, traces=traces,
         visited=visited, pushes=pushes, pruned=pruned, neighbors=neighbors,
     )
-
-
-def traced_ball_query(
-    tree: KdTree, queries: np.ndarray, radius: float, max_neighbors: int
-) -> TracedBatchResult:
-    """One-shot convenience wrapper over :class:`TracedBallQuery`."""
-    return TracedBallQuery(tree).query(queries, radius, max_neighbors)

@@ -11,15 +11,13 @@ paper, so end-to-end differentiability is untouched.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.config import ApproxSetting
-from ..runtime.epoch import EpochPlan, MaterializeRequest, QueryRequest
-from ..runtime.sweep import SweepRunner
+from ..runtime.epoch import EpochPlan, QueryRequest
 from ..geometry.datasets import (
     LidarDetectionDataset,
     PartSegmentationDataset,
@@ -63,11 +61,6 @@ class _BaseTrainer:
         self.sampler = sampler
         self.optimizer = Adam(model.parameters(), lr=lr)
         self.rng = np.random.default_rng(seed)
-        # Set while evaluate_settings holds a freshly materialized grid:
-        # the per-setting evaluate() calls then skip re-planning (FPS,
-        # frustum crops, geometry digests) work that would only rediscover
-        # already-cached keys.
-        self._grid_is_warm = False
 
     def _loss(self, sample, setting: ApproxSetting, cache_key: int):
         raise NotImplementedError
@@ -95,10 +88,6 @@ class _BaseTrainer:
         (``None`` disables materialization for the sample)."""
         return None
 
-    def _eval_points(self, i: int, sample) -> Optional[np.ndarray]:
-        """The point array ``evaluate`` will feed the model for item ``i``."""
-        return self._model_points(i, sample)
-
     def _neighbor_requests(self, idx: int, sample) -> List[QueryRequest]:
         """The neighbor queries training this sample will issue."""
         plan_fn = getattr(self.model, "query_plan", None)
@@ -109,49 +98,11 @@ class _BaseTrainer:
             return []
         return list(plan_fn(points, cache_key=idx))
 
-    def _eval_plan(self, dataset) -> List[QueryRequest]:
-        """The setting-independent query plan of one evaluation pass
-        (cache keys match the ``("eval", i)`` the evaluate loops pass).
-
-        Computed once and bound to each setting with ``with_setting`` —
-        plans depend only on geometry, so a settings sweep must not pay
-        the FPS/frustum-crop planning pass per setting.
-        """
-        plan_fn = getattr(self.model, "query_plan", None)
-        if plan_fn is None or self._pipeline is None:
-            return []
-        requests: List[QueryRequest] = []
-        for i in range(len(dataset)):
-            points = self._eval_points(i, dataset[i])
-            if points is None:
-                continue
-            requests.extend(plan_fn(points, cache_key=("eval", i)))
-        return requests
-
-    def _materialize_eval(
-        self, dataset, setting: ApproxSetting, runner: Optional[SweepRunner]
-    ) -> None:
-        # An evaluation pass reads each key exactly once, so without a
-        # fanning runner up-front materialization buys nothing: the
-        # forward loop computes (and caches) the same searches on demand,
-        # making the planning pass pure overhead.  (train() is different —
-        # epochs re-read keys, so its serial materialization still buys
-        # the dedupe and the working-set capacity growth.)  It pays off
-        # here when a process pool takes the search work, or is skipped
-        # when evaluate_settings already warmed the whole grid.
-        pipeline = self._pipeline
-        if pipeline is None or self._grid_is_warm or runner is None:
-            return
-        requests = [req.with_setting(setting) for req in self._eval_plan(dataset)]
-        if requests and runner.will_fan_out(len(requests)):
-            pipeline.materialize(requests, runner=runner)
-
     # ------------------------------------------------------------------
     def train(
         self,
         dataset,
         epochs: int = 5,
-        runner: Optional[SweepRunner] = None,
         batch_size: Optional[int] = None,
     ) -> TrainReport:
         """Run ``epochs`` passes; samples a fresh ``h`` per input.
@@ -161,9 +112,8 @@ class _BaseTrainer:
         stream-compatible with the retired per-step loop, so losses are
         bit-identical seed for seed — and each epoch's neighbor matrices
         are materialized into the pipeline's session before its gradient
-        loop runs (fanned across ``runner``'s process pool if given).
-        Models without a ``query_plan`` skip materialization and compute
-        per step, as before.
+        loop runs.  Models without a ``query_plan`` skip materialization
+        and compute per step, as before.
 
         ``batch_size=None`` (default) keeps the historical per-sample
         optimizer step.  An integer runs honest mini-batch SGD over the
@@ -198,7 +148,7 @@ class _BaseTrainer:
             if pipeline is not None:
                 requests = plan.epoch_requests(epoch, plan_for)
                 if requests:
-                    pipeline.materialize(requests, runner=runner)
+                    pipeline.materialize(requests)
             losses: List[float] = []
             if batch_size is None:
                 for setting, pos in zip(schedule.settings, schedule.order):
@@ -223,67 +173,15 @@ class _BaseTrainer:
             report.epoch_losses.append(float(np.mean(losses)))
         return report
 
-    def evaluate(
-        self,
-        dataset,
-        setting: ApproxSetting,
-        runner: Optional[SweepRunner] = None,
-    ) -> float:
+    def evaluate(self, dataset, setting: ApproxSetting) -> float:
         raise NotImplementedError
 
     def evaluate_settings(
-        self,
-        dataset,
-        settings: Sequence[ApproxSetting],
-        runner: Optional[SweepRunner] = None,
+        self, dataset, settings: Sequence[ApproxSetting]
     ) -> Dict[ApproxSetting, float]:
         """Evaluate under several inference-time settings (the Fig. 13/18/19
-        sweep shape); returns ``{setting: metric}`` in input order.
-
-        With a fanning (process-backed) runner, the whole ``settings x
-        dataset`` grid of neighbor matrices is materialized into the
-        shared session first — one setting-independent planning pass,
-        deduped, grouped per cloud — and the per-setting scoring then
-        also fans across the pool (each worker's trainer copy carries the
-        warm session, so workers parallelize the model forwards without
-        recomputing searches).  Without one, every sweep point computes
-        and memoizes on demand, which is exactly as fast serially.
-        Metrics are bit-identical either way.
-        """
-        settings = list(settings)
-        pipeline = self._pipeline
-        warmed = False
-        if pipeline is not None and runner is not None:
-            # One planning pass; the plan is setting-independent.  Only
-            # worth doing when a pool will actually take the search work.
-            plan = self._eval_plan(dataset)
-            requests: List[MaterializeRequest] = [
-                req.with_setting(setting) for setting in settings for req in plan
-            ]
-            if requests and runner.will_fan_out(len(requests)):
-                pipeline.materialize(requests, runner=runner)
-                warmed = True
-        if runner is not None and runner.will_fan_out(len(settings)):
-            # Fan the scoring too: model forwards dominate once searches
-            # are warm, and the pickled trainer ships the warm session.
-            scores = runner.map(
-                functools.partial(_evaluate_one, self, dataset), settings
-            )
-            return dict(zip(settings, scores))
-        # Serial scoring; the warm-grid flag stops the per-setting calls
-        # from re-planning what was just materialized.
-        self._grid_is_warm = warmed
-        try:
-            return {
-                setting: self.evaluate(dataset, setting) for setting in settings
-            }
-        finally:
-            self._grid_is_warm = False
-
-
-def _evaluate_one(trainer: "_BaseTrainer", dataset, setting: ApproxSetting) -> float:
-    """Module-level sweep point so process-backed runners can pickle it."""
-    return trainer.evaluate(dataset, setting)
+        sweep shape); returns ``{setting: metric}`` in input order."""
+        return {setting: self.evaluate(dataset, setting) for setting in settings}
 
 
 class ClassificationTrainer(_BaseTrainer):
@@ -308,10 +206,8 @@ class ClassificationTrainer(_BaseTrainer):
         self,
         dataset: ShapeClassificationDataset,
         setting: ApproxSetting,
-        runner: Optional[SweepRunner] = None,
     ) -> float:
         """Overall accuracy under a fixed inference-time setting."""
-        self._materialize_eval(dataset, setting, runner)
         was_training = self.model.training
         self.model.eval()
         preds, labels = [], []
@@ -362,7 +258,6 @@ class SegmentationTrainer(_BaseTrainer):
         self,
         dataset: PartSegmentationDataset,
         setting: ApproxSetting,
-        runner: Optional[SweepRunner] = None,
     ) -> float:
         """mIoU under a fixed inference-time setting.
 
@@ -372,7 +267,6 @@ class SegmentationTrainer(_BaseTrainer):
         """
         from ..geometry.partseg import PART_CATEGORIES, part_id
 
-        self._materialize_eval(dataset, setting, runner)
         was_training = self.model.training
         self.model.eval()
         all_preds, all_labels = [], []
@@ -475,19 +369,12 @@ class DetectionTrainer(_BaseTrainer):
         crop, _ = self._frustum_sample(scene, scene.boxes[0], seed=idx)
         return crop
 
-    def _eval_points(self, i, sample):
-        scene = sample
-        crop, _ = self._frustum_sample(scene, scene.boxes[0], seed=10_000 + i)
-        return crop
-
     def evaluate(
         self,
         dataset: LidarDetectionDataset,
         setting: ApproxSetting,
-        runner: Optional[SweepRunner] = None,
     ) -> float:
         """Geometric-mean BEV IoU on the first box of each scene."""
-        self._materialize_eval(dataset, setting, runner)
         was_training = self.model.training
         self.model.eval()
         predicted, truth = [], []

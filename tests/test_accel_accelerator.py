@@ -190,13 +190,10 @@ class TestRunMany:
                 single = fresh.run_network(spec, cloud, setting, seed=1)
                 assert self._fingerprint(grid[i][j]) == self._fingerprint(single)
 
-    def test_auto_runner_resolving_serial_keeps_engine_state(self, hw, rng):
-        # An "auto" runner that won't actually pool (one worker) must take
-        # the faithful in-process path: a custom engine's non-default
-        # constructor state survives instead of being rebuilt as
-        # type(engine)(hw).
+    def test_run_many_keeps_engine_state(self, hw, rng):
+        # The grid runs through this accelerator's own engine, so a custom
+        # engine's non-default constructor state shapes every grid point.
         from repro.accel import ExhaustiveSplitSearchEngine
-        from repro.runtime import SweepRunner
 
         spec = _small_spec()
         clouds = [rng.normal(size=(96, 3))]
@@ -204,26 +201,8 @@ class TestRunMany:
         engine = ExhaustiveSplitSearchEngine(hw, reload_on_full_queue=False)
         acc = PointCloudAccelerator(hw, engine, elide_aggregation=False)
         direct = acc.run_network(spec, clouds[0], settings[0])
-        swept = acc.run_many(
-            spec, clouds, settings, runner=SweepRunner(num_workers=1, backend="auto")
-        )[0][0]
+        swept = acc.run_many(spec, clouds, settings)[0][0]
         assert self._fingerprint(swept) == self._fingerprint(direct)
-
-    def test_process_backend_matches_serial(self, hw, rng):
-        from repro.runtime import SweepRunner
-
-        spec = _small_spec()
-        clouds = [rng.normal(size=(96, 3))]
-        settings = [ApproxSetting(0, None), ApproxSetting(2, 4)]
-        acc = PointCloudAccelerator(hw, elide_aggregation=True)
-        serial = acc.run_many(spec, clouds, settings)
-        fanned = acc.run_many(
-            spec, clouds, settings,
-            runner=SweepRunner(num_workers=2, backend="process"),
-        )
-        for row_s, row_p in zip(serial, fanned):
-            for a, b in zip(row_s, row_p):
-                assert self._fingerprint(a) == self._fingerprint(b)
 
 
 class TestSessionReuse:

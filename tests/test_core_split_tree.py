@@ -1,5 +1,7 @@
 """Unit tests for the split-tree structure and configs."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,12 @@ class TestApproxSetting:
     def test_scaled_keeps_none_elision(self):
         s = ApproxSetting(top_height=2).scaled_to(8)
         assert s.elision_height is None
+
+    def test_pickle_round_trip(self):
+        # A setting is a plain value a caller may ship to its own worker
+        # processes as a sweep axis: it must survive pickling intact.
+        s = ApproxSetting(2, 4)
+        assert pickle.loads(pickle.dumps(s)) == s
 
 
 class TestValidTopHeights:

@@ -10,9 +10,7 @@ epoch's neighbor-search work in front of the gradient loop changes
 * epoch losses and eval metrics are bit-identical seed for seed (pinned
   here against an inline copy of the per-step loop);
 * after materialization the gradient loop's pipeline lookups are pure
-  cache hits;
-* the process fan-out path fills the session with exactly the entries the
-  in-process path computes.
+  cache hits.
 """
 
 import numpy as np
@@ -30,8 +28,7 @@ from repro.models import FrustumPointNet, PointNetPPClassifier, PointNetPPSegmen
 from repro.models.layers import farthest_point_sampling
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
-from repro.runtime import EpochPlan, MaterializeRequest, SweepRunner
-from repro.runtime.epoch import materialize_requests
+from repro.runtime import EpochPlan, MaterializeRequest
 from repro.training import (
     ClassificationTrainer,
     DetectionTrainer,
@@ -147,7 +144,13 @@ class TestLossIdentity:
         # loop itself adds zero computes on top of it.
         session = trainer.model.pipeline.session
         trainer.model.pipeline.materialize(
-            [req.with_setting(setting) for req in trainer._eval_plan(cls_data)]
+            [
+                req.with_setting(setting)
+                for i in range(len(cls_data))
+                for req in trainer.model.query_plan(
+                    cls_data[i][0].points, cache_key=("eval", i)
+                )
+            ]
         )
         misses_before = session.results.stats.misses
         acc = trainer.evaluate(cls_data, setting)
@@ -267,35 +270,6 @@ class TestMaterializeRequests:
         report = ApproximationPipeline().materialize([req])
         assert report.scheduled == 0 and report.computed == 0
 
-    def test_process_fanout_fills_identical_cache(self, rng):
-        clouds = [rng.normal(size=(96, 3)) for _ in range(3)]
-        settings = [ApproxSetting(0, None), ApproxSetting(3, 6)]
-        requests = self._requests(clouds, settings)
-
-        serial = ApproximationPipeline()
-        materialize_requests(serial, requests)
-        fanned = ApproximationPipeline()
-        runner = SweepRunner(num_workers=2, backend="process")
-        materialize_requests(fanned, requests, runner=runner)
-
-        a = serial.session.results._data
-        b = fanned.session.results._data
-        assert set(a) == set(b)
-        for key in a:
-            np.testing.assert_array_equal(a[key][0], b[key][0])
-            np.testing.assert_array_equal(a[key][1], b[key][1])
-
-    def test_train_with_process_runner_identical_losses(self, cls_data):
-        def make():
-            model = PointNetPPClassifier(cls_data.num_classes, np.random.default_rng(3))
-            return ClassificationTrainer(model, MIXED, lr=2e-3, seed=7)
-
-        serial = make().train(cls_data, epochs=1).epoch_losses
-        fanned = make().train(
-            cls_data, epochs=1, runner=SweepRunner(num_workers=2, backend="process")
-        ).epoch_losses
-        assert fanned == serial
-
     def test_evaluate_settings_matches_individual_evaluates(self, cls_data):
         model = PointNetPPClassifier(cls_data.num_classes, np.random.default_rng(1))
         trainer = ClassificationTrainer(model, FixedSetting(ApproxSetting()), seed=2)
@@ -305,16 +279,3 @@ class TestMaterializeRequests:
         assert list(swept) == settings  # input order preserved
         for setting in settings:
             assert swept[setting] == trainer.evaluate(cls_data, setting)
-
-    def test_evaluate_settings_process_runner_identical(self, cls_data):
-        # The fanned path (grid materialization + pooled scoring) must
-        # score exactly like the serial path.
-        model = PointNetPPClassifier(cls_data.num_classes, np.random.default_rng(1))
-        trainer = ClassificationTrainer(model, FixedSetting(ApproxSetting()), seed=2)
-        trainer.train(cls_data, epochs=1)
-        settings = [ApproxSetting(0, None), ApproxSetting(2, 5)]
-        serial = trainer.evaluate_settings(cls_data, settings)
-        fanned = trainer.evaluate_settings(
-            cls_data, settings, runner=SweepRunner(num_workers=2, backend="process")
-        )
-        assert fanned == serial

@@ -21,12 +21,12 @@ import numpy as np
 import pytest
 
 from repro.kdtree import ball_query, brute_radius_search, build_kdtree
-from repro.runtime import BatchedBallQuery, batched_ball_query
+from repro.runtime import BatchedBallQuery
 
 
 def assert_bit_identical(tree, queries, radius, k):
     want_idx, want_cnt = ball_query(tree, queries, radius, k)
-    got_idx, got_cnt = batched_ball_query(tree, queries, radius, k)
+    got_idx, got_cnt = BatchedBallQuery(tree).query(queries, radius, k)
     np.testing.assert_array_equal(got_idx, want_idx)
     np.testing.assert_array_equal(got_cnt, want_cnt)
     return got_idx, got_cnt
@@ -79,7 +79,7 @@ class TestBruteOracle:
         queries = rng.normal(size=(64, 3)) * 0.8
         radius, k = 0.4, 64  # K large enough that nothing truncates
         tree = build_kdtree(pts)
-        idx, cnt = batched_ball_query(tree, queries, radius, k)
+        idx, cnt = BatchedBallQuery(tree).query(queries, radius, k)
         for i, q in enumerate(queries):
             oracle = set(brute_radius_search(pts, q, radius).tolist())
             assert cnt[i] == len(oracle)
@@ -90,7 +90,7 @@ class TestBruteOracle:
         queries = pts[rng.choice(500, 40, replace=False)]
         radius, k = 0.5, 4
         tree = build_kdtree(pts)
-        idx, cnt = batched_ball_query(tree, queries, radius, k)
+        idx, cnt = BatchedBallQuery(tree).query(queries, radius, k)
         assert (cnt == k).any()  # the scenario actually exercises truncation
         for i, q in enumerate(queries):
             oracle = set(brute_radius_search(pts, q, radius).tolist())
@@ -132,7 +132,7 @@ class TestDegenerateInputs:
     def test_single_query_1d_shape(self, rng):
         pts = rng.normal(size=(64, 3))
         tree = build_kdtree(pts)
-        idx, cnt = batched_ball_query(tree, pts[3], 0.5, 4)  # (3,) query
+        idx, cnt = BatchedBallQuery(tree).query(pts[3], 0.5, 4)  # (3,) query
         want_idx, want_cnt = ball_query(tree, pts[3], 0.5, 4)
         np.testing.assert_array_equal(idx, want_idx)
         np.testing.assert_array_equal(cnt, want_cnt)
@@ -140,9 +140,8 @@ class TestDegenerateInputs:
 
     def test_zero_queries(self, rng):
         pts = rng.normal(size=(32, 3))
-        idx, cnt = batched_ball_query(
-            build_kdtree(pts), np.empty((0, 3)), 0.5, 4
-        )
+        engine = BatchedBallQuery(build_kdtree(pts))
+        idx, cnt = engine.query(np.empty((0, 3)), 0.5, 4)
         assert idx.shape == (0, 4) and cnt.shape == (0,)
 
     def test_k_one(self, rng):

@@ -7,10 +7,8 @@ reference, ≥5× for the vectorized top phase vs the per-group descent
 loop, and ≥5× for the traced batched engine vs the per-query
 ``record_trace=True`` loop the motivation studies used to run (measured
 margins are typically well above all four, so the assertions have real
-headroom against noisy machines).  Also pins that the epoch-batched
-training materialization fills identical caches fanned out or serial.
-Marked ``slow``: the Python reference loops themselves are the expensive
-part.
+headroom against noisy machines).  Marked ``slow``: the Python reference
+loops themselves are the expensive part.
 """
 
 import time
@@ -18,18 +16,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import ApproxSetting, TreeBufferBanking
-from repro.core.pipeline import ApproximationPipeline
+from repro.core import TreeBufferBanking
 from repro.core.split_tree import SplitTree
 from repro.kdtree import ball_query, build_kdtree
 from repro.kdtree.exact import radius_search
 from repro.kdtree.stats import TraversalStats
-from repro.models.layers import farthest_point_sampling
 from repro.runtime import (
     BatchedBallQuery,
-    MaterializeRequest,
     SearchSession,
-    SweepRunner,
     TracedBallQuery,
     VectorizedLockstep,
     reference_top_phase,
@@ -246,39 +240,3 @@ def test_coalesced_serving_beats_sequential_on_4k_cloud(rng):
         f"coalesced serving only {speedup:.2f}x faster "
         f"({sequential_time:.3f}s sequential vs {coalesced_time:.3f}s coalesced)"
     )
-
-
-def test_epoch_materialization_fanout_beats_serial(rng):
-    # One epoch's worth of approximate neighbor materialization (the
-    # conflict-simulated search is the expensive part of Sec. 5 training):
-    # the serial path's one forest search and the process fan-out's
-    # per-group workers must fill the session with identical entries.
-    # No wall-clock floor: on small machines the forest serial path beats
-    # the pool outright.
-    clouds = [rng.normal(size=(1024, 3)) for _ in range(8)]
-    settings = [ApproxSetting(4, 8), ApproxSetting(3, None)]
-    requests = []
-    for ci, cloud in enumerate(clouds):
-        queries = cloud[farthest_point_sampling(cloud, 128)]
-        for setting in settings:
-            requests.append(
-                MaterializeRequest(
-                    points=cloud, queries=queries, radius=0.3, max_neighbors=16,
-                    setting=setting, cache_key=(ci, "sa1"),
-                )
-            )
-
-    serial = ApproximationPipeline()
-    report = serial.materialize(requests)
-    assert report.computed == len(requests)
-
-    fanned = ApproximationPipeline()
-    runner = SweepRunner(num_workers=4, backend="process")
-    fanned.materialize(requests, runner=runner)
-
-    # Identical cache contents regardless of where the work ran.
-    a, b = serial.session.results._data, fanned.session.results._data
-    assert set(a) == set(b)
-    for key in a:
-        np.testing.assert_array_equal(a[key][0], b[key][0])
-        np.testing.assert_array_equal(a[key][1], b[key][1])

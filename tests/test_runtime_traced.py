@@ -27,7 +27,7 @@ import pytest
 from repro.kdtree import ball_query, build_kdtree
 from repro.kdtree.exact import radius_search
 from repro.kdtree.stats import TraversalStats
-from repro.runtime import TracedBallQuery, traced_ball_query
+from repro.runtime import TracedBallQuery
 
 STAT_FIELDS = (
     "nodes_visited",
@@ -141,13 +141,13 @@ class TestTraceEquivalence:
 
     def test_single_query_1d_shape(self, rng):
         pts = rng.normal(size=(64, 3))
-        result = traced_ball_query(build_kdtree(pts), pts[3], 0.5, 4)
+        result = TracedBallQuery(build_kdtree(pts)).query(pts[3], 0.5, 4)
         assert result.indices.shape == (1, 4)
         assert len(result.traces) == len(result.stats) == 1
 
     def test_zero_queries(self, rng):
-        result = traced_ball_query(
-            build_kdtree(rng.normal(size=(32, 3))), np.empty((0, 3)), 0.5, 4
+        result = TracedBallQuery(build_kdtree(rng.normal(size=(32, 3)))).query(
+            np.empty((0, 3)), 0.5, 4
         )
         assert result.indices.shape == (0, 4)
         assert result.traces == [] and result.stats == []
