@@ -12,7 +12,8 @@ smoke lane (not slow-marked):
   fails here);
 - an end-to-end >=1.5x floor on an all-distinct-cloud serving trace —
   the workload where cold builds dominate — with results bit-identical
-  between a vector-builder session and a reference-builder session.
+  between the production session and the same session with the frozen
+  per-node builder substituted at its import seam.
 
 Both tests write their measurements into ``BENCH_treebuild.json``
 (see :mod:`artifacts`), which CI uploads so the cold-path perf
@@ -26,7 +27,7 @@ import numpy as np
 from artifacts import write_bench_artifact
 from repro.core.split_tree import SplitTree
 from repro.kdtree.build import build_kdtree
-from repro.runtime import SearchSession
+from repro.runtime import treebuild
 from repro.runtime.treebuild import VectorizedSplitTree, vectorized_build_kdtree
 from repro.serve import QueryService
 
@@ -117,27 +118,32 @@ def make_distinct_cloud_trace(rng):
     return trace
 
 
-def serve_trace_cold(trace, builder):
+def serve_trace_cold(trace):
     """One flush over the whole trace through a cold session."""
-    service = QueryService(session=SearchSession(builder=builder))
+    service = QueryService()
     tickets = [service.submit(*request) for request in trace]
     service.flush()
     return [ticket.result() for ticket in tickets]
 
 
-def test_all_distinct_cloud_serving_floor():
+def test_all_distinct_cloud_serving_floor(monkeypatch):
     rng = np.random.default_rng(20260809)
     trace = make_distinct_cloud_trace(rng)
 
-    serve_trace_cold(trace, "vector")  # warm-up (imports, allocator)
-    t0 = time.perf_counter()
-    ref_results = serve_trace_cold(trace, "reference")
-    ref_time = time.perf_counter() - t0
+    serve_trace_cold(trace)  # warm-up (imports, allocator)
+    # The reference side: SearchSession.tree_for builds through
+    # treebuild.vectorized_build_kdtree, so swapping the frozen per-node
+    # builder in there times the same service on the old cold path.
+    with monkeypatch.context() as patch:
+        patch.setattr(treebuild, "vectorized_build_kdtree", build_kdtree)
+        t0 = time.perf_counter()
+        ref_results = serve_trace_cold(trace)
+        ref_time = time.perf_counter() - t0
     fast_time = float("inf")
     fast_results = None
     for _ in range(3):
         t0 = time.perf_counter()
-        fast_results = serve_trace_cold(trace, "vector")
+        fast_results = serve_trace_cold(trace)
         fast_time = min(fast_time, time.perf_counter() - t0)
 
     for (fi, fc), (ri, rc) in zip(fast_results, ref_results):

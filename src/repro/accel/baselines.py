@@ -33,11 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.session import SearchSession
 
 from ..core.config import ApproxSetting, CrescentHardwareConfig, valid_top_heights
-from ..core.split_tree import SplitTree
 from ..kdtree.build import NODE_BYTES, KdTree
 from ..kdtree.stats import TraversalStats
 from ..memsim.dram import DramModel
 from ..memsim.energy import EnergyBreakdown
+from ..runtime.treebuild import VectorizedSplitTree
 from .accelerator import NetworkResult, NetworkSpec, PointCloudAccelerator
 from .pe import PIPELINE_DEPTH
 from .search_engine import INDEX_BYTES, QUERY_BYTES, SearchEngineResult
@@ -121,7 +121,7 @@ class ExhaustiveSplitSearchEngine:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         m = len(queries)
         ht = self._split_height(tree)
-        split = SplitTree(tree, ht)
+        split = VectorizedSplitTree(tree, ht)
         report = SearchReport()
         report.traversal.queries = m
 

@@ -37,6 +37,7 @@ from ..memsim.dram import DramModel, DramUsage
 from ..memsim.energy import EnergyBreakdown
 from ..runtime.approx import SearchJob, approximate_search
 from ..runtime.topphase import vectorized_top_phase
+from ..runtime.treebuild import VectorizedSplitTree
 from .pe import PIPELINE_DEPTH, FiveStagePipeline
 
 __all__ = ["SearchEngineResult", "NeighborSearchEngine", "QUERY_BYTES", "INDEX_BYTES"]
@@ -81,7 +82,7 @@ class NeighborSearchEngine:
     def _split_for(self, tree: KdTree, top_height: int) -> SplitTree:
         if self.session is not None:
             return self.session.split_tree_for(tree, top_height)
-        return SplitTree(tree, top_height)
+        return VectorizedSplitTree(tree, top_height)
 
     # ------------------------------------------------------------------
     def _top_phase(

@@ -17,11 +17,12 @@ from ..accel.workloads import evaluation_networks, workload_points
 from ..core.bank_conflict import PointBufferBanking, aggregation_conflict_rate
 from ..core.bank_conflict import TreeBufferBanking
 from ..core.config import ApproxSetting
-from ..kdtree.build import NODE_BYTES, build_kdtree
+from ..kdtree.build import NODE_BYTES
 from ..memsim.cache import FullyAssociativeCache
 from ..runtime.approx import SearchJob, approximate_search
 from ..runtime.batched import BatchedBallQuery
 from ..runtime.traced import TracedBallQuery
+from ..runtime.treebuild import vectorized_build_kdtree
 from ..memsim.trace import fraction_noncontiguous, interleave_round_robin
 from .reporting import format_table
 
@@ -61,7 +62,7 @@ def layer_search_traces(
     """
     traces: List[List[int]] = []
     for points, queries, radius, k in _network_layer_queries(spec_name, seed):
-        tree = build_kdtree(points)
+        tree = vectorized_build_kdtree(points)
         result = TracedBallQuery(tree).query(
             queries[:max_queries_per_layer], radius, k
         )
@@ -139,7 +140,7 @@ def search_conflict_rate_vs_banks(
     conflicted-access fraction.
     """
     pts = workload_points("PointNet++ (c)", seed=seed)[:num_points]
-    tree = build_kdtree(pts)
+    tree = vectorized_build_kdtree(pts)
     rng = np.random.default_rng(seed)
     queries = pts[rng.choice(len(pts), num_queries, replace=False)]
     # No top tree and no elision: the whole tree is one sub-tree searched
@@ -164,7 +165,7 @@ def aggregation_conflict_by_network(
         rates = []
         weights = []
         for points, queries, radius, k in _network_layer_queries(name, seed):
-            tree = build_kdtree(points)
+            tree = vectorized_build_kdtree(points)
             # Batched engine: bit-identical indices (parity-suite-pinned),
             # no per-query Python loop — Fig. 5 needs no visit traces.
             indices, _ = BatchedBallQuery(tree).query(queries, radius, k)

@@ -15,11 +15,11 @@ from ..accel.accelerator import NetworkResult, NetworkSpec, PointCloudAccelerato
 from ..accel.baselines import make_mesorasi
 from ..accel.search_engine import NeighborSearchEngine
 from ..core.config import ApproxSetting, CrescentHardwareConfig
-from ..kdtree.build import build_kdtree
 from ..memsim.sram import BankedSramConfig
 from ..runtime.approx import SearchJob, approximate_search
 from ..runtime.network import plan_for, worker_session
 from ..runtime.session import SearchSession
+from ..runtime.treebuild import vectorized_build_kdtree
 
 __all__ = [
     "nodes_visited_vs_top_height",
@@ -42,7 +42,7 @@ def nodes_visited_vs_top_height(
     non-increasing because a taller top tree shrinks the backtracking
     scope.
     """
-    tree = build_kdtree(points)
+    tree = vectorized_build_kdtree(points)
     searched = approximate_search(
         [
             SearchJob(tree, queries, radius, max_neighbors, ApproxSetting(ht, None))
@@ -73,7 +73,7 @@ def nodes_skipped_vs_elision_height(
     Normalized to the most aggressive elision height swept; decreases as
     ``h_e`` grows (fewer levels are elidable).
     """
-    tree = build_kdtree(points)
+    tree = vectorized_build_kdtree(points)
     searched = approximate_search(
         [
             SearchJob(tree, queries, radius, max_neighbors, ApproxSetting(top_height, he))

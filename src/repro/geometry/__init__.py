@@ -1,4 +1,4 @@
-"""Point-cloud geometry substrate: containers, synthetic datasets, transforms."""
+"""Point-cloud geometry substrate: containers, synthetic shapes, scenes and datasets."""
 
 from .pointcloud import PointCloud
 from .synthetic import SHAPE_GENERATORS, sample_shape, shape_class_names, random_rotation
@@ -11,7 +11,6 @@ from .scenes import (
     box_iou_bev,
     generate_scene,
 )
-from .transforms import Compose, Jitter, RandomDropout, RandomScale, RandomYawRotation
 from .datasets import (
     LidarDetectionDataset,
     PartSegmentationDataset,
@@ -33,11 +32,6 @@ __all__ = [
     "LidarScene",
     "box_iou_bev",
     "generate_scene",
-    "Compose",
-    "Jitter",
-    "RandomDropout",
-    "RandomScale",
-    "RandomYawRotation",
     "LidarDetectionDataset",
     "PartSegmentationDataset",
     "ShapeClassificationDataset",

@@ -16,7 +16,7 @@ always synthesized from ``seed + i``, so train/test splits never leak.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .partseg import PART_CATEGORIES, sample_part_object
 from .pointcloud import PointCloud
 from .scenes import LidarScene, generate_scene
 from .synthetic import sample_shape, shape_class_names
-from .transforms import Compose
 
 __all__ = [
     "ShapeClassificationDataset",
@@ -65,14 +64,12 @@ class ShapeClassificationDataset(_SeededDataset):
         noise: float = 0.02,
         occlusion: float = 0.1,
         rotate: bool = True,
-        transform: Optional[Compose] = None,
     ):
         super().__init__(size, seed)
         self.num_points = num_points
         self.noise = noise
         self.occlusion = occlusion
         self.rotate = rotate
-        self.transform = transform
         self.class_names = shape_class_names()
 
     @property
@@ -90,8 +87,6 @@ class ShapeClassificationDataset(_SeededDataset):
             rotate=self.rotate,
             occlusion=self.occlusion,
         )
-        if self.transform is not None:
-            cloud = self.transform(cloud, rng)
         return cloud, int(cloud.attrs["class_id"])
 
 
@@ -108,23 +103,18 @@ class PartSegmentationDataset(_SeededDataset):
         num_points: int = 256,
         seed: int = 1000,
         noise: float = 0.02,
-        transform: Optional[Compose] = None,
     ):
         super().__init__(size, seed)
         self.num_points = num_points
         self.noise = noise
-        self.transform = transform
         self.categories = list(PART_CATEGORIES.keys())
 
     def __getitem__(self, index: int) -> PointCloud:
         rng = self._rng(index)
         category = self.categories[index % len(self.categories)]
-        cloud = sample_part_object(
+        return sample_part_object(
             category, rng, num_points=self.num_points, noise=self.noise
         )
-        if self.transform is not None:
-            cloud = self.transform(cloud, rng)
-        return cloud
 
 
 class LidarDetectionDataset(_SeededDataset):

@@ -16,8 +16,9 @@ immutable stack offers — it maintains a small set of frozen **segments**
   dirty regions**: it spills an over-full buffer into a new segment,
   rebuilds segments whose dead fraction crossed the threshold (dropping
   their tombstones), and merges the smallest segments when the segment
-  count grows past its cap.  Builds go through the session's builders
-  (:mod:`repro.runtime.treebuild` by default).
+  count grows past its cap.  Segments are built by
+  :func:`repro.runtime.treebuild.vectorized_build_kdtree`; the per-node
+  builder is the oracle of the rebuild-from-scratch reference only.
 
 Queries sweep each segment with the shared :func:`~repro.runtime.batched
 .frontier_sweep` (skipping segments whose bounding box lies outside the
@@ -49,16 +50,22 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .build import KdTree, build_kdtree
+from .build import KdTree
 from .dynamic_reference import canonical_pack, pair_d2
 
-__all__ = ["DirtyRegionDigest", "DynamicKdTree", "DynamicStats"]
+__all__ = ["DirtyRegionDigest", "DynamicKdTree", "DynamicStats", "check_maintenance"]
 
 # Relative slack on the segment bounding-box prune: the box distance is
 # a rounded lower bound on member distances, so pruning exactly at r**2
 # could drop a corner point whose own d2 rounds just inside the ball.
 # Admitting a segment is always safe (members are re-tested per point).
 _PRUNE_SLACK = 1.0 + 1e-9
+
+
+def check_maintenance(maintenance: str) -> None:
+    """Reject an unknown :class:`DynamicKdTree` maintenance mode."""
+    if maintenance not in ("incremental", "rebuild", "state"):
+        raise ValueError(f"unknown maintenance mode {maintenance!r}")
 
 
 @dataclass
@@ -149,11 +156,6 @@ class DynamicKdTree:
     ----------
     points:
         Optional initial ``(N, 3)`` coordinates (indexed immediately).
-    builder:
-        ``"vector"`` (default) builds segments with
-        :func:`repro.runtime.treebuild.vectorized_build_kdtree`,
-        ``"reference"`` with the frozen per-node builder — bit-identical
-        either way, the knob exists for A/B benchmarks.
     maintenance:
         ``"incremental"`` (default) keeps segments + buffer with lazy
         dirty-region rebuilds; ``"rebuild"`` rebuilds one segment from
@@ -178,22 +180,17 @@ class DynamicKdTree:
         self,
         points: Optional[np.ndarray] = None,
         *,
-        builder: str = "vector",
         maintenance: str = "incremental",
         buffer_cap: int = 512,
         rebuild_fraction: float = 0.25,
         max_segments: int = 4,
         digest_chunk: int = 1024,
     ):
-        if builder not in ("vector", "reference"):
-            raise ValueError(f"unknown builder {builder!r}")
-        if maintenance not in ("incremental", "rebuild", "state"):
-            raise ValueError(f"unknown maintenance mode {maintenance!r}")
+        check_maintenance(maintenance)
         if buffer_cap <= 0 or max_segments <= 0:
             raise ValueError("buffer_cap and max_segments must be positive")
         if not 0.0 < rebuild_fraction <= 1.0:
             raise ValueError("rebuild_fraction must be in (0, 1]")
-        self.builder = builder
         self.maintenance = maintenance
         self.buffer_cap = int(buffer_cap)
         self.rebuild_fraction = float(rebuild_fraction)
@@ -272,12 +269,6 @@ class DynamicKdTree:
     def alive_slots(self) -> np.ndarray:
         return np.nonzero(self._alive[: self._n])[0].astype(np.int64)
 
-    def segment_trees(self) -> Dict[int, KdTree]:
-        """Current segment id -> frozen KdTree map (ids are allocated
-        once and never reused, so an id is a stable name for one built
-        tree — the granularity DRAM layout refresh keys on)."""
-        return {sid: seg.tree for sid, seg in self._segments.items()}
-
     def coordinates(self, slots: np.ndarray) -> np.ndarray:
         return self._coords[np.asarray(slots, dtype=np.int64)].copy()
 
@@ -341,19 +332,14 @@ class DynamicKdTree:
         self._stale = True
 
     # -- maintenance ---------------------------------------------------
-    def _build_tree(self, pts: np.ndarray) -> KdTree:
-        if self.builder == "vector":
-            # Imported lazily: treebuild imports repro.runtime which would
-            # cycle back through repro.kdtree at module load.
-            from ..runtime.treebuild import vectorized_build_kdtree
-
-            return vectorized_build_kdtree(pts)
-        return build_kdtree(pts)
-
     def _build_segment(self, slots: np.ndarray) -> int:
+        # Imported lazily: treebuild imports repro.runtime which would
+        # cycle back through repro.kdtree at module load.
+        from ..runtime.treebuild import vectorized_build_kdtree
+
         pts = self._coords[slots]
         seg = _Segment(
-            tree=self._build_tree(pts),
+            tree=vectorized_build_kdtree(pts),
             slots=slots,
             lo=pts.min(axis=0),
             hi=pts.max(axis=0),
@@ -429,7 +415,7 @@ class DynamicKdTree:
         self, queries: np.ndarray, radii: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All (query, alive slot) hit pairs with canonical ``d2`` keys."""
-        # Imported lazily for the same load-order reason as _build_tree.
+        # Imported lazily for the same load-order reason as _build_segment.
         from ..runtime.batched import frontier_sweep
 
         r2 = radii * radii

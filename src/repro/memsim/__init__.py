@@ -3,7 +3,7 @@
 from .trace import continuous_mask, fraction_noncontiguous, interleave_round_robin
 from .dram import DramConfig, DramModel, DramUsage
 from .cache import CacheStats, FullyAssociativeCache
-from .sram import BankedSram, BankedSramConfig, SramStats, crossbar_area_relative
+from .sram import BankedSramConfig, SramStats
 from .energy import EnergyBreakdown, EnergyModel
 
 __all__ = [
@@ -15,10 +15,8 @@ __all__ = [
     "DramUsage",
     "CacheStats",
     "FullyAssociativeCache",
-    "BankedSram",
     "BankedSramConfig",
     "SramStats",
-    "crossbar_area_relative",
     "EnergyBreakdown",
     "EnergyModel",
 ]

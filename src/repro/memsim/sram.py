@@ -1,31 +1,18 @@
-"""Banked SRAM model with conflict detection and selective elision.
+"""Banked SRAM buffers: their geometry and their activity ledger.
 
-This is the hardware structure of the paper's Fig. 10: a multi-port,
-multi-bank scratchpad whose arbitration logic detects when concurrent
-requests map to the same bank.  Three service disciplines are modeled:
-
-* **stall** (baseline): conflicting requests serialize; a group of ``c``
-  requests to one bank takes ``c`` cycles and ``c - 1`` of them are counted
-  as conflicted.
-* **elide-replicate** (feature-computation mode): the winner's data is
-  forwarded to the losers (the AND gate lowering the Conflict signal), so
-  the group takes 1 cycle and losers consume no SRAM read energy.
-* **elide-drop** (neighbor-search mode): losers are dropped entirely; the
-  PE skips the node and continues with its stack.
-
-Bank selection is low-order interleaved on the word address, as in the
-paper's example.  Winners are chosen by fixed port priority (lowest port
-index), matching a plain priority arbiter.
+:class:`BankedSramConfig` sizes one buffer of the paper's Fig. 10 (a
+multi-port, multi-bank scratchpad); :class:`SramStats` accumulates what
+its bank arbitration did.  The arbitration itself runs where the
+simulators issue requests: :mod:`repro.core.bank_conflict` for the point
+buffer during aggregation, and :mod:`repro.runtime.lockstep` for the tree
+buffer during neighbor search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["BankedSramConfig", "SramStats", "BankedSram", "crossbar_area_relative"]
+__all__ = ["BankedSramConfig", "SramStats"]
 
 
 @dataclass(frozen=True)
@@ -85,116 +72,3 @@ class SramStats:
         self.reads_served += other.reads_served
         self.cycles += other.cycles
         return self
-
-
-class BankedSram:
-    """Arbitration-level model of one banked scratchpad."""
-
-    def __init__(self, config: BankedSramConfig = BankedSramConfig()):
-        self.config = config
-        self.stats = SramStats()
-
-    def reset(self) -> None:
-        self.stats = SramStats()
-
-    def bank_of(self, addresses: np.ndarray) -> np.ndarray:
-        """Low-order interleaved bank index of each byte address."""
-        addresses = np.asarray(addresses, dtype=np.int64)
-        return (addresses // self.config.word_bytes) % self.config.num_banks
-
-    def arbitrate(
-        self, addresses: np.ndarray, elide: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Arbitrate one cycle's worth of concurrent requests.
-
-        Parameters
-        ----------
-        addresses:
-            1-D array of byte addresses, one per requesting port.
-        elide:
-            Optional boolean array: ``elide[i]`` means request ``i`` may be
-            elided if it loses arbitration.  ``None`` means no elision
-            (pure stall mode).
-
-        Returns
-        -------
-        (winner_of, lost, cycles):
-            ``winner_of[i]`` is the index of the request whose data request
-            ``i`` observes (itself if it won or retried to completion);
-            ``lost[i]`` is True when the request initially conflicted;
-            ``cycles`` is the number of SRAM cycles the group needed.
-
-        Conflicted-but-not-elidable requests retry until served (their
-        retries are folded into ``cycles``); elidable losers never retry.
-        """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        n = len(addresses)
-        if n == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), 0
-        if elide is not None:
-            elide = np.asarray(elide, dtype=bool)
-            if elide.shape != (n,):
-                raise ValueError("elide mask must match addresses")
-        banks = self.bank_of(addresses)
-        winner_of = np.arange(n, dtype=np.int64)
-        lost = np.zeros(n, dtype=bool)
-        reads = 0
-        cycles = 0
-        # Fixed-priority arbitration, bank by bank.
-        for bank in np.unique(banks):
-            members = np.nonzero(banks == bank)[0]
-            winner = members[0]
-            losers = members[1:]
-            reads += 1
-            lost[losers] = True
-            if elide is None:
-                # All losers retry, one per cycle.
-                cycles = max(cycles, len(members))
-                reads += len(losers)
-            else:
-                elided_losers = losers[elide[losers]]
-                retrying = losers[~elide[losers]]
-                winner_of[elided_losers] = winner
-                reads += len(retrying)
-                cycles = max(cycles, 1 + len(retrying))
-                self.stats.elided += len(elided_losers)
-        self.stats.accesses += n
-        self.stats.conflicted += int(lost.sum())
-        self.stats.reads_served += reads
-        self.stats.cycles += cycles
-        return winner_of, lost, cycles
-
-    def conflict_groups_batch(self, addresses: np.ndarray) -> np.ndarray:
-        """Vectorized loser detection for many independent cycles at once.
-
-        ``addresses`` is ``(G, P)``: G groups of P concurrent requests.
-        Returns a boolean ``(G, P)`` mask of requests that lose arbitration
-        (a bank already requested by a lower-indexed port in the same
-        group).  Used by the training-time bank-conflict model, where
-        thousands of aggregation groups are simulated per forward pass.
-        """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        if addresses.ndim != 2:
-            raise ValueError("expected (G, P) address matrix")
-        banks = self.bank_of(addresses)
-        g, p = banks.shape
-        # lost[i, j] = any(banks[i, :j] == banks[i, j])
-        same = banks[:, :, None] == banks[:, None, :]  # (G, P, P)
-        earlier = np.tril(np.ones((p, p), dtype=bool), k=-1)  # j > k
-        lost = (same & earlier[None, :, :]).any(axis=2)
-        self.stats.accesses += g * p
-        self.stats.conflicted += int(lost.sum())
-        return lost
-
-
-def crossbar_area_relative(num_banks: int, num_ports: int = 2) -> float:
-    """Relative crossbar area cost, quadratic in the bank count.
-
-    The paper reports (from an Arm memory compiler study) that at 32 banks
-    the crossbar is ~2× the memory arrays.  Normalizing a quadratic model
-    to that datum gives ``area = 2 * (banks / 32)^2 * (ports / 2)`` in units
-    of "memory array area".
-    """
-    if num_banks <= 0 or num_ports <= 0:
-        raise ValueError("banks and ports must be positive")
-    return 2.0 * (num_banks / 32.0) ** 2 * (num_ports / 2.0)

@@ -80,6 +80,8 @@ def approximate_search(
     jobs = list(jobs)
     if any(job.max_neighbors <= 0 for job in jobs):
         raise ValueError("max_neighbors must be positive")
+    if not all(job.radius > 0 for job in jobs):  # NaN fails too
+        raise ValueError("radius must be positive")
     if not jobs:
         return []
     tree_of: dict = {}

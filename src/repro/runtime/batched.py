@@ -299,7 +299,7 @@ class BatchedBallQuery:
         neighbor; zero-neighbor rows are padded with the query's nearest
         node point and report ``counts == 0``.
         """
-        if radius <= 0:
+        if not radius > 0:  # NaN fails too
             raise ValueError("radius must be positive")
         if max_neighbors <= 0:
             raise ValueError("max_neighbors must be positive")
@@ -360,7 +360,7 @@ class BatchedBallQuery:
             raise ValueError("max_neighbors must be positive")
         if radii.shape != (m,):
             raise ValueError("radii must give one radius per query")
-        if m and (radii <= 0).any():
+        if m and not (radii > 0).all():  # NaN fails too
             raise ValueError("radius must be positive")
         if request_ids.shape != (m,):
             raise ValueError("request_ids must give one request per query")

@@ -17,6 +17,12 @@ every key, mutated points simply miss the cache and recompute.
 
 Both caches are bounded LRUs, so long training runs cannot grow memory
 without limit the way the unbounded dict could.
+
+Cache misses are filled by the level-synchronous builders in
+:mod:`repro.runtime.treebuild`; the per-node builders they are pinned
+against are test oracles only.  A session also keeps the registry of
+mutable clouds (:meth:`SearchSession.register_dynamic`), each served by
+its own :class:`~repro.kdtree.dynamic.DynamicKdTree`.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Optional, Tuple
 
 import numpy as np
 
-from ..kdtree.build import KdTree, build_kdtree
+from ..kdtree.build import KdTree
 from .batched import BatchedBallQuery
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
@@ -143,19 +149,6 @@ class LruCache:
             self._data.popitem(last=False)
             self.stats.evictions += 1
 
-    def pop(self, key: Hashable, default=None):
-        """Remove and return an entry (invalidation, not a lookup: no
-        hit/miss accounting, and absence is not an error)."""
-        return self._data.pop(key, default)
-
-    def drop_where(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Drop every entry whose key satisfies ``predicate``; return the
-        number dropped.  Invalidation, so stats are untouched."""
-        doomed = [key for key in self._data if predicate(key)]
-        for key in doomed:
-            del self._data[key]
-        return len(doomed)
-
     def reset_stats(self) -> None:
         self.stats = CacheStats()
 
@@ -181,23 +174,9 @@ class SearchSession:
     max_trees:
         Tree-cache capacity.  Trees are keyed by point-coordinate digest,
         so in-place mutation of a cloud naturally re-keys.
-    builder:
-        ``"vector"`` (default) fills cache misses with the
-        level-synchronous builders in :mod:`repro.runtime.treebuild`;
-        ``"reference"`` uses the per-node originals.  Bit-identical
-        either way (the treebuild equivalence suite pins this), so the
-        knob exists for A/B benchmarks, not behavior.
     """
 
-    def __init__(
-        self,
-        max_results: int = 512,
-        max_trees: int = 64,
-        builder: str = "vector",
-    ):
-        if builder not in ("vector", "reference"):
-            raise ValueError(f"unknown builder {builder!r}")
-        self.builder = builder
+    def __init__(self, max_results: int = 512, max_trees: int = 64):
         self.results = LruCache(max_results)
         self.trees = LruCache(max_trees)
         self.split_trees = LruCache(max_trees)
@@ -205,7 +184,6 @@ class SearchSession:
         # cache — entries live until the caller drops the handle, and
         # clear() leaves them alone.
         self._dynamic: "OrderedDict[str, object]" = OrderedDict()
-        self._dynamic_layouts: dict = {}  # (handle, top_height) -> layout
         self._dynamic_seq = itertools.count()
 
     # ------------------------------------------------------------------
@@ -221,14 +199,11 @@ class SearchSession:
         key = geometry_digest(points) if digest is None else digest
         tree = self.trees.get(key, _MISS)
         if tree is _MISS:
-            if self.builder == "vector":
-                # Imported lazily: treebuild imports repro.core (for the
-                # SplitTree base), which imports this module at load time.
-                from .treebuild import vectorized_build_kdtree
+            # Imported lazily: treebuild imports repro.core (for the
+            # SplitTree base), which imports this module at load time.
+            from .treebuild import vectorized_build_kdtree
 
-                tree = vectorized_build_kdtree(points)
-            else:
-                tree = build_kdtree(points)
+            tree = vectorized_build_kdtree(points)
             self.trees.put(key, tree)
         return tree
 
@@ -246,14 +221,9 @@ class SearchSession:
             # Imported here: repro.core.pipeline imports this module at
             # load time, so a module-level import of repro.core (direct
             # or via treebuild) would be circular.
-            if self.builder == "vector":
-                from .treebuild import VectorizedSplitTree
+            from .treebuild import VectorizedSplitTree
 
-                split = VectorizedSplitTree(tree, int(top_height))
-            else:
-                from ..core.split_tree import SplitTree
-
-                split = SplitTree(tree, int(top_height))
+            split = VectorizedSplitTree(tree, int(top_height))
             self.split_trees.put(key, split)
         return split
 
@@ -339,15 +309,13 @@ class SearchSession:
         identical drift independently, so they must not alias) and never
         changes — it is the identity callers (and the sharded tier's
         static digest routing) hold onto across mutations.  The *current*
-        content digest moves with every :meth:`update`; result caches key
-        on that, so stale entries are unreachable by construction and
-        :meth:`update` additionally drops them eagerly.
+        content digest moves with every :meth:`update`.
         """
         # Imported lazily: repro.kdtree.dynamic pulls treebuild back in
         # through the segment builders at query time.
         from ..kdtree.dynamic import DynamicKdTree
 
-        dyn = DynamicKdTree(points, builder=self.builder, maintenance=maintenance)
+        dyn = DynamicKdTree(points, maintenance=maintenance)
         handle = dynamic_handle(dyn.digest, next(self._dynamic_seq))
         self._dynamic[handle] = dyn
         return handle
@@ -369,64 +337,21 @@ class SearchSession:
         except KeyError:
             raise KeyError(f"unknown dynamic handle {handle!r}") from None
 
-    def dynamic_layout_for(self, handle: str, top_height: int):
-        """Split-tree DRAM layout of a dynamic cloud, dirty-region fresh.
-
-        The dynamic counterpart of :meth:`split_tree_for`: one layout per
-        ``(handle, top_height)`` lives as long as the registration, and
-        each access re-lays only segments rebuilt since the last call
-        (see :class:`~repro.runtime.treebuild.DynamicSplitLayout`).
-        """
-        dyn = self.dynamic(handle)
-        key = (handle, int(top_height))
-        layout = self._dynamic_layouts.get(key)
-        if layout is None:
-            from .treebuild import DynamicSplitLayout
-
-            layout = DynamicSplitLayout(dyn, int(top_height))
-            self._dynamic_layouts[key] = layout
-        else:
-            layout.refresh()
-        return layout
-
     def update(self, handle: str, inserts=None, removes=None) -> str:
         """Apply one frame of mutations; returns the new content digest.
 
         Removes apply before inserts (the frame contract every replica —
         worker, shadow, reference — shares, so slot allocation stays
-        deterministic everywhere).  Cache entries keyed under the
-        previous content digest are invalidated.
+        deterministic everywhere).  A dynamic cloud is queried through its
+        own index, never the tree or result caches, so no cache entry can
+        go stale.
         """
         dyn = self.dynamic(handle)
-        old = dyn.digest
         if removes is not None:
             dyn.remove(removes)
         if inserts is not None:
             dyn.insert(inserts)
-        new = dyn.digest
-        if new != old:
-            self.invalidate(old)
-        return new
-
-    def invalidate(self, digest: str) -> int:
-        """Drop every cache entry keyed under ``digest``; return the count.
-
-        Covers the tree cache (keyed by the digest itself), the split-tree
-        cache (keyed by the structural digest of that tree), and the
-        result cache (keyed ``(caller key, digest)`` via :meth:`memo_key`).
-        """
-        dropped = 0
-        tree = self.trees.pop(digest, _MISS)
-        if tree is not _MISS:
-            dropped += 1
-            structural = tree_digest(tree)
-            dropped += self.split_trees.drop_where(
-                lambda key: isinstance(key, tuple) and key[0] == structural
-            )
-        dropped += self.results.drop_where(
-            lambda key: isinstance(key, tuple) and len(key) == 2 and key[1] == digest
-        )
-        return dropped
+        return dyn.digest
 
     def clear(self) -> None:
         """Drop the caches (dynamic-cloud registrations are state, not

@@ -151,7 +151,7 @@ class TracedBallQuery:
         per query, with the ``(indices, counts)`` padding contract of
         ``ball_query``.
         """
-        if radius <= 0:
+        if not radius > 0:  # NaN fails too
             raise ValueError("radius must be positive")
         if max_neighbors <= 0:
             raise ValueError("max_neighbors must be positive")

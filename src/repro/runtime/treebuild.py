@@ -51,7 +51,6 @@ from ..core.split_tree import SplitTree
 from ..kdtree.build import NODE_BYTES, KdTree
 
 __all__ = [
-    "DynamicSplitLayout",
     "VectorizedSplitTree",
     "euler_tour",
     "vectorized_build_kdtree",
@@ -312,69 +311,3 @@ class VectorizedSplitTree(SplitTree):
         occ.update(zip(map(int, uniq.tolist()), map(int, counts.tolist())))
         return occ
 
-
-class DynamicSplitLayout:
-    """Split-tree DRAM image of a mutating cloud, refreshed per dirty region.
-
-    A :class:`~repro.kdtree.dynamic.DynamicKdTree` is a set of frozen
-    segments, each an ordinary :class:`~repro.kdtree.build.KdTree` — so
-    its accelerator memory image is one :class:`VectorizedSplitTree`
-    block per segment, concatenated.  Segment ids are allocated once and
-    never rebuilt in place, which makes them exactly the dirty-region
-    granularity: :meth:`refresh` drops blocks whose segment disappeared
-    and lays out only the **new** segments, leaving surviving blocks (and
-    their node addresses) untouched.  ``layouts_built`` counts block
-    builds, so tests can prove a one-segment churn did not re-lay the
-    whole cloud.
-
-    Per-segment ``top_height`` is clamped to the segment tree's height
-    (small fresh segments are shallower than the configured split).
-    """
-
-    def __init__(self, dynamic_tree, top_height: int):
-        if top_height < 0:
-            raise ValueError("top_height must be non-negative")
-        self.dynamic_tree = dynamic_tree
-        self.top_height = int(top_height)
-        self.layouts_built = 0
-        self._blocks: dict = {}  # segment id -> VectorizedSplitTree
-        self._bases: dict = {}  # segment id -> base DRAM address
-        self._total_bytes = 0
-        self.refresh()
-
-    def refresh(self) -> int:
-        """Sync with the index (refreshing it first); returns blocks built."""
-        self.dynamic_tree.refresh()
-        trees = self.dynamic_tree.segment_trees()
-        for sid in [s for s in self._blocks if s not in trees]:
-            del self._blocks[sid]
-        built = 0
-        for sid, tree in trees.items():
-            if sid not in self._blocks:
-                clamped = min(self.top_height, tree.height - 1)
-                self._blocks[sid] = VectorizedSplitTree(tree, clamped)
-                built += 1
-        self.layouts_built += built
-        # Bases are recomputed on every refresh (cheap: one add per
-        # block); block-internal addresses never move.
-        base = 0
-        self._bases = {}
-        for sid in sorted(self._blocks):
-            self._bases[sid] = base
-            base += self._blocks[sid].total_bytes
-        self._total_bytes = base
-        return built
-
-    @property
-    def total_bytes(self) -> int:
-        return self._total_bytes
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self._blocks)
-
-    def block(self, segment_id: int) -> VectorizedSplitTree:
-        return self._blocks[segment_id]
-
-    def dram_address_of(self, segment_id: int, node: int) -> int:
-        return self._bases[segment_id] + self._blocks[segment_id].dram_address_of(node)

@@ -278,12 +278,16 @@ class ShardedQueryService:
         The dispatcher keeps a **state-only shadow replica** (coordinates,
         alive bits, digest — no index): it validates updates before they
         ship and is the snapshot a respawned worker is rebuilt from.
+        ``maintenance`` is checked here too, since the shadow never uses
+        it: a mode the worker rejects would kill its shard on every
+        re-ship.
         """
         self._check_open()
         points = validate_points(points) if points is not None else None
-        from ..kdtree.dynamic import DynamicKdTree
+        from ..kdtree.dynamic import DynamicKdTree, check_maintenance
         from ..runtime.session import dynamic_handle
 
+        check_maintenance(maintenance)
         shadow = DynamicKdTree(points, maintenance="state")
         handle = dynamic_handle(shadow.digest, next(self._dynamic_seq))
         slot = self._slot_for(handle)

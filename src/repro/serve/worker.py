@@ -183,12 +183,7 @@ def serving_worker_main(
 
                 service.session.adopt_dynamic(
                     handle,
-                    DynamicKdTree.from_state(
-                        coords,
-                        alive,
-                        builder=service.session.builder,
-                        maintenance=maintenance,
-                    ),
+                    DynamicKdTree.from_state(coords, alive, maintenance=maintenance),
                 )
             elif kind == "update_handle":
                 _, handle, inserts, removes = message

@@ -1,18 +1,12 @@
-"""Unit tests for dataset classes and transforms."""
+"""Unit tests for the dataset classes."""
 
 import numpy as np
 import pytest
 
 from repro.geometry import (
-    Compose,
-    Jitter,
     LidarDetectionDataset,
     PartSegmentationDataset,
-    RandomDropout,
-    RandomScale,
-    RandomYawRotation,
     ShapeClassificationDataset,
-    PointCloud,
 )
 
 
@@ -74,50 +68,3 @@ class TestLidarDetectionDataset:
         assert len(scene.cloud) == 1024
         assert len(scene.boxes) == 2
 
-
-class TestTransforms:
-    def make(self):
-        rng = np.random.default_rng(0)
-        return PointCloud(rng.normal(size=(32, 3)), labels=np.arange(32))
-
-    def test_yaw_rotation_preserves_z_norms(self):
-        cloud = self.make()
-        out = RandomYawRotation()(cloud, np.random.default_rng(1))
-        assert np.allclose(out.points[:, 2], cloud.points[:, 2])
-        assert np.allclose(
-            np.linalg.norm(out.points[:, :2], axis=1),
-            np.linalg.norm(cloud.points[:, :2], axis=1),
-        )
-
-    def test_jitter_bounded(self):
-        cloud = self.make()
-        out = Jitter(sigma=0.01, clip=0.02)(cloud, np.random.default_rng(1))
-        assert np.abs(out.points - cloud.points).max() <= 0.02 + 1e-12
-
-    def test_jitter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Jitter(sigma=-1)
-
-    def test_scale_bounds(self):
-        cloud = self.make()
-        out = RandomScale(0.5, 0.5)(cloud, np.random.default_rng(1))
-        assert np.allclose(out.points, cloud.points * 0.5)
-
-    def test_scale_invalid(self):
-        with pytest.raises(ValueError):
-            RandomScale(2.0, 1.0)
-
-    def test_dropout_keeps_size(self):
-        cloud = self.make()
-        out = RandomDropout(0.9)(cloud, np.random.default_rng(3))
-        assert len(out) == len(cloud)
-
-    def test_dropout_invalid(self):
-        with pytest.raises(ValueError):
-            RandomDropout(1.0)
-
-    def test_compose_order(self):
-        cloud = self.make()
-        pipeline = Compose([RandomScale(2.0, 2.0), RandomScale(0.5, 0.5)])
-        out = pipeline(cloud, np.random.default_rng(0))
-        assert np.allclose(out.points, cloud.points)

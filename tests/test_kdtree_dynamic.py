@@ -18,7 +18,6 @@ from repro.kdtree import (
     DynamicStats,
     scratch_dynamic_query,
 )
-from repro.runtime.treebuild import DynamicSplitLayout
 
 
 def assert_parity(dyn, queries, radius, k):
@@ -260,48 +259,6 @@ class TestFromState:
 
 
 # ----------------------------------------------------------------------
-# DRAM layout refresh (core/split_tree consumers)
-# ----------------------------------------------------------------------
-
-class TestDynamicSplitLayout:
-    def test_refresh_lays_out_only_new_segments(self):
-        rng = np.random.default_rng(8)
-        dyn = DynamicKdTree(rng.normal(size=(200, 3)), buffer_cap=16)
-        layout = DynamicSplitLayout(dyn, top_height=3)
-        built0 = layout.layouts_built
-        assert built0 == dyn.num_segments == layout.num_blocks
-        # An untouched refresh is free.
-        layout.refresh()
-        assert layout.layouts_built == built0
-        # Spill a new segment: exactly the new block is laid out.
-        old_ids = set(dyn.segment_trees())
-        dyn.insert(rng.normal(size=(20, 3)))
-        dyn.refresh(flush=True)
-        new_ids = set(dyn.segment_trees())
-        layout.refresh()
-        assert layout.num_blocks == dyn.num_segments
-        assert layout.layouts_built == built0 + len(new_ids - old_ids)
-        assert layout.total_bytes > 0
-
-    def test_addresses_cover_every_segment(self):
-        rng = np.random.default_rng(9)
-        dyn = DynamicKdTree(rng.normal(size=(100, 3)), buffer_cap=8)
-        dyn.insert(rng.normal(size=(12, 3)))
-        dyn.refresh(flush=True)
-        layout = DynamicSplitLayout(dyn, top_height=2)
-        seen = set()
-        for sid in dyn.segment_trees():
-            addr = layout.dram_address_of(sid, 0)
-            assert addr not in seen
-            seen.add(addr)
-
-    def test_top_height_validation(self):
-        dyn = DynamicKdTree(np.zeros((2, 3)) + np.arange(2)[:, None])
-        with pytest.raises(ValueError):
-            DynamicSplitLayout(dyn, top_height=-1)
-
-
-# ----------------------------------------------------------------------
 # Error handling and stats
 # ----------------------------------------------------------------------
 
@@ -340,8 +297,6 @@ class TestErrorsAndStats:
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            DynamicKdTree(builder="gpu")
-        with pytest.raises(ValueError):
             DynamicKdTree(maintenance="magic")
         with pytest.raises(ValueError):
             DynamicKdTree(buffer_cap=0)
@@ -364,16 +319,3 @@ class TestErrorsAndStats:
                 dyn.query(queries, 1.0, 4)
         assert isinstance(inc.stats, DynamicStats)
         assert inc.stats.points_indexed < reb.stats.points_indexed
-
-    def test_reference_builder_matches_vector_builder(self):
-        rng = np.random.default_rng(11)
-        pts = rng.normal(size=(70, 3))
-        a = DynamicKdTree(pts, builder="vector")
-        b = DynamicKdTree(pts, builder="reference")
-        queries = grid_queries(rng)
-        for dyn in (a, b):
-            dyn.remove([3, 9])
-            dyn.insert(np.ones((2, 3)))
-        np.testing.assert_array_equal(
-            a.query(queries, 1.0, 5)[0], b.query(queries, 1.0, 5)[0]
-        )

@@ -1,114 +1,17 @@
-"""Unit tests for the banked SRAM and the LRU cache."""
+"""Unit tests for the banked-SRAM geometry and the fully-associative cache."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.memsim import (
-    BankedSram,
-    BankedSramConfig,
-    FullyAssociativeCache,
-    crossbar_area_relative,
-)
+from repro.memsim import BankedSramConfig, FullyAssociativeCache
 
 
-def sram(num_banks=4, word_bytes=4):
-    return BankedSram(BankedSramConfig(num_banks=num_banks, word_bytes=word_bytes))
-
-
-class TestArbitration:
-    def test_no_conflict_distinct_banks(self):
-        s = sram(4)
-        addrs = np.array([0, 4, 8, 12])  # banks 0,1,2,3
-        winner_of, lost, cycles = s.arbitrate(addrs)
-        assert not lost.any()
-        assert cycles == 1
-        assert winner_of.tolist() == [0, 1, 2, 3]
-
-    def test_full_conflict_stall(self):
-        s = sram(4)
-        addrs = np.array([0, 16, 32])  # all bank 0
-        winner_of, lost, cycles = s.arbitrate(addrs)
-        assert lost.tolist() == [False, True, True]
-        assert cycles == 3  # serialization
-        assert winner_of.tolist() == [0, 1, 2]  # everyone eventually served
-
-    def test_elide_replicate(self):
-        s = sram(4)
-        addrs = np.array([0, 16, 32])
-        elide = np.array([True, True, True])
-        winner_of, lost, cycles = s.arbitrate(addrs, elide=elide)
-        assert cycles == 1
-        assert winner_of.tolist() == [0, 0, 0]  # losers observe winner's data
-        assert s.stats.elided == 2
-
-    def test_partial_elide(self):
-        s = sram(4)
-        addrs = np.array([0, 16, 32])
-        elide = np.array([False, False, True])
-        winner_of, lost, cycles = s.arbitrate(addrs, elide=elide)
-        # Port 1 must retry (1 extra cycle); port 2 is elided.
-        assert cycles == 2
-        assert winner_of.tolist() == [0, 1, 0]
-
-    def test_conflict_stats_accumulate(self):
-        s = sram(2)
-        s.arbitrate(np.array([0, 8]))  # both bank 0
-        s.arbitrate(np.array([0, 4]))  # banks 0, 1
-        assert s.stats.accesses == 4
-        assert s.stats.conflicted == 1
-        assert s.stats.conflict_rate == 0.25
-
-    def test_empty_request_group(self):
-        s = sram(4)
-        winner_of, lost, cycles = s.arbitrate(np.array([], dtype=np.int64))
-        assert cycles == 0
-        assert len(winner_of) == 0
-
-    def test_bad_elide_shape(self):
-        s = sram(4)
-        with pytest.raises(ValueError):
-            s.arbitrate(np.array([0, 4]), elide=np.array([True]))
-
-    def test_more_banks_fewer_conflicts(self):
-        rng = np.random.default_rng(0)
-        addrs = rng.integers(0, 1 << 16, size=(2000, 8)) * 4
-        rates = []
-        for banks in (2, 4, 8, 16, 32):
-            s = sram(banks)
-            s.conflict_groups_batch(addrs)
-            rates.append(s.stats.conflict_rate)
-        assert all(a >= b for a, b in zip(rates, rates[1:]))
-
-    def test_batch_matches_serial(self):
-        rng = np.random.default_rng(1)
-        addrs = rng.integers(0, 1 << 12, size=(50, 8)) * 4
-        batch = sram(4)
-        lost_batch = batch.conflict_groups_batch(addrs)
-        serial = sram(4)
-        for row in addrs:
-            _, lost, _ = serial.arbitrate(row)
-            pass
-        assert int(lost_batch.sum()) == serial.stats.conflicted
-
+class TestBankedSramConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BankedSramConfig(num_banks=3)  # not a power of two
         with pytest.raises(ValueError):
             BankedSramConfig(size_bytes=0)
-
-
-class TestCrossbarArea:
-    def test_calibration_point(self):
-        assert crossbar_area_relative(32) == pytest.approx(2.0)
-
-    def test_quadratic_growth(self):
-        assert crossbar_area_relative(16) == pytest.approx(0.5)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            crossbar_area_relative(0)
 
 
 class TestCache:
@@ -153,22 +56,3 @@ class TestCache:
             FullyAssociativeCache(capacity_bytes=32, line_bytes=64)
         with pytest.raises(ValueError):
             FullyAssociativeCache(capacity_bytes=0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    banks=st.sampled_from([2, 4, 8, 16]),
-    seed=st.integers(min_value=0, max_value=2**31),
-    ports=st.integers(min_value=1, max_value=16),
-)
-def test_property_arbitration_serves_everyone(banks, seed, ports):
-    """Stall-mode arbitration always serves every request as itself."""
-    rng = np.random.default_rng(seed)
-    addrs = rng.integers(0, 1 << 14, size=ports) * 4
-    s = sram(banks)
-    winner_of, lost, cycles = s.arbitrate(addrs)
-    assert winner_of.tolist() == list(range(ports))
-    # Cycle count equals the worst-case bank occupancy.
-    bank_ids = s.bank_of(addrs)
-    worst = max(np.bincount(bank_ids, minlength=banks))
-    assert cycles == worst

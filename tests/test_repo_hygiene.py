@@ -1,18 +1,30 @@
-"""Repository hygiene: no compiled artifacts may be tracked.
+"""Repository hygiene: no compiled artifacts may be tracked, and no
+production module routes through a frozen per-node builder.
 
 PR 8 untracked seven ``__pycache__/*.pyc`` files that had ridden along
 since the lint package landed.  Bytecode is interpreter-version-specific,
 diffs as binary noise, and can shadow stale code paths in review — so the
 ban is enforced both here (tier-1) and as a CI workflow step, keeping the
 guard active even when only one of the two lanes runs.
+
+The per-node builders ``build_kdtree`` and ``SplitTree`` are the oracles
+the level-synchronous builders are pinned against (ROADMAP standing
+constraint), not production routes: outside the frozen reference modules
+themselves, ``src/`` builds trees and layouts only through
+:mod:`repro.runtime.treebuild`.
 """
 
+import ast
 import subprocess
 from pathlib import Path
 
 import pytest
 
+from repro.lint.rules import ReferenceFreezeRule
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
+FROZEN_BUILDERS = ("build_kdtree", "SplitTree")
 
 FORBIDDEN_SUFFIXES = (".pyc", ".pyo", ".pyd", ".so", ".egg")
 FORBIDDEN_DIRS = ("__pycache__",)
@@ -48,3 +60,29 @@ def test_gitignore_covers_bytecode():
     ignore = (REPO_ROOT / ".gitignore").read_text()
     for pattern in ("__pycache__/", "*.py[cod]"):
         assert pattern in ignore, f".gitignore lost the {pattern!r} pattern"
+
+
+def _frozen_builder_calls(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in FROZEN_BUILDERS:
+            yield f"{path.relative_to(REPO_ROOT).as_posix()}:{node.lineno} {name}(...)"
+
+
+def test_production_modules_never_call_the_frozen_builders():
+    frozen = ReferenceFreezeRule.FROZEN_SUFFIXES
+    modules = [
+        path
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        if not path.as_posix().endswith(frozen)
+    ]
+    assert len(modules) > 50  # the scan found the package
+    offenders = [call for path in modules for call in _frozen_builder_calls(path)]
+    assert not offenders, (
+        "production code calls a frozen per-node builder; use "
+        "repro.runtime.treebuild's vectorized_build_kdtree / "
+        f"VectorizedSplitTree instead: {offenders}"
+    )

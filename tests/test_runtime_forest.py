@@ -138,6 +138,17 @@ def test_single_job_and_empty_batch(rng):
     assert_matches_reference([job], got, 4, 4, "skip", "single")
     with pytest.raises(ValueError):
         approximate_search([SearchJob(job.tree, points[:2], 0.5, 0, ApproxSetting())])
+    # Radii the per-step reference rejects, and NaN, which it would turn
+    # into all-zero counts; an infinite radius stays legal, as there.
+    for radius in (-0.5, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            approximate_search([SearchJob(job.tree, points[:6], radius, 8, ApproxSetting(2, None))])
+        with pytest.raises(ValueError, match="radius must be positive"):
+            ApproximationPipeline().query_with_counts(
+                points, points[:6], radius, 8, ApproxSetting(2, None)
+            )
+    wide = SearchJob(job.tree, points[:6], np.inf, 8, ApproxSetting(2, None))
+    assert_matches_reference([wide], approximate_search([wide]), 4, 4, "skip", "inf")
 
 
 @pytest.mark.parametrize("elide_aggregation", [False, True])

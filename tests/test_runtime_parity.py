@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.kdtree import ball_query, brute_radius_search, build_kdtree
-from repro.runtime import BatchedBallQuery
+from repro.runtime import BatchedBallQuery, SearchSession
 
 
 def assert_bit_identical(tree, queries, radius, k):
@@ -163,5 +163,9 @@ class TestDegenerateInputs:
         engine = BatchedBallQuery(tree)
         with pytest.raises(ValueError):
             engine.query(np.zeros((1, 3)), -1.0, 4)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            engine.query(np.zeros((1, 3)), float("nan"), 4)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            SearchSession().ball_query(tree.points, np.zeros((1, 3)), float("nan"), 4)
         with pytest.raises(ValueError):
             engine.query(np.zeros((1, 3)), 0.5, 0)

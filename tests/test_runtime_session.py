@@ -79,17 +79,6 @@ class TestLruCache:
         assert cache.get("a") == 1  # entry survived the counter reset
         assert cache.stats.hits == 1 and cache.stats.misses == 0
 
-    def test_pop_and_drop_where_do_not_skew_stats(self):
-        cache = LruCache(max_entries=4)
-        cache.put(("x", 1), "a")
-        cache.put(("y", 1), "b")
-        cache.put(("y", 2), "c")
-        assert cache.pop(("x", 1)) == "a"
-        assert cache.pop("missing", "fallback") == "fallback"
-        assert cache.drop_where(lambda key: key[0] == "y") == 2
-        assert len(cache) == 0
-        # Maintenance traffic is not caller traffic: counters untouched.
-        assert cache.stats.hits == 0 and cache.stats.misses == 0
 
 
 class TestSearchSession:

@@ -176,6 +176,8 @@ class TestTraceEquivalence:
         engine = TracedBallQuery(build_kdtree(rng.normal(size=(8, 3))))
         with pytest.raises(ValueError):
             engine.query(np.zeros((1, 3)), -1.0, 4)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            engine.query(np.zeros((1, 3)), float("nan"), 4)
         with pytest.raises(ValueError):
             engine.query(np.zeros((1, 3)), 0.5, 0)
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.split_tree import SplitTree
 from repro.kdtree.build import build_kdtree
+from repro.kdtree.exact import ball_query
 from repro.runtime import SearchSession
 from repro.runtime import treebuild as tb
 from repro.runtime.treebuild import (
@@ -229,26 +230,17 @@ class TestSplitTreeEquivalence:
 
 
 class TestSessionRouting:
-    def test_default_builder_is_vector(self):
+    def test_session_builds_what_the_oracles_build(self):
         session = SearchSession()
-        assert session.builder == "vector"
         pts = np.random.default_rng(1).normal(size=(40, 3))
         tree = session.tree_for(pts)
         assert_same_tree(build_kdtree(pts), tree)
-        assert isinstance(session.split_tree_for(tree, 2), VectorizedSplitTree)
-
-    def test_reference_builder_option(self):
-        session = SearchSession(builder="reference")
-        pts = np.random.default_rng(2).normal(size=(40, 3))
-        tree = session.tree_for(pts)
-        assert_same_tree(build_kdtree(pts), tree)
         split = session.split_tree_for(tree, 2)
-        assert isinstance(split, SplitTree)
-        assert not isinstance(split, VectorizedSplitTree)
-
-    def test_unknown_builder_rejected(self):
-        with pytest.raises(ValueError):
-            SearchSession(builder="turbo")
+        assert isinstance(split, VectorizedSplitTree)
+        ref = SplitTree(build_kdtree(pts), 2)
+        assert split.total_bytes == ref.total_bytes
+        for node in range(tree.num_nodes):
+            assert split.dram_address_of(node) == ref.dram_address_of(node)
 
     def test_trees_still_cached(self):
         session = SearchSession()
@@ -257,11 +249,11 @@ class TestSessionRouting:
         tree = session.tree_for(pts)
         assert session.split_tree_for(tree, 1) is session.split_tree_for(tree, 1)
 
-    def test_vector_and_reference_sessions_agree_end_to_end(self):
+    def test_session_matches_reference_ball_query(self):
         rng = np.random.default_rng(5)
         pts = rng.integers(0, 6, size=(120, 3)).astype(float)
         queries = rng.normal(size=(16, 3)) * 2
         fast = SearchSession().ball_query(pts, queries, 1.5, 8)
-        ref = SearchSession(builder="reference").ball_query(pts, queries, 1.5, 8)
+        ref = ball_query(build_kdtree(pts), queries, 1.5, 8)
         np.testing.assert_array_equal(fast[0], ref[0])
         np.testing.assert_array_equal(fast[1], ref[1])

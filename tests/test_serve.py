@@ -171,6 +171,8 @@ class TestMergedSweep:
         q = np.zeros((4, 3))
         with pytest.raises(ValueError):  # non-positive radius
             engine.query_merged(q, [0.1, -1.0, 0.1, 0.1], [0, 0, 1, 1], [4, 4])
+        with pytest.raises(ValueError, match="radius must be positive"):  # NaN radius
+            engine.query_merged(q, [0.1, 0.1, np.nan, 0.1], [0, 0, 1, 1], [4, 4])
         with pytest.raises(ValueError):  # non-positive K
             engine.query_merged(q, np.full(4, 0.1), [0, 0, 1, 1], [4, 0])
         with pytest.raises(ValueError):  # radii shape mismatch

@@ -5,15 +5,15 @@ through ``QueryService`` with incremental index maintenance is
 **bit-identical per frame** to rebuild-from-scratch maintenance — and to
 the multi-process ``ShardedQueryService``, where ``update_handle``
 messages route to the owning shard and apply between flushes.  Around
-that sit the session's digest-aware invalidation, handle aliasing rules,
-and dynamic-handle worker recovery.
+that sit the session's dynamic registry, handle aliasing rules, and
+dynamic-handle worker recovery.
 """
 
 import numpy as np
 import pytest
 
 from repro.kdtree import DynamicKdTree
-from repro.runtime.session import SearchSession, dynamic_handle, geometry_digest
+from repro.runtime.session import SearchSession, dynamic_handle
 from repro.serve import (
     QueryService,
     ShardedQueryService,
@@ -129,49 +129,24 @@ class TestServiceDynamic:
 
 
 # ----------------------------------------------------------------------
-# Session: digest-aware invalidation
+# Session: dynamic registrations bypass the caches
 # ----------------------------------------------------------------------
 
 class TestSessionInvalidation:
-    def test_invalidate_drops_tree_split_and_result_entries(self, rng):
-        session = SearchSession()
-        pts = rng.normal(size=(80, 3))
-        digest = geometry_digest(pts)
-        tree = session.tree_for(pts)
-        session.split_tree_for(tree, 2)
-        # Results key on (caller key, content digest) via memo_key.
-        session.results.put(session.memo_key("probe", digest=digest), "value")
-        assert len(session.trees) == 1
-        assert len(session.split_trees) == 1
-        assert len(session.results) == 1
-        dropped = session.invalidate(digest)
-        assert dropped == 3
-        assert len(session.trees) == 0
-        assert len(session.split_trees) == 0
-        assert len(session.results) == 0
-        # Idempotent: nothing left to drop.
-        assert session.invalidate(digest) == 0
-
-    def test_invalidate_leaves_other_digests_alone(self, rng):
-        session = SearchSession()
-        a = rng.normal(size=(50, 3))
-        b = rng.normal(size=(50, 3))
-        session.tree_for(a)
-        session.tree_for(b)
-        assert session.invalidate(geometry_digest(a)) == 1
-        assert len(session.trees) == 1  # b survives
-
-    def test_update_invalidates_the_previous_content_digest(self, rng):
-        session = SearchSession()
-        pts = rng.normal(size=(50, 3))
-        handle = session.register_dynamic(pts)
-        old = session.dynamic(handle).digest
-        # Park a result under the *current* content digest, as a serving
-        # layer keying caches by content would.
-        session.results.put(("probe", old), "stale")
-        new = session.update(handle, removes=np.array([1]))
-        assert new != old
-        assert session.results.get(("probe", old), None) is None
+    def test_updates_leave_no_cache_entry_to_invalidate(self, rng):
+        # A dynamic cloud is served through its own index: registering,
+        # mutating and querying it files nothing in the tree, split-tree
+        # or result caches, so no entry can go stale under an old digest
+        # (test_submit_dynamic_matches_direct_engine pins the results).
+        service = QueryService()
+        handle = service.register_dynamic(rng.normal(size=(80, 3)))
+        for frame in range(3):
+            service.update(handle, inserts=rng.normal(size=(4, 3)), removes=[frame])
+            ticket = service.submit_dynamic(handle, rng.normal(size=(6, 3)), 0.8, 4)
+            service.flush()
+            assert ticket.error is None
+        session = service.session
+        assert len(session.trees) == len(session.split_trees) == len(session.results) == 0
 
     def test_dynamic_handle_is_sequence_salted(self):
         assert dynamic_handle("abc", 0) != dynamic_handle("abc", 1)
@@ -182,16 +157,6 @@ class TestSessionInvalidation:
         handle = session.register_dynamic(rng.normal(size=(20, 3)))
         session.clear()
         assert len(session.dynamic(handle)) == 20
-
-    def test_dynamic_layout_survives_and_refreshes(self, rng):
-        session = SearchSession()
-        handle = session.register_dynamic(rng.normal(size=(200, 3)))
-        layout = session.dynamic_layout_for(handle, 3)
-        built = layout.layouts_built
-        assert session.dynamic_layout_for(handle, 3) is layout
-        session.update(handle, inserts=rng.normal(size=(600, 3)))
-        session.dynamic(handle).refresh(flush=True)
-        assert session.dynamic_layout_for(handle, 3).layouts_built > built
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +223,21 @@ class TestShardedDynamic:
             with pytest.raises(KeyError, match="dynamic"):
                 tier.update("missing", inserts=np.zeros((1, 3)))
             assert tier.pending == 0
+
+    def test_unknown_maintenance_rejected_before_shipping(self, rng):
+        pts = rng.normal(size=(20, 3))
+        with pytest.raises(ValueError) as single:
+            QueryService().register_dynamic(pts, maintenance="bogus")
+        with ShardedQueryService(num_workers=1) as tier:
+            with pytest.raises(ValueError) as sharded:
+                tier.register_dynamic(pts, maintenance="bogus")
+            assert str(sharded.value) == str(single.value)
+            # Nothing shipped, so the one shard is alive and still serves.
+            handle = tier.register_dynamic(pts)
+            ticket = tier.submit_dynamic(handle, pts[:2], 0.5, 4)
+            tier.flush()
+            assert ticket.error is None
+            assert tier.stats.respawns == 0
 
     def test_malformed_update_fails_at_dispatch_not_on_worker(self, rng):
         with ShardedQueryService(num_workers=2) as tier:
