@@ -19,7 +19,7 @@ setting is deeper into the tree.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -65,14 +65,14 @@ DET_TRAIN_SIZE = 32
 DET_TEST_SIZE = 10
 DET_EPOCHS = 30
 
-# Slow-lane training stays per-sample (batch_size=None): those figure
-# trajectories are then bit-identical to every pre-tape release, so their
-# assertions pin the same trained weights across the PR 8 engine swap.
-# (Chunked SGD means 8x fewer optimizer steps per epoch — enough to
-# undertrain the small-epoch detection/classification configs and flip
-# the Fig. 13/21/23 trends, so batching is opt-in per figure, not global.)
-# The stacked path still accelerates every figure through fully batched
-# evaluation and the FPS digest cache, and Fig. 18 opts its dedicated
+# Slow-lane training keeps one input per optimizer step (batch_size=1, the
+# trainers' default): those figure trajectories are then bit-identical to
+# every pre-tape release, so their assertions pin the same trained weights
+# across the tape-engine swap.  (Chunked SGD means 8x fewer optimizer steps
+# per epoch — enough to undertrain the small-epoch detection/classification
+# configs and flip the Fig. 13/21/23 trends, so larger chunks are opt-in per
+# figure, not global.)  Every figure evaluates with one stacked forward per
+# dataset and reuses the FPS digest cache, and Fig. 18 opts its dedicated
 # trainers into mini-batched training to run in the smoke lane.
 FIG18_TRAIN_BATCH = 8
 
@@ -140,15 +140,15 @@ def classification_trainer(
     sampler_key: SamplerKey,
     tree_banks: int = 4,
     seed: int = 0,
-    batch_size: Optional[int] = None,
+    batch_size: int = 1,
 ) -> ClassificationTrainer:
     """Train (once) a classifier under a sampler; returns its trainer.
 
-    ``batch_size`` is part of the memo key: ``None`` (the default every
+    ``batch_size`` is part of the memo key: ``1`` (the default every
     slow-lane figure uses) keeps per-sample optimizer steps and thereby
     trajectories bit-identical to the pre-tape engine; a figure that has
     validated its assertions under chunked SGD (Fig. 18 in the smoke lane)
-    can opt into the stacked mini-batch path for ~3x faster training.
+    can opt into larger stacked chunks for ~3x faster training.
     """
     train = cls_train_set()
     pipeline = _pipeline(tree_banks)

@@ -13,6 +13,7 @@ import numpy as np
 from repro.core import ApproxSetting
 from repro.geometry import LidarDetectionDataset, box_iou_bev
 from repro.models import FrustumPointNet, frustum_crop
+from repro.nn import no_grad
 from repro.training import DetectionTrainer, FixedSetting
 
 
@@ -33,20 +34,23 @@ def main() -> None:
     print("\nper-scene detections (approximate search, h = <3, 5>):")
     setting = ApproxSetting(3, 5)
     ious = []
-    for i in range(len(test)):
-        scene = test[i]
-        gt = scene.boxes[0]
-        crop = frustum_crop(
-            scene.cloud.points, gt.center[:2], max_points=128,
-            rng=np.random.default_rng(100 + i),
-        )
-        pred = trainer.model(crop, setting)
-        box = pred.decode(crop)
-        iou = box_iou_bev(box, gt)
-        ious.append(iou)
-        print(f"  scene {i}: gt center ({gt.center[0]:6.1f}, {gt.center[1]:6.1f})"
-              f"  pred ({box.center[0]:6.1f}, {box.center[1]:6.1f})"
-              f"  BEV IoU {iou:.2f}")
+    # Inference only: outside no_grad every forward would leave its graph
+    # on the autograd tape, since nothing backpropagates it.
+    with no_grad():
+        for i in range(len(test)):
+            scene = test[i]
+            gt = scene.boxes[0]
+            crop = frustum_crop(
+                scene.cloud.points, gt.center[:2], max_points=128,
+                rng=np.random.default_rng(100 + i),
+            )
+            pred = trainer.model(crop, setting)
+            box = pred.decode(crop)
+            iou = box_iou_bev(box, gt)
+            ious.append(iou)
+            print(f"  scene {i}: gt center ({gt.center[0]:6.1f}, {gt.center[1]:6.1f})"
+                  f"  pred ({box.center[0]:6.1f}, {box.center[1]:6.1f})"
+                  f"  BEV IoU {iou:.2f}")
     print(f"\nmean BEV IoU: {np.mean(ious):.3f}")
     exact = trainer.evaluate(test, ApproxSetting(0, None))
     approx = trainer.evaluate(test, setting)

@@ -22,7 +22,12 @@ from ..core.pipeline import ApproximationPipeline
 from ..nn.layers import MLP, Dropout
 from ..nn.module import Module
 from ..nn.tensor import Tensor
-from .layers import GlobalMaxPool, SetAbstraction
+from .layers import (
+    GlobalMaxPool,
+    SetAbstraction,
+    drop_batch_axis,
+    farthest_point_sampling_batched,
+)
 
 __all__ = ["DensePointClassifier"]
 
@@ -82,27 +87,11 @@ class DensePointClassifier(Module):
         setting: ApproxSetting = ApproxSetting(),
         cache_key: Optional[int] = None,
     ) -> Tensor:
-        current_points = np.asarray(points, dtype=np.float64)
-        features: Optional[Tensor] = None
-        for i, stage in enumerate(self.stages):
-            key = (cache_key, f"stage{i}") if cache_key is not None else None
-            new_points, new_features = stage(
-                current_points, features, setting, cache_key=key
-            )
-            if features is None:
-                dense = new_features
-            else:
-                # Gather the incoming features at the surviving centroids
-                # (FPS indices are deterministic, so recompute them).
-                from .layers import farthest_point_sampling
-
-                fps = farthest_point_sampling(current_points, stage.num_centroids)
-                carried = features.take(fps)
-                dense = new_features.concat([carried], axis=-1)
-            current_points = new_points
-            features = dense
-        pooled = self.pool(features)
-        return self.head(self.dropout(pooled))
+        """Logits of shape ``(1, num_classes)`` for one cloud (the
+        ``B == 1`` case of :meth:`forward_batch`)."""
+        return drop_batch_axis(
+            self.forward_batch(np.asarray(points)[None], [setting], [cache_key])
+        )
 
     def forward_batch(
         self,
@@ -110,10 +99,8 @@ class DensePointClassifier(Module):
         settings=ApproxSetting(),
         cache_keys: Optional[Sequence[Optional[int]]] = None,
     ) -> Tensor:
-        """Logits of shape ``(B, 1, num_classes)`` for ``(B, N, 3)`` clouds;
-        row ``b`` is bit-identical to the per-sample forward (dropout RNG
-        caveat as in :meth:`PointNetPPClassifier.forward_batch`)."""
-        from .layers import farthest_point_sampling_batched
+        """Logits of shape ``(B, 1, num_classes)`` for ``(B, N, 3)`` clouds
+        (dropout as in :meth:`PointNetPPClassifier.forward_batch`)."""
         from .pointnetpp import _batch_settings, _stage_keys
 
         pts = np.asarray(points, dtype=np.float64)
@@ -122,7 +109,7 @@ class DensePointClassifier(Module):
         current_points = pts
         features: Optional[Tensor] = None
         for i, stage in enumerate(self.stages):
-            new_points, new_features = stage.forward_batch(
+            new_points, new_features = stage(
                 current_points,
                 features,
                 settings,
@@ -131,6 +118,8 @@ class DensePointClassifier(Module):
             if features is None:
                 dense = new_features
             else:
+                # Gather the incoming features at the surviving centroids
+                # (FPS indices are deterministic, so recompute them).
                 fps = farthest_point_sampling_batched(
                     current_points, stage.num_centroids
                 )

@@ -27,7 +27,7 @@ from ..geometry.scenes import Box3D
 from ..nn.layers import MLP
 from ..nn.module import Module
 from ..nn.tensor import Tensor
-from .layers import GlobalMaxPool, SetAbstraction
+from .layers import FeaturePropagation, GlobalMaxPool, SetAbstraction, drop_batch_axis
 
 __all__ = ["FrustumPointNet", "BoxPrediction", "frustum_crop", "CAR_ANCHOR"]
 
@@ -114,8 +114,6 @@ class FrustumPointNet(Module):
             num_centroids[1], radii[1], max_neighbors,
             in_features=32, mlp_widths=(64, 64), pipeline=self.pipeline, rng=rng,
         )
-        from .layers import FeaturePropagation
-
         self.fp2 = FeaturePropagation(64, 32, (64,), rng)
         self.fp1 = FeaturePropagation(64, 0, (32,), rng)
         self.seg_head = MLP([32, 32, 2], rng, batch_norm=False, final_activation=False)
@@ -138,20 +136,14 @@ class FrustumPointNet(Module):
         setting: ApproxSetting = ApproxSetting(),
         cache_key: Optional[int] = None,
     ) -> BoxPrediction:
-        pts = np.asarray(frustum_points, dtype=np.float64)
-        # Normalize to the frustum centroid so the MLPs see local scale;
-        # box decoding adds the centroid back through the segmented mean.
-        offset = pts.mean(axis=0)
-        local = pts - offset
-        key = (cache_key, "sa1") if cache_key is not None else None
-        p1, f1 = self.sa1(local, None, setting, cache_key=key)
-        key = (cache_key, "sa2") if cache_key is not None else None
-        p2, f2 = self.sa2(p1, f1, setting, cache_key=key)
-        up1 = self.fp2(p1, p2, f2, f1)
-        up0 = self.fp1(local, p1, up1, None)
-        seg_logits = self.seg_head(up0)
-        box = self.box_head(self.pool(f2))
-        return BoxPrediction(segmentation_logits=seg_logits, box_params=box)
+        """Prediction for one frustum crop: segmentation logits ``(N, 2)``
+        and box params ``(1, 8)`` (the ``B == 1`` case of
+        :meth:`forward_batch`)."""
+        pred = self.forward_batch(np.asarray(frustum_points)[None], [setting], [cache_key])
+        return BoxPrediction(
+            segmentation_logits=drop_batch_axis(pred.segmentation_logits),
+            box_params=drop_batch_axis(pred.box_params),
+        )
 
     def forward_batch(
         self,
@@ -161,22 +153,20 @@ class FrustumPointNet(Module):
     ) -> BoxPrediction:
         """Stacked prediction for ``(B, N, 3)`` frustum crops:
         segmentation logits ``(B, N, 2)`` and box params ``(B, 1, 8)``.
-        Row ``b`` is bit-identical to the per-sample forward."""
+        Row ``b`` does not depend on the other rows."""
         from .pointnetpp import _batch_settings, _stage_keys
 
         pts = np.asarray(frustum_points, dtype=np.float64)
         batch = len(pts)
         settings = _batch_settings(settings, batch)
+        # Normalize to the frustum centroid so the MLPs see local scale;
+        # box decoding adds the centroid back through the segmented mean.
         offset = pts.mean(axis=1, keepdims=True)
         local = pts - offset
-        p1, f1 = self.sa1.forward_batch(
-            local, None, settings, _stage_keys(cache_keys, "sa1", batch)
-        )
-        p2, f2 = self.sa2.forward_batch(
-            p1, f1, settings, _stage_keys(cache_keys, "sa2", batch)
-        )
-        up1 = self.fp2.forward_batch(p1, p2, f2, f1)
-        up0 = self.fp1.forward_batch(local, p1, up1, None)
+        p1, f1 = self.sa1(local, None, settings, _stage_keys(cache_keys, "sa1", batch))
+        p2, f2 = self.sa2(p1, f1, settings, _stage_keys(cache_keys, "sa2", batch))
+        up1 = self.fp2(p1, p2, f2, f1)
+        up0 = self.fp1(local, p1, up1, None)
         seg_logits = self.seg_head(up0)
         box = self.box_head(self.pool(f2))
         return BoxPrediction(segmentation_logits=seg_logits, box_params=box)

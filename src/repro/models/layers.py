@@ -12,6 +12,10 @@ segmentation and detection heads: features are interpolated back onto a
 denser point set by inverse-distance-weighted 3-NN, concatenated with skip
 features, and refined by a per-point MLP.
 
+Both layers take stacked ``(B, N, 3)`` clouds and have one ``forward``;
+a single cloud is the ``B == 1`` stack.  :func:`drop_batch_axis` is how
+every network's single-cloud ``forward`` reads its ``forward_batch``.
+
 Neither neighbor search nor interpolation weights participate in gradient
 flow (paper Sec. 5, Fig. 11): they are computed in NumPy and enter the
 graph as constants; gradients flow through gathers and MLPs only.
@@ -39,6 +43,7 @@ __all__ = [
     "SetAbstraction",
     "FeaturePropagation",
     "GlobalMaxPool",
+    "drop_batch_axis",
 ]
 
 
@@ -172,6 +177,16 @@ def interpolation_plan(
     return idx.reshape(lead + idx.shape[-2:]), w.reshape(lead + w.shape[-2:])
 
 
+def drop_batch_axis(stacked: Tensor) -> Tensor:
+    """The one-cloud view of a ``B == 1`` stacked output.
+
+    A network's ``forward(points, setting, cache_key)`` is
+    ``forward_batch(points[None], [setting], [cache_key])`` read through
+    this differentiable reshape, so a single cloud runs the stacked path.
+    """
+    return stacked.reshape(*stacked.shape[1:])
+
+
 class SetAbstraction(Module):
     """One PointNet++ set-abstraction layer.
 
@@ -221,13 +236,15 @@ class SetAbstraction(Module):
     ) -> Tuple[Optional[QueryRequest], np.ndarray]:
         """The neighbor query this layer's forward pass will issue.
 
-        Returns ``(request, centroids)``; ``request`` is ``None`` for the
-        group-all stage, which never touches the pipeline.  Centroid
-        sampling is deterministic (FPS), so the plan depends only on
-        geometry — :meth:`forward` issues *this* request (it calls this
-        method), which is what guarantees epoch-batched materialization
-        (:mod:`repro.runtime.epoch`) warms exactly the entries the
-        training forward pass will look up.
+        Returns ``(request, centroids)`` for one ``(N, 3)`` cloud;
+        ``request`` is ``None`` for the group-all stage, which never touches
+        the pipeline.  Centroid sampling is deterministic (FPS), so the plan
+        depends only on geometry.  :meth:`forward` samples and queries on
+        its own stacked path rather than calling this method; the epoch
+        suite's pure-cache-hit test (``TestWarmCache``) is what keeps the
+        two in step, so that epoch-batched materialization
+        (:mod:`repro.runtime.epoch`) warms exactly the entries the training
+        forward pass will look up.
         """
         points = np.asarray(points, dtype=np.float64)
         if self.num_centroids is None:
@@ -247,55 +264,18 @@ class SetAbstraction(Module):
         self,
         points: np.ndarray,
         features: Optional[Tensor],
-        setting: ApproxSetting,
-        cache_key: Optional[tuple] = None,
-    ) -> Tuple[np.ndarray, Tensor]:
-        """Returns ``(centroid_points, centroid_features)``."""
-        points = np.asarray(points, dtype=np.float64)
-        request, centroids = self.query_plan(points, cache_key)
-        if request is None:
-            k = len(points)
-            indices = np.arange(k, dtype=np.int64)[None, :]
-        else:
-            k = self.max_neighbors
-            indices = self.pipeline.query(
-                request.points,
-                request.queries,
-                request.radius,
-                request.max_neighbors,
-                setting,
-                cache_key=request.cache_key,
-            )
-        m = len(centroids)
-        # Relative coordinates of each gathered neighbor (constants in the
-        # graph — geometry does not carry gradient).
-        rel = points[indices] - centroids[:, None, :]  # (M, K, 3)
-        grouped = Tensor(rel)
-        if features is not None:
-            gathered = features.take(indices.reshape(-1)).reshape(m, k, self.in_features)
-            grouped = grouped.concat([gathered], axis=-1)
-        elif self.in_features:
-            raise ValueError("layer expects features but received none")
-        out = self.mlp(grouped)  # (M, K, C_out)
-        pooled = out.max(axis=1)  # (M, C_out)
-        return centroids, pooled
-
-    def forward_batch(
-        self,
-        points: np.ndarray,
-        features: Optional[Tensor],
         settings: Sequence[ApproxSetting],
         cache_keys: Optional[Sequence[Optional[tuple]]] = None,
     ) -> Tuple[np.ndarray, Tensor]:
-        """Batched :meth:`forward` over a stacked ``(B, N, 3)`` cloud axis.
+        """``(centroid_points, centroid_features)`` for stacked ``(B, N, 3)``
+        clouds: ``(B, M, 3)`` centroids and ``(B, M, C_out)`` features.
 
-        Neighbor queries still go through the pipeline one cloud at a time
-        (each sample carries its own approximation setting and cache key,
-        which is what epoch-batched materialization warms), but sampling,
-        gathering, the shared MLP and the pooling run stacked, so a single
-        tape replay covers the whole mini-batch.  Row ``b`` of the result
-        is bit-identical to
-        ``forward(points[b], features[b], settings[b], cache_keys[b])``.
+        Neighbor queries go through the pipeline one cloud at a time (each
+        cloud carries its own approximation setting and cache key, which is
+        what epoch-batched materialization warms), but sampling, gathering,
+        the shared MLP and the pooling run stacked, so a single tape replay
+        covers the whole mini-batch.  One cloud is the ``B == 1`` stack, and
+        row ``b`` does not depend on the other rows.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 3:
@@ -368,34 +348,8 @@ class FeaturePropagation(Module):
         coarse_features: Tensor,
         skip_features: Optional[Tensor],
     ) -> Tensor:
-        dense_points = np.asarray(dense_points, dtype=np.float64)
-        coarse_points = np.asarray(coarse_points, dtype=np.float64)
-        n = len(dense_points)
-        idx, w = interpolation_plan(dense_points, coarse_points, self.k)
-        k = idx.shape[-1]
-        gathered = coarse_features.take(idx.reshape(-1)).reshape(
-            n, k, self.coarse_features
-        )
-        interpolated = (gathered * Tensor(w[:, :, None])).sum(axis=1)
-        if skip_features is not None:
-            interpolated = interpolated.concat([skip_features], axis=-1)
-        elif self.skip_features:
-            raise ValueError("layer expects skip features but received none")
-        return self.mlp(interpolated)
-
-    def forward_batch(
-        self,
-        dense_points: np.ndarray,
-        coarse_points: np.ndarray,
-        coarse_features: Tensor,
-        skip_features: Optional[Tensor],
-    ) -> Tensor:
-        """Batched :meth:`forward` over stacked ``(B, N, 3)`` point arrays.
-
-        Row ``b`` of the ``(B, N, C_out)`` result is bit-identical to
-        ``forward(dense_points[b], coarse_points[b], coarse_features[b],
-        skip_features[b])``.
-        """
+        """``(B, N, C_out)`` features for stacked ``(B, N, 3)`` dense and
+        ``(B, M, 3)`` coarse point arrays; one cloud is the ``B == 1`` stack."""
         dense = np.asarray(dense_points, dtype=np.float64)
         coarse = np.asarray(coarse_points, dtype=np.float64)
         if dense.ndim != 3 or coarse.ndim != 3:
@@ -415,11 +369,7 @@ class FeaturePropagation(Module):
 
 
 class GlobalMaxPool(Module):
-    """Max over the point axis: ``(..., N, C)`` features → ``(..., 1, C)``.
-
-    Pooling over ``axis=-2`` makes the same module serve both the
-    per-sample ``(N, C)`` path and the stacked ``(B, N, C)`` path.
-    """
+    """Max over the point axis: ``(..., N, C)`` features → ``(..., 1, C)``."""
 
     def forward(self, features: Tensor) -> Tensor:
         return features.max(axis=-2, keepdims=True)

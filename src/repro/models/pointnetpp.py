@@ -23,7 +23,7 @@ from ..nn.layers import MLP, Dropout
 from ..nn.module import Module
 from ..nn.tensor import Tensor
 from ..runtime.epoch import QueryRequest
-from .layers import FeaturePropagation, GlobalMaxPool, SetAbstraction
+from .layers import FeaturePropagation, GlobalMaxPool, SetAbstraction, drop_batch_axis
 
 
 def _chain_query_plan(
@@ -60,8 +60,8 @@ def _batch_settings(
 def _stage_keys(
     cache_keys: Optional[Sequence[Optional[int]]], name: str, batch: int
 ) -> Optional[List[Optional[tuple]]]:
-    """Per-sample cache keys for one SA stage (matching the per-sample
-    forward's ``(cache_key, stage_name)`` convention)."""
+    """Per-sample cache keys for one SA stage: ``(cache_key, stage_name)``,
+    the convention :func:`_chain_query_plan` plans under."""
     if cache_keys is None:
         return None
     if len(cache_keys) != batch:
@@ -118,13 +118,11 @@ class PointNetPPClassifier(Module):
         setting: ApproxSetting = ApproxSetting(),
         cache_key: Optional[int] = None,
     ) -> Tensor:
-        """Logits of shape ``(1, num_classes)`` for one cloud."""
-        key = (cache_key, "sa1") if cache_key is not None else None
-        p1, f1 = self.sa1(points, None, setting, cache_key=key)
-        key = (cache_key, "sa2") if cache_key is not None else None
-        p2, f2 = self.sa2(p1, f1, setting, cache_key=key)
-        _, f3 = self.sa3(p2, f2, setting)
-        return self.head(self.dropout(f3))
+        """Logits of shape ``(1, num_classes)`` for one cloud (the
+        ``B == 1`` case of :meth:`forward_batch`)."""
+        return drop_batch_axis(
+            self.forward_batch(np.asarray(points)[None], [setting], [cache_key])
+        )
 
     def forward_batch(
         self,
@@ -134,21 +132,15 @@ class PointNetPPClassifier(Module):
     ) -> Tensor:
         """Logits of shape ``(B, 1, num_classes)`` for ``(B, N, 3)`` clouds.
 
-        Row ``b`` is bit-identical to
-        ``forward(points[b], settings[b], cache_keys[b])`` (modulo the
-        dropout mask shape in training mode, which consumes the layer RNG
-        identically only for ``B == 1``).
+        In eval mode row ``b`` does not depend on the other rows; in
+        training mode the dropout mask is drawn for the whole stack.
         """
         pts = np.asarray(points, dtype=np.float64)
         batch = len(pts)
         settings = _batch_settings(settings, batch)
-        p1, f1 = self.sa1.forward_batch(
-            pts, None, settings, _stage_keys(cache_keys, "sa1", batch)
-        )
-        p2, f2 = self.sa2.forward_batch(
-            p1, f1, settings, _stage_keys(cache_keys, "sa2", batch)
-        )
-        _, f3 = self.sa3.forward_batch(p2, f2, settings)
+        p1, f1 = self.sa1(pts, None, settings, _stage_keys(cache_keys, "sa1", batch))
+        p2, f2 = self.sa2(p1, f1, settings, _stage_keys(cache_keys, "sa2", batch))
+        _, f3 = self.sa3(p2, f2, settings)
         return self.head(self.dropout(f3))
 
 
@@ -195,14 +187,11 @@ class PointNetPPSegmenter(Module):
         setting: ApproxSetting = ApproxSetting(),
         cache_key: Optional[int] = None,
     ) -> Tensor:
-        """Per-point logits of shape ``(N, num_classes)``."""
-        key = (cache_key, "sa1") if cache_key is not None else None
-        p1, f1 = self.sa1(points, None, setting, cache_key=key)
-        key = (cache_key, "sa2") if cache_key is not None else None
-        p2, f2 = self.sa2(p1, f1, setting, cache_key=key)
-        up1 = self.fp2(p1, p2, f2, f1)  # features at sa1 resolution
-        up0 = self.fp1(np.asarray(points, dtype=np.float64), p1, up1, None)
-        return self.head(up0)
+        """Per-point logits of shape ``(N, num_classes)`` for one cloud (the
+        ``B == 1`` case of :meth:`forward_batch`)."""
+        return drop_batch_axis(
+            self.forward_batch(np.asarray(points)[None], [setting], [cache_key])
+        )
 
     def forward_batch(
         self,
@@ -210,17 +199,13 @@ class PointNetPPSegmenter(Module):
         settings=ApproxSetting(),
         cache_keys: Optional[Sequence[Optional[int]]] = None,
     ) -> Tensor:
-        """Per-point logits of shape ``(B, N, num_classes)``; row ``b`` is
-        bit-identical to ``forward(points[b], settings[b], cache_keys[b])``."""
+        """Per-point logits of shape ``(B, N, num_classes)`` for
+        ``(B, N, 3)`` clouds; row ``b`` does not depend on the other rows."""
         pts = np.asarray(points, dtype=np.float64)
         batch = len(pts)
         settings = _batch_settings(settings, batch)
-        p1, f1 = self.sa1.forward_batch(
-            pts, None, settings, _stage_keys(cache_keys, "sa1", batch)
-        )
-        p2, f2 = self.sa2.forward_batch(
-            p1, f1, settings, _stage_keys(cache_keys, "sa2", batch)
-        )
-        up1 = self.fp2.forward_batch(p1, p2, f2, f1)
-        up0 = self.fp1.forward_batch(pts, p1, up1, None)
+        p1, f1 = self.sa1(pts, None, settings, _stage_keys(cache_keys, "sa1", batch))
+        p2, f2 = self.sa2(p1, f1, settings, _stage_keys(cache_keys, "sa2", batch))
+        up1 = self.fp2(p1, p2, f2, f1)  # features at sa1 resolution
+        up0 = self.fp1(pts, p1, up1, None)
         return self.head(up0)

@@ -29,8 +29,10 @@ frozen closure engine in ``nn.reference``):
 Deliberate divergences from the retired closure behavior: entries are freed
 by the pass, so a second ``backward()`` through the same subgraph propagates
 nothing (the reference engine now releases its graph too, matching this),
-and intermediate ``.grad`` values are transient per pass rather than
-accumulated across retained graphs.
+intermediate ``.grad`` values are transient per pass rather than
+accumulated across retained graphs, and :func:`unbroadcast` indexes away a
+prepended size-1 axis that the reference sums, so a zero gradient entry
+may keep the sign the reference's sum drops (-0.0 for +0.0).
 """
 
 from __future__ import annotations
@@ -61,9 +63,11 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (the reverse of NumPy broadcasting)."""
     if grad.shape == shape:
         return grad
-    # Sum away prepended axes.
+    # Sum away prepended axes.  A size-1 axis (a one-cloud stack) is
+    # indexed away instead: summing its single row is a full copy that
+    # changes no value, only the sign of a zero (see the module notes).
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = grad[0] if grad.shape[0] == 1 else grad.sum(axis=0)
     # Sum over axes that were broadcast from size 1.
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:

@@ -226,16 +226,17 @@ class Tensor:
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
         """Max-reduce along ``axis``; gradient flows to the (first) argmax.
 
-        The tie mask is built by scattering ``argmax`` (which picks the
-        first maximum along the axis) instead of the reference engine's
-        equality + cumsum sweep — same positions, two fewer full-array
-        passes.  The backward stays ``mask * g`` so gradient bits (including
-        signed zeros) match the reference exactly.
+        The tie mask compares every position along the axis with
+        ``argmax`` (which picks the first maximum) in one broadcast instead
+        of the reference engine's equality + cumsum sweep — same positions,
+        two fewer full-array passes.  The backward stays ``mask * g`` so
+        gradient bits (including signed zeros) match the reference exactly.
         """
         out_data = self.data.max(axis=axis, keepdims=keepdims)
-        first = np.argmax(self.data, axis=axis)
-        mask = np.zeros(self.data.shape, dtype=bool)
-        np.put_along_axis(mask, np.expand_dims(first, axis), True, axis=axis)
+        first = np.expand_dims(np.argmax(self.data, axis=axis), axis)
+        size = self.data.shape[axis]
+        trailing = self.data.ndim - axis % self.data.ndim - 1
+        mask = first == np.arange(size).reshape((size,) + (1,) * trailing)
         return Tensor._from_op(
             "max", (self,), out_data, axis=axis, keepdims=keepdims, mask=mask
         )
@@ -273,10 +274,11 @@ class Tensor:
 
         For ``self`` of shape ``(..., N, C)`` and integer ``indices`` of
         shape ``(..., M)`` (leading dims matching exactly), returns
-        ``(..., M, C)`` — each batch row gathers its own rows.  The backward
-        pass scatter-adds per batch row, bit-identical to looping ``take``
-        over the leading axes.  This is the primitive that lets one tape
-        entry cover a whole mini-batch of neighbor aggregations.
+        ``(..., M, C)`` — each batch row gathers its own rows, and every
+        index must lie in ``[0, N)``.  The backward pass scatter-adds per
+        batch row, bit-identical to looping ``take`` over the leading axes.
+        This is the primitive that lets one tape entry cover a whole
+        mini-batch of neighbor aggregations.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if self.data.ndim < 2:
@@ -286,8 +288,15 @@ class Tensor:
                 f"leading dims mismatch: indices {indices.shape[:-1]} vs "
                 f"data {self.data.shape[:-2]}"
             )
-        out_data = np.take_along_axis(self.data, indices[..., None], axis=-2)
-        return Tensor._from_op("gather_rows", (self,), out_data, indices=indices)
+        rows, channels = self.data.shape[-2:]
+        if indices.size and (indices.min() < 0 or indices.max() >= rows):
+            raise IndexError(f"gather_rows indices must lie in [0, {rows})")
+        # Row ``i`` of batch row ``l`` is row ``l * N + i`` of the flat
+        # ``(L * N, C)`` view, so one plain index gathers the whole batch.
+        starts = np.arange(0, self.data.size // channels, rows)
+        offsets = indices + starts.reshape(indices.shape[:-1] + (1,))
+        out_data = self.data.reshape(-1, channels)[offsets]
+        return Tensor._from_op("gather_rows", (self,), out_data, offsets=offsets)
 
     def concat(self, others: Sequence["Tensor"], axis: int = -1) -> "Tensor":
         """Concatenate ``[self, *others]`` along ``axis``."""
@@ -389,14 +398,17 @@ def _take_vjp(ans, a, indices):
 tape.defvjp("take", _take_vjp)
 
 
-def _gather_rows_vjp(ans, a, indices):
+def _gather_rows_vjp(ans, a, offsets):
     def vjp(g):
-        full = np.zeros_like(a)
-        rows, channels = a.shape[-2], a.shape[-1]
-        flat = full.reshape(-1, rows, channels)
-        idx = indices.reshape(flat.shape[0], -1)
-        batch = np.arange(flat.shape[0])[:, None]
-        np.add.at(flat, (batch, idx), np.asarray(g).reshape(idx.shape + (channels,)))
+        # One scatter-add over flat row offsets visits the rows in the same
+        # order as a per-batch-row ``take`` loop, so the sums are bitwise equal.
+        full = np.zeros(a.shape)
+        channels = a.shape[-1]
+        np.add.at(
+            full.reshape(-1, channels),
+            offsets.reshape(-1),
+            np.asarray(g).reshape(-1, channels),
+        )
         return full
 
     return vjp

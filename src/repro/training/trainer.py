@@ -7,6 +7,12 @@ its neighbor pipeline under that ``h`` (bank conflicts included, through
 :class:`~repro.core.pipeline.ApproximationPipeline`).  Neighbor search and
 aggregation construct MLP inputs and carry no gradient, exactly as in the
 paper, so end-to-end differentiability is untouched.
+
+:class:`_BaseTrainer` owns the one step loop and the one ``evaluate``; both
+run the model's stacked ``forward_batch`` (a training step of one input is
+the ``B == 1`` stack).  Each task supplies three hooks: ``_loss_batch``
+(per-sample losses of a stacked chunk), ``_eval_batch`` (the stacked
+evaluation inputs and their targets) and ``_metric`` (the task metric).
 """
 
 from __future__ import annotations
@@ -62,17 +68,9 @@ class _BaseTrainer:
         self.optimizer = Adam(model.parameters(), lr=lr)
         self.rng = np.random.default_rng(seed)
 
-    def _loss(self, sample, setting: ApproxSetting, cache_key: int):
-        raise NotImplementedError
-
     def _loss_batch(self, samples, settings, cache_keys):
-        """Per-sample loss vector ``(B,)`` for a stacked mini-batch.
-
-        Row ``b`` must equal ``_loss(samples[b], settings[b],
-        cache_keys[b])`` bit for bit under the current parameters — the
-        contract every ``forward_batch``/``reduction="per_sample"`` pair
-        in this repo upholds.
-        """
+        """Per-sample loss vector ``(B,)`` for a stacked mini-batch; one
+        training input is the ``B == 1`` case."""
         raise NotImplementedError
 
     def _dataset_items(self, dataset):
@@ -84,8 +82,8 @@ class _BaseTrainer:
         return getattr(self.model, "pipeline", None)
 
     def _model_points(self, idx: int, sample) -> Optional[np.ndarray]:
-        """The point array ``_loss`` will feed the model for this sample
-        (``None`` disables materialization for the sample)."""
+        """The point array ``_loss_batch`` will feed the model for this
+        sample (``None`` disables materialization for the sample)."""
         return None
 
     def _neighbor_requests(self, idx: int, sample) -> List[QueryRequest]:
@@ -99,12 +97,7 @@ class _BaseTrainer:
         return list(plan_fn(points, cache_key=idx))
 
     # ------------------------------------------------------------------
-    def train(
-        self,
-        dataset,
-        epochs: int = 5,
-        batch_size: Optional[int] = None,
-    ) -> TrainReport:
+    def train(self, dataset, epochs: int = 5, batch_size: int = 1) -> TrainReport:
         """Run ``epochs`` passes; samples a fresh ``h`` per input.
 
         Epoch-batched: the whole schedule (per-epoch shuffles and the
@@ -113,21 +106,18 @@ class _BaseTrainer:
         bit-identical seed for seed — and each epoch's neighbor matrices
         are materialized into the pipeline's session before its gradient
         loop runs.  Models without a ``query_plan`` skip materialization
-        and compute per step, as before.
+        and compute their searches in the gradient loop.
 
-        ``batch_size=None`` (default) keeps the historical per-sample
-        optimizer step.  An integer runs honest mini-batch SGD over the
-        *same* schedule (same RNG stream, same sample order, same
-        per-sample settings and cache keys): each chunk of the epoch
-        schedule is stacked through ``_loss_batch`` — one tape replay and
-        one optimizer step per chunk — and the per-sample losses recorded
-        in the report are bit-identical to what the per-sample loop would
-        compute *under the same parameters*.  ``batch_size=1`` reproduces
-        the default loop bit for bit; larger sizes change the optimization
-        trajectory exactly as mini-batching classically does.
+        Each chunk of ``batch_size`` scheduled inputs (same sample order,
+        per-sample settings and cache keys for every size) is stacked
+        through ``_loss_batch``: one tape replay and one optimizer step per
+        chunk.  The default ``batch_size=1`` is the per-sample optimizer
+        step; larger sizes change the optimization trajectory exactly as
+        mini-batching classically does, while each recorded per-sample
+        loss is the one that sample would score under the same parameters.
         """
-        if batch_size is not None and batch_size <= 0:
-            raise ValueError("batch_size must be positive or None")
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         report = TrainReport()
         items = self._dataset_items(dataset)
         self.model.train()
@@ -150,30 +140,46 @@ class _BaseTrainer:
                 if requests:
                     pipeline.materialize(requests)
             losses: List[float] = []
-            if batch_size is None:
-                for setting, pos in zip(schedule.settings, schedule.order):
-                    idx, sample = items[pos]
-                    self.optimizer.zero_grad()
-                    loss = self._loss(sample, setting, cache_key=idx)
-                    loss.backward()
-                    self.optimizer.step()
-                    losses.append(loss.item())
-            else:
-                steps = list(zip(schedule.settings, schedule.order))
-                for lo in range(0, len(steps), batch_size):
-                    chunk = steps[lo : lo + batch_size]
-                    settings = [setting for setting, _pos in chunk]
-                    keys = [items[pos][0] for _setting, pos in chunk]
-                    samples = [items[pos][1] for _setting, pos in chunk]
-                    self.optimizer.zero_grad()
-                    per_sample = self._loss_batch(samples, settings, keys)
-                    per_sample.mean().backward()
-                    self.optimizer.step()
-                    losses.extend(float(x) for x in per_sample.data)
+            steps = list(zip(schedule.settings, schedule.order))
+            for lo in range(0, len(steps), batch_size):
+                chunk = steps[lo : lo + batch_size]
+                settings = [setting for setting, _pos in chunk]
+                keys = [items[pos][0] for _setting, pos in chunk]
+                samples = [items[pos][1] for _setting, pos in chunk]
+                self.optimizer.zero_grad()
+                per_sample = self._loss_batch(samples, settings, keys)
+                per_sample.mean().backward()
+                self.optimizer.step()
+                losses.extend(float(x) for x in per_sample.data)
             report.epoch_losses.append(float(np.mean(losses)))
         return report
 
     def evaluate(self, dataset, setting: ApproxSetting) -> float:
+        """The task metric under a fixed inference-time setting.
+
+        One stacked forward over the whole dataset in eval mode with no
+        tape recorded; the mode the model was in is restored even when the
+        forward raises.
+        """
+        points, targets = self._eval_batch(dataset)
+        keys = [("eval", i) for i in range(len(points))]
+        was_training = self.model.training
+        self.model.eval()
+        try:
+            with no_grad():
+                output = self.model.forward_batch(points, setting, keys)
+        finally:
+            if was_training:
+                self.model.train()
+        return self._metric(output, points, targets)
+
+    def _eval_batch(self, dataset):
+        """``(points, targets)``: the stacked ``(B, N, 3)`` model inputs of
+        an evaluation pass and what :meth:`_metric` scores them against."""
+        raise NotImplementedError
+
+    def _metric(self, output, points: np.ndarray, targets) -> float:
+        """The task metric of the stacked ``forward_batch`` output."""
         raise NotImplementedError
 
     def evaluate_settings(
@@ -187,11 +193,6 @@ class _BaseTrainer:
 class ClassificationTrainer(_BaseTrainer):
     """Trains classifiers on :class:`ShapeClassificationDataset`."""
 
-    def _loss(self, sample, setting, cache_key):
-        cloud, label = sample
-        logits = self.model(cloud.points, setting, cache_key=cache_key)
-        return softmax_cross_entropy(logits, np.array([label]))
-
     def _loss_batch(self, samples, settings, cache_keys):
         points = np.stack([cloud.points for cloud, _label in samples])
         labels = np.array([[label] for _cloud, label in samples])
@@ -202,35 +203,15 @@ class ClassificationTrainer(_BaseTrainer):
         cloud, _label = sample
         return cloud.points
 
-    def evaluate(
-        self,
-        dataset: ShapeClassificationDataset,
-        setting: ApproxSetting,
-    ) -> float:
-        """Overall accuracy under a fixed inference-time setting."""
-        was_training = self.model.training
-        self.model.eval()
-        preds, labels = [], []
-        forward_batch = getattr(self.model, "forward_batch", None)
-        clouds = [dataset[i] for i in range(len(dataset))]
-        stackable = len({np.shape(cloud.points) for cloud, _label in clouds}) == 1
-        with no_grad():
-            if forward_batch is not None and clouds and stackable:
-                points = np.stack([cloud.points for cloud, _label in clouds])
-                keys = [("eval", i) for i in range(len(clouds))]
-                logits = forward_batch(points, setting, keys)
-                preds = list(logits.data.reshape(len(clouds), -1).argmax(axis=-1))
-                labels = [label for _cloud, label in clouds]
-            else:
-                for i, (cloud, label) in enumerate(clouds):
-                    logits = self.model(cloud.points, setting, cache_key=("eval", i))
-                    preds.append(int(logits.data.argmax()))
-                    labels.append(label)
-        # Restore the mode the model was actually in: evaluating an
-        # eval-mode model must not silently flip it to training.
-        if was_training:
-            self.model.train()
-        return overall_accuracy(np.array(preds), np.array(labels))
+    def _eval_batch(self, dataset: ShapeClassificationDataset):
+        samples = [dataset[i] for i in range(len(dataset))]
+        points = np.stack([cloud.points for cloud, _label in samples])
+        return points, np.array([label for _cloud, label in samples])
+
+    def _metric(self, output, points, targets) -> float:
+        """Overall accuracy."""
+        preds = output.data.reshape(len(points), -1).argmax(axis=-1)
+        return overall_accuracy(preds, targets)
 
 
 class SegmentationTrainer(_BaseTrainer):
@@ -239,11 +220,6 @@ class SegmentationTrainer(_BaseTrainer):
     def __init__(self, model, num_classes: int, **kwargs):
         super().__init__(model, **kwargs)
         self.num_classes = num_classes
-
-    def _loss(self, sample, setting, cache_key):
-        cloud = sample
-        logits = self.model(cloud.points, setting, cache_key=cache_key)
-        return softmax_cross_entropy(logits, cloud.labels)
 
     def _loss_batch(self, samples, settings, cache_keys):
         points = np.stack([cloud.points for cloud in samples])
@@ -254,12 +230,12 @@ class SegmentationTrainer(_BaseTrainer):
     def _model_points(self, idx, sample):
         return sample.points
 
-    def evaluate(
-        self,
-        dataset: PartSegmentationDataset,
-        setting: ApproxSetting,
-    ) -> float:
-        """mIoU under a fixed inference-time setting.
+    def _eval_batch(self, dataset: PartSegmentationDataset):
+        clouds = [dataset[i] for i in range(len(dataset))]
+        return np.stack([cloud.points for cloud in clouds]), clouds
+
+    def _metric(self, output, points, targets) -> float:
+        """mIoU.
 
         Follows the ShapeNet evaluation protocol: the object category is
         known at test time, so predictions are restricted (argmax) to the
@@ -267,39 +243,16 @@ class SegmentationTrainer(_BaseTrainer):
         """
         from ..geometry.partseg import PART_CATEGORIES, part_id
 
-        was_training = self.model.training
-        self.model.eval()
-        all_preds, all_labels = [], []
-        clouds = [dataset[i] for i in range(len(dataset))]
-        forward_batch = getattr(self.model, "forward_batch", None)
-        stackable = len({np.shape(cloud.points) for cloud in clouds}) == 1
-
-        def predict(cloud, logits_data: np.ndarray) -> np.ndarray:
+        preds = []
+        for cloud, logits in zip(targets, output.data):
             category = cloud.attrs.get("category")
             if category in PART_CATEGORIES:
                 allowed = np.array([part_id(p) for p in PART_CATEGORIES[category]])
-                restricted = logits_data[:, allowed]
-                return allowed[restricted.argmax(axis=-1)]
-            return logits_data.argmax(axis=-1)
-
-        with no_grad():
-            if forward_batch is not None and clouds and stackable:
-                points = np.stack([cloud.points for cloud in clouds])
-                keys = [("eval", i) for i in range(len(clouds))]
-                logits = forward_batch(points, setting, keys)
-                for i, cloud in enumerate(clouds):
-                    all_preds.append(predict(cloud, logits.data[i]))
-                    all_labels.append(cloud.labels)
+                preds.append(allowed[logits[:, allowed].argmax(axis=-1)])
             else:
-                for i, cloud in enumerate(clouds):
-                    logits = self.model(cloud.points, setting, cache_key=("eval", i))
-                    all_preds.append(predict(cloud, logits.data))
-                    all_labels.append(cloud.labels)
-        if was_training:
-            self.model.train()
-        return mean_iou(
-            np.concatenate(all_preds), np.concatenate(all_labels), self.num_classes
-        )
+                preds.append(logits.argmax(axis=-1))
+        labels = np.concatenate([cloud.labels for cloud in targets])
+        return mean_iou(np.concatenate(preds), labels, self.num_classes)
 
 
 class DetectionTrainer(_BaseTrainer):
@@ -337,16 +290,6 @@ class DetectionTrainer(_BaseTrainer):
             ]
         )
 
-    def _loss(self, sample, setting, cache_key):
-        scene = sample
-        box = scene.boxes[0]
-        crop, labels = self._frustum_sample(scene, box, seed=cache_key)
-        pred = self.model(crop, setting, cache_key=cache_key)
-        seg_loss = softmax_cross_entropy(pred.segmentation_logits, labels)
-        target = self._box_target(crop, labels, box)
-        box_loss = huber_loss(pred.box_params, target[None, :])
-        return seg_loss + 2.0 * box_loss
-
     def _loss_batch(self, samples, settings, cache_keys):
         crops, seg_labels, targets = [], [], []
         for scene, key in zip(samples, cache_keys):
@@ -369,29 +312,15 @@ class DetectionTrainer(_BaseTrainer):
         crop, _ = self._frustum_sample(scene, scene.boxes[0], seed=idx)
         return crop
 
-    def evaluate(
-        self,
-        dataset: LidarDetectionDataset,
-        setting: ApproxSetting,
-    ) -> float:
+    def _eval_batch(self, dataset: LidarDetectionDataset):
+        scenes = [dataset[i] for i in range(len(dataset))]
+        crops = [
+            self._frustum_sample(scene, scene.boxes[0], seed=10_000 + i)[0]
+            for i, scene in enumerate(scenes)
+        ]
+        return np.stack(crops), [scene.boxes[0] for scene in scenes]
+
+    def _metric(self, output, points, targets) -> float:
         """Geometric-mean BEV IoU on the first box of each scene."""
-        was_training = self.model.training
-        self.model.eval()
-        predicted, truth = [], []
-        crops = []
-        for i in range(len(dataset)):
-            scene = dataset[i]
-            truth.append(scene.boxes[0])
-            crops.append(
-                self._frustum_sample(scene, scene.boxes[0], seed=10_000 + i)[0]
-            )
-        with no_grad():
-            if crops:
-                keys = [("eval", i) for i in range(len(crops))]
-                pred = self.model.forward_batch(np.stack(crops), setting, keys)
-                predicted = [
-                    pred.sample(i).decode(crop) for i, crop in enumerate(crops)
-                ]
-        if was_training:
-            self.model.train()
-        return detection_iou_geomean(predicted, truth)
+        predicted = [output.sample(i).decode(crop) for i, crop in enumerate(points)]
+        return detection_iou_geomean(predicted, targets)

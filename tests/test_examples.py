@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.nn import reset_tape, tape_length
+
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
 
@@ -34,9 +36,12 @@ def test_accelerator_comparison_runs(capsys):
 
 @pytest.mark.slow
 def test_lidar_detection_runs(capsys):
+    reset_tape()
     _run("lidar_detection.py")
     out = capsys.readouterr().out
     assert "BEV IoU" in out
+    # Every recorded graph was backpropagated; inference recorded none.
+    assert tape_length() == 0
 
 
 @pytest.mark.slow

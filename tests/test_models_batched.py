@@ -1,16 +1,17 @@
-"""Stacked mini-batch paths: bit-identity against the per-sample paths.
+"""Stacked mini-batch paths: batching changes nothing but speed.
 
-The contract of every ``forward_batch`` / ``reduction="per_sample"`` /
-``batch_size=`` addition is that batching changes *nothing* but speed:
+Every network has one implementation, the stacked ``forward_batch``; its
+single-cloud ``forward`` is the ``B == 1`` stack.  The contract pinned here:
 
-* row ``b`` of a stacked forward equals the per-sample forward of sample
-  ``b`` bit for bit (all four networks);
+* row ``b`` of a stacked forward equals the one-cloud forward of sample
+  ``b`` bit for bit (all four networks), so a row never depends on the
+  rest of its batch;
 * the vectorized geometry plans (batched FPS, 3-NN interpolation) equal
   the historical per-sample/per-point loops bit for bit;
 * per-sample loss rows equal the scalar per-sample losses bit for bit;
-* ``train(batch_size=1)`` reproduces the default per-sample loop — losses
-  *and* trained parameters — bit for bit, and batched ``evaluate`` returns
-  the same metric the retired per-sample evaluation loop computed.
+* ``train(batch_size=1)`` is the default loop — losses *and* trained
+  parameters — and the stacked ``evaluate`` returns the same metric the
+  retired per-sample evaluation loop computed.
 """
 
 import numpy as np
@@ -232,8 +233,8 @@ class TestMiniBatchTraining:
 
     def test_minibatch_losses_match_per_sample_losses_first_step(self, cls_data):
         # Before any optimizer step the parameters agree, so the first
-        # chunk's recorded per-sample losses must equal what the default
-        # loop computes for those same (sample, setting) pairs.
+        # chunk's recorded per-sample losses must equal what each
+        # (sample, setting) pair scores alone, as a one-input stack.
         from repro.runtime import EpochPlan
 
         batch = len(cls_data)  # one chunk == whole epoch: no steps between
@@ -245,8 +246,8 @@ class TestMiniBatchTraining:
         expected = []
         for setting, pos in zip(schedule.settings, schedule.order):
             ref.model.train()
-            loss = ref._loss(cls_data[int(pos)], setting, cache_key=int(pos))
-            expected.append(loss.item())
+            loss = ref._loss_batch([cls_data[int(pos)]], [setting], [int(pos)])
+            expected.append(loss.mean().item())
         got = self._trainer(cls_data, seed=5)
         report = got.train(cls_data, epochs=1, batch_size=batch)
         assert report.epoch_losses == [float(np.mean(expected))]
@@ -352,22 +353,3 @@ class TestBatchedEvaluate:
                 predicted.append(pred.decode(crop))
                 truth.append(box)
         assert batched == detection_iou_geomean(predicted, truth)
-
-    def test_evaluate_falls_back_for_models_without_forward_batch(self, cls_data):
-        from repro.nn.module import Module, Parameter
-        from repro.nn.tensor import Tensor
-
-        class Blind(Module):
-            def __init__(self):
-                super().__init__()
-                self.w = Parameter(np.zeros((3, cls_data.num_classes)))
-
-            def forward(self, points, setting, cache_key=None):
-                pooled = np.asarray(points, dtype=np.float64).mean(
-                    axis=0, keepdims=True
-                )
-                return Tensor(pooled) @ self.w
-
-        trainer = ClassificationTrainer(Blind(), MIXED, seed=0)
-        acc = trainer.evaluate(cls_data, SETTING)
-        assert 0.0 <= acc <= 1.0

@@ -51,6 +51,8 @@ class TestFPS:
 
 
 class TestSetAbstraction:
+    """Layers take stacked ``(B, N, 3)`` clouds; one cloud is ``B == 1``."""
+
     def make(self, in_features=0, num_centroids=8):
         return SetAbstraction(
             num_centroids, 0.5, 4, in_features, (16, 16),
@@ -59,27 +61,27 @@ class TestSetAbstraction:
 
     def test_output_shapes(self):
         sa = self.make()
-        pts = rng().normal(size=(32, 3))
-        centroids, feats = sa(pts, None, ApproxSetting())
-        assert centroids.shape == (8, 3)
-        assert feats.shape == (8, 16)
+        pts = rng().normal(size=(1, 32, 3))
+        centroids, feats = sa(pts, None, [ApproxSetting()])
+        assert centroids.shape == (1, 8, 3)
+        assert feats.shape == (1, 8, 16)
 
     def test_group_all(self):
         sa = SetAbstraction(None, 1.0, 4, 0, (16,), ApproximationPipeline(), rng())
-        pts = rng().normal(size=(32, 3))
-        centroids, feats = sa(pts, None, ApproxSetting())
-        assert centroids.shape == (1, 3)
-        assert feats.shape == (1, 16)
+        pts = rng().normal(size=(1, 32, 3))
+        centroids, feats = sa(pts, None, [ApproxSetting()])
+        assert centroids.shape == (1, 1, 3)
+        assert feats.shape == (1, 1, 16)
 
     def test_features_required_when_declared(self):
         sa = self.make(in_features=8)
-        with pytest.raises(ValueError):
-            sa(rng().normal(size=(32, 3)), None, ApproxSetting())
+        with pytest.raises(ValueError, match="expects features"):
+            sa(rng().normal(size=(1, 32, 3)), None, [ApproxSetting()])
 
     def test_gradient_flows_from_pooled_output(self):
         sa = self.make()
-        pts = rng().normal(size=(32, 3))
-        _, feats = sa(pts, None, ApproxSetting())
+        pts = rng().normal(size=(1, 32, 3))
+        _, feats = sa(pts, None, [ApproxSetting()])
         feats.sum().backward()
         assert any(p.grad is not None for p in sa.parameters())
 
@@ -87,29 +89,29 @@ class TestSetAbstraction:
         sa = SetAbstraction(
             16, 1.5, 16, 0, (16, 16), ApproximationPipeline(), rng()
         )
-        pts = rng().normal(size=(128, 3))
-        _, exact = sa(pts, None, ApproxSetting(0, None))
-        _, approx = sa(pts, None, ApproxSetting(5, 1))
+        pts = rng().normal(size=(1, 128, 3))
+        _, exact = sa(pts, None, [ApproxSetting(0, None)])
+        _, approx = sa(pts, None, [ApproxSetting(5, 1)])
         assert not np.allclose(exact.data, approx.data)
 
     def test_cache_reuse_consistent(self):
         pipe = ApproximationPipeline()
         sa = SetAbstraction(8, 0.5, 4, 0, (16,), pipe, rng())
-        pts = rng().normal(size=(32, 3))
-        _, a = sa(pts, None, ApproxSetting(2, 3), cache_key=("s", 1))
-        _, b = sa(pts, None, ApproxSetting(2, 3), cache_key=("s", 1))
+        pts = rng().normal(size=(1, 32, 3))
+        _, a = sa(pts, None, [ApproxSetting(2, 3)], cache_keys=[("s", 1)])
+        _, b = sa(pts, None, [ApproxSetting(2, 3)], cache_keys=[("s", 1)])
         assert np.allclose(a.data, b.data)
 
 
 class TestFeaturePropagation:
     def test_shapes_and_gradient(self):
         fp = FeaturePropagation(16, 8, (32,), rng())
-        dense = rng().normal(size=(20, 3))
-        coarse = rng().normal(size=(5, 3))
-        cf = Tensor(rng().normal(size=(5, 16)), requires_grad=True)
-        skip = Tensor(rng().normal(size=(20, 8)))
+        dense = rng().normal(size=(1, 20, 3))
+        coarse = rng().normal(size=(1, 5, 3))
+        cf = Tensor(rng().normal(size=(1, 5, 16)), requires_grad=True)
+        skip = Tensor(rng().normal(size=(1, 20, 8)))
         out = fp(dense, coarse, cf, skip)
-        assert out.shape == (20, 32)
+        assert out.shape == (1, 20, 32)
         out.sum().backward()
         assert cf.grad is not None
 
@@ -118,9 +120,8 @@ class TestFeaturePropagation:
         # (nearly) the coarse features: nearest neighbor at distance ~0
         # dominates the inverse-distance weights.
         fp = FeaturePropagation(4, 0, (4,), rng(), k=3)
-        coarse = rng().normal(size=(6, 3))
-        cf = Tensor(rng().normal(size=(6, 4)))
-        idx = np.empty((6, 3), dtype=int)
+        coarse = rng().normal(size=(1, 6, 3))
+        cf = Tensor(rng().normal(size=(1, 6, 4)))
         # Direct check of the interpolation weights via forward behaviour:
         out_same = fp(coarse, coarse, cf, None)
         out_far = fp(coarse + 10.0, coarse, cf, None)
@@ -128,9 +129,9 @@ class TestFeaturePropagation:
 
     def test_requires_skip_when_declared(self):
         fp = FeaturePropagation(4, 4, (8,), rng())
-        with pytest.raises(ValueError):
-            fp(rng().normal(size=(5, 3)), rng().normal(size=(3, 3)),
-               Tensor(np.ones((3, 4))), None)
+        with pytest.raises(ValueError, match="expects skip features"):
+            fp(rng().normal(size=(1, 5, 3)), rng().normal(size=(1, 3, 3)),
+               Tensor(np.ones((1, 3, 4))), None)
 
     def test_validation(self):
         with pytest.raises(ValueError):

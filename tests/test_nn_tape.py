@@ -340,6 +340,7 @@ class TestDirectedPrimitiveBitIdentity:
         ),
         "pow_neg_base": (lambda a, b: (a**3 + b**2).sum(), [(5,), (5,)]),
         "matmul_batched": (lambda a, b: (a @ b).sum(), [(2, 3, 4), (4, 5)]),
+        "matmul_one_stack": (lambda a, b: (a @ b).sum(), [(1, 5, 3), (3, 2)]),
         "nonlinearities": (
             lambda a, b: (a.relu() + a.tanh() + b.sigmoid() + b.exp()).sum(),
             [(6,), (6,)],
@@ -399,19 +400,22 @@ class TestGatherRowsPrimitive:
 
     def test_matches_per_sample_take_bitwise(self):
         rng = np.random.default_rng(5)
-        feats = rng.normal(size=(3, 6, 4))
-        idx = rng.integers(0, 6, size=(3, 5))
+        # One leading axis, then two; both index sets repeat rows.
+        for lead in ((3,), (2, 3)):
+            feats = rng.normal(size=lead + (6, 4))
+            idx = rng.integers(0, 6, size=lead + (5,))
+            idx[..., -1] = idx[..., 0]
 
-        stacked = Tensor(feats.copy(), requires_grad=True)
-        out = stacked.gather_rows(idx)
-        (out * out).sum().backward()
+            stacked = Tensor(feats.copy(), requires_grad=True)
+            out = stacked.gather_rows(idx)
+            (out * out).sum().backward()
 
-        per = [Tensor(feats[b].copy(), requires_grad=True) for b in range(3)]
-        for b in range(3):
-            o = per[b].take(idx[b])
-            (o * o).sum().backward()
-            assert out.data[b].tobytes() == o.data.tobytes()
-            assert stacked.grad[b].tobytes() == per[b].grad.tobytes()
+            for b in np.ndindex(*lead):
+                per = Tensor(feats[b].copy(), requires_grad=True)
+                o = per.take(idx[b])
+                (o * o).sum().backward()
+                assert out.data[b].tobytes() == o.data.tobytes()
+                assert stacked.grad[b].tobytes() == per.grad.tobytes()
 
     def test_leading_dim_mismatch_rejected(self):
         t = Tensor(np.zeros((2, 4, 3)), requires_grad=True)

@@ -41,7 +41,8 @@ MIXED = MixedSetting(top_heights=[0, 2, 3], elision_heights=[5, None])
 
 
 def per_step_reference_train(trainer, dataset, epochs):
-    """The retired per-step loop, verbatim: the bit-identity baseline."""
+    """The retired per-step loop (draws interleaved with steps, one input
+    per step): the bit-identity baseline for the epoch-batched schedule."""
     items = [(i, dataset[i]) for i in range(len(dataset))]
     trainer.model.train()
     epoch_losses = []
@@ -52,7 +53,7 @@ def per_step_reference_train(trainer, dataset, epochs):
             idx, sample = items[pos]
             setting = trainer.sampler.sample(trainer.rng)
             trainer.optimizer.zero_grad()
-            loss = trainer._loss(sample, setting, cache_key=idx)
+            loss = trainer._loss_batch([sample], [setting], [idx]).mean()
             loss.backward()
             trainer.optimizer.step()
             losses.append(loss.item())
@@ -179,9 +180,9 @@ class TestWarmCache:
                 super().__init__()
                 self.w = Parameter(np.zeros((3, cls_data.num_classes)))
 
-            def forward(self, points, setting, cache_key=None):
+            def forward_batch(self, points, settings, cache_keys=None):
                 pooled = np.asarray(points, dtype=np.float64).mean(
-                    axis=0, keepdims=True
+                    axis=1, keepdims=True
                 )
                 return Tensor(pooled) @ self.w
 

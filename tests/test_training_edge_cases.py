@@ -1,5 +1,7 @@
 """Edge-case and robustness tests for the training stack."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -22,11 +24,18 @@ class TestEvaluationDeterminism:
         assert a == b
 
     def test_evaluate_restores_training_mode(self):
-        ds = ShapeClassificationDataset(size=4, num_points=96, rotate=False)
-        model = PointNetPPClassifier(ds.num_classes, np.random.default_rng(0))
-        trainer = ClassificationTrainer(model, FixedSetting(ApproxSetting()))
-        trainer.evaluate(ds, ApproxSetting())
-        assert model.training  # trainer flips back for the next epoch
+        # 96-point clouds evaluate; 32-point clouds are fewer than the 64
+        # first-layer centroids, so farthest point sampling raises mid-forward.
+        for num_points, outcome in (
+            (96, nullcontext()),
+            (32, pytest.raises(ValueError, match="num_samples")),
+        ):
+            ds = ShapeClassificationDataset(size=4, num_points=num_points, rotate=False)
+            model = PointNetPPClassifier(ds.num_classes, np.random.default_rng(0))
+            trainer = ClassificationTrainer(model, FixedSetting(ApproxSetting()))
+            with outcome:
+                trainer.evaluate(ds, ApproxSetting())
+            assert model.training  # trainer flips back for the next epoch
 
 
 class TestTrainingStateIsolation:
