@@ -13,21 +13,42 @@ lane (it is *not* marked slow) and checks identity before speed:
   above any Python-loop fallback (~0.3x-1x here);
 * one training epoch: the approximate searches of a 32-cloud epoch
   (PointNet++ SA1 and SA2 per cloud, a different ``<h_t, h_e>`` per cloud)
-  as one forest call against one call per search, job-by-job identical.
+  as one forest call against one call per search, job-by-job identical;
+* one Fig. 14 suite: its 12 network runs (4 networks x Mesorasi, ANS and
+  ANS+BCE) as one :func:`~repro.accel.run_networks` batch against one
+  ``run_network`` call per run, result-by-result identical.  This one
+  records its numbers and asserts no speed floor.
 
-Both write their numbers to ``BENCH_lockstep.json``.
+All write their numbers to ``BENCH_lockstep.json``.
 """
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from artifacts import write_bench_artifact
+from repro.accel import (
+    NeighborSearchEngine,
+    PointCloudAccelerator,
+    evaluation_hardware,
+    evaluation_networks,
+    make_mesorasi,
+    run_networks,
+    workload_points,
+)
+from repro.analysis.comparison import HEADLINE_SETTING_ANS, HEADLINE_SETTING_BCE
 from repro.core import ApproxSetting, TreeBufferBanking
 from repro.geometry import ShapeClassificationDataset
 from repro.kdtree import build_kdtree
-from repro.runtime import SearchJob, VectorizedLockstep, approximate_search
+from repro.runtime import (
+    SearchJob,
+    SearchSession,
+    VectorizedLockstep,
+    approximate_search,
+)
+from repro.runtime.network import plan_for
 from repro.runtime.treebuild import vectorized_build_kdtree
 
 N_POINTS = 2048
@@ -127,6 +148,15 @@ def test_lockstep_vectorization_does_not_regress(workload, reference_lockstep_dr
     )
 
 
+def best_of(fn, repeats=5):
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def epoch_jobs():
     data = ShapeClassificationDataset(
         size=EPOCH_CLOUDS, num_points=EPOCH_POINTS, seed=7,
@@ -165,14 +195,6 @@ def test_epoch_forest_beats_per_call_searches():
         np.testing.assert_array_equal(ac, bc)
         assert ar == br
 
-    def best_of(fn, repeats=5):
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
     per_call_time = best_of(per_call)
     forest_time = best_of(forest)
     speedup = per_call_time / forest_time
@@ -193,4 +215,54 @@ def test_epoch_forest_beats_per_call_searches():
     assert speedup >= MIN_FOREST_SPEEDUP, (
         f"forest search only {speedup:.2f}x faster than per-call searches "
         f"({per_call_time * 1e3:.1f} ms per call vs {forest_time * 1e3:.1f} ms)"
+    )
+
+
+def suite_runs():
+    """The Fig. 14 suite's runs, as ``run_evaluation_suite`` builds them."""
+    hw = evaluation_hardware()
+    session = SearchSession()
+    crescent = NeighborSearchEngine(hw, session=session)
+    designs = (
+        (make_mesorasi(hw, session=session), ApproxSetting(0, None)),
+        (PointCloudAccelerator(hw, crescent, False, session), HEADLINE_SETTING_ANS),
+        (PointCloudAccelerator(hw, crescent, True, session), HEADLINE_SETTING_BCE),
+    )
+    runs = []
+    for name, spec in evaluation_networks().items():
+        plan = plan_for(session, spec, workload_points(name), 0)
+        runs.extend((acc, spec, setting, plan) for acc, setting in designs)
+    return runs
+
+
+def test_suite_forest_matches_per_network_runs():
+    runs = suite_runs()
+
+    def per_network():
+        return [
+            acc.run_network(spec, plan[0][0], setting, plan=plan)
+            for acc, spec, setting, plan in runs
+        ]
+
+    def suite_batch():
+        return run_networks(runs)
+
+    # Identity first (this also builds every tree into the shared session,
+    # so both sides are timed on warm trees).
+    for batched, single in zip(suite_batch(), per_network()):
+        assert dataclasses.asdict(batched) == dataclasses.asdict(single)
+
+    per_network_time = best_of(per_network, repeats=3)
+    batch_time = best_of(suite_batch, repeats=3)
+    write_bench_artifact(
+        "lockstep",
+        {
+            "suite_forest": {
+                "stage": "network simulation (searches pooled per engine)",
+                "runs": len(runs),
+                "ms_per_network": round(per_network_time * 1e3, 3),
+                "ms_suite_batch": round(batch_time * 1e3, 3),
+                "speedup": round(per_network_time / batch_time, 2),
+            }
+        },
     )

@@ -15,6 +15,7 @@ from .accelerator import (
     NetworkResult,
     NetworkSpec,
     PointCloudAccelerator,
+    run_networks,
 )
 from .baselines import (
     ExhaustiveSplitSearchEngine,
@@ -52,6 +53,7 @@ __all__ = [
     "NetworkResult",
     "NetworkSpec",
     "PointCloudAccelerator",
+    "run_networks",
     "ExhaustiveSplitSearchEngine",
     "GpuCoefficients",
     "GpuModel",

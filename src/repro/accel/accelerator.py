@@ -12,20 +12,27 @@ search + feature computation") — and driven over concrete point clouds so
 the search behaviour is real, not statistical.  Layer stages are
 serialized, as in the paper's pipeline (search produces the neighbor index
 matrix that aggregation consumes, which feeds the MLP).
+
+The sampling plan (:func:`~repro.runtime.network.layer_sampling_plan`)
+fixes every layer's search before the first one runs, so
+:func:`run_networks` simulates a layer in three steps — plan it, search
+all planned layers with one ``run_batch`` call per engine, then account
+it — at the widest scope its caller allows: a whole Fig. 14 suite,
+:meth:`PointCloudAccelerator.run_many`'s settings-by-clouds grid, or one
+:meth:`~PointCloudAccelerator.run_network`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from ..core.config import ApproxSetting, CrescentHardwareConfig
-from ..kdtree.build import KdTree
-from ..memsim.dram import DramUsage
 from ..memsim.energy import EnergyBreakdown
-from ..runtime.network import layer_sampling_plan, plan_for
+from ..runtime.approx import SearchJob
+from ..runtime.network import LayerPlan, layer_sampling_plan, plan_for
 from ..runtime.session import SearchSession
 from .aggregation import AggregationUnit
 from .search_engine import NeighborSearchEngine, SearchEngineResult
@@ -38,6 +45,7 @@ __all__ = [
     "NetworkResult",
     "PointCloudAccelerator",
     "SearchEngineProtocol",
+    "run_networks",
 ]
 
 
@@ -77,16 +85,14 @@ class NetworkSpec:
 
 
 class SearchEngineProtocol(Protocol):
-    """Anything that can run a search batch with engine-style accounting."""
+    """Anything that can search a batch of jobs with engine-style accounting.
 
-    def run(
-        self,
-        tree: KdTree,
-        queries: np.ndarray,
-        radius: float,
-        max_neighbors: int,
-        setting: ApproxSetting,
-    ) -> Tuple[np.ndarray, np.ndarray, SearchEngineResult]:
+    ``run_batch`` returns ``(indices, counts, result)`` per job, in order.
+    """
+
+    def run_batch(
+        self, jobs: Sequence[SearchJob]
+    ) -> List[Tuple[np.ndarray, np.ndarray, SearchEngineResult]]:
         ...
 
 
@@ -173,83 +179,37 @@ class PointCloudAccelerator:
         self.elide_aggregation = elide_aggregation
 
     # ------------------------------------------------------------------
-    def run_layer(
-        self,
-        points: np.ndarray,
-        spec: LayerSpec,
-        setting: ApproxSetting,
-        rng: Optional[np.random.Generator] = None,
-        queries: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, LayerResult]:
-        """Execute one layer over ``points``; returns the next layer's points.
-
-        Centroids are either sampled from ``rng`` or passed pre-sampled as
-        ``queries`` (the shared-plan path of :meth:`run_many`, where one
-        draw serves every setting of a sweep).
-        """
-        points = np.asarray(points, dtype=np.float64)
-        if spec.num_queries > len(points):
-            raise ValueError(
-                f"layer {spec.name!r} wants {spec.num_queries} queries from "
-                f"{len(points)} points"
-            )
-        if queries is None:
-            if rng is None:
-                raise ValueError("run_layer needs either rng or queries")
-            queries = points[rng.choice(len(points), spec.num_queries, replace=False)]
-        tree = self.session.tree_for(points)
-        indices, counts, search = self.search_engine.run(
-            tree, queries, spec.radius, spec.max_neighbors, setting
-        )
-        agg = self.aggregation.run(
-            indices, num_points=len(points), elide=self.elide_aggregation
-        )
-        mlp_rows = spec.num_queries * spec.max_neighbors
-        mlp = self.systolic.shared_mlp(mlp_rows, list(spec.mlp_channels))
-
-        energy = EnergyBreakdown()
-        energy.merge(search.energy)
-        energy.merge(agg.energy)
-        energy.merge(self.systolic.energy(mlp, self.hw.energy))
-        result = LayerResult(
-            name=spec.name,
-            search_cycles=search.cycles,
-            aggregation_cycles=agg.cycles,
-            mlp_cycles=mlp.cycles,
-            energy=energy,
-            search=search,
-            aggregation_sram_conflicted=agg.sram.conflicted,
-            dram_bytes=search.dram.total_bytes + agg.dram.total_bytes,
-        )
-        return queries, result
-
-    # ------------------------------------------------------------------
-    def run_network(
+    def _account(
         self,
         spec: NetworkSpec,
-        points: np.ndarray,
-        setting: ApproxSetting,
-        seed: int = 0,
-        plan: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
+        plan: LayerPlan,
+        searched: Sequence[Tuple[np.ndarray, np.ndarray, SearchEngineResult]],
     ) -> NetworkResult:
-        """Execute every layer of ``spec`` starting from ``points``.
-
-        Each layer's query set (the sampled centroids) becomes the next
-        layer's point population, mirroring hierarchical set abstraction.
-        ``plan`` optionally supplies the per-layer ``(points, queries)``
-        chain pre-sampled by
-        :func:`~repro.runtime.network.layer_sampling_plan` — bit-identical
-        to sampling here, so sweeps draw each cloud's centroids once and
-        replay them under every setting.
-        """
-        if plan is None:
-            plan = layer_sampling_plan(spec, points, seed)
+        """Aggregation, MLP and head of one network whose layers are searched."""
         result = NetworkResult(name=spec.name)
-        for layer, (layer_points, layer_queries) in zip(spec.layers, plan):
-            _, layer_result = self.run_layer(
-                layer_points, layer, setting, queries=layer_queries
+        for layer, (points, _), searched_layer in zip(spec.layers, plan, searched):
+            indices, _, search = searched_layer
+            agg = self.aggregation.run(
+                indices, num_points=len(points), elide=self.elide_aggregation
             )
-            result.layers.append(layer_result)
+            mlp_rows = layer.num_queries * layer.max_neighbors
+            mlp = self.systolic.shared_mlp(mlp_rows, list(layer.mlp_channels))
+            energy = EnergyBreakdown()
+            energy.merge(search.energy)
+            energy.merge(agg.energy)
+            energy.merge(self.systolic.energy(mlp, self.hw.energy))
+            result.layers.append(
+                LayerResult(
+                    name=layer.name,
+                    search_cycles=search.cycles,
+                    aggregation_cycles=agg.cycles,
+                    mlp_cycles=mlp.cycles,
+                    energy=energy,
+                    search=search,
+                    aggregation_sram_conflicted=agg.sram.conflicted,
+                    dram_bytes=search.dram.total_bytes + agg.dram.total_bytes,
+                )
+            )
         if spec.head_mlp_rows > 0 and spec.head_mlp_channels:
             head = self.systolic.shared_mlp(
                 spec.head_mlp_rows, list(spec.head_mlp_channels)
@@ -270,6 +230,30 @@ class PointCloudAccelerator:
         return result
 
     # ------------------------------------------------------------------
+    def run_network(
+        self,
+        spec: NetworkSpec,
+        points: np.ndarray,
+        setting: ApproxSetting,
+        seed: int = 0,
+        plan: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
+    ) -> NetworkResult:
+        """Execute every layer of ``spec`` starting from ``points``.
+
+        Each layer's query set (the sampled centroids) becomes the next
+        layer's point population, mirroring hierarchical set abstraction.
+        ``plan`` optionally supplies the per-layer ``(points, queries)``
+        chain pre-sampled by
+        :func:`~repro.runtime.network.layer_sampling_plan` — bit-identical
+        to sampling here, so sweeps draw each cloud's centroids once and
+        replay them under every setting.  The one-run case of
+        :func:`run_networks`.
+        """
+        if plan is None:
+            plan = layer_sampling_plan(spec, points, seed)
+        return run_networks([(self, spec, setting, plan)])[0]
+
+    # ------------------------------------------------------------------
     def run_many(
         self,
         spec: NetworkSpec,
@@ -285,14 +269,55 @@ class PointCloudAccelerator:
         cloud is sampled once (:func:`~repro.runtime.network.plan_for`)
         and the plan replayed under every setting through this
         accelerator's shared session, which reuses each cloud's trees and
-        split-tree layouts across the grid.
+        split-tree layouts across the grid; the grid is one
+        :func:`run_networks` call, so every layer search of it runs in one
+        engine batch.
         """
         settings = list(settings)
-        grid: List[List[NetworkResult]] = [[] for _ in settings]
-        for cloud in clouds:
-            plan = plan_for(self.session, spec, cloud, seed)
-            for i, setting in enumerate(settings):
-                grid[i].append(
-                    self.run_network(spec, cloud, setting, seed=seed, plan=plan)
-                )
-        return grid
+        plans = [plan_for(self.session, spec, cloud, seed) for cloud in clouds]
+        flat = run_networks(
+            [(self, spec, setting, plan) for setting in settings for plan in plans]
+        )
+        n = len(plans)
+        return [flat[i * n : (i + 1) * n] for i in range(len(settings))]
+
+
+NetworkRun = Tuple[PointCloudAccelerator, NetworkSpec, ApproxSetting, LayerPlan]
+
+
+def run_networks(runs: Sequence[NetworkRun]) -> List[NetworkResult]:
+    """Simulate every run, each search engine searching all its layers at once.
+
+    A run is ``(accelerator, spec, setting, plan)``: ``spec`` on
+    ``accelerator`` under ``setting``, over ``plan``'s per-layer
+    ``(points, queries)`` chain (:func:`~repro.runtime.network.layer_sampling_plan`;
+    its first layer's points are the input cloud).  Three steps:
+
+    1. **plan** — every layer of every run becomes a
+       :class:`~repro.runtime.SearchJob` on its accelerator's session tree;
+    2. **search** — each search-engine object gets all of its jobs in one
+       ``run_batch``, so accelerators that share an engine (ANS and
+       ANS+BCE of a suite) share one forest pass;
+    3. **account** — aggregation, MLP and the head run per layer on the
+       run's own accelerator.
+
+    ``results[i]`` equals ``accelerator.run_network(spec, cloud, setting,
+    plan=plan)`` of ``runs[i]`` alone, bit for bit.
+    """
+    batches: Dict[int, Tuple[SearchEngineProtocol, List[SearchJob]]] = {}
+    spans = []  # each run's slice of its engine's jobs
+    for acc, spec, setting, plan in runs:
+        engine = acc.search_engine
+        jobs = batches.setdefault(id(engine), (engine, []))[1]
+        start = len(jobs)
+        for layer, (points, queries) in zip(spec.layers, plan):
+            tree = acc.session.tree_for(points)
+            jobs.append(
+                SearchJob(tree, queries, layer.radius, layer.max_neighbors, setting)
+            )
+        spans.append((start, len(jobs)))
+    searched = {key: engine.run_batch(jobs) for key, (engine, jobs) in batches.items()}
+    return [
+        acc._account(spec, plan, searched[id(acc.search_engine)][start:stop])
+        for (acc, spec, _, plan), (start, stop) in zip(runs, spans)
+    ]

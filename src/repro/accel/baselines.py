@@ -16,6 +16,12 @@ Tigris and QuickNN share the split-tree idea but (a) search sub-trees
 buffer fills, instead of staging all queries first.  Both behaviours are
 modeled here and ablated in the Fig. 24 bench.
 
+:meth:`ExhaustiveSplitSearchEngine.run_batch` takes a batch of jobs, as
+the Crescent engine does, and searches them one by one; each search
+assembles its neighbor rows — top-tree hits, then scan hits, truncated
+at ``K``, padded, nearest point for rows without hits — in flat array
+passes (:func:`repro.runtime.approx.pack_rows`).
+
 The GPU is modeled analytically from workload counters (node visits, MACs,
 bytes) with coefficients calibrated so the *relative* gaps match the
 paper's published ratios (GPU ≈ 38× Mesorasi's energy, Tigris+GPU ≈ 25×).
@@ -25,7 +31,7 @@ Absolute GPU latencies are not meaningful; only bar ordering is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,11 +40,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from ..core.config import ApproxSetting, CrescentHardwareConfig, valid_top_heights
 from ..kdtree.build import NODE_BYTES, KdTree
-from ..kdtree.stats import TraversalStats
 from ..memsim.dram import DramModel
 from ..memsim.energy import EnergyBreakdown
+from ..runtime.approx import SearchJob, pack_rows
 from ..runtime.treebuild import VectorizedSplitTree
-from .accelerator import NetworkResult, NetworkSpec, PointCloudAccelerator
+from .accelerator import NetworkResult, PointCloudAccelerator
 from .pe import PIPELINE_DEPTH
 from .search_engine import INDEX_BYTES, QUERY_BYTES, SearchEngineResult
 from ..core.approx_search import SearchReport
@@ -110,6 +116,15 @@ class ExhaustiveSplitSearchEngine:
             return max(tree.height - 1, 0)
         return min(lo, tree.height - 1)
 
+    def run_batch(
+        self, jobs: Sequence[SearchJob]
+    ) -> List[Tuple[np.ndarray, np.ndarray, SearchEngineResult]]:
+        """Search and account each job in turn."""
+        return [
+            self.run(job.tree, job.queries, job.radius, job.max_neighbors, job.setting)
+            for job in jobs
+        ]
+
     def run(
         self,
         tree: KdTree,
@@ -127,31 +142,34 @@ class ExhaustiveSplitSearchEngine:
 
         assigned = split.route_queries(queries)
         uniq_roots, inverse = np.unique(assigned, return_inverse=True)
-        report.queue_occupancy = {
-            int(r): int((inverse == i).sum()) for i, r in enumerate(uniq_roots)
-        }
+        occupancy = np.bincount(inverse, minlength=len(uniq_roots))
+        report.queue_occupancy = dict(zip(uniq_roots.tolist(), occupancy.tolist()))
         report.subtrees_loaded = len(uniq_roots)
         report.top_tree_visits = m * ht
         report.traversal.nodes_visited += m * ht
 
         r2 = radius * radius
-        indices = np.zeros((m, max_neighbors), dtype=np.int64)
-        counts = np.zeros(m, dtype=np.int64)
         compute_cycles = 0
         dram = DramModel(self.hw.dram)
         dram.stream(m * QUERY_BYTES)
         dram.stream(split.top_tree_bytes())
 
-        # Top-tree hits (points streamed past during descent are tested).
-        top_hits = [[] for _ in range(m)]
+        # Hits as flat (query, point) pairs: the top-tree hits (points
+        # streamed past during descent are tested) in level order, then the
+        # sub-tree scan hits in buffer order.  Nothing is deduplicated: a
+        # branch that runs out of children parks and re-tests its node.
+        empty = np.zeros(0, dtype=np.int64)
+        hit_rows: List[np.ndarray] = [empty]
+        hit_points: List[np.ndarray] = [empty]
         if ht > 0:
             current = np.full(m, tree.root, dtype=np.int64)
+            rows = np.arange(m)
             for _ in range(ht):
                 pts = tree.points[tree.point_id[current]]
                 d2 = ((queries - pts) ** 2).sum(axis=1)
-                for qi in np.nonzero(d2 <= r2)[0]:
-                    top_hits[qi].append(int(tree.point_id[current[qi]]))
-                rows = np.arange(m)
+                hit = np.flatnonzero(d2 <= r2)
+                hit_rows.append(hit)
+                hit_points.append(tree.point_id[current[hit]])
                 dims = tree.split_dim[current]
                 go_left = queries[rows, dims] <= pts[rows, dims]
                 nxt = np.where(go_left, tree.left[current], tree.right[current])
@@ -162,29 +180,26 @@ class ExhaustiveSplitSearchEngine:
                     nxt = np.where(nxt < 0, current, nxt)
                 current = nxt.astype(np.int64)
             compute_cycles += (m // self.hw.num_pes + 1) * ht
+        top_found = np.bincount(np.concatenate(hit_rows), minlength=m)
 
-        for pos, root in enumerate(uniq_roots):
-            q_ids = np.nonzero(inverse == pos)[0]
-            nodes = split.subtree_nodes(int(root))
+        nearest = np.zeros(m, dtype=np.int64)  # the pad of hitless queries
+        by_root = np.argsort(inverse, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(occupancy)))
+        for pos, root in enumerate(uniq_roots.tolist()):
+            q_ids = by_root[bounds[pos] : bounds[pos + 1]]
+            nodes = split.subtree_nodes(root)
             node_points = tree.points[tree.point_id[nodes]]
             sub_queries = queries[q_ids]
             # (Q, S) exhaustive distance scan.
             d2 = ((sub_queries[:, None, :] - node_points[None, :, :]) ** 2).sum(axis=2)
             within = d2 <= r2
-            for local, qi in enumerate(q_ids):
-                hits = list(top_hits[qi])
-                scan_hits = nodes[within[local]]
-                hits.extend(int(tree.point_id[n]) for n in scan_hits)
-                counts[qi] = min(len(hits), max_neighbors)
-                if not hits:
-                    nearest = nodes[int(np.argmin(d2[local]))]
-                    hits = [int(tree.point_id[nearest])]
-                row = hits[:max_neighbors]
-                row = row + [row[0]] * (max_neighbors - len(row))
-                indices[qi] = row
+            local, slot = np.nonzero(within)
+            hit_rows.append(q_ids[local])
+            hit_points.append(tree.point_id[nodes[slot]])
+            lonely = np.flatnonzero((top_found[q_ids] == 0) & ~within.any(axis=1))
+            nearest[q_ids[lonely]] = tree.point_id[nodes[d2[lonely].argmin(axis=1)]]
             visits = len(q_ids) * len(nodes)
             report.traversal.nodes_visited += visits
-            report.traversal.neighbors_found += int(counts[q_ids].sum())
             # Each PE handles one query, scanning one node per cycle.  PE
             # scan positions are staggered (queries start asynchronously),
             # so each cycle the active PEs read different slots and pay the
@@ -207,8 +222,18 @@ class ExhaustiveSplitSearchEngine:
                 loads = 1
                 dram.stream(len(q_ids) * QUERY_BYTES)  # staging writeback
             for _ in range(loads):
-                dram.stream(split.subtree_bytes(int(root)))
+                dram.stream(split.subtree_bytes(root))
         dram.stream(m * max_neighbors * INDEX_BYTES)
+
+        # Every query keeps its first K hits, padded with its first hit
+        # (the nearest scanned point when it has none).
+        flat, counts = pack_rows(
+            np.concatenate(hit_rows),
+            np.concatenate(hit_points),
+            np.full(m, max_neighbors, dtype=np.int64),
+            lambda rows: nearest[rows],
+        )
+        report.traversal.neighbors_found += int(counts.sum())
 
         energy = EnergyBreakdown()
         em = self.hw.energy
@@ -221,7 +246,7 @@ class ExhaustiveSplitSearchEngine:
         energy.add("search_datapath", em.distances(report.traversal.nodes_visited))
 
         cycles = max(compute_cycles, dram.usage.cycles)
-        return indices, counts, SearchEngineResult(
+        return flat.reshape(m, max_neighbors), counts, SearchEngineResult(
             cycles=cycles,
             compute_cycles=compute_cycles,
             dram_cycles=dram.usage.cycles,

@@ -1,8 +1,11 @@
 """The Crescent neighbor search engine (paper Sec. 3.2, Fig. 7).
 
 Combines the functional approximate search
-(:func:`repro.runtime.approximate_search`, one job) with cycle and energy
-accounting:
+(:func:`repro.runtime.approximate_search`) with cycle and energy
+accounting.  :meth:`NeighborSearchEngine.run_batch` searches every job of
+a batch in one forest pass — a whole Fig. 14 suite's layers at once — and
+then accounts each job on its own; :meth:`NeighborSearchEngine.run` is the
+one-job case.  Per job:
 
 * **Phase 1 (top tree)** — queries stream through the PEs in groups of
   ``num_pes``, descending level-synchronously.  Fetches of the *same* node
@@ -16,12 +19,15 @@ accounting:
   split-tree layout: queries in, top tree in, staged queries out/in, each
   needed sub-tree in exactly once, neighbor indices out.  Double-buffering
   overlaps DMA with compute, so phase time is ``max(compute, dma)``.
+
+Jobs in one batch share the engine's hardware (banking, PE count), so
+their cycle counts equal those of separate runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +44,7 @@ from ..memsim.energy import EnergyBreakdown
 from ..runtime.approx import SearchJob, approximate_search
 from ..runtime.topphase import vectorized_top_phase
 from ..runtime.treebuild import VectorizedSplitTree
-from .pe import PIPELINE_DEPTH, FiveStagePipeline
+from .pe import PIPELINE_DEPTH
 
 __all__ = ["SearchEngineResult", "NeighborSearchEngine", "QUERY_BYTES", "INDEX_BYTES"]
 
@@ -124,15 +130,43 @@ class NeighborSearchEngine:
         setting: ApproxSetting,
     ) -> Tuple[np.ndarray, np.ndarray, SearchEngineResult]:
         """Search ``queries`` and account cycles/energy for the whole batch."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        setting = setting.scaled_to(tree.height)
-        hw = self.hw
-        split = self._split_for(tree, setting.top_height)
-        ((indices, counts, report),) = approximate_search(
-            [SearchJob(tree, queries, radius, max_neighbors, setting, True)],
-            banking=self.banking,
-            num_pes=hw.num_pes,
+        job = SearchJob(tree, queries, radius, max_neighbors, setting)
+        return self.run_batch([job])[0]
+
+    def run_batch(
+        self, jobs: Sequence[SearchJob]
+    ) -> List[Tuple[np.ndarray, np.ndarray, SearchEngineResult]]:
+        """Search every job in one forest pass; account each job alone.
+
+        Returns ``(indices, counts, result)`` per job, each equal to
+        ``run(job.tree, job.queries, job.radius, job.max_neighbors,
+        job.setting)``.  Conflicts are always simulated (the engine
+        reports lockstep cycles), whatever ``job.simulate_conflicts`` says.
+        """
+        jobs = [
+            SearchJob(
+                job.tree,
+                np.atleast_2d(np.asarray(job.queries, dtype=np.float64)),
+                job.radius,
+                job.max_neighbors,
+                job.setting.scaled_to(job.tree.height),
+                True,
+            )
+            for job in jobs
+        ]
+        outcomes = approximate_search(
+            jobs, banking=self.banking, num_pes=self.hw.num_pes
         )
+        return [
+            (indices, counts, self._account(job, report))
+            for job, (indices, counts, report) in zip(jobs, outcomes)
+        ]
+
+    def _account(self, job: SearchJob, report: SearchReport) -> SearchEngineResult:
+        """Cycles, DRAM and energy of one searched job (setting scaled)."""
+        hw = self.hw
+        queries, setting = job.queries, job.setting
+        split = self._split_for(job.tree, setting.top_height)
         m = len(queries)
 
         # ---------------- compute cycles ----------------
@@ -154,7 +188,7 @@ class NeighborSearchEngine:
         for root, occupancy in report.queue_occupancy.items():
             if occupancy > 0:
                 dram.stream(split.subtree_bytes(int(root)))
-        dram.stream(m * max_neighbors * INDEX_BYTES)  # index matrix out
+        dram.stream(m * job.max_neighbors * INDEX_BYTES)  # index matrix out
 
         dram_cycles = dram.usage.cycles
         cycles = max(compute_cycles, dram_cycles)  # double-buffered overlap
@@ -174,7 +208,7 @@ class NeighborSearchEngine:
             em.stack_ops(report.traversal.stack_pushes + report.traversal.stack_pops),
         )
 
-        result = SearchEngineResult(
+        return SearchEngineResult(
             cycles=cycles,
             compute_cycles=compute_cycles,
             dram_cycles=dram_cycles,
@@ -185,4 +219,3 @@ class NeighborSearchEngine:
             sub_phase_cycles=sub_cycles,
             top_phase_stalls=top_stalls,
         )
-        return indices, counts, result

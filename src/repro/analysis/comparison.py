@@ -2,19 +2,19 @@
 
 One shared runner executes the whole Table-1 suite on every accelerator
 variant so the benches for Figs. 14, 15, 16, 17, and 24 all read from a
-consistent set of results.
+consistent set of results.  The suite is one
+:func:`~repro.accel.run_networks` call over 4 networks × 3 designs: the
+ANS and ANS+BCE accelerators share one Crescent search engine, so every
+Crescent layer search of the suite runs in one forest pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
-import numpy as np
-
-from ..accel.accelerator import NetworkResult, PointCloudAccelerator
+from ..accel.accelerator import NetworkResult, PointCloudAccelerator, run_networks
 from ..accel.baselines import (
-    ExhaustiveSplitSearchEngine,
     gpu_network_result,
     make_mesorasi,
     tigris_gpu_network_result,
@@ -63,52 +63,6 @@ class SuiteResult:
         return self.ans_bce.energy.total / self.mesorasi.energy.total
 
 
-def _suite_point(
-    hw: CrescentHardwareConfig,
-    name: str,
-    setting_ans: ApproxSetting,
-    setting_bce: ApproxSetting,
-    seed: int,
-) -> SuiteResult:
-    """All variants' results for one network.
-
-    One :class:`~repro.runtime.SearchSession` serves every variant — the
-    Mesorasi baseline, ANS, and ANS+BCE all query the same layer clouds,
-    so trees are built once per layer, split-tree layouts once per
-    ``h_t`` — and one sampling plan fixes the centroids for all three.
-    It is the process-wide :func:`~repro.runtime.worker_session`, so it
-    pools across networks and across calls too.
-    """
-    session = worker_session()
-    spec = evaluation_networks()[name]
-    points = workload_points(name, seed=seed)
-    plan = plan_for(session, spec, points, seed)
-    mesorasi = make_mesorasi(hw, session=session)
-    ans_acc = PointCloudAccelerator(
-        hw, NeighborSearchEngine(hw, session=session),
-        elide_aggregation=False, session=session,
-    )
-    bce_acc = PointCloudAccelerator(
-        hw, NeighborSearchEngine(hw, session=session),
-        elide_aggregation=True, session=session,
-    )
-    base = mesorasi.run_network(spec, points, ApproxSetting(0, None), seed=seed, plan=plan)
-    ans = ans_acc.run_network(spec, points, setting_ans, seed=seed, plan=plan)
-    bce = bce_acc.run_network(spec, points, setting_bce, seed=seed, plan=plan)
-    gpu_cycles, gpu_energy = gpu_network_result(base)
-    tg_cycles, tg_energy = tigris_gpu_network_result(base)
-    return SuiteResult(
-        name=name,
-        mesorasi=base,
-        ans=ans,
-        ans_bce=bce,
-        gpu_cycles=gpu_cycles,
-        gpu_energy=gpu_energy,
-        tigris_gpu_cycles=tg_cycles,
-        tigris_gpu_energy=tg_energy,
-    )
-
-
 def run_evaluation_suite(
     hw: Optional[CrescentHardwareConfig] = None,
     setting_ans: ApproxSetting = HEADLINE_SETTING_ANS,
@@ -116,12 +70,48 @@ def run_evaluation_suite(
     seed: int = 0,
 ) -> Dict[str, SuiteResult]:
     """Run all four networks on Mesorasi, ANS, ANS+BCE, and the GPU models,
-    in Table-1 order through one shared session."""
+    in Table-1 order.
+
+    One :class:`~repro.runtime.SearchSession` serves every design — the
+    Mesorasi baseline, ANS, and ANS+BCE all query the same layer clouds,
+    so trees are built once per layer, split-tree layouts once per
+    ``h_t`` — and one sampling plan per network fixes the centroids for
+    all three.  It is the process-wide
+    :func:`~repro.runtime.worker_session`, so it pools across calls too.
+    """
     hw = hw or evaluation_hardware()
-    return {
-        name: _suite_point(hw, name, setting_ans, setting_bce, seed)
-        for name in evaluation_networks()
-    }
+    session = worker_session()
+    # ANS and ANS+BCE share one engine: their searches are one batch.
+    crescent = NeighborSearchEngine(hw, session=session)
+    ans = PointCloudAccelerator(hw, crescent, elide_aggregation=False, session=session)
+    bce = PointCloudAccelerator(hw, crescent, elide_aggregation=True, session=session)
+    designs = (
+        (make_mesorasi(hw, session=session), ApproxSetting(0, None)),
+        (ans, setting_ans),
+        (bce, setting_bce),
+    )
+    networks = evaluation_networks()
+    runs = []
+    for name, spec in networks.items():
+        plan = plan_for(session, spec, workload_points(name, seed=seed), seed)
+        runs.extend((acc, spec, setting, plan) for acc, setting in designs)
+    results = iter(run_networks(runs))
+    suite = {}
+    for name in networks:
+        base, ans, bce = next(results), next(results), next(results)
+        gpu_cycles, gpu_energy = gpu_network_result(base)
+        tg_cycles, tg_energy = tigris_gpu_network_result(base)
+        suite[name] = SuiteResult(
+            name=name,
+            mesorasi=base,
+            ans=ans,
+            ans_bce=bce,
+            gpu_cycles=gpu_cycles,
+            gpu_energy=gpu_energy,
+            tigris_gpu_cycles=tg_cycles,
+            tigris_gpu_energy=tg_energy,
+        )
+    return suite
 
 
 def energy_saving_contributions(result: SuiteResult) -> Dict[str, float]:

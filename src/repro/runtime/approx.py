@@ -32,7 +32,7 @@ hardware go in separate calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from ..kdtree.build import KdTree
 from .batched import batched_nearest_node
 from .lockstep import LockstepResult, VectorizedLockstep
 
-__all__ = ["SearchJob", "approximate_search"]
+__all__ = ["SearchJob", "approximate_search", "pack_rows"]
 
 
 @dataclass(frozen=True)
@@ -235,15 +235,12 @@ def _assemble(job_m, job_k, row_k, hit_rows, hit_points, nearest):
     """Order-preserving dedup, truncation and padding on flat hit arrays.
 
     ``hit_rows``/``hit_points`` hold the top-tree hits (level order) and
-    then the sub-tree hits (visit order); a stable sort by row keeps that
-    order within every query.  ``nearest(rows)`` gives the padding of rows
-    without hits.  Returns per-job index matrices and counts.
+    then the sub-tree hits (visit order).  ``nearest(rows)`` gives the
+    padding of rows without hits.  Returns per-job index matrices and
+    counts.
     """
-    num_rows = len(row_k)
     rows = np.concatenate(hit_rows)
     points = np.concatenate(hit_points)
-    order = np.argsort(rows, kind="stable")
-    rows, points = rows[order], points[order]
     # Keep each (row, point)'s first occurrence: a short top-tree branch
     # can queue a query at a node it already passed, re-testing it.
     seen = np.lexsort((np.arange(len(rows)), points, rows))
@@ -251,7 +248,34 @@ def _assemble(job_m, job_k, row_k, hit_rows, hit_points, nearest):
     dup[seen[1:]] = (rows[seen[1:]] == rows[seen[:-1]]) & (
         points[seen[1:]] == points[seen[:-1]]
     )
-    rows, points = rows[~dup], points[~dup]
+    flat, counts = pack_rows(rows[~dup], points[~dup], row_k, nearest)
+    cell_start = np.concatenate(([0], np.cumsum(row_k)))
+    row_start = np.concatenate(([0], np.cumsum(job_m)))
+    out_indices, out_counts = [], []
+    for lo, hi, k in zip(row_start[:-1], row_start[1:], job_k.tolist()):
+        out_indices.append(flat[cell_start[lo] : cell_start[hi]].reshape(hi - lo, k))
+        out_counts.append(counts[lo:hi])
+    return out_indices, out_counts
+
+
+def pack_rows(
+    rows: np.ndarray,
+    points: np.ndarray,
+    row_k: np.ndarray,
+    nearest: Callable[[np.ndarray], np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Truncate and pad flat hits into fixed-width neighbor rows.
+
+    ``rows``/``points`` list every hit as a (row, point) pair, each row's
+    hits in that row's order (rows may interleave: a stable sort by row
+    keeps the order).  Row ``r`` keeps its first ``row_k[r]`` hits and
+    pads with its first hit; a row without hits pads with
+    ``nearest(empty_rows)``.  Returns the flat cells (``row_k[r]`` per
+    row, rows in order) and each row's count of kept hits.
+    """
+    num_rows = len(row_k)
+    order = np.argsort(rows, kind="stable")
+    rows, points = rows[order], points[order]
     found = np.bincount(rows, minlength=num_rows)
     row_first = np.cumsum(found) - found
     col = np.arange(len(rows)) - row_first[rows]
@@ -269,9 +293,4 @@ def _assemble(job_m, job_k, row_k, hit_rows, hit_points, nearest):
     cell_start = np.concatenate(([0], np.cumsum(row_k)))
     flat = np.repeat(pad, row_k)
     flat[cell_start[rows] + col] = points
-    row_start = np.concatenate(([0], np.cumsum(job_m)))
-    out_indices, out_counts = [], []
-    for lo, hi, k in zip(row_start[:-1], row_start[1:], job_k.tolist()):
-        out_indices.append(flat[cell_start[lo] : cell_start[hi]].reshape(hi - lo, k))
-        out_counts.append(counts[lo:hi])
-    return out_indices, out_counts
+    return flat, counts

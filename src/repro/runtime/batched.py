@@ -201,6 +201,29 @@ def _frontier_levels(
         depth += 1
 
 
+def _greedy_bound(tree: KdTree, queries: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Least squared distance to the nodes of each query's near-child path.
+
+    Each query descends from its ``start`` node to the child on its side
+    of the split (the other one when that is missing) until a leaf, and
+    keeps the smallest ``d2`` it meets.
+    """
+    bound = np.full(len(queries), np.inf)
+    rows = np.arange(len(queries))
+    node = start
+    while len(rows):
+        pts = tree.points[tree.point_id[node]]
+        delta = queries[rows] - pts
+        bound[rows] = np.minimum(bound[rows], np.einsum("ij,ij->i", delta, delta))
+        go_left = delta[np.arange(len(rows)), tree.split_dim[node]] <= 0
+        near = np.where(go_left, tree.left[node], tree.right[node])
+        far = np.where(go_left, tree.right[node], tree.left[node])
+        near = np.where(near >= 0, near, far)
+        more = near >= 0
+        rows, node = rows[more], near[more]
+    return bound
+
+
 def batched_nearest_node(
     tree: KdTree, queries: np.ndarray, roots: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -220,6 +243,12 @@ def batched_nearest_node(
     batch in one pass instead of a per-query Python ``knn_search`` loop.
     ``roots`` (default: ``tree.root`` for all) starts each query at its own
     node, so one pass serves a forest of trees sharing one node array.
+
+    The prune bound starts at the best distance along one greedy
+    root-to-leaf descent, not at +inf: the distance to any point bounds
+    the minimum from above, so the winner is never pruned, and the far
+    subtrees of queries outside the cloud are cut from the first level
+    on.  The running best, which picks the winner, starts at +inf.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     _check_rank_depth(tree)
@@ -234,6 +263,7 @@ def batched_nearest_node(
         np.full(m, tree.root, dtype=np.int64) if roots is None
         else np.asarray(roots, dtype=np.int64)
     )
+    bound = _greedy_bound(tree, queries, fnode)
     frank = np.zeros(m, dtype=np.float64)
     scale = 0.5
     while len(fq):
@@ -261,6 +291,7 @@ def batched_nearest_node(
         best_d2[uq] = cd2[upd]
         best_rank[uq] = crank[upd]
         best_pid[uq] = cpid[upd]
+        bound[uq] = np.minimum(bound[uq], cd2[upd])
 
         dims = tree.split_dim[fnode]
         rows = np.arange(len(fq))
@@ -269,7 +300,7 @@ def batched_nearest_node(
         near = np.where(go_left, tree.left[fnode], tree.right[fnode])
         far = np.where(go_left, tree.right[fnode], tree.left[fnode])
         take_near = near >= 0
-        take_far = (far >= 0) & (diff * diff <= best_d2[fq])
+        take_far = (far >= 0) & (diff * diff <= bound[fq])
         fq = np.concatenate([fq[take_near], fq[take_far]])
         fnode = np.concatenate([near[take_near], far[take_far]])
         frank = np.concatenate([frank[take_near], frank[take_far] + scale])

@@ -18,8 +18,11 @@ grid point:
   share, so trees, split-tree layouts and plans pool across every call a
   process makes.
 
-The ``settings x clouds`` grid itself is
-:meth:`~repro.accel.PointCloudAccelerator.run_many`.
+The runs themselves go through :func:`~repro.accel.run_networks`, which
+takes each run's plan and searches every planned layer of every run with
+one batch per search engine; the ``settings x clouds`` grid is
+:meth:`~repro.accel.PointCloudAccelerator.run_many` and a whole Fig. 14
+suite is one :func:`~repro.analysis.run_evaluation_suite` batch.
 """
 
 from __future__ import annotations

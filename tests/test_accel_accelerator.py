@@ -5,10 +5,13 @@ benefits most, GPU baselines cost far more energy, and approximation knobs
 move cycles in the right direction.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.accel import (
+    ExhaustiveSplitSearchEngine,
     LayerSpec,
     NeighborSearchEngine,
     NetworkSpec,
@@ -17,10 +20,12 @@ from repro.accel import (
     evaluation_networks,
     gpu_network_result,
     make_mesorasi,
+    run_networks,
     tigris_gpu_network_result,
     workload_points,
 )
 from repro.core import ApproxSetting
+from repro.runtime.network import layer_sampling_plan
 
 
 @pytest.fixture(scope="module")
@@ -166,15 +171,12 @@ def _small_spec():
 
 
 class TestRunMany:
-    def _fingerprint(self, result):
-        return (
-            result.cycles,
-            result.search_cycles,
-            result.aggregation_cycles,
-            result.mlp_cycles,
-            result.nodes_visited,
-            pytest.approx(result.energy.total),
-        )
+    @staticmethod
+    def _fingerprint(result):
+        """Every field of every layer: stage cycles, DRAM bytes, aggregation
+        conflicts, energy components and the whole search result (report
+        counters, DRAM usage and search energy)."""
+        return [dataclasses.asdict(layer) for layer in result.layers]
 
     def test_grid_matches_individual_runs(self, hw, rng):
         spec = _small_spec()
@@ -193,8 +195,6 @@ class TestRunMany:
     def test_run_many_keeps_engine_state(self, hw, rng):
         # The grid runs through this accelerator's own engine, so a custom
         # engine's non-default constructor state shapes every grid point.
-        from repro.accel import ExhaustiveSplitSearchEngine
-
         spec = _small_spec()
         clouds = [rng.normal(size=(96, 3))]
         settings = [ApproxSetting(0, None)]
@@ -203,6 +203,43 @@ class TestRunMany:
         direct = acc.run_network(spec, clouds[0], settings[0])
         swept = acc.run_many(spec, clouds, settings)[0][0]
         assert self._fingerprint(swept) == self._fingerprint(direct)
+
+
+class TestRunNetworks:
+    def _designs(self, hw, plans):
+        """(accelerator, setting, plan) of four runs over two clouds; the
+        two Crescent accelerators share one engine."""
+        crescent = NeighborSearchEngine(hw)
+        staged = ExhaustiveSplitSearchEngine(hw, reload_on_full_queue=False)
+        exact, elided = ApproxSetting(0, None), ApproxSetting(2, 4)
+        return [
+            (make_mesorasi(hw), exact, plans[0]),
+            (PointCloudAccelerator(hw, staged), exact, plans[1]),
+            (PointCloudAccelerator(hw, crescent, False), exact, plans[1]),
+            (PointCloudAccelerator(hw, crescent, True), elided, plans[0]),
+        ]
+
+    def test_mixed_batch_matches_single_runs(self, hw, rng, monkeypatch):
+        import repro.accel.search_engine as search_engine
+
+        spec = _small_spec()
+        clouds = [rng.normal(size=(128, 3)), rng.normal(size=(96, 3))]
+        plans = [layer_sampling_plan(spec, cloud, seed=2) for cloud in clouds]
+        calls = []
+        real = search_engine.approximate_search
+
+        def counting(jobs, *args, **kwargs):
+            calls.append(len(jobs))
+            return real(jobs, *args, **kwargs)
+
+        monkeypatch.setattr(search_engine, "approximate_search", counting)
+        designs = self._designs(hw, plans)
+        batched = run_networks([(acc, spec, s, plan) for acc, s, plan in designs])
+        # Both Crescent runs' layers went through the shared engine at once.
+        assert calls == [2 * len(spec.layers)]
+        for (acc, setting, plan), got in zip(self._designs(hw, plans), batched):
+            want = acc.run_network(spec, plan[0][0], setting, seed=2)
+            assert TestRunMany._fingerprint(got) == TestRunMany._fingerprint(want)
 
 
 class TestSessionReuse:

@@ -1,4 +1,18 @@
-"""Tests for the analysis drivers and table formatting."""
+"""Tests for the analysis drivers and table formatting.
+
+``TestComparison::test_suite_matches_golden`` pins every cycle, byte and
+energy of :func:`run_evaluation_suite` (seed 0) to
+``tests/golden/evaluation_suite.json``.  To regenerate after an
+*intentional* change to the simulator::
+
+    REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src pytest tests/test_analysis.py -k golden
+
+and commit the diff with the justification.
+"""
+
+import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,7 +88,81 @@ def suite():
     return run_evaluation_suite()
 
 
+SUITE_GOLDEN = Path(__file__).parent / "golden" / "evaluation_suite.json"
+
+
+def _network_digest(result):
+    """Every number of one network run the Fig. 14-17 drivers read."""
+    return {
+        "cycles": result.cycles,
+        "search_cycles": result.search_cycles,
+        "aggregation_cycles": result.aggregation_cycles,
+        "mlp_cycles": result.mlp_cycles,
+        "dram_bytes": result.dram_bytes,
+        "nodes_visited": result.nodes_visited,
+        "energy": result.energy.components,
+        "layers": [
+            {
+                "name": layer.name,
+                "top_phase_cycles": layer.search.top_phase_cycles,
+                "sub_phase_cycles": layer.search.sub_phase_cycles,
+                "top_phase_stalls": layer.search.top_phase_stalls,
+                "lockstep_cycles": layer.search.report.lockstep_cycles,
+                "stall_cycles": layer.search.report.stall_cycles,
+            }
+            for layer in result.layers
+        ],
+    }
+
+
+def _suite_digest(suite):
+    return {
+        name: {
+            "mesorasi": _network_digest(r.mesorasi),
+            "ans": _network_digest(r.ans),
+            "ans_bce": _network_digest(r.ans_bce),
+            "gpu_cycles": r.gpu_cycles,
+            "gpu_energy": r.gpu_energy,
+            "tigris_gpu_cycles": r.tigris_gpu_cycles,
+            "tigris_gpu_energy": r.tigris_gpu_energy,
+        }
+        for name, r in suite.items()
+    }
+
+
 class TestComparison:
+    def test_suite_matches_golden(self, suite):
+        # JSON floats round-trip exactly, so the comparison needs no tolerance.
+        digest = json.loads(json.dumps(_suite_digest(suite)))
+        if os.environ.get("REPRO_UPDATE_GOLDEN"):
+            SUITE_GOLDEN.write_text(json.dumps(digest, indent=1) + "\n")
+            pytest.skip(f"golden file regenerated at {SUITE_GOLDEN}")
+        assert SUITE_GOLDEN.exists(), (
+            f"missing {SUITE_GOLDEN}; generate with REPRO_UPDATE_GOLDEN=1"
+        )
+        golden = json.loads(SUITE_GOLDEN.read_text())
+        assert set(digest) == set(golden)
+        for name, expected in golden.items():
+            for key, value in expected.items():
+                assert digest[name][key] == value, f"{name}: {key} drifted"
+
+    def test_suite_is_one_forest_pass(self, monkeypatch):
+        # Every Crescent layer search of the suite (4 networks x ANS and
+        # ANS+BCE) runs in one approximate search, not one per layer.
+        import repro.accel.search_engine as search_engine
+
+        calls = []
+        real = search_engine.approximate_search
+
+        def counting(jobs, *args, **kwargs):
+            calls.append(len(jobs))
+            return real(jobs, *args, **kwargs)
+
+        monkeypatch.setattr(search_engine, "approximate_search", counting)
+        run_evaluation_suite(seed=0)
+        layers = sum(len(spec.layers) for spec in evaluation_networks().values())
+        assert calls == [2 * layers]
+
     def test_suite_covers_table1(self, suite):
         assert set(suite) == set(evaluation_networks())
 

@@ -195,10 +195,14 @@ class TestNearestNodePass:
             queries = np.concatenate(
                 [rng.normal(size=(25, 3)), pts[: min(5, len(pts))]]
             )
-            want = np.array([knn_search(tree, q, 1)[0] for q in queries])
-            np.testing.assert_array_equal(
-                batched_nearest_node(tree, queries), want
-            )
+            # All far outside the cloud: the greedy bound prunes from the
+            # first level, and every node is a near-tie.
+            far = rng.normal(size=(25, 3)) * 50.0 + rng.choice([-100.0, 100.0], size=3)
+            for batch in (queries, far):
+                want = np.array([knn_search(tree, q, 1)[0] for q in batch])
+                np.testing.assert_array_equal(
+                    batched_nearest_node(tree, batch), want
+                )
 
     def test_all_empty_batch_parity(self, rng):
         # The zero-neighbor fallback path end to end: every row empty.
