@@ -11,7 +11,8 @@ equivalence suite (``tests/test_runtime_lockstep.py``) and both perf
 benches (``tests/test_runtime_perf.py``, ``benchmarks/test_lockstep_perf.py``):
 one definition of "drive one SubtreeSearch machine per query through
 ``run_subtree_lockstep``" keeps all three suites testing the same
-reference semantics.
+reference semantics.  ``digest_calls`` counts the serving layer's
+geometry digests for the serving suites and ``benchmarks/test_serve_perf.py``.
 """
 
 import os
@@ -107,6 +108,27 @@ def lockstep_groups_builder():
 def reference_lockstep_driver():
     """The pinned per-step reference lockstep driver (see module docs)."""
     return _drive_reference_lockstep
+
+
+@pytest.fixture
+def digest_calls(monkeypatch):
+    """Record every ``geometry_digest`` call the serving layer makes.
+
+    Wraps ``repro.serve.service.geometry_digest`` (the service imports it
+    by name) and returns the list the wrapper appends to, one entry per
+    call: a work count that timing noise cannot flake.
+    """
+    import repro.serve.service as service_module
+
+    calls = []
+    real = service_module.geometry_digest
+
+    def counting(*arrays):
+        calls.append(len(arrays))
+        return real(*arrays)
+
+    monkeypatch.setattr(service_module, "geometry_digest", counting)
+    return calls
 
 
 @pytest.fixture

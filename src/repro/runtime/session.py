@@ -191,9 +191,14 @@ class SearchSession:
         """Build (or fetch) the K-d tree over ``points``.
 
         ``digest`` lets callers that already computed
-        ``geometry_digest(points)`` (the serving layer digests every
-        request at submit time) skip re-hashing the cloud here; it must
-        be the digest of ``points`` as float64.
+        ``geometry_digest(points)`` (the serving layer digests each
+        cloud at flush, from the bytes it is about to search) skip
+        re-hashing the cloud here; it must be the digest of the current
+        content of ``points`` as float64.
+
+        A miss builds from a private read-only copy of ``points``: the
+        tree stays filed under this digest, so a later write to the
+        caller's array must not reach it.  A hit copies nothing.
         """
         points = np.asarray(points, dtype=np.float64)
         key = geometry_digest(points) if digest is None else digest
@@ -203,7 +208,9 @@ class SearchSession:
             # SplitTree base), which imports this module at load time.
             from .treebuild import vectorized_build_kdtree
 
-            tree = vectorized_build_kdtree(points)
+            frozen = points.copy()
+            frozen.setflags(write=False)
+            tree = vectorized_build_kdtree(frozen)
             self.trees.put(key, tree)
         return tree
 

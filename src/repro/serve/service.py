@@ -11,6 +11,11 @@ request-id vector, answers the whole group with one
 :meth:`~repro.runtime.batched.BatchedBallQuery.query_merged` advance, and
 demuxes the per-request results back onto the callers' tickets.
 
+The digest is taken at flush, once per distinct array, from the bytes
+about to be searched: a request is served against its cloud's content at
+flush, and the session's tree cache keeps its own read-only copy of every
+cloud it indexes, so no caller's later write reaches a cached tree.
+
 Coalescing is a pure batching transform: row independence of the merged
 sweep makes every served result bit-identical to running the request
 alone (``tests/test_serve.py`` pins this).  What changes is the cost —
@@ -24,7 +29,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,11 +72,18 @@ def validate_queries(queries: np.ndarray) -> np.ndarray:
 
 
 def validate_settings(radius: float, max_neighbors: int) -> None:
-    """Validate one request's ``(radius, K)`` setting."""
+    """Validate one request's ``(radius, K)`` setting.
+
+    ``max_neighbors`` must be integral: ``int()`` would serve 2.7 as
+    K = 2 and fail on inf or NaN with an unrelated error.
+    """
     if not np.isfinite(radius) or radius <= 0:
         raise ValueError("radius must be positive and finite")
-    if max_neighbors <= 0:
-        raise ValueError("max_neighbors must be positive")
+    k = float(max_neighbors)
+    if not (k.is_integer() and k >= 1):
+        raise ValueError(
+            f"max_neighbors must be an integer >= 1, got {max_neighbors!r}"
+        )
 
 
 @dataclass
@@ -153,12 +165,13 @@ class QueryTicket:
 
 
 class _Pending:
-    __slots__ = ("digest", "points", "queries", "ticket")
+    __slots__ = ("key", "points", "queries", "ticket")
 
-    def __init__(self, digest, points, queries, ticket):
-        # ``digest`` is the flush grouping key: a geometry digest for
-        # static requests, ``("dyn", handle)`` for dynamic ones.
-        self.digest = digest
+    def __init__(self, key, points, queries, ticket):
+        # A dynamic request is grouped by its ``("dyn", handle)`` key; a
+        # static one carries its ``points`` instead and is grouped by the
+        # geometry digest the flush takes of them.
+        self.key = key
         self.points = points
         self.queries = queries
         self.ticket = ticket
@@ -208,15 +221,15 @@ class QueryService:
         submit time, not poison the merged sweep it would have joined.
         That includes non-finite coordinates and settings: a NaN query row
         would error the whole merged sweep and settle every co-queued
-        same-cloud ticket with its exception.
+        same-cloud ticket with its exception.  The cloud is not hashed
+        here but at :meth:`flush`, so the request is served against the
+        cloud's content at flush.
         """
         validate_settings(radius, max_neighbors)
         points = validate_points(points)
         queries = validate_queries(queries)
         ticket = QueryTicket(float(radius), int(max_neighbors), self._clock())
-        self._queue.append(
-            _Pending(geometry_digest(points), points, queries, ticket)
-        )
+        self._queue.append(_Pending(None, points, queries, ticket))
         return ticket
 
     def flush(self) -> int:
@@ -231,6 +244,16 @@ class QueryService:
         tickets.  Pending updates to a dynamic cloud are applied by its
         lazy refresh here — between flushes, never mid-sweep.
 
+        Each static request's cloud is digested here, from the bytes about
+        to be searched, once per distinct array memory ``(data address,
+        shape, strides)``: equal content in distinct arrays still merges
+        into one sweep, and a same-cloud flush hashes its cloud once.  The
+        key is the memory, not ``id()``: ``validate_points`` returns a
+        fresh view of an unpickled float64 array, so a worker's batch on
+        one shipped cloud arrives as distinct objects over one buffer.
+        The batch holds every array until the flush ends, so no address
+        can be reused mid-flush.
+
         A group whose sweep fails settles its tickets with the error and
         executes nothing, so it contributes neither to the return value
         nor to ``stats.sweeps`` — its requests are counted in
@@ -242,9 +265,20 @@ class QueryService:
         batch, self._queue = self._queue, []
         t0 = self._clock()
         executed = 0
+        digests: Dict[tuple, str] = {}
         groups: "OrderedDict[object, List[_Pending]]" = OrderedDict()
         for p in batch:
-            groups.setdefault(p.digest, []).append(p)
+            key = p.key
+            if p.points is not None:
+                memory = (
+                    p.points.__array_interface__["data"][0],
+                    p.points.shape,
+                    p.points.strides,
+                )
+                key = digests.get(memory)
+                if key is None:
+                    key = digests[memory] = geometry_digest(p.points)
+            groups.setdefault(key, []).append(p)
         for key, members in groups.items():
             try:
                 sizes = [len(p.queries) for p in members]
@@ -257,8 +291,8 @@ class QueryService:
                 if isinstance(key, tuple) and key[0] == "dyn":
                     engine = self.session.dynamic(key[1])
                 else:
-                    # The digest was computed at submit time; don't
-                    # re-hash the cloud just to key the tree cache.
+                    # Digested above from these bytes; don't re-hash the
+                    # cloud just to key the tree cache.
                     tree = self.session.tree_for(members[0].points, digest=key)
                     engine = BatchedBallQuery(tree)
                 results = engine.query_merged(

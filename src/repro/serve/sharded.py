@@ -253,12 +253,16 @@ class ShardedQueryService:
         built there eagerly), so subsequent submits — by handle, or by
         points hashing to the same digest — carry only queries.
         Registering the same cloud again is a no-op returning the same
-        handle.
+        handle.  The dispatcher keeps a private read-only copy of the
+        registered content — the snapshot a respawned shard is re-sent —
+        so a later write to the caller's array reaches no shard.
         """
         self._check_open()
         points = validate_points(points)
         digest = geometry_digest(points)
         if digest not in self._registered:
+            points = points.copy()
+            points.setflags(write=False)
             self._registered[digest] = points
             slot = self._slot_for(digest)
             self._ensure_alive(slot)

@@ -38,7 +38,9 @@ Inbox protocol (tuples, first element is the kind):
     Serve ``jobs`` — each ``(job_id, digest, points_or_None, queries,
     radius, max_neighbors)``, with a 7th element ``"dynamic"`` marking
     requests against a dynamic handle — through the local coalescing
-    service (one submit per job, one flush for the batch) and reply with
+    service (one submit per job, one flush for the batch, which hashes
+    each distinct cloud array once — a registered cloud's handle-only
+    jobs share its pinned array) and reply with
     one atomic ``("result", slot, batch_id, results, delta)`` message on
     this worker's own outbox (per-incarnation by design — see
     :class:`~repro.runtime.WorkerProcess` on why a shared result queue

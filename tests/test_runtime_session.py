@@ -91,10 +91,15 @@ class TestSearchSession:
     def test_tree_for_rebuilds_on_mutation(self, rng):
         session = SearchSession()
         pts = rng.normal(size=(50, 3))
+        original = pts.copy()
         t1 = session.tree_for(pts)
         pts[0] += 1.0
         t2 = session.tree_for(pts)
         assert t1 is not t2
+        # The cached tree keeps its own read-only copy of the cloud: the
+        # caller's write must not reach a tree filed under the old digest.
+        np.testing.assert_array_equal(t1.points, original)
+        assert not t1.points.flags.writeable
 
     def test_ball_query_matches_reference(self, rng):
         session = SearchSession()

@@ -288,6 +288,39 @@ class TestQueryService:
         assert service.stats.max_coalesced == 4
         assert_request_parity(requests, [t.result() for t in tickets])
 
+    def test_request_is_served_against_its_cloud_at_flush(self, rng):
+        # A caller writes to its cloud between submit and flush.  The
+        # ticket is served against the content at flush, and that content
+        # must not be filed under a digest of the content at submit: a
+        # later request with the original content gets the frozen search.
+        pts = rng.normal(size=(200, 3))
+        original = pts.copy()
+        queries = np.concatenate([original[:6], original[:6] + 5.0])
+        service = QueryService()
+        ticket = service.submit(pts, queries, 0.4, 8)
+        pts += 5.0
+        service.flush()
+        want_idx, want_cnt = ball_query(build_kdtree(original + 5.0), queries, 0.4, 8)
+        np.testing.assert_array_equal(ticket.result()[0], want_idx)
+        np.testing.assert_array_equal(ticket.result()[1], want_cnt)
+        got_idx, got_cnt = service.query(original, queries, 0.4, 8)
+        want_idx, want_cnt = ball_query(build_kdtree(original), queries, 0.4, 8)
+        np.testing.assert_array_equal(got_idx, want_idx)
+        np.testing.assert_array_equal(got_cnt, want_cnt)
+
+    def test_flush_digests_each_shared_cloud_once(self, rng, digest_calls):
+        # A same-cloud flush hashes its cloud once, not once per request.
+        pts = rng.normal(size=(300, 3))
+        service = QueryService()
+        tickets = [
+            service.submit(pts, pts[i % 50 : i % 50 + 2], 0.3, 1 + i % 8)
+            for i in range(256)
+        ]
+        assert digest_calls == []  # submit validates but does not hash
+        assert service.flush() == 1
+        assert digest_calls == [1]
+        assert all(t.error is None for t in tickets)
+
     def test_ticket_result_before_flush_raises(self, rng):
         service = QueryService()
         ticket = service.submit(rng.normal(size=(20, 3)), np.zeros((1, 3)), 0.5, 4)
@@ -306,6 +339,9 @@ class TestQueryService:
             service.submit(pts, pts[:2], -0.5, 4)
         with pytest.raises(ValueError):
             service.submit(pts, pts[:2], 0.5, 0)
+        for k in (2.7, np.inf, np.nan):  # K must be an integer >= 1
+            with pytest.raises(ValueError, match="max_neighbors"):
+                service.submit(pts, pts[:2], 0.5, k)
         with pytest.raises(ValueError):  # query width mismatch
             service.submit(pts, np.zeros((3, 2)), 0.5, 4)
         with pytest.raises(ValueError):  # malformed cloud

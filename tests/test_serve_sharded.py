@@ -10,6 +10,7 @@ worker killed mid-flush being detected, respawned, re-registered, and its
 orphaned requests requeued, with the flush still settling every ticket.
 """
 
+import pickle
 import threading
 
 import numpy as np
@@ -17,12 +18,14 @@ import pytest
 
 from repro.kdtree import build_kdtree
 from repro.runtime import BatchedBallQuery, WorkerProcess
+from repro.runtime.session import geometry_digest
 from repro.serve import (
     QueryService,
     ShardedQueryService,
     replay_trace_sharded,
     synthetic_trace,
 )
+from repro.serve.worker import _serve_batch
 
 
 def assert_ticket_parity(requests, tickets):
@@ -141,6 +144,9 @@ class TestRegisterHandles:
                 (pts, pts[:2], -0.5, 4),
                 (pts, pts[:2], np.nan, 4),
                 (pts, pts[:2], 0.5, 0),
+                (pts, pts[:2], 0.5, 2.7),
+                (pts, pts[:2], 0.5, np.inf),
+                (pts, pts[:2], 0.5, np.nan),
                 (pts, nan_queries, 0.5, 4),
             ]:
                 with pytest.raises(ValueError):
@@ -196,6 +202,53 @@ class TestDeadWorkerRecovery:
             assert service.stats.respawns == 1
             assert service.stats.requeued_requests == 0  # nothing in flight
             assert_ticket_parity([(pts, pts[:6], 0.2, 8)], [second])
+
+    def test_respawn_reships_the_registered_content(self, rng):
+        # A respawned shard is re-sent every cloud registered on it.  It
+        # must get the content that was registered, not what the caller's
+        # array holds after a later write.
+        pts = rng.normal(size=(50, 3))
+        registered = pts.copy()
+        queries = np.concatenate([registered[:4], registered[:4] + 5.0])
+        with ShardedQueryService(num_workers=1, poll_interval=0.02) as service:
+            handle = service.register(pts)
+            pts += 5.0
+            service._workers[0].kill()
+            ticket = service.submit_handle(handle, queries, 0.3, 4)
+            service.flush()
+            assert service.stats.respawns == 1
+            assert_ticket_parity([(registered, queries, 0.3, 4)], [ticket])
+
+
+class TestWorkerBatchDigests:
+    """A worker's batch hashes each cloud it serves once, not once per job."""
+
+    def test_each_batch_digests_its_cloud_once(self, rng, digest_calls):
+        pts = rng.normal(size=(120, 3))
+        digest = geometry_digest(pts)
+        requests = [(pts, pts[i % 40 : i % 40 + 3], 0.3, 1 + i % 6) for i in range(64)]
+        service = QueryService()
+        # 64 jobs that ship one cloud, after the pickle round trip of the
+        # inbox: every job holds the same unpickled array.
+        shipped = pickle.loads(
+            pickle.dumps([(i, digest, *request) for i, request in enumerate(requests)])
+        )
+        reply = _serve_batch(service, {}, 0, 0, shipped)
+        assert len(digest_calls) == 1
+        # 64 handle-only jobs on one registered cloud.
+        digest_calls.clear()
+        handle_only = [(i, digest, None, *request[1:]) for i, request in enumerate(requests)]
+        again = _serve_batch(service, {digest: pts}, 0, 1, handle_only)
+        assert len(digest_calls) == 1
+        engine = BatchedBallQuery(build_kdtree(pts))
+        for *_, results, delta in (reply, again):
+            assert delta["sweeps"] == 1
+            got = [(idx, cnt) for _, idx, cnt, err in results if err is None]
+            assert len(got) == len(requests)
+            for (idx, cnt), (_, queries, radius, k) in zip(got, requests):
+                want_idx, want_cnt = engine.query(queries, radius, k)
+                np.testing.assert_array_equal(idx, want_idx)
+                np.testing.assert_array_equal(cnt, want_cnt)
 
 
 class TestShardedLifecycleAndStats:
