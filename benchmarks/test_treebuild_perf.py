@@ -13,9 +13,11 @@ smoke lane (not slow-marked):
 - an end-to-end >=1.5x floor on an all-distinct-cloud serving trace —
   the workload where cold builds dominate — with results bit-identical
   between the production session and the same session with the frozen
-  per-node builder substituted at its import seam.
+  per-node builder substituted at its import seam;
+- a forest record (no floor): an epoch-sized batch of small clouds built
+  one call per cloud and as one ``vectorized_build_forest`` pass.
 
-Both tests write their measurements into ``BENCH_treebuild.json``
+All three write their measurements into ``BENCH_treebuild.json``
 (see :mod:`artifacts`), which CI uploads so the cold-path perf
 trajectory accumulates across PRs.
 """
@@ -28,7 +30,11 @@ from artifacts import write_bench_artifact
 from repro.core.split_tree import SplitTree
 from repro.kdtree.build import build_kdtree
 from repro.runtime import treebuild
-from repro.runtime.treebuild import VectorizedSplitTree, vectorized_build_kdtree
+from repro.runtime.treebuild import (
+    VectorizedSplitTree,
+    vectorized_build_forest,
+    vectorized_build_kdtree,
+)
 from repro.serve import QueryService
 
 N_POINTS = 4096
@@ -41,6 +47,9 @@ QUERIES_PER_CLOUD = 16
 RADIUS = 0.3
 MAX_NEIGHBORS = 16
 MIN_SERVE_SPEEDUP = 1.5
+
+FOREST_CLOUDS = 64
+FOREST_CLOUD_SIZE = 112
 
 NODE_FIELDS = ("point_id", "split_dim", "left", "right", "depth", "subtree_size")
 
@@ -132,13 +141,21 @@ def test_all_distinct_cloud_serving_floor(monkeypatch):
 
     serve_trace_cold(trace)  # warm-up (imports, allocator)
     # The reference side: SearchSession.tree_for builds through
-    # treebuild.vectorized_build_kdtree, so swapping the frozen per-node
-    # builder in there times the same service on the old cold path.
+    # treebuild.vectorized_build_forest, so swapping in a per-cloud map of
+    # the frozen per-node builder there times the same service on the old
+    # cold path.
+    reference_builds = []
+
+    def reference_forest(clouds, split_rule="widest"):
+        reference_builds.append(len(clouds))
+        return [build_kdtree(points, split_rule) for points in clouds]
+
     with monkeypatch.context() as patch:
-        patch.setattr(treebuild, "vectorized_build_kdtree", build_kdtree)
+        patch.setattr(treebuild, "vectorized_build_forest", reference_forest)
         t0 = time.perf_counter()
         ref_results = serve_trace_cold(trace)
         ref_time = time.perf_counter() - t0
+    assert sum(reference_builds) == N_CLOUDS  # the reference really built
     fast_time = float("inf")
     fast_results = None
     for _ in range(3):
@@ -168,4 +185,33 @@ def test_all_distinct_cloud_serving_floor(monkeypatch):
     assert speedup >= MIN_SERVE_SPEEDUP, (
         f"all-distinct-cloud serving only {speedup:.2f}x faster with the "
         f"vectorized cold path ({ref_time:.3f}s reference vs {fast_time:.3f}s)"
+    )
+
+
+def test_forest_build_record():
+    """An epoch-sized batch of small clouds, per cloud vs one forest pass.
+
+    Identity first, then the best of 5 each way; recorded, not gated.
+    """
+    rng = np.random.default_rng(20261017)
+    clouds = [rng.normal(size=(FOREST_CLOUD_SIZE, 3)) for _ in range(FOREST_CLOUDS)]
+    forest = vectorized_build_forest(clouds)
+    for points, tree in zip(clouds, forest):
+        ref = build_kdtree(points)
+        for field in NODE_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(ref, field), getattr(tree, field), err_msg=field
+            )
+
+    per_cloud = best_of(lambda: [vectorized_build_kdtree(c) for c in clouds], 5)
+    one_pass = best_of(lambda: vectorized_build_forest(clouds), 5)
+    write_bench_artifact(
+        "treebuild",
+        {
+            "forest_clouds": FOREST_CLOUDS,
+            "forest_cloud_size": FOREST_CLOUD_SIZE,
+            "forest_ms_per_cloud_calls": round(per_cloud * 1e3, 3),
+            "forest_ms_one_pass": round(one_pass * 1e3, 3),
+            "forest_speedup": round(per_cloud / one_pass, 2),
+        },
     )

@@ -147,16 +147,18 @@ class ApproximationPipeline:
         """Uncached ``(indices, counts)`` per ``(points, queries, radius,
         max_neighbors, setting)`` item.
 
-        Trees come from the session (one lookup per item, in order).  Every
+        Every item's tree comes from one ``session.trees_for`` call (one
+        lookup per item, one forest build over the missing clouds).  Every
         approximate item joins one forest search
         (:func:`~repro.runtime.approximate_search`); exact items run the
         batched exact engine.  :meth:`query_with_counts` is the one-item
-        case; epoch materialization passes a whole epoch's misses.
+        case; epoch materialization passes a whole epoch's misses, so it
+        builds all of their trees in one pass.
         """
         results: List[Tuple[np.ndarray, np.ndarray]] = []
         jobs, slots = [], []
-        for points, queries, radius, max_neighbors, setting in items:
-            tree = self.session.tree_for(np.asarray(points, dtype=np.float64))
+        trees = self.session.trees_for([item[0] for item in items])
+        for tree, (_points, queries, radius, max_neighbors, setting) in zip(trees, items):
             queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
             if setting.uses_split_tree or setting.uses_elision:
                 slots.append(len(results))

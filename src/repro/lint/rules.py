@@ -145,6 +145,7 @@ class ReferenceFreezeRule(Rule):
         "VectorizedLockstep",
         "vectorized_top_phase",
         "vectorized_build_kdtree",
+        "vectorized_build_forest",
         "VectorizedSplitTree",
         "euler_tour",
     }

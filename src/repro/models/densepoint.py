@@ -71,14 +71,17 @@ class DensePointClassifier(Module):
         # batch_norm off: single pooled row per cloud (see pointnetpp.py).
         self.head = MLP([in_features, 64, num_classes], rng, batch_norm=False, final_activation=False)
 
-    def query_plan(self, points: np.ndarray, cache_key: Optional[int] = None):
-        """The neighbor queries one forward pass will issue, stage order."""
+    def query_plan(
+        self, points: np.ndarray, cache_keys: Optional[Sequence[Optional[int]]] = None
+    ):
+        """The neighbor queries a forward pass over ``(B, N, 3)`` clouds
+        will issue, one list per row, in stage order."""
         from .pointnetpp import _chain_query_plan
 
         return _chain_query_plan(
             [(f"stage{i}", stage) for i, stage in enumerate(self.stages)],
             points,
-            cache_key,
+            cache_keys,
         )
 
     def forward(

@@ -121,14 +121,15 @@ class FrustumPointNet(Module):
         # batch_norm off: single pooled row per frustum.
         self.box_head = MLP([64, 64, 8], rng, batch_norm=False, final_activation=False)
 
-    def query_plan(self, frustum_points: np.ndarray, cache_key: Optional[int] = None):
-        """The neighbor queries one forward pass will issue (on the
-        centroid-normalized frustum, matching :meth:`forward`)."""
+    def query_plan(self, frustum_points: np.ndarray, cache_keys=None):
+        """The neighbor queries a forward pass over ``(B, N, 3)`` frustum
+        crops will issue, one list per row (on the centroid-normalized
+        crops, centred exactly as :meth:`forward_batch` centres them)."""
         from .pointnetpp import _chain_query_plan
 
         pts = np.asarray(frustum_points, dtype=np.float64)
-        local = pts - pts.mean(axis=0)
-        return _chain_query_plan([("sa1", self.sa1), ("sa2", self.sa2)], local, cache_key)
+        local = pts - pts.mean(axis=1, keepdims=True)
+        return _chain_query_plan([("sa1", self.sa1), ("sa2", self.sa2)], local, cache_keys)
 
     def forward(
         self,

@@ -91,33 +91,26 @@ def _fps_greedy_batched(pts: np.ndarray, num_samples: int, start: int) -> np.nda
 
 
 def farthest_point_sampling(points: np.ndarray, num_samples: int, start: int = 0) -> np.ndarray:
-    """Deterministic farthest point sampling.
+    """Deterministic farthest point sampling of one ``(N, 3)`` cloud.
 
-    Greedy max-min selection starting from ``points[start]``.  Determinism
-    matters: it keeps layer geometry (and therefore the cached neighbor
-    matrices) stable across training epochs — and is what makes the digest
-    memoization safe.  The returned array is read-only.
+    Greedy max-min selection starting from ``points[start]``: the ``B == 1``
+    view of :func:`farthest_point_sampling_batched`, so both share one memo.
+    Determinism matters: it keeps layer geometry (and therefore the cached
+    neighbor matrices) stable across training epochs — and is what makes
+    the digest memoization safe.  The returned array is read-only.
     """
-    points = np.asarray(points, dtype=np.float64)
-    n = len(points)
-    if not 0 < num_samples <= n:
-        raise ValueError(f"num_samples must be in (0, {n}], got {num_samples}")
-    key = (geometry_digest(points), num_samples, start)
-    hit = _fps_cache_get(key)
-    if hit is not _FPS_MISS:
-        return hit
-    return _fps_cache_put(key, _fps_greedy_batched(points[None], num_samples, start)[0])
+    return farthest_point_sampling_batched(np.asarray(points)[None], num_samples, start)[0]
 
 
 def farthest_point_sampling_batched(
     points: np.ndarray, num_samples: int, start: int = 0
 ) -> np.ndarray:
-    """:func:`farthest_point_sampling` over a stacked ``(B, N, 3)`` axis.
+    """Farthest point sampling of every cloud of a stacked ``(B, N, 3)`` array.
 
-    Row ``b`` of the ``(B, num_samples)`` result is bit-identical to
-    ``farthest_point_sampling(points[b], num_samples, start)``; rows whose
-    cloud digest is already memoized are served from the shared cache and
-    only the missing rows run the greedy iteration (in lockstep).
+    Row ``b`` of the read-only ``(B, num_samples)`` result is the greedy
+    max-min selection over ``points[b]`` alone.  Results are memoized by
+    cloud digest: rows already in the memo are served from it, and the
+    missing rows run the greedy iteration in one lockstep loop.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 3:
@@ -140,6 +133,7 @@ def farthest_point_sampling_batched(
         computed = _fps_greedy_batched(pts[misses], num_samples, start)
         for j, b in enumerate(misses):
             chosen[b] = _fps_cache_put(keys[b], computed[j])
+    chosen.setflags(write=False)
     return chosen
 
 
@@ -232,33 +226,48 @@ class SetAbstraction(Module):
         self.out_features = mlp_widths[-1]
 
     def query_plan(
-        self, points: np.ndarray, cache_key: Optional[tuple] = None
-    ) -> Tuple[Optional[QueryRequest], np.ndarray]:
-        """The neighbor query this layer's forward pass will issue.
+        self,
+        points: np.ndarray,
+        cache_keys: Optional[Sequence[Optional[tuple]]] = None,
+    ) -> Tuple[List[QueryRequest], np.ndarray]:
+        """The neighbor queries this layer's forward pass will issue.
 
-        Returns ``(request, centroids)`` for one ``(N, 3)`` cloud;
-        ``request`` is ``None`` for the group-all stage, which never touches
-        the pipeline.  Centroid sampling is deterministic (FPS), so the plan
-        depends only on geometry.  :meth:`forward` samples and queries on
-        its own stacked path rather than calling this method; the epoch
-        suite's pure-cache-hit test (``TestWarmCache``) is what keeps the
-        two in step, so that epoch-batched materialization
-        (:mod:`repro.runtime.epoch`) warms exactly the entries the training
-        forward pass will look up.
+        Takes stacked ``(B, N, 3)`` clouds with one cache key per row and
+        returns ``(requests, centroids)``: row ``b``'s :class:`QueryRequest`
+        and the stacked ``(B, M, 3)`` centroids the next layer plans on.
+        ``requests`` is empty for the group-all stage, which never touches
+        the pipeline.  Centroids come from the forward's own sampler,
+        :func:`farthest_point_sampling_batched`, so a whole stack samples
+        in one lockstep loop and the forward's sampling then hits the memo.
+        :meth:`forward` samples and queries on its own rather than calling
+        this method; the epoch suite's pure-cache-hit test
+        (``TestWarmCache``) keeps the two in step, so that epoch-batched
+        materialization (:mod:`repro.runtime.epoch`) warms exactly the
+        entries the training forward pass will look up.
         """
-        points = np.asarray(points, dtype=np.float64)
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim != 3:
+            raise ValueError(f"expected stacked (B, N, 3) points, got shape {pts.shape}")
+        batch = pts.shape[0]
+        if cache_keys is None:
+            cache_keys = [None] * batch
+        if len(cache_keys) != batch:
+            raise ValueError("cache_keys must match the batch size")
         if self.num_centroids is None:
-            return None, points.mean(axis=0, keepdims=True)
-        fps = farthest_point_sampling(points, self.num_centroids)
-        centroids = points[fps]
-        request = QueryRequest(
-            points=points,
-            queries=centroids,
-            radius=self.radius,
-            max_neighbors=self.max_neighbors,
-            cache_key=cache_key,
-        )
-        return request, centroids
+            return [], pts.mean(axis=1, keepdims=True)
+        fps = farthest_point_sampling_batched(pts, self.num_centroids)
+        centroids = pts[np.arange(batch)[:, None], fps]
+        requests = [
+            QueryRequest(
+                points=pts[b],
+                queries=centroids[b],
+                radius=self.radius,
+                max_neighbors=self.max_neighbors,
+                cache_key=cache_keys[b],
+            )
+            for b in range(batch)
+        ]
+        return requests, centroids
 
     def forward(
         self,

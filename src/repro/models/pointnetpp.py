@@ -29,19 +29,22 @@ from .layers import FeaturePropagation, GlobalMaxPool, SetAbstraction, drop_batc
 def _chain_query_plan(
     stages: Sequence[Tuple[str, SetAbstraction]],
     points: np.ndarray,
-    cache_key: Optional[int],
-) -> List[QueryRequest]:
-    """Thread ``points`` through a chain of SA stages, collecting each
-    stage's :class:`QueryRequest` under the cache key its forward pass
-    will use (``(cache_key, stage_name)``, or ``None`` when uncached)."""
-    requests: List[QueryRequest] = []
+    cache_keys: Optional[Sequence[Optional[int]]],
+) -> List[List[QueryRequest]]:
+    """Thread a ``(B, N, 3)`` stack through a chain of SA stages; returns
+    each row's :class:`QueryRequest` list, in stage order, under the cache
+    keys its forward pass will use (``(cache_key, stage_name)``, or
+    ``None`` when uncached)."""
     current = np.asarray(points, dtype=np.float64)
+    batch = len(current)
+    rows: List[List[QueryRequest]] = [[] for _ in range(batch)]
     for name, stage in stages:
-        key = (cache_key, name) if cache_key is not None else None
-        request, current = stage.query_plan(current, key)
-        if request is not None:
-            requests.append(request)
-    return requests
+        requests, current = stage.query_plan(
+            current, _stage_keys(cache_keys, name, batch)
+        )
+        for row, request in zip(rows, requests):
+            row.append(request)
+    return rows
 
 __all__ = ["PointNetPPClassifier", "PointNetPPSegmenter"]
 
@@ -104,12 +107,13 @@ class PointNetPPClassifier(Module):
         self.head = MLP([128, 64, num_classes], rng, batch_norm=False, final_activation=False)
 
     def query_plan(
-        self, points: np.ndarray, cache_key: Optional[int] = None
-    ) -> List[QueryRequest]:
-        """The neighbor queries one forward pass will issue (sa3 is
-        group-all and never queries the pipeline)."""
+        self, points: np.ndarray, cache_keys: Optional[Sequence[Optional[int]]] = None
+    ) -> List[List[QueryRequest]]:
+        """The neighbor queries a forward pass over ``(B, N, 3)`` clouds
+        will issue, one list per row (sa3 is group-all and never queries
+        the pipeline)."""
         return _chain_query_plan(
-            [("sa1", self.sa1), ("sa2", self.sa2)], points, cache_key
+            [("sa1", self.sa1), ("sa2", self.sa2)], points, cache_keys
         )
 
     def forward(
@@ -173,12 +177,13 @@ class PointNetPPSegmenter(Module):
         self.head = MLP([32, 32, num_classes], rng, batch_norm=False, final_activation=False)
 
     def query_plan(
-        self, points: np.ndarray, cache_key: Optional[int] = None
-    ) -> List[QueryRequest]:
-        """The neighbor queries one forward pass will issue (the FP
-        decoder interpolates with brute-force 3-NN, not the pipeline)."""
+        self, points: np.ndarray, cache_keys: Optional[Sequence[Optional[int]]] = None
+    ) -> List[List[QueryRequest]]:
+        """The neighbor queries a forward pass over ``(B, N, 3)`` clouds
+        will issue, one list per row (the FP decoder interpolates with
+        brute-force 3-NN, not the pipeline)."""
         return _chain_query_plan(
-            [("sa1", self.sa1), ("sa2", self.sa2)], points, cache_key
+            [("sa1", self.sa1), ("sa2", self.sa2)], points, cache_keys
         )
 
     def forward(

@@ -35,10 +35,10 @@ Four pieces, composable but independently usable:
   when a caller reuses a cache key with mutated points; sentinel-based
   misses so cached falsy values are never recomputed).
 - :mod:`~repro.runtime.treebuild` — level-synchronous vectorized K-d
-  tree and split-tree construction (the serving cold path): bit-identical
-  to :func:`repro.kdtree.build.build_kdtree` / :class:`SplitTree`, built
-  in O(log N) NumPy passes instead of per-node Python; what sessions use
-  to fill cache misses by default.
+  tree and split-tree construction: bit-identical to
+  :func:`repro.kdtree.build.build_kdtree` / :class:`SplitTree`, built in
+  O(log N) NumPy passes instead of per-node Python, any number of clouds
+  in one forest pass; what sessions use to fill cache misses.
 - :class:`WorkerProcess` — one long-lived, respawnable worker process
   (mailbox + heartbeat + in-place respawn); what the sharded serving tier
   builds its workers on.
@@ -78,7 +78,12 @@ from .topphase import reference_top_phase, vectorized_top_phase
 # Imported last: treebuild pulls in repro.core (for the SplitTree base),
 # whose pipeline module imports .session from this package — everything
 # it needs is already bound above by the time that re-entrant import runs.
-from .treebuild import VectorizedSplitTree, euler_tour, vectorized_build_kdtree
+from .treebuild import (
+    VectorizedSplitTree,
+    euler_tour,
+    vectorized_build_forest,
+    vectorized_build_kdtree,
+)
 from .approx import SearchJob, approximate_search
 
 __all__ = [
@@ -109,5 +114,6 @@ __all__ = [
     "vectorized_top_phase",
     "VectorizedSplitTree",
     "euler_tour",
+    "vectorized_build_forest",
     "vectorized_build_kdtree",
 ]

@@ -27,11 +27,17 @@ the cache — or, after an LRU eviction, deterministically recomputes the
 same matrix.
 
 What a model must expose to ride this path: a ``query_plan(points,
-cache_key)`` method returning the :class:`QueryRequest` list its forward
-pass will issue (geometry only — settings are scheduled per input).  The
-:class:`~repro.models.layers.SetAbstraction` layers derive both the plan
-and the forward-pass query from one helper, so the two cannot drift.
-Models without ``query_plan`` simply train through the per-step path.
+cache_keys)`` method that takes stacked ``(B, N, 3)`` clouds with one
+cache key per row and returns, per row, the :class:`QueryRequest` list its
+forward pass will issue (geometry only — settings are scheduled per
+input).  The trainer plans every dataset position in one such call before
+the first epoch, so farthest point sampling runs one lockstep loop per
+layer, and each epoch's materialization builds all of its trees in one
+forest pass (:meth:`~repro.runtime.SearchSession.trees_for`).  The
+:class:`~repro.models.layers.SetAbstraction` plan samples with the same
+stacked sampler as its forward; the epoch suite's pure-cache-hit test
+pins every model's plan against the geometry its forward queries.  Models
+without ``query_plan`` simply train through the per-step path.
 """
 
 from __future__ import annotations
@@ -158,8 +164,8 @@ class EpochPlan:
         ``plan_fn(position)`` returns the :class:`QueryRequest` list for
         the dataset item at ``position``.  An epoch's order is a
         permutation (each position visited once), so callers whose plans
-        are expensive should memoize ``plan_fn`` across epochs — as
-        :meth:`repro.training.trainer._BaseTrainer.train` does — rather
+        are expensive should plan every position once for the whole run —
+        as :meth:`repro.training.trainer._BaseTrainer.train` does — rather
         than expect caching here.
         """
         schedule = self.schedules[epoch]

@@ -31,7 +31,16 @@ import hashlib
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Hashable, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -188,31 +197,67 @@ class SearchSession:
 
     # ------------------------------------------------------------------
     def tree_for(self, points: np.ndarray, digest: Optional[str] = None) -> KdTree:
-        """Build (or fetch) the K-d tree over ``points``.
+        """Build (or fetch) the K-d tree over ``points``: the one-item
+        :meth:`trees_for`.
 
         ``digest`` lets callers that already computed
         ``geometry_digest(points)`` (the serving layer digests each
         cloud at flush, from the bytes it is about to search) skip
         re-hashing the cloud here; it must be the digest of the current
         content of ``points`` as float64.
-
-        A miss builds from a private read-only copy of ``points``: the
-        tree stays filed under this digest, so a later write to the
-        caller's array must not reach it.  A hit copies nothing.
         """
-        points = np.asarray(points, dtype=np.float64)
-        key = geometry_digest(points) if digest is None else digest
-        tree = self.trees.get(key, _MISS)
-        if tree is _MISS:
+        return self.trees_for([points], [digest])[0]
+
+    def trees_for(
+        self,
+        clouds: Sequence[np.ndarray],
+        digests: Optional[Sequence[Optional[str]]] = None,
+    ) -> List[KdTree]:
+        """Build (or fetch) the K-d tree over every cloud, one forest pass.
+
+        One digest (unless ``digests`` supplies it; ``None`` entries are
+        hashed here) and one tree-cache lookup per item, then a single
+        :func:`~repro.runtime.treebuild.vectorized_build_forest` call over
+        the distinct misses.  The cache records what the one-at-a-time
+        :meth:`tree_for` loop would: a miss per distinct missing cloud, and
+        a hit for every later item on a cloud the batch has already missed.
+
+        A miss builds from a private read-only copy of its cloud: the tree
+        stays filed under this digest, so a later write to the caller's
+        array must not reach it.  A hit copies nothing.
+        """
+        clouds = [np.asarray(points, dtype=np.float64) for points in clouds]
+        if digests is None:
+            digests = [None] * len(clouds)
+        elif len(digests) != len(clouds):
+            raise ValueError(f"expected {len(clouds)} digests, got {len(digests)}")
+        trees: List[Optional[KdTree]] = [None] * len(clouds)
+        missed: Dict[str, List[int]] = {}  # digest -> positions, first-miss order
+        for i, (points, digest) in enumerate(zip(clouds, digests)):
+            key = geometry_digest(points) if digest is None else digest
+            if key in missed:
+                missed[key].append(i)
+                continue
+            tree = self.trees.get(key, _MISS)
+            if tree is _MISS:
+                missed[key] = [i]
+            else:
+                trees[i] = tree
+        if missed:
             # Imported lazily: treebuild imports repro.core (for the
             # SplitTree base), which imports this module at load time.
-            from .treebuild import vectorized_build_kdtree
+            from .treebuild import vectorized_build_forest
 
-            frozen = points.copy()
-            frozen.setflags(write=False)
-            tree = vectorized_build_kdtree(frozen)
-            self.trees.put(key, tree)
-        return tree
+            frozen = [clouds[positions[0]].copy() for positions in missed.values()]
+            for points in frozen:
+                points.setflags(write=False)
+            built = vectorized_build_forest(frozen)
+            for (key, positions), tree in zip(missed.items(), built):
+                self.trees.put(key, tree)
+                self.trees.stats.hits += len(positions) - 1
+                for i in positions:
+                    trees[i] = tree
+        return trees
 
     def split_tree_for(self, tree: KdTree, top_height: int) -> "SplitTree":
         """Build (or fetch) the :class:`SplitTree` over ``tree``.

@@ -1,4 +1,4 @@
-"""Level-synchronous vectorized tree construction (the serving cold path).
+"""Level-synchronous vectorized tree construction (the cold path).
 
 :func:`repro.kdtree.build.build_kdtree` pops one deque entry per node —
 ~N Python iterations and N small ``argsort`` calls per cloud — and
@@ -12,10 +12,17 @@ dominant cold-start cost now that every query engine is array code.
 This module rebuilds both structures with **all nodes of a depth level in
 one shot**, O(log N) NumPy passes total and no per-node Python:
 
-- :func:`vectorized_build_kdtree` — bit-identical to ``build_kdtree``
+- :func:`vectorized_build_forest` — any number of clouds in one level
+  loop, each tree bit-identical to ``build_kdtree`` of its cloud alone
   (all six node arrays, both split rules, including stable-argsort tie
   routing on duplicate coordinates), pinned by the randomized equivalence
-  suite in ``tests/test_runtime_treebuild.py``.
+  suites in ``tests/test_runtime_treebuild.py``.  Epoch materialization
+  builds all of its ~100-point clouds in one pass
+  (:meth:`~repro.runtime.SearchSession.trees_for`), where per-call
+  overhead would dominate.  The serving flush (``tree_for``), dynamic
+  segment rebuilds and the figure drivers build one cloud per call — the
+  one-cloud forest, also named :func:`vectorized_build_kdtree` — since at
+  4096 points the sorting work, not per-call overhead, sets the cost.
 - :func:`euler_tour` — the preorder entry/exit intervals of
   ``KdTree._ensure_euler``, computed level-synchronously.
 - :class:`VectorizedSplitTree` — a :class:`SplitTree` with an identical
@@ -43,7 +50,7 @@ standing constraint; `reference-freeze` lint rule): this module imports
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +60,7 @@ from ..kdtree.build import NODE_BYTES, KdTree
 __all__ = [
     "VectorizedSplitTree",
     "euler_tour",
+    "vectorized_build_forest",
     "vectorized_build_kdtree",
 ]
 
@@ -80,30 +88,53 @@ def _stable_segment_order(
     return np.argsort(key, kind="stable")
 
 
-def vectorized_build_kdtree(points: np.ndarray, split_rule: str = "widest") -> KdTree:
-    """Build the same balanced K-d tree as :func:`build_kdtree`, level at a time.
+def vectorized_build_forest(
+    clouds: Sequence[np.ndarray], split_rule: str = "widest"
+) -> List[KdTree]:
+    """Build ``build_kdtree(points, split_rule)`` for every cloud, level at a time.
 
-    Bit-identical output contract: the returned tree's ``point_id`` /
+    One level loop serves the whole forest: the first level's segments are
+    the clouds themselves, and every later level sorts the open segments of
+    every tree with one segmented stable sort.  Bit-identical output
+    contract, tree for tree: each returned tree's ``point_id`` /
     ``split_dim`` / ``left`` / ``right`` / ``depth`` / ``subtree_size``
     arrays (values *and* dtypes) match ``build_kdtree(points, split_rule)``
-    exactly, for both split rules, on any input the reference accepts —
-    including duplicate coordinates, where tie routing follows the
-    reference's stable argsort.
+    of its cloud alone, for both split rules, on any input the reference
+    accepts — including duplicate coordinates, where tie routing follows
+    the reference's stable argsort.  Each tree's ``points`` is its cloud
+    (no copy when it is already C-contiguous float64); its node arrays are
+    slices of forest-wide arrays.
 
-    BFS node-id assignment in the reference is level-order numbering, and
-    the FIFO pop order within a level is "parent order, left child before
-    right" — exactly the segment order this builder maintains, so node ids
-    come out identical without any renumbering pass.
+    Dense ranks are taken over the concatenation of the clouds; restricted
+    to one cloud they order exactly as that cloud's own ranks would, so the
+    segmented sort routes every tie as the per-cloud build does.  The
+    segments of a level stay grouped by tree, in each tree's own queue
+    order ("parent order, left child before right" — the reference's BFS
+    pop order), so every tree numbers its level's nodes consecutively as
+    the level is emitted: node ids come out in each tree's own level order
+    without a renumbering pass.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"points must be (N, 3), got {points.shape}")
-    n = len(points)
-    if n == 0:
-        raise ValueError("cannot build a K-d tree over zero points")
+    arrays = []
+    for points in clouds:
+        points = np.ascontiguousarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"points must be (N, 3), got {points.shape}")
+        if len(points) == 0:
+            raise ValueError("cannot build a K-d tree over zero points")
+        arrays.append(points)
     if split_rule not in ("widest", "cycle"):
         raise ValueError(f"unknown split_rule {split_rule!r}")
+    if not arrays:
+        return []
 
+    sizes = np.array([len(points) for points in arrays], dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    n = int(sizes.sum())
+    forest_points = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    # Every tree's nodes live in one slice of these arrays: tree t's node
+    # i is slot ``offsets[t] + i``.  Points and child ids are written as
+    # forest-wide slots and shifted to per-tree ids once at the end.
     point_id = np.empty(n, dtype=np.int64)
     split_dim = np.zeros(n, dtype=np.int8)
     left = np.full(n, -1, dtype=np.int64)
@@ -114,7 +145,7 @@ def vectorized_build_kdtree(points: np.ndarray, split_rule: str = "widest") -> K
     # Presort once per dimension: dense coordinate ranks.  A stable sort
     # by coordinate is a stable sort by dense rank (equal coordinates ⇒
     # equal ranks), and integer ranks compose into the segmented key.
-    cols = [np.ascontiguousarray(points[:, k]) for k in range(3)]
+    cols = [np.ascontiguousarray(forest_points[:, k]) for k in range(3)]
     ranks = np.empty((3, n), dtype=np.int64)
     n_uniq = 1
     for k in range(3):
@@ -124,15 +155,19 @@ def vectorized_build_kdtree(points: np.ndarray, split_rule: str = "widest") -> K
     ranks_flat = ranks.reshape(-1)
 
     # Level state: the concatenated candidate lists of every open segment
-    # (= node under construction), in the reference's queue order.
+    # (= node under construction), grouped by tree, in queue order; each
+    # segment's length, start and node slot; and, per tree, the range
+    # [tree_first, tree_end) of its segments on this level.
     ids = np.arange(n, dtype=np.int64)
-    seg_start = np.zeros(1, dtype=np.int64)
-    base = 0
+    seg_len = sizes
+    seg_start = offsets
+    slot = offsets
+    tree_first = np.arange(len(arrays), dtype=np.int64)
+    tree_end = tree_first + 1
     d = 0
     while len(ids):
         m = len(ids)
-        num_segments = len(seg_start)
-        seg_len = np.diff(np.append(seg_start, m))
+        num_segments = len(seg_len)
         seg = np.repeat(np.arange(num_segments, dtype=np.int64), seg_len)
 
         if split_rule == "widest":
@@ -155,45 +190,77 @@ def vectorized_build_kdtree(points: np.ndarray, split_rule: str = "widest") -> K
 
         med_off = (seg_len - 1) // 2
         med_pos = seg_start + med_off
-        nodes = base + np.arange(num_segments, dtype=np.int64)
-        point_id[nodes] = sorted_ids[med_pos]
-        split_dim[nodes] = dim.astype(np.int8)
-        depth[nodes] = d
-        subtree_size[nodes] = seg_len
+        point_id[slot] = sorted_ids[med_pos]
+        split_dim[slot] = dim
+        depth[slot] = d
+        subtree_size[slot] = seg_len
 
-        # Children ids: the next level numbers its nodes in this level's
-        # segment order, left before right, skipping empty sides.
+        # Tree t's next level starts right after this level's last node of
+        # t and numbers its nodes in this level's segment order, left
+        # before right, skipping empty sides.  So segment s's first child
+        # sits tree_end[t] - s slots after s (past s's later siblings on
+        # this level), plus one slot per child of t's earlier segments
+        # (children_before[s] - child_first[t]).
         left_len = med_off
         right_len = seg_len - 1 - med_off
         has_left = left_len > 0
         has_right = right_len > 0
-        child_base = np.concatenate(
-            ([0], np.cumsum(has_left.astype(np.int64) + has_right)[:-1])
+        num_children = has_left.astype(np.int64) + has_right
+        children_before = np.zeros(num_segments + 1, dtype=np.int64)
+        np.cumsum(num_children, out=children_before[1:])
+        child_first = children_before[tree_first]
+        child_slot = (
+            slot
+            - np.arange(num_segments, dtype=np.int64)
+            + children_before[:-1]
+            + np.repeat(tree_end - child_first, tree_end - tree_first)
         )
-        next_base = base + num_segments
-        left[nodes[has_left]] = next_base + child_base[has_left]
-        right[nodes[has_right]] = next_base + child_base[has_right] + has_left[has_right]
+        right_slot = child_slot + has_left
+        left[slot[has_left]] = child_slot[has_left]
+        right[slot[has_right]] = right_slot[has_right]
 
         # Drop the medians; what remains, in sorted order, is exactly the
         # concatenation of every child segment in id order.
         keep = np.ones(m, dtype=bool)
         keep[med_pos] = False
         ids = sorted_ids[keep]
-        child_lens = np.stack([left_len, right_len], axis=1).ravel()
-        child_lens = child_lens[child_lens > 0]
-        seg_start = np.concatenate(([0], np.cumsum(child_lens)[:-1]))
-        base = next_base
+        child_len = np.empty(2 * num_segments, dtype=np.int64)
+        child_len[0::2] = left_len
+        child_len[1::2] = right_len
+        next_slot = np.empty(2 * num_segments, dtype=np.int64)
+        next_slot[0::2] = child_slot
+        next_slot[1::2] = right_slot
+        open_child = child_len > 0
+        seg_len = child_len[open_child]
+        seg_start = np.cumsum(seg_len) - seg_len
+        slot = next_slot[open_child]
+        tree_first, tree_end = child_first, children_before[tree_end]
         d += 1
 
-    return KdTree(
-        points=points,
-        point_id=point_id,
-        split_dim=split_dim,
-        left=left,
-        right=right,
-        depth=depth,
-        subtree_size=subtree_size,
-    )
+    if len(arrays) > 1:  # a one-tree forest's slots are its node ids
+        shift = np.repeat(offsets, sizes)
+        point_id -= shift
+        for child in (left, right):
+            present = child >= 0
+            child[present] -= shift[present]
+    return [
+        KdTree(
+            points=points,
+            point_id=point_id[lo:hi],
+            split_dim=split_dim[lo:hi],
+            left=left[lo:hi],
+            right=right[lo:hi],
+            depth=depth[lo:hi],
+            subtree_size=subtree_size[lo:hi],
+        )
+        for points, lo, hi in zip(arrays, offsets.tolist(), (offsets + sizes).tolist())
+    ]
+
+
+def vectorized_build_kdtree(points: np.ndarray, split_rule: str = "widest") -> KdTree:
+    """Build the same balanced K-d tree as :func:`build_kdtree`, level at a time:
+    the one-cloud forest of :func:`vectorized_build_forest`."""
+    return vectorized_build_forest([points], split_rule)[0]
 
 
 def euler_tour(tree: KdTree) -> Tuple[np.ndarray, np.ndarray]:

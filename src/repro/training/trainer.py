@@ -86,15 +86,31 @@ class _BaseTrainer:
         sample (``None`` disables materialization for the sample)."""
         return None
 
-    def _neighbor_requests(self, idx: int, sample) -> List[QueryRequest]:
-        """The neighbor queries training this sample will issue."""
+    def _query_plans(self, items) -> List[List[QueryRequest]]:
+        """The neighbor queries training each dataset position will issue.
+
+        One stacked ``query_plan`` call per point-array shape (every
+        current dataset has one), so sampling runs one lockstep loop per
+        layer for all positions.  A model without ``query_plan``, or a
+        sample whose points are ``None``, plans nothing.
+        """
+        plans: List[List[QueryRequest]] = [[] for _ in items]
         plan_fn = getattr(self.model, "query_plan", None)
         if plan_fn is None:
-            return []
-        points = self._model_points(idx, sample)
-        if points is None:
-            return []
-        return list(plan_fn(points, cache_key=idx))
+            return plans
+        by_shape: Dict[tuple, List[int]] = {}
+        points: Dict[int, np.ndarray] = {}
+        for pos, (idx, sample) in enumerate(items):
+            pts = self._model_points(idx, sample)
+            if pts is not None:
+                points[pos] = np.asarray(pts, dtype=np.float64)
+                by_shape.setdefault(points[pos].shape, []).append(pos)
+        for positions in by_shape.values():
+            stack = np.stack([points[pos] for pos in positions])
+            rows = plan_fn(stack, [items[pos][0] for pos in positions])
+            for pos, row in zip(positions, rows):
+                plans[pos] = row
+        return plans
 
     # ------------------------------------------------------------------
     def train(self, dataset, epochs: int = 5, batch_size: int = 1) -> TrainReport:
@@ -105,8 +121,13 @@ class _BaseTrainer:
         stream-compatible with the retired per-step loop, so losses are
         bit-identical seed for seed — and each epoch's neighbor matrices
         are materialized into the pipeline's session before its gradient
-        loop runs.  Models without a ``query_plan`` skip materialization
-        and compute their searches in the gradient loop.
+        loop runs.  Query plans depend only on sample geometry (FPS and
+        frustum crops are deterministic), so every dataset position is
+        planned once, before the first epoch, as one stacked
+        ``query_plan`` call; each epoch's materialization then builds all
+        of its trees in one forest pass and runs one forest search.
+        Models without a ``query_plan`` skip materialization and compute
+        their searches in the gradient loop.
 
         Each chunk of ``batch_size`` scheduled inputs (same sample order,
         per-sample settings and cache keys for every size) is stacked
@@ -123,20 +144,11 @@ class _BaseTrainer:
         self.model.train()
         plan = EpochPlan.draw(self.rng, self.sampler, len(items), epochs)
         pipeline = self._pipeline
-        # Query plans depend only on sample geometry (FPS and frustum
-        # crops are deterministic), so plan each position once for the
-        # whole run, not once per epoch.
-        plan_cache: Dict[int, List[QueryRequest]] = {}
-
-        def plan_for(pos: int) -> List[QueryRequest]:
-            if pos not in plan_cache:
-                plan_cache[pos] = self._neighbor_requests(*items[pos])
-            return plan_cache[pos]
-
+        plans = self._query_plans(items) if pipeline is not None else []
         for epoch in range(epochs):
             schedule = plan.schedules[epoch]
             if pipeline is not None:
-                requests = plan.epoch_requests(epoch, plan_for)
+                requests = plan.epoch_requests(epoch, plans.__getitem__)
                 if requests:
                     pipeline.materialize(requests)
             losses: List[float] = []

@@ -178,6 +178,15 @@ class TestReferenceFreeze:
         )
         assert "reference-freeze" in rules_fired(lint(tmp_path))
 
+    def test_reference_builder_importing_forest_builder_fires(self, tmp_path):
+        self._package(tmp_path)
+        write(
+            tmp_path,
+            "pkg/kdtree/build.py",
+            "from ..runtime import vectorized_build_forest\n",
+        )
+        assert "reference-freeze" in rules_fired(lint(tmp_path))
+
     def test_split_tree_importing_treebuild_module_fires(self, tmp_path):
         self._package(tmp_path)
         write(

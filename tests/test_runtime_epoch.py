@@ -24,7 +24,12 @@ from repro.geometry import (
     ShapeClassificationDataset,
     num_part_classes,
 )
-from repro.models import FrustumPointNet, PointNetPPClassifier, PointNetPPSegmenter
+from repro.models import (
+    DensePointClassifier,
+    FrustumPointNet,
+    PointNetPPClassifier,
+    PointNetPPSegmenter,
+)
 from repro.models.layers import farthest_point_sampling
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
@@ -144,14 +149,10 @@ class TestLossIdentity:
         # Route one through explicit pre-materialization to show the eval
         # loop itself adds zero computes on top of it.
         session = trainer.model.pipeline.session
+        points, _ = trainer._eval_batch(cls_data)
+        plans = trainer.model.query_plan(points, [("eval", i) for i in range(len(points))])
         trainer.model.pipeline.materialize(
-            [
-                req.with_setting(setting)
-                for i in range(len(cls_data))
-                for req in trainer.model.query_plan(
-                    cls_data[i][0].points, cache_key=("eval", i)
-                )
-            ]
+            [req.with_setting(setting) for row in plans for req in row]
         )
         misses_before = session.results.stats.misses
         acc = trainer.evaluate(cls_data, setting)
@@ -159,18 +160,92 @@ class TestLossIdentity:
         assert acc == cold.evaluate(cls_data, setting)
 
 
+class TestEpochStructure:
+    def test_one_fps_lockstep_per_layer_and_one_tree_build_pass(self, monkeypatch):
+        # Work counts, not timings: one epoch over 32 clouds samples each
+        # SA layer's centroids in one lockstep call over the whole stack
+        # and builds all 64 trees (32 clouds x 2 layers) in one forest pass.
+        from collections import OrderedDict
+
+        from repro.models import layers
+        from repro.runtime import treebuild
+
+        monkeypatch.setattr(layers, "_FPS_CACHE", OrderedDict())
+        fps_rows = []
+        real_fps = layers._fps_greedy_batched
+
+        def counting_fps(pts, num_samples, start):
+            fps_rows.append(len(pts))
+            return real_fps(pts, num_samples, start)
+
+        monkeypatch.setattr(layers, "_fps_greedy_batched", counting_fps)
+        builds = []
+        real_build = treebuild.vectorized_build_forest
+
+        def counting_build(clouds, split_rule="widest"):
+            builds.append(len(clouds))
+            return real_build(clouds, split_rule)
+
+        # Every build, one-cloud ones included, goes through the forest.
+        monkeypatch.setattr(treebuild, "vectorized_build_forest", counting_build)
+        data = ShapeClassificationDataset(
+            size=32, num_points=112, seed=21, occlusion=0.0, noise=0.01, rotate=False
+        )
+        model = PointNetPPClassifier(data.num_classes, np.random.default_rng(0))
+        ClassificationTrainer(model, MIXED, lr=2e-3, seed=1).train(data, epochs=1)
+        assert (fps_rows, builds) == ([32, 32], [64])
+
+
 class TestWarmCache:
     def test_gradient_loop_runs_on_pure_cache_hits(self, cls_data):
-        model = PointNetPPClassifier(cls_data.num_classes, np.random.default_rng(0))
-        trainer = ClassificationTrainer(
-            model, FixedSetting(ApproxSetting(2, 5)), lr=2e-3, seed=1
-        )
-        trainer.train(cls_data, epochs=1)
-        stats = model.pipeline.session.results.stats
-        # Materialization misses once per (sample, layer); every forward
-        # lookup afterwards hits.  2 SA layers per sample.
-        assert stats.misses == 2 * len(cls_data)
-        assert stats.hits == 2 * len(cls_data)
+        # Pins every model's stacked query_plan against the geometry its
+        # forward queries: a plan that drifts files entries the forward
+        # never looks up, and the forward silently recomputes its own.
+        setting = FixedSetting(ApproxSetting(2, 5))
+        seg_data = PartSegmentationDataset(size=6, num_points=96, seed=4, noise=0.01)
+        det_data = LidarDetectionDataset(size=4, num_points=1024, seed=6, num_cars=2)
+        cases = [
+            (
+                "pointnetpp-c", 2, cls_data,
+                ClassificationTrainer(
+                    PointNetPPClassifier(cls_data.num_classes, np.random.default_rng(0)),
+                    setting, lr=2e-3, seed=1,
+                ),
+            ),
+            (
+                "pointnetpp-s", 2, seg_data,
+                SegmentationTrainer(
+                    PointNetPPSegmenter(num_part_classes(), np.random.default_rng(5)),
+                    num_classes=num_part_classes(), sampler=setting, seed=9,
+                ),
+            ),
+            (
+                "densepoint", 4, cls_data,
+                ClassificationTrainer(
+                    DensePointClassifier(
+                        cls_data.num_classes, np.random.default_rng(2),
+                        stage_centroids=(48, 32, 16, 8),
+                    ),
+                    setting, seed=3,
+                ),
+            ),
+            (
+                "fpointnet", 2, det_data,
+                DetectionTrainer(
+                    FrustumPointNet(np.random.default_rng(2)),
+                    frustum_points=96, sampler=setting, seed=13,
+                ),
+            ),
+        ]
+        for name, layers, data, trainer in cases:
+            trainer.train(data, epochs=1)
+            session = trainer.model.pipeline.session
+            stats = session.results.stats
+            # Materialization misses once per (sample, layer) and files
+            # that entry; every forward lookup afterwards hits.
+            assert len(session.results) == layers * len(data), name
+            assert stats.misses == len(session.results), name
+            assert stats.hits == layers * len(data), name
 
     def test_model_without_query_plan_still_trains(self, cls_data):
         from repro.nn.module import Parameter

@@ -101,6 +101,46 @@ class TestSearchSession:
         np.testing.assert_array_equal(t1.points, original)
         assert not t1.points.flags.writeable
 
+    def test_trees_for_builds_distinct_misses_in_one_pass(self, rng, monkeypatch):
+        from repro.kdtree import build_kdtree
+        from repro.runtime import treebuild
+
+        passes = []
+        real = treebuild.vectorized_build_forest
+
+        def counting(clouds, split_rule="widest"):
+            passes.append(len(clouds))
+            return real(clouds, split_rule)
+
+        monkeypatch.setattr(treebuild, "vectorized_build_forest", counting)
+        clouds = [rng.normal(size=(int(n), 3)) for n in (40, 1, 112, 7)]
+        originals = [c.copy() for c in clouds]
+        # 32 items on 4 clouds: some items pass the cloud itself, some an
+        # equal copy (the digest, not the array, names the cloud).
+        items = [clouds[i % 4] if i % 3 else clouds[i % 4].copy() for i in range(32)]
+        session = SearchSession()
+        trees = session.trees_for(items)
+        assert passes == [4]
+        assert (session.trees.stats.misses, session.trees.stats.hits) == (4, 28)
+        for i, tree in enumerate(trees):
+            assert tree is trees[i % 4]
+        for cloud, original, tree in zip(clouds, originals, trees):
+            cloud += 5.0  # the caller's write must not reach the cached tree
+            ref = build_kdtree(original)
+            for field in ("point_id", "split_dim", "left", "right", "depth", "subtree_size"):
+                assert getattr(tree, field).dtype == getattr(ref, field).dtype
+                np.testing.assert_array_equal(getattr(tree, field), getattr(ref, field))
+            np.testing.assert_array_equal(tree.points, original)
+            assert not tree.points.flags.writeable
+        # A second batch is all hits and builds nothing; an empty batch is
+        # a no-op; tree_for is the one-item batch.
+        again = session.trees_for(originals)
+        assert len(again) == 4 and all(a is b for a, b in zip(again, trees))
+        assert session.trees_for([]) == []
+        assert session.tree_for(originals[2]) is trees[2]
+        assert passes == [4]
+        assert (session.trees.stats.misses, session.trees.stats.hits) == (4, 33)
+
     def test_ball_query_matches_reference(self, rng):
         session = SearchSession()
         pts = rng.normal(size=(200, 3))

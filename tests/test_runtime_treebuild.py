@@ -130,6 +130,66 @@ class TestBuilderEquivalence:
         tree.validate()
 
 
+class TestForestEquivalence:
+    """``vectorized_build_forest`` builds every cloud in one level loop;
+    each tree must equal the frozen per-node build of its cloud alone."""
+
+    def _random_cloud(self, rng):
+        n = int(rng.choice([1, 2, 3, int(rng.integers(4, 64)), int(rng.integers(64, 401))]))
+        kind = CLOUD_KINDS[int(rng.integers(0, len(CLOUD_KINDS)))]
+        return cloud(kind, n, rng)
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_randomized_forests_match_each_cloud_alone(self, rule):
+        rng = np.random.default_rng(20261017)
+        sizes = set()
+        for _ in range(40):
+            clouds = [self._random_cloud(rng) for _ in range(int(rng.integers(1, 9)))]
+            if rng.integers(0, 4) == 0:
+                clouds.append(clouds[0].copy())  # the same cloud twice
+            forest = tb.vectorized_build_forest(clouds, rule)
+            assert len(forest) == len(clouds)
+            for points, tree in zip(clouds, forest):
+                sizes.add(len(points))
+                assert_same_tree(build_kdtree(points, rule), tree)
+                np.testing.assert_array_equal(tree.points, points)
+        assert {1, 2, 3} <= sizes and max(sizes) > 300
+
+    def test_tiny_and_duplicate_clouds_in_one_forest(self):
+        clouds = [
+            np.zeros((1, 3)),
+            np.array([[0.0, 1, 0], [0.0, 1, 0]]),
+            np.array([[1.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0]]),
+            np.ones((17, 3)) * 2.5,
+            np.array([[1.0, 9, 0], [1.0, 3, 0], [2.0, 5, 0], [1.0, 7, 0], [0.0, 1, 0]]),
+        ]
+        for rule in RULES:
+            for tree, points in zip(tb.vectorized_build_forest(clouds, rule), clouds):
+                assert_same_tree(build_kdtree(points, rule), tree)
+        assert tb.vectorized_build_forest([]) == []
+
+    def test_stable_fallback_path_identical(self, monkeypatch):
+        monkeypatch.setattr(tb, "_FUSED_KEY_LIMIT", 0)
+        rng = np.random.default_rng(12)
+        clouds = [rng.integers(0, 5, size=(n, 3)).astype(float) for n in (200, 3, 77)]
+        for rule in RULES:
+            for tree, points in zip(tb.vectorized_build_forest(clouds, rule), clouds):
+                assert_same_tree(build_kdtree(points, rule), tree)
+
+    def test_error_parity(self):
+        # The messages the single-cloud builders raise, from any position
+        # of a forest.
+        good = np.zeros((4, 3))
+        for bad in (np.empty((0, 3)), np.zeros((4, 2)), np.zeros(3)):
+            with pytest.raises(ValueError) as single:
+                build_kdtree(bad)
+            with pytest.raises(ValueError) as forest:
+                tb.vectorized_build_forest([good, bad])
+            assert str(forest.value) == str(single.value)
+        with pytest.raises(ValueError, match="unknown split_rule"):
+            tb.vectorized_build_forest([good], split_rule="bogus")
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=120),
