@@ -72,8 +72,8 @@ DET_EPOCHS = 30
 # per epoch — enough to undertrain the small-epoch detection/classification
 # configs and flip the Fig. 13/21/23 trends, so larger chunks are opt-in per
 # figure, not global.)  Every figure evaluates with one stacked forward per
-# dataset and reuses the FPS digest cache, and Fig. 18 opts its dedicated
-# trainers into mini-batched training to run in the smoke lane.
+# dataset (one sampling plan, one forest search per layer), and Fig. 18 opts
+# its dedicated trainers into mini-batched training to run in the smoke lane.
 FIG18_TRAIN_BATCH = 8
 
 

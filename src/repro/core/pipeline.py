@@ -13,7 +13,10 @@ the neighbor index matrix a network layer consumes:
 
 It is the object the approximation-aware training procedure (Sec. 5)
 threads through the forward pass: sampling a new ``h`` per input is just
-calling :meth:`query` with a different setting.  Since the index matrix
+resolving that input's requests under a different setting.  One resolver,
+:meth:`resolve`, serves every caller: a set-abstraction stage resolves its
+rows in one call, epoch materialization resolves a whole epoch, and
+:meth:`query` is the one-request case.  Since the index matrix
 depends only on geometry (never on network weights), results are memoized
 per ``(cache_key, setting)`` — the same economy the authors' artifact uses
 to keep training affordable.  Memoization and tree construction live in a
@@ -25,15 +28,13 @@ hazard the old ad-hoc dict cache had).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
-    from ..runtime.epoch import MaterializeReport, MaterializeRequest
-
 from ..runtime.approx import SearchJob, approximate_search
 from ..runtime.batched import BatchedBallQuery
+from ..runtime.epoch import QueryRequest
 from ..runtime.session import SearchSession
 from .bank_conflict import (
     PointBufferBanking,
@@ -99,7 +100,7 @@ class ApproximationPipeline:
         """Return the effective ``(M, K)`` neighbor index matrix.
 
         See :meth:`query_with_counts` for the caching contract; this is
-        the network-layer entry point, which only needs the indices.
+        the entry point for callers that only need the indices.
         """
         return self.query_with_counts(
             points, queries, radius, max_neighbors, setting, cache_key
@@ -126,46 +127,83 @@ class ApproximationPipeline:
         the memoization key automatically, and a digest of the actual
         coordinates guards against key reuse across mutated geometry.
         Pass ``None`` to disable caching (e.g. with augmentation
-        transforms that change geometry every epoch).
+        transforms that change geometry every epoch).  This is the
+        one-request case of :meth:`resolve`.
         """
-        points = np.asarray(points, dtype=np.float64)
-        queries_arr = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        request = QueryRequest(points, queries, radius, max_neighbors, setting, cache_key)
+        return self.resolve([request])[0]
 
-        def compute() -> Tuple[np.ndarray, np.ndarray]:
-            return self.compute_many(
-                [(points, queries_arr, radius, max_neighbors, setting)]
-            )[0]
+    def resolve(
+        self, requests: Sequence[QueryRequest]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """``(indices, counts)`` per request, in request order.
 
-        if cache_key is None:
-            return compute()
-        key = self._site_key(setting, radius, max_neighbors, cache_key)
-        return self.session.memoize(key, (points, queries_arr), compute)
+        Cached requests are deduped by memoization key (the call site,
+        setting and banking, plus the geometry digest the request
+        carries), and each distinct key is looked up once in the session;
+        a hit refreshes its recency.  Every miss, and every uncached
+        request, is computed in one :meth:`compute_many` call (one forest
+        build, one forest search), and the cached misses are filed.
+
+        The result cache grows to hold the call's distinct keys: epoch
+        materialization resolves a whole epoch, and its working set must
+        survive until the gradient loop reads it back.  That bound is sized
+        by one epoch's schedule, the memory the caller asked to hold.
+        """
+        results = self.session.results
+        missing = object()
+        keys: List[Hashable] = []
+        found: Dict[Hashable, Tuple[np.ndarray, np.ndarray]] = {}
+        todo: Dict[Hashable, QueryRequest] = {}
+        for req in requests:
+            if req.cache_key is None:
+                key = object()  # never filed, never shared
+            else:
+                site = self._site_key(req.setting, req.radius, req.max_neighbors, req.cache_key)
+                key = self.session.memo_key(site, req.digest)
+            keys.append(key)
+            if key in found or key in todo:
+                continue
+            value = missing if req.cache_key is None else results.get(key, missing)
+            if value is missing:
+                todo[key] = req
+            else:
+                found[key] = value
+        filed = len(found) + sum(req.cache_key is not None for req in todo.values())
+        results.max_entries = max(results.max_entries, filed)
+        for (key, req), value in zip(todo.items(), self.compute_many(list(todo.values()))):
+            found[key] = value
+            if req.cache_key is not None:
+                results.put(key, value)
+        return [found[key] for key in keys]
 
     def compute_many(
-        self, items: Sequence[Tuple[np.ndarray, np.ndarray, float, int, ApproxSetting]]
+        self, requests: Sequence[QueryRequest]
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Uncached ``(indices, counts)`` per ``(points, queries, radius,
-        max_neighbors, setting)`` item.
+        """Uncached ``(indices, counts)`` per request.
 
-        Every item's tree comes from one ``session.trees_for`` call (one
-        lookup per item, one forest build over the missing clouds).  Every
-        approximate item joins one forest search
-        (:func:`~repro.runtime.approximate_search`); exact items run the
-        batched exact engine.  :meth:`query_with_counts` is the one-item
-        case; epoch materialization passes a whole epoch's misses, so it
-        builds all of their trees in one pass.
+        Every request's tree comes from one ``session.trees_for`` call (one
+        lookup per request under its carried cloud digest, one forest build
+        over the missing clouds).  Every approximate request joins one
+        forest search (:func:`~repro.runtime.approximate_search`); exact
+        requests run the batched exact engine.
         """
         results: List[Tuple[np.ndarray, np.ndarray]] = []
         jobs, slots = [], []
-        trees = self.session.trees_for([item[0] for item in items])
-        for tree, (_points, queries, radius, max_neighbors, setting) in zip(trees, items):
-            queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-            if setting.uses_split_tree or setting.uses_elision:
+        trees = self.session.trees_for(
+            [req.points for req in requests], [req.cloud_digest for req in requests]
+        )
+        for tree, req in zip(trees, requests):
+            if req.setting.uses_split_tree or req.setting.uses_elision:
                 slots.append(len(results))
-                jobs.append(SearchJob(tree, queries, radius, max_neighbors, setting))
+                jobs.append(
+                    SearchJob(tree, req.queries, req.radius, req.max_neighbors, req.setting)
+                )
                 results.append(None)
             else:
-                results.append(BatchedBallQuery(tree).query(queries, radius, max_neighbors))
+                results.append(
+                    BatchedBallQuery(tree).query(req.queries, req.radius, req.max_neighbors)
+                )
         searched = approximate_search(
             jobs, banking=self.tree_banking, num_pes=self.num_pes
         )
@@ -199,43 +237,3 @@ class ApproximationPipeline:
             radius,
             max_neighbors,
         )
-
-    def memo_key(
-        self,
-        points: np.ndarray,
-        queries: np.ndarray,
-        radius: float,
-        max_neighbors: int,
-        setting: ApproxSetting,
-        cache_key: Hashable,
-        digest: Optional[str] = None,
-    ) -> Hashable:
-        """The full session-cache key a :meth:`query_with_counts` call uses.
-
-        Batch materializers (:func:`repro.runtime.epoch.materialize_requests`)
-        dedupe scheduled work with this and file computed results under
-        it, so the later forward-pass lookup is a guaranteed hit.
-        ``digest`` short-circuits the geometry hashing when the caller has
-        already digested this ``(points, queries)`` pair (a settings grid
-        reuses each pair once per setting).
-        """
-        site = self._site_key(setting, radius, max_neighbors, cache_key)
-        if digest is None:
-            points = np.asarray(points, dtype=np.float64)
-            queries_arr = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-            return self.session.memo_key(site, (points, queries_arr))
-        return self.session.memo_key(site, digest=digest)
-
-    def materialize(
-        self, requests: Sequence["MaterializeRequest"]
-    ) -> "MaterializeReport":
-        """Batch-materialize neighbor matrices into the session cache.
-
-        The epoch-batched counterpart of :meth:`query_with_counts`: dedupe
-        the scheduled requests, skip what the session already holds, and
-        compute the rest in one forest search.  See
-        :func:`repro.runtime.epoch.materialize_requests`.
-        """
-        from ..runtime.epoch import materialize_requests
-
-        return materialize_requests(self, requests)

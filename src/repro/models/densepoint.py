@@ -20,19 +20,20 @@ import numpy as np
 from ..core.config import ApproxSetting
 from ..core.pipeline import ApproximationPipeline
 from ..nn.layers import MLP, Dropout
-from ..nn.module import Module
 from ..nn.tensor import Tensor
 from .layers import (
+    GeometryPlan,
     GlobalMaxPool,
+    PointNetwork,
     SetAbstraction,
-    drop_batch_axis,
-    farthest_point_sampling_batched,
+    _batch_settings,
+    _stage_keys,
 )
 
 __all__ = ["DensePointClassifier"]
 
 
-class DensePointClassifier(Module):
+class DensePointClassifier(PointNetwork):
     """A densely-connected stack of narrow set-abstraction stages."""
 
     def __init__(
@@ -71,64 +72,26 @@ class DensePointClassifier(Module):
         # batch_norm off: single pooled row per cloud (see pointnetpp.py).
         self.head = MLP([in_features, 64, num_classes], rng, batch_norm=False, final_activation=False)
 
-    def query_plan(
-        self, points: np.ndarray, cache_keys: Optional[Sequence[Optional[int]]] = None
-    ):
-        """The neighbor queries a forward pass over ``(B, N, 3)`` clouds
-        will issue, one list per row, in stage order."""
-        from .pointnetpp import _chain_query_plan
+    def sa_chain(self) -> List[Tuple[str, SetAbstraction]]:
+        return [(f"stage{i}", stage) for i, stage in enumerate(self.stages)]
 
-        return _chain_query_plan(
-            [(f"stage{i}", stage) for i, stage in enumerate(self.stages)],
-            points,
-            cache_keys,
-        )
-
-    def forward(
+    def forward_plan(
         self,
-        points: np.ndarray,
-        setting: ApproxSetting = ApproxSetting(),
-        cache_key: Optional[int] = None,
-    ) -> Tensor:
-        """Logits of shape ``(1, num_classes)`` for one cloud (the
-        ``B == 1`` case of :meth:`forward_batch`)."""
-        return drop_batch_axis(
-            self.forward_batch(np.asarray(points)[None], [setting], [cache_key])
-        )
-
-    def forward_batch(
-        self,
-        points: np.ndarray,
+        plan: GeometryPlan,
         settings=ApproxSetting(),
         cache_keys: Optional[Sequence[Optional[int]]] = None,
     ) -> Tensor:
-        """Logits of shape ``(B, 1, num_classes)`` for ``(B, N, 3)`` clouds
-        (dropout as in :meth:`PointNetPPClassifier.forward_batch`)."""
-        from .pointnetpp import _batch_settings, _stage_keys
-
-        pts = np.asarray(points, dtype=np.float64)
-        batch = len(pts)
+        """Logits of shape ``(B, 1, num_classes)`` for a planned batch
+        (dropout as in :meth:`PointNetPPClassifier.forward_plan`)."""
+        batch = len(plan)
         settings = _batch_settings(settings, batch)
-        current_points = pts
         features: Optional[Tensor] = None
-        for i, stage in enumerate(self.stages):
-            new_points, new_features = stage(
-                current_points,
-                features,
-                settings,
-                _stage_keys(cache_keys, f"stage{i}", batch),
-            )
-            if features is None:
-                dense = new_features
-            else:
-                # Gather the incoming features at the surviving centroids
-                # (FPS indices are deterministic, so recompute them).
-                fps = farthest_point_sampling_batched(
-                    current_points, stage.num_centroids
-                )
-                carried = features.gather_rows(fps)
-                dense = new_features.concat([carried], axis=-1)
-            current_points = new_points
-            features = dense
+        for (name, layer), stage in zip(self.sa_chain(), plan.stages):
+            new_features = layer(stage, features, settings, _stage_keys(cache_keys, name, batch))
+            if features is not None:
+                # Carry the incoming features at the stage's centroids.
+                carried = features.gather_rows(stage.ids)
+                new_features = new_features.concat([carried], axis=-1)
+            features = new_features
         pooled = self.pool(features)
         return self.head(self.dropout(pooled))

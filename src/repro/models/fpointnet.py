@@ -17,7 +17,7 @@ the car class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,9 +25,17 @@ from ..core.config import ApproxSetting
 from ..core.pipeline import ApproximationPipeline
 from ..geometry.scenes import Box3D
 from ..nn.layers import MLP
-from ..nn.module import Module
 from ..nn.tensor import Tensor
-from .layers import FeaturePropagation, GlobalMaxPool, SetAbstraction, drop_batch_axis
+from .layers import (
+    FeaturePropagation,
+    GeometryPlan,
+    GlobalMaxPool,
+    PointNetwork,
+    SetAbstraction,
+    _batch_settings,
+    _stage_keys,
+    drop_batch_axis,
+)
 
 __all__ = ["FrustumPointNet", "BoxPrediction", "frustum_crop", "CAR_ANCHOR"]
 
@@ -93,7 +101,7 @@ def frustum_crop(
     return crop[idx]
 
 
-class FrustumPointNet(Module):
+class FrustumPointNet(PointNetwork):
     """Frustum segmentation + box regression."""
 
     def __init__(
@@ -121,15 +129,15 @@ class FrustumPointNet(Module):
         # batch_norm off: single pooled row per frustum.
         self.box_head = MLP([64, 64, 8], rng, batch_norm=False, final_activation=False)
 
-    def query_plan(self, frustum_points: np.ndarray, cache_keys=None):
-        """The neighbor queries a forward pass over ``(B, N, 3)`` frustum
-        crops will issue, one list per row (on the centroid-normalized
-        crops, centred exactly as :meth:`forward_batch` centres them)."""
-        from .pointnetpp import _chain_query_plan
+    def sa_chain(self) -> List[Tuple[str, SetAbstraction]]:
+        return [("sa1", self.sa1), ("sa2", self.sa2)]
 
+    def plan(self, frustum_points: np.ndarray) -> GeometryPlan:
+        """The geometry of a forward over ``(B, N, 3)`` frustum crops, each
+        centred on its centroid so the MLPs see local scale (box decoding
+        adds the centroid back through the segmented mean)."""
         pts = np.asarray(frustum_points, dtype=np.float64)
-        local = pts - pts.mean(axis=1, keepdims=True)
-        return _chain_query_plan([("sa1", self.sa1), ("sa2", self.sa2)], local, cache_keys)
+        return super().plan(pts - pts.mean(axis=1, keepdims=True))
 
     def forward(
         self,
@@ -146,28 +154,22 @@ class FrustumPointNet(Module):
             box_params=drop_batch_axis(pred.box_params),
         )
 
-    def forward_batch(
+    def forward_plan(
         self,
-        frustum_points: np.ndarray,
+        plan: GeometryPlan,
         settings=ApproxSetting(),
         cache_keys=None,
     ) -> BoxPrediction:
-        """Stacked prediction for ``(B, N, 3)`` frustum crops:
+        """Stacked prediction for a planned batch of frustum crops:
         segmentation logits ``(B, N, 2)`` and box params ``(B, 1, 8)``.
         Row ``b`` does not depend on the other rows."""
-        from .pointnetpp import _batch_settings, _stage_keys
-
-        pts = np.asarray(frustum_points, dtype=np.float64)
-        batch = len(pts)
+        batch = len(plan)
         settings = _batch_settings(settings, batch)
-        # Normalize to the frustum centroid so the MLPs see local scale;
-        # box decoding adds the centroid back through the segmented mean.
-        offset = pts.mean(axis=1, keepdims=True)
-        local = pts - offset
-        p1, f1 = self.sa1(local, None, settings, _stage_keys(cache_keys, "sa1", batch))
-        p2, f2 = self.sa2(p1, f1, settings, _stage_keys(cache_keys, "sa2", batch))
-        up1 = self.fp2(p1, p2, f2, f1)
-        up0 = self.fp1(local, p1, up1, None)
+        s1, s2 = plan.stages
+        f1 = self.sa1(s1, None, settings, _stage_keys(cache_keys, "sa1", batch))
+        f2 = self.sa2(s2, f1, settings, _stage_keys(cache_keys, "sa2", batch))
+        up1 = self.fp2(s1.centroids, s2.centroids, f2, f1)
+        up0 = self.fp1(s1.points, s1.centroids, up1, None)
         seg_logits = self.seg_head(up0)
         box = self.box_head(self.pool(f2))
         return BoxPrediction(segmentation_logits=seg_logits, box_params=box)

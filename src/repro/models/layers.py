@@ -1,20 +1,31 @@
 """Point cloud network building blocks.
 
-:class:`SetAbstraction` is the canonical PointNet++ layer: sample
-centroids (farthest point sampling), search each centroid's neighborhood
-(through an :class:`~repro.core.pipeline.ApproximationPipeline`, which is
-where all of Crescent's approximation enters), gather the neighbors,
-run a shared MLP on relative coordinates + features, and max-pool per
-centroid.
+Geometry is planned before any weight is touched.  :func:`plan_chain`
+threads a stacked ``(B, N, 3)`` batch through a chain of set-abstraction
+stages once: per stage it samples centroids by farthest point sampling
+(this module is the one place that calls the samplers), gathers them, and
+digests every row.  The resulting :class:`GeometryPlan` holds each
+stage's points, FPS ids and centroids as private read-only arrays next to
+the digests that key their trees and neighbor matrices, so a digest taken
+at plan time stays the digest of the bytes later searched.
+
+:class:`PointNetwork` is the base of the four networks.  A network names
+its chain of :class:`SetAbstraction` stages; its ``plan(points)`` is
+:func:`plan_chain` over that chain, ``requests`` lists the neighbor
+queries a forward over a plan issues, and ``forward_plan`` is the forward
+that consumes a plan.  ``forward_batch(points, ...)`` is ``forward_plan``
+over ``plan(points)``, and ``forward`` is the one-cloud ``B == 1`` stack.
+
+:class:`SetAbstraction` is the canonical PointNet++ layer over one
+planned stage: search each centroid's neighborhood (through an
+:class:`~repro.core.pipeline.ApproximationPipeline`, which is where all
+of Crescent's approximation enters), gather the neighbors, run a shared
+MLP on relative coordinates + features, and max-pool per centroid.
 
 :class:`FeaturePropagation` is the PointNet++ upsampling layer used by the
 segmentation and detection heads: features are interpolated back onto a
 denser point set by inverse-distance-weighted 3-NN, concatenated with skip
 features, and refined by a per-point MLP.
-
-Both layers take stacked ``(B, N, 3)`` clouds and have one ``forward``;
-a single cloud is the ``B == 1`` stack.  :func:`drop_batch_axis` is how
-every network's single-cloud ``forward`` reads its ``forward_batch``.
 
 Neither neighbor search nor interpolation weights participate in gradient
 flow (paper Sec. 5, Fig. 11): they are computed in NumPy and enter the
@@ -23,7 +34,8 @@ graph as constants; gradients flow through gathers and MLPs only.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from dataclasses import dataclass
+from numbers import Integral
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,36 +52,15 @@ __all__ = [
     "farthest_point_sampling",
     "farthest_point_sampling_batched",
     "interpolation_plan",
+    "StagePlan",
+    "GeometryPlan",
+    "plan_chain",
+    "PointNetwork",
     "SetAbstraction",
     "FeaturePropagation",
     "GlobalMaxPool",
     "drop_batch_axis",
 ]
-
-
-# FPS is pure geometry: the same cloud yields the same centroid ids every
-# epoch and every planning pass, so results are memoized by content digest.
-# Bounded LRU; stored arrays are frozen read-only since callers only index
-# with them.
-_FPS_CACHE_LIMIT = 4096
-_FPS_CACHE: "OrderedDict[Tuple[str, int, int], np.ndarray]" = OrderedDict()
-_FPS_MISS = object()
-
-
-def _fps_cache_get(key):
-    hit = _FPS_CACHE.get(key, _FPS_MISS)
-    if hit is not _FPS_MISS:
-        _FPS_CACHE.move_to_end(key)
-    return hit
-
-
-def _fps_cache_put(key, chosen: np.ndarray) -> np.ndarray:
-    frozen = chosen.copy()
-    frozen.setflags(write=False)
-    _FPS_CACHE[key] = frozen
-    if len(_FPS_CACHE) > _FPS_CACHE_LIMIT:
-        _FPS_CACHE.popitem(last=False)
-    return frozen
 
 
 def _fps_greedy_batched(pts: np.ndarray, num_samples: int, start: int) -> np.ndarray:
@@ -94,10 +85,9 @@ def farthest_point_sampling(points: np.ndarray, num_samples: int, start: int = 0
     """Deterministic farthest point sampling of one ``(N, 3)`` cloud.
 
     Greedy max-min selection starting from ``points[start]``: the ``B == 1``
-    view of :func:`farthest_point_sampling_batched`, so both share one memo.
-    Determinism matters: it keeps layer geometry (and therefore the cached
-    neighbor matrices) stable across training epochs — and is what makes
-    the digest memoization safe.  The returned array is read-only.
+    view of :func:`farthest_point_sampling_batched`.  Determinism matters:
+    it keeps layer geometry (and therefore the cached neighbor matrices)
+    stable across training epochs.  The returned array is read-only.
     """
     return farthest_point_sampling_batched(np.asarray(points)[None], num_samples, start)[0]
 
@@ -108,31 +98,18 @@ def farthest_point_sampling_batched(
     """Farthest point sampling of every cloud of a stacked ``(B, N, 3)`` array.
 
     Row ``b`` of the read-only ``(B, num_samples)`` result is the greedy
-    max-min selection over ``points[b]`` alone.  Results are memoized by
-    cloud digest: rows already in the memo are served from it, and the
-    missing rows run the greedy iteration in one lockstep loop.
+    max-min selection over ``points[b]`` alone, starting from point
+    ``start``; every row runs in one lockstep loop.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 3:
         raise ValueError(f"expected stacked (B, N, 3) points, got shape {pts.shape}")
-    batch, n = pts.shape[0], pts.shape[1]
+    n = pts.shape[1]
     if not 0 < num_samples <= n:
         raise ValueError(f"num_samples must be in (0, {n}], got {num_samples}")
-    chosen = np.empty((batch, num_samples), dtype=np.int64)
-    misses = []
-    keys = []
-    for b in range(batch):
-        key = (geometry_digest(pts[b]), num_samples, start)
-        keys.append(key)
-        hit = _fps_cache_get(key)
-        if hit is _FPS_MISS:
-            misses.append(b)
-        else:
-            chosen[b] = hit
-    if misses:
-        computed = _fps_greedy_batched(pts[misses], num_samples, start)
-        for j, b in enumerate(misses):
-            chosen[b] = _fps_cache_put(keys[b], computed[j])
+    if isinstance(start, bool) or not isinstance(start, Integral) or not 0 <= start < n:
+        raise ValueError(f"start must be an integer in [0, {n}), got {start!r}")
+    chosen = _fps_greedy_batched(pts, num_samples, int(start))
     chosen.setflags(write=False)
     return chosen
 
@@ -181,15 +158,123 @@ def drop_batch_axis(stacked: Tensor) -> Tensor:
     return stacked.reshape(*stacked.shape[1:])
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _take(array: Optional[np.ndarray], rows: np.ndarray) -> Optional[np.ndarray]:
+    return None if array is None else _frozen(array[rows])
+
+
+@dataclass(frozen=True)
+class StagePlan:
+    """One set-abstraction stage of a :class:`GeometryPlan`.
+
+    ``points`` ``(B, N, 3)`` is the cloud the stage searches, ``centroids``
+    ``(B, M, 3)`` the queries and ``ids`` ``(B, M)`` their FPS ids in
+    ``points``; all three are private read-only arrays.  ``digests[b]`` is
+    row ``b``'s ``(tree key, result key)``: the
+    :func:`~repro.runtime.session.geometry_digest` of ``points[b]`` and of
+    ``(points[b], centroids[b])``.  A group-all stage (one pseudo-centroid
+    at the cloud's mean, every point its neighbor) searches nothing: its
+    ``ids`` and ``digests`` are ``None``.
+    """
+
+    points: np.ndarray
+    centroids: np.ndarray
+    ids: Optional[np.ndarray] = None
+    digests: Optional[Tuple[Tuple[str, str], ...]] = None
+
+    def take(self, rows: np.ndarray) -> "StagePlan":
+        """The stage restricted to ``rows``, in that order."""
+        return StagePlan(
+            _take(self.points, rows),
+            _take(self.centroids, rows),
+            _take(self.ids, rows),
+            None if self.digests is None else tuple(self.digests[r] for r in rows),
+        )
+
+
+@dataclass(frozen=True)
+class GeometryPlan:
+    """Every stage's geometry for a forward over one ``(B, N, 3)`` stack."""
+
+    stages: Tuple[StagePlan, ...]
+
+    @property
+    def points(self) -> np.ndarray:
+        """The network's input stack (the first stage's points)."""
+        return self.stages[0].points
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def take(self, rows: Sequence[int]) -> "GeometryPlan":
+        """The plan of rows ``rows`` (e.g. one training chunk), in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return GeometryPlan(tuple(stage.take(rows) for stage in self.stages))
+
+
+def plan_chain(points: np.ndarray, num_centroids: Sequence[Optional[int]]) -> GeometryPlan:
+    """Plan a chain of set-abstraction stages over a ``(B, N, 3)`` stack.
+
+    Stage ``i`` samples ``num_centroids[i]`` centroids of the previous
+    stage's centroids (of a private copy of ``points`` for the first
+    stage) with :func:`farthest_point_sampling_batched`, one lockstep loop
+    for the whole stack, and digests every row once.  ``None`` is a
+    group-all stage.
+    """
+    current = _frozen(np.array(points, dtype=np.float64))
+    if current.ndim != 3:
+        raise ValueError(f"expected stacked (B, N, 3) points, got shape {current.shape}")
+    stages = []
+    for count in num_centroids:
+        if count is None:
+            stage = StagePlan(current, _frozen(current.mean(axis=1, keepdims=True)))
+        else:
+            ids = farthest_point_sampling_batched(current, count)
+            centroids = _frozen(current[np.arange(len(current))[:, None], ids])
+            digests = tuple(
+                (geometry_digest(row), geometry_digest(row, queries))
+                for row, queries in zip(current, centroids)
+            )
+            stage = StagePlan(current, centroids, ids, digests)
+        stages.append(stage)
+        current = stage.centroids
+    return GeometryPlan(tuple(stages))
+
+
+def _batch_settings(settings, batch: int) -> Sequence[ApproxSetting]:
+    """Broadcast a single setting to the batch; validate sequence length."""
+    if isinstance(settings, ApproxSetting):
+        return [settings] * batch
+    if len(settings) != batch:
+        raise ValueError(f"expected {batch} settings, got {len(settings)}")
+    return settings
+
+
+def _stage_keys(
+    cache_keys: Optional[Sequence[Optional[int]]], name: str, batch: int
+) -> Optional[List[Optional[tuple]]]:
+    """Per-sample cache keys for one SA stage: ``(cache_key, stage_name)``,
+    or ``None`` when uncached."""
+    if cache_keys is None:
+        return None
+    if len(cache_keys) != batch:
+        raise ValueError(f"expected {batch} cache keys, got {len(cache_keys)}")
+    return [(k, name) if k is not None else None for k in cache_keys]
+
+
 class SetAbstraction(Module):
-    """One PointNet++ set-abstraction layer.
+    """One PointNet++ set-abstraction layer over one planned stage.
 
     Parameters
     ----------
     num_centroids:
-        Points sampled by FPS this layer (``None`` = group-all: a single
-        pseudo-centroid at the centroid of the cloud covering every point,
-        used as the global pooling stage of classifiers).
+        Points the stage's plan samples by FPS (``None`` = group-all: a
+        single pseudo-centroid at the centroid of the cloud covering every
+        point, used as the global pooling stage of classifiers).
     radius, max_neighbors:
         Ball-query parameters.
     mlp_channels:
@@ -218,104 +303,70 @@ class SetAbstraction(Module):
         self.max_neighbors = max_neighbors
         self.in_features = in_features
         self.pipeline = pipeline
-        # batch_norm off: training feeds one cloud at a time, so batch
-        # statistics would be per-input (and eval-time running stats would
-        # mismatch them).  The reference implementations normalize across
-        # large cross-cloud batches, which we cannot form here.
+        # batch_norm off: a training chunk holds batch_size clouds (one by
+        # default), so batch statistics would be per-chunk and eval-time
+        # running stats would mismatch them.  The reference implementations
+        # normalize across large cross-cloud batches, which we do not form.
         self.mlp = MLP([3 + in_features, *mlp_widths], rng, batch_norm=False)
         self.out_features = mlp_widths[-1]
 
-    def query_plan(
+    def requests(
         self,
-        points: np.ndarray,
-        cache_keys: Optional[Sequence[Optional[tuple]]] = None,
-    ) -> Tuple[List[QueryRequest], np.ndarray]:
-        """The neighbor queries this layer's forward pass will issue.
-
-        Takes stacked ``(B, N, 3)`` clouds with one cache key per row and
-        returns ``(requests, centroids)``: row ``b``'s :class:`QueryRequest`
-        and the stacked ``(B, M, 3)`` centroids the next layer plans on.
-        ``requests`` is empty for the group-all stage, which never touches
-        the pipeline.  Centroids come from the forward's own sampler,
-        :func:`farthest_point_sampling_batched`, so a whole stack samples
-        in one lockstep loop and the forward's sampling then hits the memo.
-        :meth:`forward` samples and queries on its own rather than calling
-        this method; the epoch suite's pure-cache-hit test
-        (``TestWarmCache``) keeps the two in step, so that epoch-batched
-        materialization (:mod:`repro.runtime.epoch`) warms exactly the
-        entries the training forward pass will look up.
-        """
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 3:
-            raise ValueError(f"expected stacked (B, N, 3) points, got shape {pts.shape}")
-        batch = pts.shape[0]
-        if cache_keys is None:
-            cache_keys = [None] * batch
-        if len(cache_keys) != batch:
-            raise ValueError("cache_keys must match the batch size")
-        if self.num_centroids is None:
-            return [], pts.mean(axis=1, keepdims=True)
-        fps = farthest_point_sampling_batched(pts, self.num_centroids)
-        centroids = pts[np.arange(batch)[:, None], fps]
-        requests = [
-            QueryRequest(
-                points=pts[b],
-                queries=centroids[b],
-                radius=self.radius,
-                max_neighbors=self.max_neighbors,
-                cache_key=cache_keys[b],
-            )
-            for b in range(batch)
-        ]
-        return requests, centroids
-
-    def forward(
-        self,
-        points: np.ndarray,
-        features: Optional[Tensor],
+        stage: StagePlan,
         settings: Sequence[ApproxSetting],
         cache_keys: Optional[Sequence[Optional[tuple]]] = None,
-    ) -> Tuple[np.ndarray, Tensor]:
-        """``(centroid_points, centroid_features)`` for stacked ``(B, N, 3)``
-        clouds: ``(B, M, 3)`` centroids and ``(B, M, C_out)`` features.
-
-        Neighbor queries go through the pipeline one cloud at a time (each
-        cloud carries its own approximation setting and cache key, which is
-        what epoch-batched materialization warms), but sampling, gathering,
-        the shared MLP and the pooling run stacked, so a single tape replay
-        covers the whole mini-batch.  One cloud is the ``B == 1`` stack, and
-        row ``b`` does not depend on the other rows.
-        """
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 3:
-            raise ValueError(f"expected stacked (B, N, 3) points, got shape {pts.shape}")
-        batch = pts.shape[0]
+    ) -> List[QueryRequest]:
+        """Row ``b``'s neighbor query under ``settings[b]``, cached under
+        ``cache_keys[b]`` and carrying the stage's digests; empty for the
+        group-all stage, which never touches the pipeline."""
+        batch = len(stage.points)
         if cache_keys is None:
             cache_keys = [None] * batch
         if len(settings) != batch or len(cache_keys) != batch:
             raise ValueError("settings and cache_keys must match the batch size")
         if self.num_centroids is None:
-            centroids = pts.mean(axis=1, keepdims=True)  # (B, 1, 3)
+            return []
+        return [
+            QueryRequest(
+                stage.points[b],
+                stage.centroids[b],
+                self.radius,
+                self.max_neighbors,
+                settings[b],
+                cache_keys[b],
+                digest=stage.digests[b][1],
+                cloud_digest=stage.digests[b][0],
+            )
+            for b in range(batch)
+        ]
+
+    def forward(
+        self,
+        stage: StagePlan,
+        features: Optional[Tensor],
+        settings: Sequence[ApproxSetting],
+        cache_keys: Optional[Sequence[Optional[tuple]]] = None,
+    ) -> Tensor:
+        """``(B, M, C_out)`` centroid features of a planned stage.
+
+        The stage's ``B`` neighbor queries go to the pipeline in one
+        :meth:`~repro.core.pipeline.ApproximationPipeline.resolve` call
+        (each row carries its own setting and cache key), and gathering,
+        the shared MLP and the pooling run stacked, so a single tape replay
+        covers the whole mini-batch.  Row ``b`` does not depend on the
+        other rows.
+        """
+        pts, centroids = stage.points, stage.centroids
+        batch, m = centroids.shape[:2]
+        if m != (self.num_centroids or 1):
+            raise ValueError(f"stage plans {m} centroids, layer samples {self.num_centroids}")
+        requests = self.requests(stage, settings, cache_keys)
+        if self.num_centroids is None:
             k = pts.shape[1]
             indices = np.broadcast_to(np.arange(k, dtype=np.int64), (batch, 1, k))
         else:
             k = self.max_neighbors
-            fps = farthest_point_sampling_batched(pts, self.num_centroids)
-            centroids = pts[np.arange(batch)[:, None], fps]  # (B, M, 3)
-            indices = np.stack(
-                [
-                    self.pipeline.query(
-                        pts[i],
-                        centroids[i],
-                        self.radius,
-                        self.max_neighbors,
-                        settings[i],
-                        cache_key=cache_keys[i],
-                    )
-                    for i in range(batch)
-                ]
-            )
-        m = centroids.shape[1]
+            indices = np.stack([idx for idx, _counts in self.pipeline.resolve(requests)])
         rel = pts[np.arange(batch)[:, None, None], indices] - centroids[:, :, None, :]
         grouped = Tensor(rel)  # (B, M, K, 3)
         if features is not None:
@@ -326,7 +377,72 @@ class SetAbstraction(Module):
         elif self.in_features:
             raise ValueError("layer expects features but received none")
         out = self.mlp(grouped)  # (B, M, K, C_out)
-        return centroids, out.max(axis=-2)
+        return out.max(axis=-2)
+
+
+class PointNetwork(Module):
+    """A network whose geometry is one chain of set-abstraction stages.
+
+    Subclasses name their chain in :meth:`sa_chain` and implement
+    :meth:`forward_plan`; planning, the query list and the point-array
+    forwards follow from those two.
+    """
+
+    def sa_chain(self) -> List[Tuple[str, SetAbstraction]]:
+        """The ``(name, layer)`` SA stages in forward order; ``name`` keys
+        the stage's cache entries."""
+        raise NotImplementedError
+
+    def plan(self, points: np.ndarray) -> GeometryPlan:
+        """The geometry a forward over ``(B, N, 3)`` clouds consumes."""
+        return plan_chain(points, [sa.num_centroids for _name, sa in self.sa_chain()])
+
+    def requests(
+        self,
+        plan: GeometryPlan,
+        settings,
+        cache_keys: Optional[Sequence[Optional[int]]] = None,
+    ) -> List[QueryRequest]:
+        """Every neighbor query :meth:`forward_plan` over ``plan`` issues,
+        stage by stage; row ``b`` of stage ``name`` is cached under
+        ``(cache_keys[b], name)``."""
+        batch = len(plan)
+        settings = _batch_settings(settings, batch)
+        return [
+            request
+            for (name, sa), stage in zip(self.sa_chain(), plan.stages)
+            for request in sa.requests(stage, settings, _stage_keys(cache_keys, name, batch))
+        ]
+
+    def forward_plan(
+        self,
+        plan: GeometryPlan,
+        settings=ApproxSetting(),
+        cache_keys: Optional[Sequence[Optional[int]]] = None,
+    ):
+        """The stacked output over a planned batch."""
+        raise NotImplementedError
+
+    def forward_batch(
+        self,
+        points: np.ndarray,
+        settings=ApproxSetting(),
+        cache_keys: Optional[Sequence[Optional[int]]] = None,
+    ):
+        """:meth:`forward_plan` over ``plan(points)`` for ``(B, N, 3)`` clouds."""
+        return self.forward_plan(self.plan(points), settings, cache_keys)
+
+    def forward(
+        self,
+        points: np.ndarray,
+        setting: ApproxSetting = ApproxSetting(),
+        cache_key: Optional[int] = None,
+    ):
+        """The output for one ``(N, 3)`` cloud: the ``B == 1`` case of
+        :meth:`forward_batch`."""
+        return drop_batch_axis(
+            self.forward_batch(np.asarray(points)[None], [setting], [cache_key])
+        )
 
 
 class FeaturePropagation(Module):

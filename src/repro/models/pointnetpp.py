@@ -20,59 +20,21 @@ import numpy as np
 from ..core.config import ApproxSetting
 from ..core.pipeline import ApproximationPipeline
 from ..nn.layers import MLP, Dropout
-from ..nn.module import Module
 from ..nn.tensor import Tensor
-from ..runtime.epoch import QueryRequest
-from .layers import FeaturePropagation, GlobalMaxPool, SetAbstraction, drop_batch_axis
-
-
-def _chain_query_plan(
-    stages: Sequence[Tuple[str, SetAbstraction]],
-    points: np.ndarray,
-    cache_keys: Optional[Sequence[Optional[int]]],
-) -> List[List[QueryRequest]]:
-    """Thread a ``(B, N, 3)`` stack through a chain of SA stages; returns
-    each row's :class:`QueryRequest` list, in stage order, under the cache
-    keys its forward pass will use (``(cache_key, stage_name)``, or
-    ``None`` when uncached)."""
-    current = np.asarray(points, dtype=np.float64)
-    batch = len(current)
-    rows: List[List[QueryRequest]] = [[] for _ in range(batch)]
-    for name, stage in stages:
-        requests, current = stage.query_plan(
-            current, _stage_keys(cache_keys, name, batch)
-        )
-        for row, request in zip(rows, requests):
-            row.append(request)
-    return rows
+from .layers import (
+    FeaturePropagation,
+    GeometryPlan,
+    GlobalMaxPool,
+    PointNetwork,
+    SetAbstraction,
+    _batch_settings,
+    _stage_keys,
+)
 
 __all__ = ["PointNetPPClassifier", "PointNetPPSegmenter"]
 
 
-def _batch_settings(
-    settings, batch: int
-) -> Sequence[ApproxSetting]:
-    """Broadcast a single setting to the batch; validate sequence length."""
-    if isinstance(settings, ApproxSetting):
-        return [settings] * batch
-    if len(settings) != batch:
-        raise ValueError(f"expected {batch} settings, got {len(settings)}")
-    return settings
-
-
-def _stage_keys(
-    cache_keys: Optional[Sequence[Optional[int]]], name: str, batch: int
-) -> Optional[List[Optional[tuple]]]:
-    """Per-sample cache keys for one SA stage: ``(cache_key, stage_name)``,
-    the convention :func:`_chain_query_plan` plans under."""
-    if cache_keys is None:
-        return None
-    if len(cache_keys) != batch:
-        raise ValueError(f"expected {batch} cache keys, got {len(cache_keys)}")
-    return [(k, name) if k is not None else None for k in cache_keys]
-
-
-class PointNetPPClassifier(Module):
+class PointNetPPClassifier(PointNetwork):
     """PointNet++ (c): SA ×2 → group-all SA → classifier head."""
 
     def __init__(
@@ -106,49 +68,31 @@ class PointNetPPClassifier(Module):
         # normalizing a batch of one zeroes it.
         self.head = MLP([128, 64, num_classes], rng, batch_norm=False, final_activation=False)
 
-    def query_plan(
-        self, points: np.ndarray, cache_keys: Optional[Sequence[Optional[int]]] = None
-    ) -> List[List[QueryRequest]]:
-        """The neighbor queries a forward pass over ``(B, N, 3)`` clouds
-        will issue, one list per row (sa3 is group-all and never queries
-        the pipeline)."""
-        return _chain_query_plan(
-            [("sa1", self.sa1), ("sa2", self.sa2)], points, cache_keys
-        )
+    def sa_chain(self) -> List[Tuple[str, SetAbstraction]]:
+        return [("sa1", self.sa1), ("sa2", self.sa2), ("sa3", self.sa3)]
 
-    def forward(
+    def forward_plan(
         self,
-        points: np.ndarray,
-        setting: ApproxSetting = ApproxSetting(),
-        cache_key: Optional[int] = None,
-    ) -> Tensor:
-        """Logits of shape ``(1, num_classes)`` for one cloud (the
-        ``B == 1`` case of :meth:`forward_batch`)."""
-        return drop_batch_axis(
-            self.forward_batch(np.asarray(points)[None], [setting], [cache_key])
-        )
-
-    def forward_batch(
-        self,
-        points: np.ndarray,
+        plan: GeometryPlan,
         settings=ApproxSetting(),
         cache_keys: Optional[Sequence[Optional[int]]] = None,
     ) -> Tensor:
-        """Logits of shape ``(B, 1, num_classes)`` for ``(B, N, 3)`` clouds.
+        """Logits of shape ``(B, 1, num_classes)`` for a planned batch
+        (``forward`` drops the batch axis: ``(1, num_classes)``).
 
         In eval mode row ``b`` does not depend on the other rows; in
         training mode the dropout mask is drawn for the whole stack.
         """
-        pts = np.asarray(points, dtype=np.float64)
-        batch = len(pts)
+        batch = len(plan)
         settings = _batch_settings(settings, batch)
-        p1, f1 = self.sa1(pts, None, settings, _stage_keys(cache_keys, "sa1", batch))
-        p2, f2 = self.sa2(p1, f1, settings, _stage_keys(cache_keys, "sa2", batch))
-        _, f3 = self.sa3(p2, f2, settings)
+        s1, s2, s3 = plan.stages
+        f1 = self.sa1(s1, None, settings, _stage_keys(cache_keys, "sa1", batch))
+        f2 = self.sa2(s2, f1, settings, _stage_keys(cache_keys, "sa2", batch))
+        f3 = self.sa3(s3, f2, settings)
         return self.head(self.dropout(f3))
 
 
-class PointNetPPSegmenter(Module):
+class PointNetPPSegmenter(PointNetwork):
     """PointNet++ (s): SA encoder + FP decoder → per-point logits."""
 
     def __init__(
@@ -176,41 +120,23 @@ class PointNetPPSegmenter(Module):
         self.fp1 = FeaturePropagation(64, 0, (32,), rng)  # sa1→input level
         self.head = MLP([32, 32, num_classes], rng, batch_norm=False, final_activation=False)
 
-    def query_plan(
-        self, points: np.ndarray, cache_keys: Optional[Sequence[Optional[int]]] = None
-    ) -> List[List[QueryRequest]]:
-        """The neighbor queries a forward pass over ``(B, N, 3)`` clouds
-        will issue, one list per row (the FP decoder interpolates with
-        brute-force 3-NN, not the pipeline)."""
-        return _chain_query_plan(
-            [("sa1", self.sa1), ("sa2", self.sa2)], points, cache_keys
-        )
+    def sa_chain(self) -> List[Tuple[str, SetAbstraction]]:
+        # The FP decoder interpolates with brute-force 3-NN, not the pipeline.
+        return [("sa1", self.sa1), ("sa2", self.sa2)]
 
-    def forward(
+    def forward_plan(
         self,
-        points: np.ndarray,
-        setting: ApproxSetting = ApproxSetting(),
-        cache_key: Optional[int] = None,
-    ) -> Tensor:
-        """Per-point logits of shape ``(N, num_classes)`` for one cloud (the
-        ``B == 1`` case of :meth:`forward_batch`)."""
-        return drop_batch_axis(
-            self.forward_batch(np.asarray(points)[None], [setting], [cache_key])
-        )
-
-    def forward_batch(
-        self,
-        points: np.ndarray,
+        plan: GeometryPlan,
         settings=ApproxSetting(),
         cache_keys: Optional[Sequence[Optional[int]]] = None,
     ) -> Tensor:
-        """Per-point logits of shape ``(B, N, num_classes)`` for
-        ``(B, N, 3)`` clouds; row ``b`` does not depend on the other rows."""
-        pts = np.asarray(points, dtype=np.float64)
-        batch = len(pts)
+        """Per-point logits of shape ``(B, N, num_classes)`` for a planned
+        batch; row ``b`` does not depend on the other rows."""
+        batch = len(plan)
         settings = _batch_settings(settings, batch)
-        p1, f1 = self.sa1(pts, None, settings, _stage_keys(cache_keys, "sa1", batch))
-        p2, f2 = self.sa2(p1, f1, settings, _stage_keys(cache_keys, "sa2", batch))
-        up1 = self.fp2(p1, p2, f2, f1)  # features at sa1 resolution
-        up0 = self.fp1(pts, p1, up1, None)
+        s1, s2 = plan.stages
+        f1 = self.sa1(s1, None, settings, _stage_keys(cache_keys, "sa1", batch))
+        f2 = self.sa2(s2, f1, settings, _stage_keys(cache_keys, "sa2", batch))
+        up1 = self.fp2(s1.centroids, s2.centroids, f2, f1)  # features at sa1 resolution
+        up0 = self.fp1(s1.points, s1.centroids, up1, None)
         return self.head(up0)

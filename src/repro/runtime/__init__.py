@@ -12,9 +12,10 @@ Four pieces, composable but independently usable:
   the traced equivalence suite); what the Sec. 2 motivation studies run.
 - :mod:`~repro.runtime.epoch` — epoch-batched training materialization:
   the whole ``(sample, setting)`` schedule drawn up front
-  (RNG-stream-compatible), neighbor matrices deduped and materialized into
-  one shared session by one forest search before the gradient loop runs
-  against a warm cache.
+  (RNG-stream-compatible), and the :class:`QueryRequest` that carries a
+  planned query's digests into the pipeline's one resolver, so an epoch's
+  neighbor matrices are computed by one forest search before the
+  gradient loop runs against a warm cache.
 - :class:`VectorizedLockstep` — the accelerator model's lockstep sub-tree
   search as NumPy stack arrays over a *forest* of K-d trees: arbitration,
   broadcast, elision, and stall decisions per cycle as array ops for every
@@ -54,14 +55,7 @@ simulation the figure benchmarks run.
 """
 
 from .batched import BatchedBallQuery, batched_nearest_node, frontier_sweep
-from .epoch import (
-    EpochPlan,
-    EpochSchedule,
-    MaterializeReport,
-    MaterializeRequest,
-    QueryRequest,
-    materialize_requests,
-)
+from .epoch import EpochPlan, EpochSchedule, QueryRequest
 from .lockstep import LockstepResult, VectorizedLockstep
 from .traced import TracedBallQuery, TracedBatchResult
 from .session import (
@@ -96,10 +90,7 @@ __all__ = [
     "TracedBatchResult",
     "EpochPlan",
     "EpochSchedule",
-    "MaterializeReport",
-    "MaterializeRequest",
     "QueryRequest",
-    "materialize_requests",
     "LockstepResult",
     "VectorizedLockstep",
     "SearchJob",

@@ -308,24 +308,14 @@ class SearchSession:
         )
 
     @staticmethod
-    def memo_key(
-        key: Hashable,
-        geometry: Optional[Tuple[np.ndarray, ...]] = None,
-        digest: Optional[str] = None,
-    ) -> Hashable:
-        """The full result-cache key :meth:`memoize` files ``key`` under.
+    def memo_key(key: Hashable, digest: str) -> Hashable:
+        """The full result-cache key of call site ``key`` over geometry
+        whose :func:`geometry_digest` is ``digest``.
 
-        Exposed so batch materializers (:mod:`repro.runtime.epoch`) can
-        dedupe scheduled work and insert worker-computed results into
-        ``results`` under exactly the key a later :meth:`memoize` call
-        will look up.  Pass ``digest`` instead of ``geometry`` to reuse an
-        already-computed :func:`geometry_digest` (this is the single place
-        the key tuple is composed).
+        The single place the key tuple is composed: :meth:`memoize` files
+        under it, and :meth:`~repro.core.pipeline.ApproximationPipeline.resolve`
+        looks planned requests up under it with the digest they carry.
         """
-        if digest is None:
-            if geometry is None:
-                raise ValueError("memo_key needs geometry or digest")
-            digest = geometry_digest(*geometry)
         return (key, digest)
 
     def memoize(
@@ -343,7 +333,7 @@ class SearchSession:
         ``None`` (or any falsy value) is cached like any other result
         instead of being recomputed on every call.
         """
-        full_key = self.memo_key(key, geometry)
+        full_key = self.memo_key(key, geometry_digest(*geometry))
         cached = self.results.get(full_key, _MISS)
         if cached is _MISS:
             cached = compute()

@@ -8,22 +8,27 @@ its neighbor pipeline under that ``h`` (bank conflicts included, through
 aggregation construct MLP inputs and carry no gradient, exactly as in the
 paper, so end-to-end differentiability is untouched.
 
-:class:`_BaseTrainer` owns the one step loop and the one ``evaluate``; both
-run the model's stacked ``forward_batch`` (a training step of one input is
-the ``B == 1`` stack).  Each task supplies three hooks: ``_loss_batch``
-(per-sample losses of a stacked chunk), ``_eval_batch`` (the stacked
-evaluation inputs and their targets) and ``_metric`` (the task metric).
+:class:`_BaseTrainer` owns the one step loop and the one ``evaluate``.
+Training plans the geometry of every dataset position once, before the
+first epoch, and each chunk's forward consumes its rows of that plan (a
+training step of one input is the ``B == 1`` stack); ``evaluate`` runs
+the model's stacked ``forward_batch``.  Each task supplies four hooks:
+``_example`` (a dataset position's model input and loss target, built
+once per run), ``_loss`` (per-sample losses of a stacked output),
+``_eval_batch`` (the stacked evaluation inputs and their targets) and
+``_metric`` (the task metric).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from numbers import Integral
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ..core.config import ApproxSetting
-from ..runtime.epoch import EpochPlan, QueryRequest
+from ..runtime.epoch import EpochPlan
 from ..geometry.datasets import (
     LidarDetectionDataset,
     PartSegmentationDataset,
@@ -31,8 +36,8 @@ from ..geometry.datasets import (
 )
 from ..geometry.scenes import Box3D, LidarScene
 from ..models.fpointnet import CAR_ANCHOR, FrustumPointNet, frustum_crop
+from ..models.layers import PointNetwork
 from ..nn.losses import huber_loss, softmax_cross_entropy
-from ..nn.module import Module
 from ..nn.optim import Adam
 from ..nn.tensor import no_grad
 from .metrics import detection_iou_geomean, mean_iou, overall_accuracy
@@ -55,10 +60,16 @@ class TrainReport:
         return self.epoch_losses[-1] if self.epoch_losses else float("nan")
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """``value`` must be an integer (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 class _BaseTrainer:
     def __init__(
         self,
-        model: Module,
+        model: PointNetwork,
         sampler: SettingSampler = FixedSetting(ApproxSetting()),
         lr: float = 5e-3,
         seed: int = 0,
@@ -68,49 +79,15 @@ class _BaseTrainer:
         self.optimizer = Adam(model.parameters(), lr=lr)
         self.rng = np.random.default_rng(seed)
 
-    def _loss_batch(self, samples, settings, cache_keys):
-        """Per-sample loss vector ``(B,)`` for a stacked mini-batch; one
-        training input is the ``B == 1`` case."""
+    def _example(self, idx: int, sample):
+        """``(points, target)``: the ``(N, 3)`` model input of the dataset
+        item at position ``idx`` and what :meth:`_loss` scores it against."""
         raise NotImplementedError
 
-    def _dataset_items(self, dataset):
-        return [(i, dataset[i]) for i in range(len(dataset))]
-
-    # -- epoch-batched materialization hooks ---------------------------
-    @property
-    def _pipeline(self):
-        return getattr(self.model, "pipeline", None)
-
-    def _model_points(self, idx: int, sample) -> Optional[np.ndarray]:
-        """The point array ``_loss_batch`` will feed the model for this
-        sample (``None`` disables materialization for the sample)."""
-        return None
-
-    def _query_plans(self, items) -> List[List[QueryRequest]]:
-        """The neighbor queries training each dataset position will issue.
-
-        One stacked ``query_plan`` call per point-array shape (every
-        current dataset has one), so sampling runs one lockstep loop per
-        layer for all positions.  A model without ``query_plan``, or a
-        sample whose points are ``None``, plans nothing.
-        """
-        plans: List[List[QueryRequest]] = [[] for _ in items]
-        plan_fn = getattr(self.model, "query_plan", None)
-        if plan_fn is None:
-            return plans
-        by_shape: Dict[tuple, List[int]] = {}
-        points: Dict[int, np.ndarray] = {}
-        for pos, (idx, sample) in enumerate(items):
-            pts = self._model_points(idx, sample)
-            if pts is not None:
-                points[pos] = np.asarray(pts, dtype=np.float64)
-                by_shape.setdefault(points[pos].shape, []).append(pos)
-        for positions in by_shape.values():
-            stack = np.stack([points[pos] for pos in positions])
-            rows = plan_fn(stack, [items[pos][0] for pos in positions])
-            for pos, row in zip(positions, rows):
-                plans[pos] = row
-        return plans
+    def _loss(self, output, targets):
+        """Per-sample loss vector ``(B,)`` of a stacked model output against
+        its ``B`` targets; one training input is the ``B == 1`` case."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     def train(self, dataset, epochs: int = 5, batch_size: int = 1) -> TrainReport:
@@ -119,47 +96,48 @@ class _BaseTrainer:
         Epoch-batched: the whole schedule (per-epoch shuffles and the
         per-input setting draws) is taken from the RNG up front —
         stream-compatible with the retired per-step loop, so losses are
-        bit-identical seed for seed — and each epoch's neighbor matrices
-        are materialized into the pipeline's session before its gradient
-        loop runs.  Query plans depend only on sample geometry (FPS and
-        frustum crops are deterministic), so every dataset position is
-        planned once, before the first epoch, as one stacked
-        ``query_plan`` call; each epoch's materialization then builds all
-        of its trees in one forest pass and runs one forest search.
-        Models without a ``query_plan`` skip materialization and compute
-        their searches in the gradient loop.
+        bit-identical seed for seed.  Each dataset position's input is
+        built once (``_example``), and since geometry never depends on
+        weights, every position is planned once, before the first epoch,
+        as one stacked ``model.plan`` call: farthest point sampling runs
+        one lockstep loop per layer and every row is digested once.  Each
+        epoch resolves all of its neighbor queries in one call (one
+        forest build, one forest search) before its gradient loop, which
+        then samples and hashes nothing and reads the matrices back as
+        pure cache hits.
 
         Each chunk of ``batch_size`` scheduled inputs (same sample order,
-        per-sample settings and cache keys for every size) is stacked
-        through ``_loss_batch``: one tape replay and one optimizer step per
-        chunk.  The default ``batch_size=1`` is the per-sample optimizer
-        step; larger sizes change the optimization trajectory exactly as
-        mini-batching classically does, while each recorded per-sample
-        loss is the one that sample would score under the same parameters.
+        per-sample settings and cache keys for every size) runs
+        ``model.forward_plan`` over its plan rows: one tape replay and one
+        optimizer step per chunk.  The default ``batch_size=1`` is the
+        per-sample optimizer step; larger sizes change the optimization
+        trajectory exactly as mini-batching classically does, while each
+        recorded per-sample loss is the one that sample would score under
+        the same parameters.
         """
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+        _check_count("epochs", epochs, 0)
+        _check_count("batch_size", batch_size, 1)
         report = TrainReport()
-        items = self._dataset_items(dataset)
+        if len(dataset) == 0:
+            raise ValueError("cannot train on an empty dataset")
+        # A dataset position is also its sample's cache key.
+        examples = [self._example(idx, dataset[idx]) for idx in range(len(dataset))]
         self.model.train()
-        plan = EpochPlan.draw(self.rng, self.sampler, len(items), epochs)
-        pipeline = self._pipeline
-        plans = self._query_plans(items) if pipeline is not None else []
-        for epoch in range(epochs):
-            schedule = plan.schedules[epoch]
-            if pipeline is not None:
-                requests = plan.epoch_requests(epoch, plans.__getitem__)
-                if requests:
-                    pipeline.materialize(requests)
+        schedules = EpochPlan.draw(self.rng, self.sampler, len(examples), epochs).schedules
+        geometry = self.model.plan(np.stack([points for points, _target in examples]))
+        for schedule in schedules:
+            order = schedule.order.tolist()
+            self.model.pipeline.resolve(
+                self.model.requests(geometry.take(order), schedule.settings, order)
+            )
             losses: List[float] = []
-            steps = list(zip(schedule.settings, schedule.order))
-            for lo in range(0, len(steps), batch_size):
-                chunk = steps[lo : lo + batch_size]
-                settings = [setting for setting, _pos in chunk]
-                keys = [items[pos][0] for _setting, pos in chunk]
-                samples = [items[pos][1] for _setting, pos in chunk]
+            for lo in range(0, len(order), batch_size):
+                rows = order[lo : lo + batch_size]
                 self.optimizer.zero_grad()
-                per_sample = self._loss_batch(samples, settings, keys)
+                output = self.model.forward_plan(
+                    geometry.take(rows), schedule.settings[lo : lo + batch_size], rows
+                )
+                per_sample = self._loss(output, [examples[pos][1] for pos in rows])
                 per_sample.mean().backward()
                 self.optimizer.step()
                 losses.extend(float(x) for x in per_sample.data)
@@ -205,15 +183,13 @@ class _BaseTrainer:
 class ClassificationTrainer(_BaseTrainer):
     """Trains classifiers on :class:`ShapeClassificationDataset`."""
 
-    def _loss_batch(self, samples, settings, cache_keys):
-        points = np.stack([cloud.points for cloud, _label in samples])
-        labels = np.array([[label] for _cloud, label in samples])
-        logits = self.model.forward_batch(points, settings, cache_keys)
-        return softmax_cross_entropy(logits, labels, reduction="per_sample")
+    def _example(self, idx, sample):
+        cloud, label = sample
+        return cloud.points, label
 
-    def _model_points(self, idx, sample):
-        cloud, _label = sample
-        return cloud.points
+    def _loss(self, output, targets):
+        labels = np.array([[label] for label in targets])
+        return softmax_cross_entropy(output, labels, reduction="per_sample")
 
     def _eval_batch(self, dataset: ShapeClassificationDataset):
         samples = [dataset[i] for i in range(len(dataset))]
@@ -233,14 +209,11 @@ class SegmentationTrainer(_BaseTrainer):
         super().__init__(model, **kwargs)
         self.num_classes = num_classes
 
-    def _loss_batch(self, samples, settings, cache_keys):
-        points = np.stack([cloud.points for cloud in samples])
-        labels = np.stack([cloud.labels for cloud in samples])
-        logits = self.model.forward_batch(points, settings, cache_keys)
-        return softmax_cross_entropy(logits, labels, reduction="per_sample")
+    def _example(self, idx, sample):
+        return sample.points, sample.labels
 
-    def _model_points(self, idx, sample):
-        return sample.points
+    def _loss(self, output, targets):
+        return softmax_cross_entropy(output, np.stack(targets), reduction="per_sample")
 
     def _eval_batch(self, dataset: PartSegmentationDataset):
         clouds = [dataset[i] for i in range(len(dataset))]
@@ -302,27 +275,21 @@ class DetectionTrainer(_BaseTrainer):
             ]
         )
 
-    def _loss_batch(self, samples, settings, cache_keys):
-        crops, seg_labels, targets = [], [], []
-        for scene, key in zip(samples, cache_keys):
-            box = scene.boxes[0]
-            crop, labels = self._frustum_sample(scene, box, seed=key)
-            crops.append(crop)
-            seg_labels.append(labels)
-            targets.append(self._box_target(crop, labels, box))
-        pred = self.model.forward_batch(np.stack(crops), settings, cache_keys)
-        seg_loss = softmax_cross_entropy(
-            pred.segmentation_logits, np.stack(seg_labels), reduction="per_sample"
-        )
-        box_loss = huber_loss(
-            pred.box_params, np.stack(targets)[:, None, :], reduction="per_sample"
-        )
-        return seg_loss + 2.0 * box_loss
+    def _example(self, idx, scene: LidarScene):
+        """The frustum crop of the scene's first box (seeded by ``idx``),
+        with its per-point labels and box-regression target."""
+        box = scene.boxes[0]
+        crop, labels = self._frustum_sample(scene, box, seed=idx)
+        return crop, (labels, self._box_target(crop, labels, box))
 
-    def _model_points(self, idx, sample):
-        scene = sample
-        crop, _ = self._frustum_sample(scene, scene.boxes[0], seed=idx)
-        return crop
+    def _loss(self, pred, targets):
+        seg_labels = np.stack([labels for labels, _box in targets])
+        boxes = np.stack([box for _labels, box in targets])
+        seg_loss = softmax_cross_entropy(
+            pred.segmentation_logits, seg_labels, reduction="per_sample"
+        )
+        box_loss = huber_loss(pred.box_params, boxes[:, None, :], reduction="per_sample")
+        return seg_loss + 2.0 * box_loss
 
     def _eval_batch(self, dataset: LidarDetectionDataset):
         scenes = [dataset[i] for i in range(len(dataset))]

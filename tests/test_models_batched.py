@@ -31,6 +31,7 @@ from repro.models import (
     PointNetPPClassifier,
     PointNetPPSegmenter,
 )
+from repro.models import layers
 from repro.models.layers import (
     farthest_point_sampling,
     farthest_point_sampling_batched,
@@ -53,13 +54,27 @@ def _clouds(batch=3, n=96, seed=0):
 
 
 class TestGeometryPlans:
-    def test_batched_fps_rows_bit_identical(self):
-        pts = _clouds(4, 80, seed=1)
-        batched = farthest_point_sampling_batched(pts, 24)
-        for b in range(len(pts)):
-            np.testing.assert_array_equal(
-                batched[b], farthest_point_sampling(pts[b], 24)
-            )
+    def test_batched_fps_rows_bit_identical(self, monkeypatch):
+        # Each side runs the greedy loop itself: one stacked call over
+        # ``batch`` rows, then one call per cloud.  Duplicate points tie
+        # the max-min argmax, which must break the same way in both.
+        calls = []
+        real = layers._fps_greedy_batched
+
+        def counting(pts, num_samples, start):
+            calls.append(len(pts))
+            return real(pts, num_samples, start)
+
+        monkeypatch.setattr(layers, "_fps_greedy_batched", counting)
+        for batch in (1, 3, 7):
+            calls.clear()
+            pts = _clouds(batch, 80, seed=batch)
+            pts[:, 40:60] = pts[:, :20]  # every row repeats 20 of its points
+            batched = farthest_point_sampling_batched(pts, 24)
+            singles = [farthest_point_sampling(pts[b], 24) for b in range(batch)]
+            assert calls == [batch] + [1] * batch
+            for b in range(batch):
+                np.testing.assert_array_equal(batched[b], singles[b])
 
     def test_batched_fps_validates_shape_and_count(self):
         with pytest.raises(ValueError):
@@ -246,8 +261,9 @@ class TestMiniBatchTraining:
         expected = []
         for setting, pos in zip(schedule.settings, schedule.order):
             ref.model.train()
-            loss = ref._loss_batch([cls_data[int(pos)]], [setting], [int(pos)])
-            expected.append(loss.mean().item())
+            points, target = ref._example(int(pos), cls_data[int(pos)])
+            output = ref.model.forward_batch(points[None], [setting], [int(pos)])
+            expected.append(ref._loss(output, [target]).mean().item())
         got = self._trainer(cls_data, seed=5)
         report = got.train(cls_data, epochs=1, batch_size=batch)
         assert report.epoch_losses == [float(np.mean(expected))]
@@ -259,8 +275,17 @@ class TestMiniBatchTraining:
         assert report.epoch_losses[-1] < report.epoch_losses[0]
 
     def test_invalid_batch_size_rejected(self, cls_data):
-        with pytest.raises(ValueError):
-            self._trainer(cls_data).train(cls_data, epochs=1, batch_size=0)
+        trainer = self._trainer(cls_data)
+        for batch_size in (0, -1, 2.5, 2.0, True, None):
+            with pytest.raises(ValueError, match="batch_size"):
+                trainer.train(cls_data, epochs=1, batch_size=batch_size)
+        for epochs in (-1, 1.5, 1.0, False, None):
+            with pytest.raises(ValueError, match="epochs"):
+                trainer.train(cls_data, epochs=epochs)
+        with pytest.raises(ValueError, match="empty dataset"):
+            trainer.train([], epochs=1)  # used to return a NaN loss
+        assert trainer.train(cls_data, epochs=0).epoch_losses == []
+        assert len(trainer.train(cls_data, epochs=np.int64(1)).epoch_losses) == 1
 
     def test_segmentation_minibatch_runs(self):
         data = PartSegmentationDataset(size=6, num_points=96, seed=4, noise=0.01)

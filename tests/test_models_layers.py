@@ -10,6 +10,8 @@ from repro.models import (
     SetAbstraction,
     farthest_point_sampling,
 )
+from repro.models import layers
+from repro.models.layers import plan_chain
 from repro.nn import Tensor
 
 
@@ -28,11 +30,21 @@ class TestFPS:
         idx = farthest_point_sampling(pts, 20)
         assert len(set(idx.tolist())) == 20
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
+        # Both calls run the greedy loop: nothing is remembered between them.
+        calls = []
+        real = layers._fps_greedy_batched
+
+        def counting(pts, num_samples, start):
+            calls.append(len(pts))
+            return real(pts, num_samples, start)
+
+        monkeypatch.setattr(layers, "_fps_greedy_batched", counting)
         pts = rng().normal(size=(40, 3))
         assert np.array_equal(
             farthest_point_sampling(pts, 10), farthest_point_sampling(pts, 10)
         )
+        assert calls == [1, 1]
 
     def test_spreads_points(self):
         # FPS of a two-cluster cloud must pick from both clusters early.
@@ -48,10 +60,20 @@ class TestFPS:
             farthest_point_sampling(pts, 0)
         with pytest.raises(ValueError):
             farthest_point_sampling(pts, 11)
+        # The first centroid id must index the cloud: -1 used to wrap to
+        # the last point and be returned as an id, and N raised IndexError.
+        stack = rng().normal(size=(2, 10, 3))
+        for start in (-1, 10, 2.0, 1.5, True, "0", None):
+            with pytest.raises(ValueError, match="start"):
+                farthest_point_sampling(pts, 4, start=start)
+            with pytest.raises(ValueError, match="start"):
+                layers.farthest_point_sampling_batched(stack, 4, start=start)
+        assert farthest_point_sampling(pts, 4, start=np.int64(9))[0] == 9
 
 
 class TestSetAbstraction:
-    """Layers take stacked ``(B, N, 3)`` clouds; one cloud is ``B == 1``."""
+    """A layer runs over one planned stage of stacked ``(B, N, 3)`` clouds;
+    one cloud is ``B == 1``."""
 
     def make(self, in_features=0, num_centroids=8):
         return SetAbstraction(
@@ -59,29 +81,32 @@ class TestSetAbstraction:
             ApproximationPipeline(), rng(),
         )
 
+    @staticmethod
+    def stage(sa, pts):
+        return plan_chain(pts, [sa.num_centroids]).stages[0]
+
     def test_output_shapes(self):
         sa = self.make()
-        pts = rng().normal(size=(1, 32, 3))
-        centroids, feats = sa(pts, None, [ApproxSetting()])
-        assert centroids.shape == (1, 8, 3)
+        stage = self.stage(sa, rng().normal(size=(1, 32, 3)))
+        feats = sa(stage, None, [ApproxSetting()])
+        assert stage.centroids.shape == (1, 8, 3)
         assert feats.shape == (1, 8, 16)
 
     def test_group_all(self):
         sa = SetAbstraction(None, 1.0, 4, 0, (16,), ApproximationPipeline(), rng())
-        pts = rng().normal(size=(1, 32, 3))
-        centroids, feats = sa(pts, None, [ApproxSetting()])
-        assert centroids.shape == (1, 1, 3)
+        stage = self.stage(sa, rng().normal(size=(1, 32, 3)))
+        feats = sa(stage, None, [ApproxSetting()])
+        assert stage.centroids.shape == (1, 1, 3)
         assert feats.shape == (1, 1, 16)
 
     def test_features_required_when_declared(self):
         sa = self.make(in_features=8)
         with pytest.raises(ValueError, match="expects features"):
-            sa(rng().normal(size=(1, 32, 3)), None, [ApproxSetting()])
+            sa(self.stage(sa, rng().normal(size=(1, 32, 3))), None, [ApproxSetting()])
 
     def test_gradient_flows_from_pooled_output(self):
         sa = self.make()
-        pts = rng().normal(size=(1, 32, 3))
-        _, feats = sa(pts, None, [ApproxSetting()])
+        feats = sa(self.stage(sa, rng().normal(size=(1, 32, 3))), None, [ApproxSetting()])
         feats.sum().backward()
         assert any(p.grad is not None for p in sa.parameters())
 
@@ -89,18 +114,48 @@ class TestSetAbstraction:
         sa = SetAbstraction(
             16, 1.5, 16, 0, (16, 16), ApproximationPipeline(), rng()
         )
-        pts = rng().normal(size=(1, 128, 3))
-        _, exact = sa(pts, None, [ApproxSetting(0, None)])
-        _, approx = sa(pts, None, [ApproxSetting(5, 1)])
+        stage = self.stage(sa, rng().normal(size=(1, 128, 3)))
+        exact = sa(stage, None, [ApproxSetting(0, None)])
+        approx = sa(stage, None, [ApproxSetting(5, 1)])
         assert not np.allclose(exact.data, approx.data)
 
     def test_cache_reuse_consistent(self):
         pipe = ApproximationPipeline()
         sa = SetAbstraction(8, 0.5, 4, 0, (16,), pipe, rng())
-        pts = rng().normal(size=(1, 32, 3))
-        _, a = sa(pts, None, [ApproxSetting(2, 3)], cache_keys=[("s", 1)])
-        _, b = sa(pts, None, [ApproxSetting(2, 3)], cache_keys=[("s", 1)])
+        stage = self.stage(sa, rng().normal(size=(1, 32, 3)))
+        a = sa(stage, None, [ApproxSetting(2, 3)], cache_keys=[("s", 1)])
+        b = sa(stage, None, [ApproxSetting(2, 3)], cache_keys=[("s", 1)])
         assert np.allclose(a.data, b.data)
+        assert pipe.session.results.stats.hits == 1
+
+    def test_plan_is_private_read_only_and_digested_once(self):
+        pts = rng().normal(size=(2, 32, 3))
+        plan = plan_chain(pts, [8, 4, None])
+        first, second, group_all = plan.stages
+        pts += 5.0  # the caller's array is not the plan's
+        assert not np.shares_memory(first.points, pts)
+        for stage in plan.stages:
+            assert not stage.points.flags.writeable
+            assert not stage.centroids.flags.writeable
+        assert second.points is first.centroids
+        assert group_all.ids is None and group_all.digests is None
+        from repro.runtime.session import geometry_digest
+
+        for b in range(2):
+            assert first.digests[b] == (
+                geometry_digest(first.points[b]),
+                geometry_digest(first.points[b], first.centroids[b]),
+            )
+        rows = plan.take([1, 1, 0])
+        assert rows.stages[0].digests == tuple(first.digests[b] for b in (1, 1, 0))
+        np.testing.assert_array_equal(rows.points[2], first.points[0])
+        assert not rows.stages[1].ids.flags.writeable
+
+    def test_stage_must_match_layer(self):
+        sa = self.make(num_centroids=8)
+        stage = plan_chain(rng().normal(size=(1, 32, 3)), [4]).stages[0]
+        with pytest.raises(ValueError, match="centroids"):
+            sa(stage, None, [ApproxSetting()])
 
 
 class TestFeaturePropagation:

@@ -1,5 +1,6 @@
-"""Repository hygiene: no compiled artifacts may be tracked, and no
-production module routes through a frozen per-node builder.
+"""Repository hygiene: no compiled artifacts may be tracked, no
+production module routes through a frozen per-node builder, and one
+module samples centroids.
 
 PR 8 untracked seven ``__pycache__/*.pyc`` files that had ridden along
 since the lint package landed.  Bytecode is interpreter-version-specific,
@@ -12,6 +13,11 @@ the level-synchronous builders are pinned against (ROADMAP standing
 constraint), not production routes: outside the frozen reference modules
 themselves, ``src/`` builds trees and layouts only through
 :mod:`repro.runtime.treebuild`.
+
+Farthest point sampling runs once per run, in the network planner
+(:func:`repro.models.layers.plan_chain`); a forward consumes the plan.  A
+second call site would re-sample what the plan already holds, so in
+``src/`` only :mod:`repro.models.layers` calls the samplers.
 """
 
 import ast
@@ -25,6 +31,7 @@ from repro.lint.rules import ReferenceFreezeRule
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 FROZEN_BUILDERS = ("build_kdtree", "SplitTree")
+SAMPLERS = ("farthest_point_sampling", "farthest_point_sampling_batched")
 
 FORBIDDEN_SUFFIXES = (".pyc", ".pyo", ".pyd", ".so", ".egg")
 FORBIDDEN_DIRS = ("__pycache__",)
@@ -62,13 +69,13 @@ def test_gitignore_covers_bytecode():
         assert pattern in ignore, f".gitignore lost the {pattern!r} pattern"
 
 
-def _frozen_builder_calls(path: Path):
+def _calls(path: Path, names):
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name in FROZEN_BUILDERS:
+        if name in names:
             yield f"{path.relative_to(REPO_ROOT).as_posix()}:{node.lineno} {name}(...)"
 
 
@@ -80,9 +87,23 @@ def test_production_modules_never_call_the_frozen_builders():
         if not path.as_posix().endswith(frozen)
     ]
     assert len(modules) > 50  # the scan found the package
-    offenders = [call for path in modules for call in _frozen_builder_calls(path)]
+    offenders = [call for path in modules for call in _calls(path, FROZEN_BUILDERS)]
     assert not offenders, (
         "production code calls a frozen per-node builder; use "
         "repro.runtime.treebuild's vectorized_build_kdtree / "
         f"VectorizedSplitTree instead: {offenders}"
+    )
+
+
+def test_only_the_layers_module_calls_the_samplers():
+    planner = PACKAGE_ROOT / "models" / "layers.py"
+    modules = sorted(PACKAGE_ROOT.rglob("*.py"))
+    assert planner in modules and len(modules) > 50
+    assert list(_calls(planner, SAMPLERS))  # the scan sees the planner's calls
+    offenders = [
+        call for path in modules if path != planner for call in _calls(path, SAMPLERS)
+    ]
+    assert not offenders, (
+        "farthest point sampling runs in the network planner "
+        f"(repro.models.layers.plan_chain); consume its plan instead: {offenders}"
     )

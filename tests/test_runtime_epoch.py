@@ -1,16 +1,18 @@
 """Epoch-batched training materialization: bit-identity and cache economy.
 
-The contract of :mod:`repro.runtime.epoch` is that pulling all of an
-epoch's neighbor-search work in front of the gradient loop changes
-*nothing* observable about training except speed:
+The contract of :mod:`repro.runtime.epoch` is that planning a run's
+geometry once and pulling all of an epoch's neighbor-search work in front
+of the gradient loop changes *nothing* observable about training except
+speed:
 
 * :class:`EpochPlan.draw` consumes the trainer RNG in exactly the order
   the retired per-step loop did (permutation, then one sampler draw per
   input, per epoch), so every downstream draw is unchanged;
 * epoch losses and eval metrics are bit-identical seed for seed (pinned
-  here against an inline copy of the per-step loop);
+  here against an inline copy of the per-step loop, which plans every
+  step through ``forward_batch``);
 * after materialization the gradient loop's pipeline lookups are pure
-  cache hits.
+  cache hits, and the loop samples and hashes nothing.
 """
 
 import numpy as np
@@ -31,9 +33,7 @@ from repro.models import (
     PointNetPPSegmenter,
 )
 from repro.models.layers import farthest_point_sampling
-from repro.nn.module import Module
-from repro.nn.tensor import Tensor
-from repro.runtime import EpochPlan, MaterializeRequest
+from repro.runtime import EpochPlan, QueryRequest
 from repro.training import (
     ClassificationTrainer,
     DetectionTrainer,
@@ -58,7 +58,9 @@ def per_step_reference_train(trainer, dataset, epochs):
             idx, sample = items[pos]
             setting = trainer.sampler.sample(trainer.rng)
             trainer.optimizer.zero_grad()
-            loss = trainer._loss_batch([sample], [setting], [idx]).mean()
+            points, target = trainer._example(idx, sample)
+            output = trainer.model.forward_batch(points[None], [setting], [idx])
+            loss = trainer._loss(output, [target]).mean()
             loss.backward()
             trainer.optimizer.step()
             losses.append(loss.item())
@@ -81,28 +83,24 @@ class TestScheduleDraw:
             np.testing.assert_array_equal(schedule.order, rng.permutation(7))
             assert schedule.settings == [MIXED.sample(rng) for _ in range(7)]
 
-    def test_epoch_requests_bind_scheduled_settings_in_visit_order(self):
-        plan = EpochPlan.draw(np.random.default_rng(3), MIXED, 4, 1)
-        calls = []
-
-        def plan_fn(pos):
-            calls.append(pos)
-            from repro.runtime import QueryRequest
-
-            return [
-                QueryRequest(
-                    points=np.zeros((2, 3)), queries=np.zeros((1, 3)),
-                    radius=0.1, max_neighbors=2, cache_key=(pos, "sa1"),
-                )
-            ]
-
-        requests = plan.epoch_requests(0, plan_fn)
+    def test_epoch_requests_bind_scheduled_settings_in_visit_order(self, cls_data):
+        # The trainer materializes an epoch as the model's requests over the
+        # plan rows in visit order: row i carries the i-th drawn setting,
+        # the key of the sample it visits and that sample's plan digests.
+        plan = EpochPlan.draw(np.random.default_rng(3), MIXED, len(cls_data), 1)
         schedule = plan.schedules[0]
-        assert calls == [int(p) for p in schedule.order]  # one plan per sample
-        assert [r.setting for r in requests] == schedule.settings
-        assert [r.cache_key for r in requests] == [
-            (int(p), "sa1") for p in schedule.order
-        ]
+        model = PointNetPPClassifier(cls_data.num_classes, np.random.default_rng(0))
+        geometry = model.plan(np.stack([cls_data[i][0].points for i in range(len(cls_data))]))
+        order = [int(p) for p in schedule.order]
+        requests = model.requests(geometry.take(order), schedule.settings, order)
+        assert len(requests) == 2 * len(order)  # sa1 and sa2; sa3 is group-all
+        for layer, stage in zip(("sa1", "sa2"), geometry.stages):
+            rows = [r for r in requests if r.cache_key[1] == layer]
+            assert [r.setting for r in rows] == schedule.settings
+            assert [r.cache_key for r in rows] == [(p, layer) for p in order]
+            assert [(r.cloud_digest, r.digest) for r in rows] == [
+                stage.digests[p] for p in order
+            ]
 
 
 class TestLossIdentity:
@@ -150,9 +148,9 @@ class TestLossIdentity:
         # loop itself adds zero computes on top of it.
         session = trainer.model.pipeline.session
         points, _ = trainer._eval_batch(cls_data)
-        plans = trainer.model.query_plan(points, [("eval", i) for i in range(len(points))])
-        trainer.model.pipeline.materialize(
-            [req.with_setting(setting) for row in plans for req in row]
+        keys = [("eval", i) for i in range(len(points))]
+        trainer.model.pipeline.resolve(
+            trainer.model.requests(trainer.model.plan(points), setting, keys)
         )
         misses_before = session.results.stats.misses
         acc = trainer.evaluate(cls_data, setting)
@@ -162,44 +160,61 @@ class TestLossIdentity:
 
 class TestEpochStructure:
     def test_one_fps_lockstep_per_layer_and_one_tree_build_pass(self, monkeypatch):
-        # Work counts, not timings: one epoch over 32 clouds samples each
-        # SA layer's centroids in one lockstep call over the whole stack
-        # and builds all 64 trees (32 clouds x 2 layers) in one forest pass.
-        from collections import OrderedDict
-
+        # Work counts, not timings.  Before its gradient loop, one epoch
+        # over 32 clouds samples each SA layer's centroids in one lockstep
+        # call over the whole stack, digests every (cloud, layer) at most
+        # twice (its tree key and its result key) and builds all 64 trees
+        # (32 clouds x 2 layers) in one forest pass.  The loop itself then
+        # samples, hashes and builds nothing.
         from repro.models import layers
-        from repro.runtime import treebuild
+        from repro.runtime import epoch, session, treebuild
 
-        monkeypatch.setattr(layers, "_FPS_CACHE", OrderedDict())
-        fps_rows = []
-        real_fps = layers._fps_greedy_batched
+        events = []
 
-        def counting_fps(pts, num_samples, start):
-            fps_rows.append(len(pts))
-            return real_fps(pts, num_samples, start)
+        def counting(kind, real, size):
+            def wrapper(*args, **kwargs):
+                events.append((kind, size(*args)))
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(layers, "_fps_greedy_batched", counting_fps)
-        builds = []
-        real_build = treebuild.vectorized_build_forest
+            return wrapper
 
-        def counting_build(clouds, split_rule="widest"):
-            builds.append(len(clouds))
-            return real_build(clouds, split_rule)
-
+        monkeypatch.setattr(
+            layers, "_fps_greedy_batched",
+            counting("fps", layers._fps_greedy_batched, lambda pts, *_: len(pts)),
+        )
+        digest = counting("digest", session.geometry_digest, lambda *arrays: len(arrays))
+        for module in (session, epoch, layers):
+            monkeypatch.setattr(module, "geometry_digest", digest)
         # Every build, one-cloud ones included, goes through the forest.
-        monkeypatch.setattr(treebuild, "vectorized_build_forest", counting_build)
+        monkeypatch.setattr(
+            treebuild, "vectorized_build_forest",
+            counting("build", treebuild.vectorized_build_forest, lambda clouds, *_: len(clouds)),
+        )
         data = ShapeClassificationDataset(
             size=32, num_points=112, seed=21, occlusion=0.0, noise=0.01, rotate=False
         )
         model = PointNetPPClassifier(data.num_classes, np.random.default_rng(0))
-        ClassificationTrainer(model, MIXED, lr=2e-3, seed=1).train(data, epochs=1)
-        assert (fps_rows, builds) == ([32, 32], [64])
+        trainer = ClassificationTrainer(model, MIXED, lr=2e-3, seed=1)
+        monkeypatch.setattr(
+            trainer.optimizer, "zero_grad",
+            counting("step", trainer.optimizer.zero_grad, lambda: 1),
+        )
+        trainer.train(data, epochs=1)
+        first_step = events.index(("step", 1))
+        before, loop = events[:first_step], events[first_step:]
+
+        def sizes(kind):
+            return [size for k, size in before if k == kind]
+
+        assert (sizes("fps"), sizes("build")) == ([32, 32], [64])
+        assert len(sizes("digest")) <= 128
+        assert loop == [("step", 1)] * 32
 
 
 class TestWarmCache:
     def test_gradient_loop_runs_on_pure_cache_hits(self, cls_data):
-        # Pins every model's stacked query_plan against the geometry its
-        # forward queries: a plan that drifts files entries the forward
+        # Pins every model's requests against the queries its forward
+        # resolves: a request list that drifts files entries the forward
         # never looks up, and the forward silently recomputes its own.
         setting = FixedSetting(ApproxSetting(2, 5))
         seg_data = PartSegmentationDataset(size=6, num_points=96, seed=4, noise=0.01)
@@ -247,25 +262,6 @@ class TestWarmCache:
             assert stats.misses == len(session.results), name
             assert stats.hits == layers * len(data), name
 
-    def test_model_without_query_plan_still_trains(self, cls_data):
-        from repro.nn.module import Parameter
-
-        class Blind(Module):
-            def __init__(self):
-                super().__init__()
-                self.w = Parameter(np.zeros((3, cls_data.num_classes)))
-
-            def forward_batch(self, points, settings, cache_keys=None):
-                pooled = np.asarray(points, dtype=np.float64).mean(
-                    axis=1, keepdims=True
-                )
-                return Tensor(pooled) @ self.w
-
-        trainer = ClassificationTrainer(Blind(), FixedSetting(ApproxSetting()), seed=0)
-        report = trainer.train(cls_data, epochs=1)
-        assert len(report.epoch_losses) == 1
-
-
 class TestMaterializeRequests:
     def _requests(self, clouds, settings, radius=0.3, k=8):
         out = []
@@ -273,24 +269,33 @@ class TestMaterializeRequests:
             queries = cloud[farthest_point_sampling(cloud, 32)]
             for setting in settings:
                 out.append(
-                    MaterializeRequest(
+                    QueryRequest(
                         points=cloud, queries=queries, radius=radius,
                         max_neighbors=k, setting=setting, cache_key=(ci, "sa1"),
                     )
                 )
         return out
 
-    def test_dedupe_and_already_cached_accounting(self, rng):
+    def test_dedupe_and_already_cached_accounting(self, rng, monkeypatch):
         clouds = [rng.normal(size=(128, 3)) for _ in range(3)]
         settings = [ApproxSetting(0, None), ApproxSetting(2, 4)]
         pipeline = ApproximationPipeline()
+        computed = []
+        real = pipeline.compute_many
+
+        def counting(requests):
+            computed.append(len(requests))
+            return real(requests)
+
+        monkeypatch.setattr(pipeline, "compute_many", counting)
+        stats = pipeline.session.results.stats
         requests = self._requests(clouds, settings)
-        report = pipeline.materialize(requests + requests)  # duplicates
-        assert report.scheduled == 12
-        assert report.deduped == 6
-        assert report.computed == 6
-        again = pipeline.materialize(requests)
-        assert again.already_cached == 6 and again.computed == 0
+        first = pipeline.resolve(requests + requests)  # duplicates
+        assert (stats.misses, stats.hits, sum(computed)) == (6, 0, 6)
+        assert all(a is b for a, b in zip(first[:6], first[6:]))
+        again = pipeline.resolve(requests)
+        assert (stats.misses, stats.hits, sum(computed)) == (6, 6, 6)
+        assert all(a is b for a, b in zip(first, again))
 
     def test_working_set_larger_than_cache_grows_capacity(self, rng):
         # A grid bigger than the session LRU must not evict its own
@@ -305,8 +310,7 @@ class TestMaterializeRequests:
         settings = [ApproxSetting(0, None), ApproxSetting(2, 4)]
         requests = self._requests(clouds, settings, k=4)
         assert len(requests) == 8  # > max_results
-        report = pipeline.materialize(requests)
-        assert report.cache_grown_to == 8
+        pipeline.resolve(requests)
         assert session.results.max_entries == 8
         misses_before = session.results.stats.misses
         for req in requests:
@@ -325,10 +329,10 @@ class TestMaterializeRequests:
         pipeline = ApproximationPipeline(session=session)
         clouds = [rng.normal(size=(64, 3)) for _ in range(8)]
         old = self._requests(clouds[:4], [ApproxSetting(0, None)], k=4)
-        pipeline.materialize(old)  # 4 entries, cache exactly full
+        pipeline.resolve(old)  # 4 entries, cache exactly full
         new = self._requests(clouds[4:], [ApproxSetting(0, None)], k=4)
-        report = pipeline.materialize(old + new)  # working set = 8
-        assert report.already_cached == 4 and report.computed == 4
+        pipeline.resolve(old + new)  # working set = 8
+        assert (session.results.stats.hits, session.results.stats.misses) == (4, 8)
         misses_before = session.results.stats.misses
         for req in old + new:
             pipeline.query_with_counts(
@@ -338,13 +342,18 @@ class TestMaterializeRequests:
         assert session.results.stats.misses == misses_before
 
     def test_uncacheable_requests_skipped(self, rng):
+        # An uncached request is computed every time and never filed.
         cloud = rng.normal(size=(64, 3))
-        req = MaterializeRequest(
+        req = QueryRequest(
             points=cloud, queries=cloud[:8], radius=0.3, max_neighbors=4,
             setting=ApproxSetting(), cache_key=None,
         )
-        report = ApproximationPipeline().materialize([req])
-        assert report.scheduled == 0 and report.computed == 0
+        pipeline = ApproximationPipeline()
+        (a,), (b,) = pipeline.resolve([req]), pipeline.resolve([req])
+        assert req.digest is None
+        assert a is not b and np.array_equal(a[0], b[0])
+        assert len(pipeline.session.results) == 0
+        assert pipeline.session.results.stats.misses == 0
 
     def test_evaluate_settings_matches_individual_evaluates(self, cls_data):
         model = PointNetPPClassifier(cls_data.num_classes, np.random.default_rng(1))

@@ -22,7 +22,7 @@ from repro.core import ApproxSetting, TreeBufferBanking
 from repro.core.approx_search import approximate_ball_query
 from repro.core.pipeline import ApproximationPipeline
 from repro.kdtree import build_kdtree
-from repro.runtime import MaterializeRequest, SearchJob, approximate_search
+from repro.runtime import QueryRequest, SearchJob, approximate_search
 
 
 def random_cloud(rng):
@@ -153,9 +153,10 @@ def test_single_job_and_empty_batch(rng):
 
 @pytest.mark.parametrize("elide_aggregation", [False, True])
 def test_materialize_fills_same_entries_as_per_request_queries(rng, elide_aggregation):
-    # The serial materialization path computes an epoch's misses as one
-    # forest search; the session must end up holding exactly what
-    # per-request query_with_counts calls would have filed.
+    # Materialization resolves an epoch's requests in one call, which
+    # computes its misses as one forest search; the session must end up
+    # holding exactly what per-request query_with_counts calls would have
+    # filed, and the call returns those matrices.
     clouds = [rng.normal(size=(int(n), 3)) for n in (160, 96, 160, 64)]
     settings = [ApproxSetting(0, None), ApproxSetting(2, 4), ApproxSetting(4, None),
                 ApproxSetting(1, 3)]
@@ -165,14 +166,14 @@ def test_materialize_fills_same_entries_as_per_request_queries(rng, elide_aggreg
             queries = cloud[rng.choice(len(cloud), m, replace=False)]
             for setting in settings:
                 requests.append(
-                    MaterializeRequest(
+                    QueryRequest(
                         points=cloud, queries=queries, radius=radius,
                         max_neighbors=8, setting=setting, cache_key=(ci, layer),
                     )
                 )
     forest = ApproximationPipeline(elide_aggregation=elide_aggregation)
-    report = forest.materialize(requests)
-    assert report.computed == len(requests)
+    resolved = forest.resolve(requests)
+    assert forest.session.results.stats.misses == len(requests)
     alone = ApproximationPipeline(elide_aggregation=elide_aggregation)
     for req in requests:
         alone.query_with_counts(
@@ -181,7 +182,8 @@ def test_materialize_fills_same_entries_as_per_request_queries(rng, elide_aggreg
         )
     a, b = forest.session.results._data, alone.session.results._data
     assert list(a) == list(b)  # same keys, same LRU order
-    for key in a:
+    for key, value in zip(a, resolved):
+        assert a[key] is value
         np.testing.assert_array_equal(a[key][0], b[key][0])
         np.testing.assert_array_equal(a[key][1], b[key][1])
     # Both paths built each cloud's tree once and looked it up per request.
