@@ -12,7 +12,9 @@ benches (``tests/test_runtime_perf.py``, ``benchmarks/test_lockstep_perf.py``):
 one definition of "drive one SubtreeSearch machine per query through
 ``run_subtree_lockstep``" keeps all three suites testing the same
 reference semantics.  ``digest_calls`` counts the serving layer's
-geometry digests for the serving suites and ``benchmarks/test_serve_perf.py``.
+geometry digests for the serving suites and ``benchmarks/test_serve_perf.py``;
+``sweep_level_sizes`` records the row count of every frontier-sweep level
+for the dense early-stop tests.
 """
 
 import os
@@ -129,6 +131,32 @@ def digest_calls(monkeypatch):
 
     monkeypatch.setattr(service_module, "geometry_digest", counting)
     return calls
+
+
+@pytest.fixture
+def sweep_level_sizes(monkeypatch):
+    """Spy on a module's ``frontier_sweep``.
+
+    ``sweep_level_sizes(module)`` wraps ``module.frontier_sweep`` and
+    returns the list the wrapper appends every yielded level's row count
+    to: ``repro.runtime.batched`` for the batched engine, and
+    ``repro.runtime.traced``, which imports the sweep by name, for the
+    traced one.
+    """
+
+    def spy(module):
+        sizes = []
+        real = module.frontier_sweep
+
+        def recording(*args, **kwargs):
+            for level in real(*args, **kwargs):
+                sizes.append(len(level.nodes))
+                yield level
+
+        monkeypatch.setattr(module, "frontier_sweep", recording)
+        return sizes
+
+    return spy
 
 
 @pytest.fixture

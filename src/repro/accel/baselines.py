@@ -20,7 +20,7 @@ modeled here and ablated in the Fig. 24 bench.
 the Crescent engine does, and searches them one by one; each search
 assembles its neighbor rows — top-tree hits, then scan hits, truncated
 at ``K``, padded, nearest point for rows without hits — in flat array
-passes (:func:`repro.runtime.approx.pack_rows`).
+passes (:func:`repro.runtime.batched.pack_rows`).
 
 The GPU is modeled analytically from workload counters (node visits, MACs,
 bytes) with coefficients calibrated so the *relative* gaps match the
@@ -42,7 +42,8 @@ from ..core.config import ApproxSetting, CrescentHardwareConfig, valid_top_heigh
 from ..kdtree.build import NODE_BYTES, KdTree
 from ..memsim.dram import DramModel
 from ..memsim.energy import EnergyBreakdown
-from ..runtime.approx import SearchJob, pack_rows
+from ..runtime.approx import SearchJob
+from ..runtime.batched import pack_rows
 from ..runtime.treebuild import VectorizedSplitTree
 from .accelerator import NetworkResult, PointCloudAccelerator
 from .pe import PIPELINE_DEPTH
@@ -227,10 +228,11 @@ class ExhaustiveSplitSearchEngine:
 
         # Every query keeps its first K hits, padded with its first hit
         # (the nearest scanned point when it has none).
-        flat, counts = pack_rows(
+        (indices, counts), = pack_rows(
             np.concatenate(hit_rows),
             np.concatenate(hit_points),
-            np.full(m, max_neighbors, dtype=np.int64),
+            [m],
+            [max_neighbors],
             lambda rows: nearest[rows],
         )
         report.traversal.neighbors_found += int(counts.sum())
@@ -246,7 +248,7 @@ class ExhaustiveSplitSearchEngine:
         energy.add("search_datapath", em.distances(report.traversal.nodes_visited))
 
         cycles = max(compute_cycles, dram.usage.cycles)
-        return flat.reshape(m, max_neighbors), counts, SearchEngineResult(
+        return indices, counts, SearchEngineResult(
             cycles=cycles,
             compute_cycles=compute_cycles,
             dram_cycles=dram.usage.cycles,

@@ -431,7 +431,7 @@ class DynamicKdTree:
             sub = np.nonzero(box_d2 <= r2 * _PRUNE_SLACK)[0]
             if not len(sub):
                 continue
-            for level in frontier_sweep(seg.tree, queries[sub], radii[sub]):
+            for level in frontier_sweep(seg.tree, queries[sub], radii[sub], None):
                 in_ball = level.in_ball
                 if not in_ball.any():
                     continue
@@ -466,20 +466,11 @@ class DynamicKdTree:
         truncated at ``max_neighbors``, nearest-repeated padding; rows
         with no hit are ``-1``-filled with ``counts == 0``.  Bit-identical
         to :func:`~repro.kdtree.dynamic_reference.scratch_dynamic_query`.
+        The one-request case of :meth:`query_merged`.
         """
-        self._check_queryable()
-        if radius <= 0 or not np.isfinite(radius):
-            raise ValueError("radius must be positive and finite")
-        if max_neighbors <= 0:
-            raise ValueError("max_neighbors must be positive")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if not np.isfinite(queries).all():
-            raise ValueError("queries must be finite")
-        self.refresh()
-        m = len(queries)
-        radii = np.full(m, float(radius))
-        hq, hs, d2 = self._collect(queries, radii)
-        return canonical_pack(m, hq, hs, d2, np.full(m, int(max_neighbors)))
+        request_ids = np.zeros(len(queries), dtype=np.int64)
+        return self.query_merged(queries, radius, request_ids, max_neighbors)[0]
 
     def query_merged(
         self,
@@ -495,21 +486,22 @@ class DynamicKdTree:
         ``r``'s pair is bit-identical to ``query(rows_r, radius_r, K_r)``
         because hits are row-independent and the pack is canonical.
         """
+        # Imported lazily for the same load-order reason as _build_segment.
+        from ..runtime.batched import check_max_neighbors
+
         self._check_queryable()
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         m = len(queries)
         radii = np.asarray(radii, dtype=np.float64)
+        request_ids = np.asarray(request_ids, dtype=np.int64)
+        ks = np.atleast_1d(check_max_neighbors(max_neighbors))
+        n_req = len(ks)
+        if ((radii <= 0) | ~np.isfinite(radii)).any():
+            raise ValueError("radius must be positive and finite")
         if radii.ndim == 0:
             radii = np.full(m, float(radii))
-        request_ids = np.asarray(request_ids, dtype=np.int64)
-        ks = np.atleast_1d(np.asarray(max_neighbors, dtype=np.int64))
-        n_req = len(ks)
-        if (ks <= 0).any():
-            raise ValueError("max_neighbors must be positive")
         if radii.shape != (m,):
             raise ValueError("radii must give one radius per query")
-        if m and ((radii <= 0) | ~np.isfinite(radii)).any():
-            raise ValueError("radius must be positive and finite")
         if not np.isfinite(queries).all():
             raise ValueError("queries must be finite")
         if request_ids.shape != (m,):
@@ -523,8 +515,7 @@ class DynamicKdTree:
         self.refresh()
         starts = np.searchsorted(request_ids, np.arange(n_req + 1))
         hq, hs, d2 = self._collect(queries, radii)
-        k_row = ks[request_ids] if m else np.empty(0, dtype=np.int64)
-        indices, counts = canonical_pack(m, hq, hs, d2, k_row)
+        indices, counts = canonical_pack(m, hq, hs, d2, ks[request_ids])
         return [
             (
                 indices[starts[r] : starts[r + 1], : int(ks[r])].copy(),

@@ -3,11 +3,14 @@
 Four pieces, composable but independently usable:
 
 - :class:`BatchedBallQuery` — all M queries of a layer advance together as
-  NumPy frontier arrays; bit-identical to the per-query reference searcher
-  (:func:`repro.kdtree.exact.ball_query`), which the parity suite enforces.
+  NumPy frontier arrays, each stopping at its K-th hit as the per-query
+  reference searcher (:func:`repro.kdtree.exact.ball_query`) does, so a
+  dense batch costs O(K) per query and never falls back to the reference;
+  bit-identical to it, which the parity suite enforces.  Both batched
+  engines pack their rows through :func:`~repro.runtime.batched.pack_rows`.
 - :class:`TracedBallQuery` — the trace-capable variant: the same batched
-  frontier sweep, plus per-query DFS visit traces and reconstructed
-  :class:`~repro.kdtree.stats.TraversalStats`, visit-trace- and
+  frontier sweep and early stop, plus per-query DFS visit traces and
+  reconstructed :class:`~repro.kdtree.stats.TraversalStats`, visit-trace- and
   stats-identical to ``radius_search(..., record_trace=True)`` (pinned by
   the traced equivalence suite); what the Sec. 2 motivation studies run.
 - :mod:`~repro.runtime.epoch` — epoch-batched training materialization:

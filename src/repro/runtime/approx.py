@@ -32,7 +32,7 @@ hardware go in separate calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,10 +41,10 @@ from ..core.bank_conflict import TreeBufferBanking
 from ..core.config import ApproxSetting
 from ..core.split_tree import descend_step
 from ..kdtree.build import KdTree
-from .batched import batched_nearest_node
+from .batched import batched_nearest_node, check_max_neighbors, pack_rows
 from .lockstep import LockstepResult, VectorizedLockstep
 
-__all__ = ["SearchJob", "approximate_search", "pack_rows"]
+__all__ = ["SearchJob", "approximate_search"]
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,7 @@ def approximate_search(
     (``subtree_cycles`` included).
     """
     jobs = list(jobs)
-    if any(job.max_neighbors <= 0 for job in jobs):
-        raise ValueError("max_neighbors must be positive")
+    job_k = check_max_neighbors([job.max_neighbors for job in jobs])
     if not all(job.radius > 0 for job in jobs):  # NaN fails too
         raise ValueError("radius must be positive")
     if not jobs:
@@ -110,7 +109,6 @@ def approximate_search(
     settings = [job.setting.scaled_to(job.tree.height) for job in jobs]
     job_m = np.array([len(q) for q in queries], dtype=np.int64)
     job_offset = engine.offsets[[tree_of[id(job.tree)][0] for job in jobs]]
-    job_k = np.array([job.max_neighbors for job in jobs], dtype=np.int64)
     simulate = np.array(
         [
             s.uses_elision if job.simulate_conflicts is None else job.simulate_conflicts
@@ -217,8 +215,8 @@ def approximate_search(
         roots = job_root[row_job[rows]]
         return engine.point_id[batched_nearest_node(forest, allq[rows], roots)]
 
-    indices, counts = _assemble(job_m, job_k, row_k, hit_rows, hit_points, nearest)
-    return list(zip(indices, counts, reports))
+    packed = _assemble(job_m, job_k, hit_rows, hit_points, nearest)
+    return [(indices, counts, report) for (indices, counts), report in zip(packed, reports)]
 
 
 def _fold(outcome: LockstepResult, reports: List[SearchReport], conflicts: bool) -> None:
@@ -231,13 +229,13 @@ def _fold(outcome: LockstepResult, reports: List[SearchReport], conflicts: bool)
             report.stall_cycles += int(outcome.stalls[j])
 
 
-def _assemble(job_m, job_k, row_k, hit_rows, hit_points, nearest):
+def _assemble(job_m, job_k, hit_rows, hit_points, nearest):
     """Order-preserving dedup, truncation and padding on flat hit arrays.
 
     ``hit_rows``/``hit_points`` hold the top-tree hits (level order) and
     then the sub-tree hits (visit order).  ``nearest(rows)`` gives the
-    padding of rows without hits.  Returns per-job index matrices and
-    counts.
+    padding of rows without hits.  Returns each job's ``(indices,
+    counts)``.
     """
     rows = np.concatenate(hit_rows)
     points = np.concatenate(hit_points)
@@ -248,49 +246,4 @@ def _assemble(job_m, job_k, row_k, hit_rows, hit_points, nearest):
     dup[seen[1:]] = (rows[seen[1:]] == rows[seen[:-1]]) & (
         points[seen[1:]] == points[seen[:-1]]
     )
-    flat, counts = pack_rows(rows[~dup], points[~dup], row_k, nearest)
-    cell_start = np.concatenate(([0], np.cumsum(row_k)))
-    row_start = np.concatenate(([0], np.cumsum(job_m)))
-    out_indices, out_counts = [], []
-    for lo, hi, k in zip(row_start[:-1], row_start[1:], job_k.tolist()):
-        out_indices.append(flat[cell_start[lo] : cell_start[hi]].reshape(hi - lo, k))
-        out_counts.append(counts[lo:hi])
-    return out_indices, out_counts
-
-
-def pack_rows(
-    rows: np.ndarray,
-    points: np.ndarray,
-    row_k: np.ndarray,
-    nearest: Callable[[np.ndarray], np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Truncate and pad flat hits into fixed-width neighbor rows.
-
-    ``rows``/``points`` list every hit as a (row, point) pair, each row's
-    hits in that row's order (rows may interleave: a stable sort by row
-    keeps the order).  Row ``r`` keeps its first ``row_k[r]`` hits and
-    pads with its first hit; a row without hits pads with
-    ``nearest(empty_rows)``.  Returns the flat cells (``row_k[r]`` per
-    row, rows in order) and each row's count of kept hits.
-    """
-    num_rows = len(row_k)
-    order = np.argsort(rows, kind="stable")
-    rows, points = rows[order], points[order]
-    found = np.bincount(rows, minlength=num_rows)
-    row_first = np.cumsum(found) - found
-    col = np.arange(len(rows)) - row_first[rows]
-    keep = col < row_k[rows]
-    rows, points, col = rows[keep], points[keep], col[keep]
-    counts = np.minimum(found, row_k)
-
-    # Pad with each row's first neighbor; empty rows get the nearest point.
-    pad = np.zeros(num_rows, dtype=np.int64)
-    lead = col == 0
-    pad[rows[lead]] = points[lead]
-    empty = np.flatnonzero(counts == 0)
-    if len(empty):
-        pad[empty] = nearest(empty)
-    cell_start = np.concatenate(([0], np.cumsum(row_k)))
-    flat = np.repeat(pad, row_k)
-    flat[cell_start[rows] + col] = points
-    return flat, counts
+    return pack_rows(rows[~dup], points[~dup], job_m, job_k, nearest)

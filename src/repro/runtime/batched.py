@@ -12,36 +12,45 @@ Bit-identical by construction
 -----------------------------
 The per-query searcher visits nodes in DFS preorder with the *near* child
 explored first, appends hits in visit order, and stops once ``K`` hits are
-buffered.  Early stopping only truncates the hit stream — the first ``K``
-hits of the full traversal are exactly the hits the early-stopped
-traversal collects — so the batched engine may sweep the whole in-radius
-frontier and truncate afterwards, provided it can reproduce the DFS visit
-order.  It does, without simulating any stack: label every root-to-node
-edge per query with a bit (near child = 0, far child = 1) and give node
-``n`` at depth ``d`` the rank ``sum(bit_i * 2**-(i+1) for i in range(d))``.
-DFS preorder is then exactly ascending ``(rank, depth)``: an ancestor is a
-bit-prefix of its descendants (equal rank + shallower depth when the
-extension bits are all zero, smaller rank otherwise), and cousins order by
-the first divergent bit.  A balanced median-split tree has height
-``ceil(log2(n + 1)) <= 52`` for any realistic ``n``, so the rank fits a
-float64 mantissa losslessly.
+buffered.  The batched engine reproduces that visit order without
+simulating any stack: it numbers every node a query reaches by its
+preorder position in the complete binary tree of the tree's height ``h``,
+near child first.  The root is 0; a node at depth ``d`` numbered ``p``
+has its near child at ``p + 1`` and its far child at ``p + 2**(h-1-d)``,
+one past the near child's complete subtree.  The real tree embeds in the
+complete one with the same child order, so ascending numbers are exactly
+its DFS preorder.  Packed below the query id into one int64 key (``query
+<< h | position``), a single sort orders a whole batch by query, then in
+visit order.
+
+The early stop is replicated too.  Once a query holds ``K`` hits, every
+frontier row whose key comes after its K-th hit so far roots a subtree
+that follows that hit in preorder, so the reference never reaches it; the
+sweep drops those rows after each level.  Hits only add, so the K-th hit
+so far only moves earlier, and nothing before the final K-th hit is ever
+dropped: sorting the hits the sweep saw and keeping each query's first
+``K`` gives exactly the reference's result buffer.  On dense input this
+also bounds the work: a kept row's parent comes before the K-th hit, so
+a level holds at most ``2K`` rows per query.
 
 Pruning is also safe to replicate: a far subtree is pruned when
 ``|query[dim] - split| > radius``, and every point in that subtree lies on
 the far side of the splitting plane, hence at least that far away along
 ``dim`` — a pruned subtree can never contain an in-radius point.  The
-remaining asymmetry (the per-query searcher visits fewer nodes thanks to
-early stopping) affects traversal *statistics* only, never results, which
-is why this module returns no :class:`~repro.kdtree.stats.TraversalStats`:
-callers who need hardware-faithful accounting use the reference searchers.
+sweep may still visit a few nodes past a query's K-th hit before it
+finds that hit; the per-query searcher never reaches them.  That affects
+traversal *statistics* only, never results, which is why this module
+returns no :class:`~repro.kdtree.stats.TraversalStats`;
+:class:`~repro.runtime.traced.TracedBallQuery` reconstructs them.
 
 Merged multi-request sweeps
 ---------------------------
-Nothing in the construction above requires one shared radius: the
-in-ball test and the bounding-plane prune are per-row decisions, so the
-sweep accepts a **per-query radius array** and stays row-independent —
-row ``i``'s result depends only on ``(queries[i], radius[i])`` and the
-tree.  :meth:`BatchedBallQuery.query_merged` builds on that to serve N
+Nothing in the construction above requires one shared radius or ``K``:
+the in-ball test, the bounding-plane prune and the early stop are per-row
+decisions, so the sweep accepts a **per-query radius array** and per-query
+``K`` and stays row-independent — row ``i``'s result depends only on
+``(queries[i], radius[i], K[i])`` and the tree.
+:meth:`BatchedBallQuery.query_merged` builds on that to serve N
 concatenated *requests* (each with its own radius and ``K``) with one
 frontier advance and split the results per request afterwards,
 bit-identical to N separate :meth:`~BatchedBallQuery.query` calls.  This
@@ -51,34 +60,43 @@ is the kernel under the request-coalescing serving layer
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from ..kdtree.build import KdTree
-from ..kdtree.exact import ball_query
 
 __all__ = [
     "BatchedBallQuery",
     "FrontierLevel",
     "batched_nearest_node",
+    "check_max_neighbors",
     "frontier_sweep",
+    "nearest_padding",
+    "pack_rows",
 ]
 
-# Depth limit above which DFS ranks no longer fit a float64 mantissa.
-# Balanced construction keeps height = ceil(log2(n + 1)), so hitting this
-# would take ~4.5e15 points; the guard exists for malformed custom trees
-# and lives in frontier_sweep — the single definition of the rank
-# arithmetic — so every consumer (result-only, traced, nearest-node) is
-# covered without duplicating the check.
+# Depth limit of the DFS orderings: batched_nearest_node's float64 ranks
+# lose bits past it, and the sweep's int64 keys must leave the query ids
+# room above the preorder positions.  Balanced construction keeps height
+# = ceil(log2(n + 1)), so hitting this would take ~4.5e15 points; the
+# guard exists for malformed custom trees and lives in frontier_sweep —
+# the single definition of the traversal rule — and batched_nearest_node,
+# so every consumer (result-only, traced, nearest-node) is covered
+# without duplicating the check.
 _MAX_RANK_DEPTH = 52
 
-# Density guard: unlike the per-query searcher (which early-stops at K
-# hits), the batched sweep buffers every in-radius hit before truncating,
-# so a radius comparable to the cloud extent costs O(M * N) memory.  Past
-# this many buffered hits the engine hands the batch to the per-query
-# reference searcher — bit-identical by definition, and O(K) per query.
-_MAX_BUFFERED_HITS = 8_000_000
+# The bound of a query that holds fewer than K hits: after every key.
+_NO_BOUND = np.iinfo(np.int64).max
 
 
 def _check_rank_depth(tree: KdTree) -> None:
@@ -89,18 +107,40 @@ def _check_rank_depth(tree: KdTree) -> None:
         )
 
 
+def check_max_neighbors(max_neighbors) -> np.ndarray:
+    """Every ``K`` as int64, under the one rule of the search entry points.
+
+    Each ``K`` must be an integer >= 1; an integral float counts (2.0 is
+    2).  Anything else — 2.5, 0, NaN, inf, a non-number — raises a
+    ``ValueError`` naming ``max_neighbors``, rather than being cast to a
+    different ``K`` or failing later with an unrelated error.  The shape
+    is kept: a scalar gives a scalar.
+    """
+    if isinstance(max_neighbors, (int, np.integer)) and max_neighbors >= 1:
+        return np.int64(max_neighbors)  # the common case, without array passes
+    try:
+        ks = np.asarray(max_neighbors, dtype=np.float64)
+    except (TypeError, ValueError):
+        ks = np.array(np.nan)
+    if not (np.isfinite(ks) & (ks >= 1) & (ks == np.floor(ks))).all():
+        raise ValueError(
+            f"max_neighbors must be an integer >= 1, got {max_neighbors!r}"
+        )
+    return ks.astype(np.int64)
+
+
 class FrontierLevel(NamedTuple):
     """One level of the batched frontier sweep (see :func:`frontier_sweep`).
 
-    All arrays are parallel over the live ``(query, node)`` pairs at this
-    depth.  ``far`` and ``within_radius`` let consumers reconstruct the
+    All arrays are parallel over the live ``(query, node)`` pairs of one
+    tree level.  ``far`` and ``within_radius`` let consumers reconstruct the
     bounding-plane prune (``far >= 0`` and not ``within_radius``); the
-    children actually descended are ``take_near``/``take_far``.
+    children the traversal rule descends are ``take_near``/``take_far``
+    (the early stop may still drop some of them from the next level).
     """
 
-    depth: int
     query_ids: np.ndarray  # query index per frontier row
-    rank: np.ndarray  # accumulated DFS path bits as a binary fraction
+    key: np.ndarray  # query_ids << tree.height | the node's preorder position
     nodes: np.ndarray  # node id per row
     point_ids: np.ndarray  # tree.point_id[nodes]
     in_ball: np.ndarray  # distance test outcome
@@ -114,30 +154,46 @@ def frontier_sweep(
     tree: KdTree,
     queries: np.ndarray,
     radius: Union[float, np.ndarray],
+    max_neighbors: Optional[Union[int, np.ndarray]],
 ) -> Iterator[FrontierLevel]:
     """Advance all queries together, one tree level per yield.
 
     The single definition of the batched traversal semantics — near/far
     selection (``diff <= 0`` ties go left, like the reference searcher),
-    the bounding-plane prune, and the DFS-rank advance — shared by the
-    result-only engine (:class:`BatchedBallQuery`) and the trace-capable
-    engine (:class:`~repro.runtime.traced.TracedBallQuery`), so a change
-    to the traversal rule cannot diverge the two.  Consumers may simply
-    stop iterating (e.g. a memory-guard fallback); the sweep holds no
-    state beyond its frontier arrays.
+    the bounding-plane prune, the DFS keys and the early stop — shared by
+    the result-only engine (:class:`BatchedBallQuery`), the trace-capable
+    engine (:class:`~repro.runtime.traced.TracedBallQuery`) and the
+    dynamic index, so a change to the traversal rule cannot diverge them.
+    The sweep holds no state beyond its frontier and early-stop arrays.
 
     ``radius`` is either a scalar (every query searches the same ball) or
     an ``(M,)`` array of per-query radii — the merged multi-request form
     the serving layer drives through :meth:`BatchedBallQuery.query_merged`.
 
+    ``max_neighbors`` gives each query its ``K`` (a scalar or ``(M,)``).
+    After each level the sweep drops every frontier row whose key comes
+    after its query's K-th hit so far; nothing before the final K-th hit
+    is dropped, so every hit, visit and prune up to it is yielded exactly
+    as a full sweep yields it (see the module docstring).  A yielded
+    level is never filtered: only the next frontier shrinks.  ``None``
+    sweeps every in-radius branch, for contracts that do not follow the
+    DFS order (:class:`~repro.kdtree.dynamic.DynamicKdTree` sorts by
+    ``(d², slot)``).
+
     Raises ``ValueError`` eagerly (before the first level is yielded) when
-    ``tree`` is deeper than the DFS ranks can represent: past depth 52 the
-    per-level ``scale`` underflows out of the float64 mantissa and rank
-    order silently corrupts, so malformed custom trees must be rejected
-    here rather than in each consuming engine.
+    ``tree`` is deeper than the DFS ranks can represent, or when the batch
+    leaves the keys' query ids no room (``M * 2**height > 2**63``, far
+    beyond any cloud a balanced tree indexes), so malformed custom trees
+    are rejected here rather than in each consuming engine.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     _check_rank_depth(tree)
+    height = tree.height
+    if len(queries) > 1 << (63 - height):
+        raise ValueError(
+            f"{len(queries)} queries overflow the int64 DFS keys of a tree "
+            f"of height {height}; split the batch"
+        )
     radius = np.asarray(radius, dtype=np.float64)
     if radius.ndim not in (0, 1) or (
         radius.ndim == 1 and radius.shape != (len(queries),)
@@ -146,22 +202,29 @@ def frontier_sweep(
             f"radius must be a scalar or one radius per query; got shape "
             f"{radius.shape} for {len(queries)} queries"
         )
-    return _frontier_levels(tree, queries, radius)
+    stop = None
+    if max_neighbors is not None:
+        ks = np.broadcast_to(check_max_neighbors(max_neighbors), (len(queries),))
+        stop = _KthHit(ks, height)
+    return _frontier_levels(tree, queries, radius, height, stop)
 
 
 def _frontier_levels(
-    tree: KdTree, queries: np.ndarray, radius: np.ndarray
+    tree: KdTree,
+    queries: np.ndarray,
+    radius: np.ndarray,
+    height: int,
+    stop: Optional["_KthHit"],
 ) -> Iterator[FrontierLevel]:
     m = len(queries)
     per_query = radius.ndim == 1
     r2 = radius * radius
-    # Frontier of live (query, node) pairs; ``rank`` accumulates the DFS
-    # path bits as a binary fraction, ``scale`` is the next bit's weight.
+    # Frontier of live (query, node) pairs and their DFS keys; ``step`` is
+    # the preorder offset of this level's far children.
     fq = np.arange(m, dtype=np.int64)
     fnode = np.full(m, tree.root, dtype=np.int64)
-    frank = np.zeros(m, dtype=np.float64)
-    scale = 0.5
-    depth = 0
+    fkey = fq << height
+    step = 1 << max(height - 1, 0)
     while len(fq):
         rad = radius[fq] if per_query else radius
         rsq = r2[fq] if per_query else r2
@@ -171,9 +234,7 @@ def _frontier_levels(
         d2 = np.einsum("ij,ij->i", delta, delta)
         in_ball = d2 <= rsq
 
-        dims = tree.split_dim[fnode]
-        rows = np.arange(len(fq))
-        diff = queries[fq, dims] - pts[rows, dims]
+        diff = delta[np.arange(len(fq)), tree.split_dim[fnode]]
         go_left = diff <= 0
         near = np.where(go_left, tree.left[fnode], tree.right[fnode])
         far = np.where(go_left, tree.right[fnode], tree.left[fnode])
@@ -182,9 +243,8 @@ def _frontier_levels(
         take_far = (far >= 0) & within
 
         yield FrontierLevel(
-            depth=depth,
             query_ids=fq,
-            rank=frank,
+            key=fkey,
             nodes=fnode,
             point_ids=pid,
             in_ball=in_ball,
@@ -194,11 +254,63 @@ def _frontier_levels(
             take_far=take_far,
         )
 
+        bound = None if stop is None else stop.add(fq[in_ball], fkey[in_ball])
         fq = np.concatenate([fq[take_near], fq[take_far]])
         fnode = np.concatenate([near[take_near], far[take_far]])
-        frank = np.concatenate([frank[take_near], frank[take_far] + scale])
-        scale *= 0.5
-        depth += 1
+        fkey = np.concatenate([fkey[take_near] + 1, fkey[take_far] + step])
+        if bound is not None:  # some query holds K hits: stop past them
+            keep = fkey < bound[fq]
+            fq, fnode, fkey = fq[keep], fnode[keep], fkey[keep]
+        step >>= 1
+
+
+class _KthHit:
+    """Each query's K-th hit so far: the bound of the sweep's early stop.
+
+    ``bound[q]`` is the key of query ``q``'s K-th earliest hit so far, or
+    ``_NO_BOUND`` while it holds fewer than ``K``.  A query's hits wait in
+    ``pending`` until it reaches ``K``; then they move to ``top``, the
+    sorted keys of the ``K`` earliest hits of every query at ``K``, which
+    absorbs that query's later hits.  A level whose hits all belong to
+    queries below ``K`` costs a count and nothing else.
+    """
+
+    def __init__(self, ks: np.ndarray, height: int):
+        self.ks = ks
+        self.shift = height
+        self.short = np.array(ks, dtype=np.int64)  # hits each query lacks
+        self.bound = np.full(len(ks), _NO_BOUND, dtype=np.int64)
+        self.pending: List[np.ndarray] = []
+        self.top = np.zeros(0, dtype=np.int64)
+
+    def add(self, q: np.ndarray, key: np.ndarray) -> Optional[np.ndarray]:
+        """Take one level's hits; returns ``bound`` once a query holds K."""
+        np.subtract.at(self.short, q, 1)
+        full = self.short[q] <= 0
+        if not full.any():
+            self.pending.append(key)
+            return self.bound if len(self.top) else None
+        self.pending.append(key[~full])
+        merge = [self.top, key[full]]
+        reached = full & (self.bound[q] == _NO_BOUND)
+        if reached.any():  # their earlier hits leave pending
+            now = np.zeros(len(self.short), dtype=bool)
+            now[q[reached]] = True
+            waiting = np.concatenate(self.pending)
+            move = now[waiting >> self.shift]
+            self.pending = [waiting[~move]]
+            merge.append(waiting[move])
+        keys = np.sort(np.concatenate(merge))
+        owner = keys >> self.shift
+        n = np.arange(len(keys))
+        head = np.ones(len(keys), dtype=bool)
+        head[1:] = owner[1:] != owner[:-1]
+        pos = n - np.maximum.accumulate(np.where(head, n, 0))  # rank within owner
+        k = self.ks[owner]
+        self.top = keys[pos < k]
+        kth = pos == k - 1
+        self.bound[owner[kth]] = keys[kth]
+        return self.bound
 
 
 def _greedy_bound(tree: KdTree, queries: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -293,9 +405,7 @@ def batched_nearest_node(
         best_pid[uq] = cpid[upd]
         bound[uq] = np.minimum(bound[uq], cd2[upd])
 
-        dims = tree.split_dim[fnode]
-        rows = np.arange(len(fq))
-        diff = queries[fq, dims] - pts[rows, dims]
+        diff = delta[np.arange(len(fq)), tree.split_dim[fnode]]
         go_left = diff <= 0
         near = np.where(go_left, tree.left[fnode], tree.right[fnode])
         far = np.where(go_left, tree.right[fnode], tree.left[fnode])
@@ -306,6 +416,69 @@ def batched_nearest_node(
         frank = np.concatenate([frank[take_near], frank[take_far] + scale])
         scale *= 0.5
     return best_pid
+
+
+def pack_rows(
+    rows: np.ndarray,
+    points: np.ndarray,
+    group_rows: Sequence[int],
+    group_k: Sequence[int],
+    nearest: Callable[[np.ndarray], np.ndarray],
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Truncate and pad flat hits into fixed-width neighbor matrices.
+
+    The one packer of the batched engines, the forest approximate search
+    and the Mesorasi baseline.  ``rows``/``points`` list every hit as a
+    (row, point) pair, each row's hits in that row's order (rows may
+    interleave: a stable sort by row keeps the order).  Rows come in
+    consecutive groups: group ``g`` has ``group_rows[g]`` rows of width
+    ``group_k[g]``.  A row keeps its first ``K`` hits and pads with its
+    first hit; a row without hits pads with ``nearest(empty_rows)``.
+    Returns each group's ``(indices, counts)``: the ``(rows, K)`` matrix
+    and each row's count of kept hits.
+    """
+    group_rows = np.asarray(group_rows, dtype=np.int64)
+    group_k = np.asarray(group_k, dtype=np.int64)
+    row_k = np.repeat(group_k, group_rows)
+    num_rows = len(row_k)
+    order = np.argsort(rows, kind="stable")
+    rows, points = rows[order], points[order]
+    found = np.bincount(rows, minlength=num_rows)
+    row_first = np.cumsum(found) - found
+    col = np.arange(len(rows)) - row_first[rows]
+    keep = col < row_k[rows]
+    rows, points, col = rows[keep], points[keep], col[keep]
+    counts = np.minimum(found, row_k)
+
+    # Pad with each row's first neighbor; empty rows get the nearest point.
+    pad = np.zeros(num_rows, dtype=np.int64)
+    lead = col == 0
+    pad[rows[lead]] = points[lead]
+    empty = np.flatnonzero(counts == 0)
+    if len(empty):
+        pad[empty] = nearest(empty)
+    cell_start = np.concatenate(([0], np.cumsum(row_k)))
+    flat = np.repeat(pad, row_k)
+    flat[cell_start[rows] + col] = points
+    row_start = np.concatenate(([0], np.cumsum(group_rows)))
+    return [
+        (flat[cell_start[lo] : cell_start[hi]].reshape(hi - lo, k), counts[lo:hi])
+        for lo, hi, k in zip(row_start[:-1], row_start[1:], group_k.tolist())
+    ]
+
+
+def nearest_padding(
+    tree: KdTree, queries: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """:func:`pack_rows`'s padding for rows without hits: each row's
+    nearest node point, from one :func:`batched_nearest_node` pass over
+    the distinct query points (rows without hits often repeat a point)."""
+
+    def nearest(rows: np.ndarray) -> np.ndarray:
+        uniq, inverse = np.unique(queries[rows], axis=0, return_inverse=True)
+        return batched_nearest_node(tree, uniq)[inverse.reshape(-1)]
+
+    return nearest
 
 
 class BatchedBallQuery:
@@ -328,24 +501,12 @@ class BatchedBallQuery:
 
         ``indices`` is ``(M, K)`` int64, rows padded by repeating the first
         neighbor; zero-neighbor rows are padded with the query's nearest
-        node point and report ``counts == 0``.
+        node point and report ``counts == 0``.  The one-request case of
+        :meth:`query_merged`.
         """
-        if not radius > 0:  # NaN fails too
-            raise ValueError("radius must be positive")
-        if max_neighbors <= 0:
-            raise ValueError("max_neighbors must be positive")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        m = len(queries)
-        k = max_neighbors
-        if m == 0:
-            return (
-                np.zeros((0, k), dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-            )
-        collected = self._collect(queries, float(radius))
-        if collected is None:  # density guard: per-query reference fallback
-            return ball_query(self.tree, queries, radius, max_neighbors)
-        return self._pack(queries, collected, np.full(m, k, dtype=np.int64), k)
+        request_ids = np.zeros(len(queries), dtype=np.int64)
+        return self.query_merged(queries, radius, request_ids, max_neighbors)[0]
 
     # ------------------------------------------------------------------
     def query_merged(
@@ -382,16 +543,10 @@ class BatchedBallQuery:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         m = len(queries)
         radii = np.asarray(radii, dtype=np.float64)
-        if radii.ndim == 0:
-            radii = np.full(m, float(radii))
         request_ids = np.asarray(request_ids, dtype=np.int64)
-        ks = np.atleast_1d(np.asarray(max_neighbors, dtype=np.int64))
+        ks = np.atleast_1d(check_max_neighbors(max_neighbors))
         n_req = len(ks)
-        if (ks <= 0).any():
-            raise ValueError("max_neighbors must be positive")
-        if radii.shape != (m,):
-            raise ValueError("radii must give one radius per query")
-        if m and not (radii > 0).all():  # NaN fails too
+        if not (radii > 0).all():  # NaN fails too; frontier_sweep checks the shape
             raise ValueError("radius must be positive")
         if request_ids.shape != (m,):
             raise ValueError("request_ids must give one request per query")
@@ -401,112 +556,19 @@ class BatchedBallQuery:
             raise ValueError("request_ids must be grouped (non-decreasing)")
         if n_req == 0:
             return []
-        starts = np.searchsorted(request_ids, np.arange(n_req + 1))
-
-        collected = self._collect(queries, radii)
-        if collected is None:  # density guard: per-request reference fallback
-            return self._merged_reference(queries, radii, starts, ks)
-        k_row = ks[request_ids]
-        indices, counts = self._pack(queries, collected, k_row, int(ks.max()))
-        return [
-            (
-                indices[starts[r] : starts[r + 1], : int(ks[r])].copy(),
-                counts[starts[r] : starts[r + 1]].copy(),
-            )
-            for r in range(n_req)
-        ]
-
-    # ------------------------------------------------------------------
-    def _collect(self, queries: np.ndarray, radius):
-        """Sweep and sort the in-radius hit stream.
-
-        Returns ``(hit_queries, hit_point_ids, counts_all)`` with the hits
-        in per-query DFS visit order, or ``None`` when the density guard
-        trips and the caller must fall back to the reference searcher.
-        """
-        m = len(queries)
-        hit_q: list = []
-        hit_rank: list = []
-        hit_depth: list = []
-        hit_pid: list = []
-        total_hits = 0
-        for level in frontier_sweep(self.tree, queries, radius):
-            in_ball = level.in_ball
-            if in_ball.any():
-                hit_q.append(level.query_ids[in_ball])
-                hit_rank.append(level.rank[in_ball])
-                hit_depth.append(
-                    np.full(int(in_ball.sum()), level.depth, dtype=np.int64)
-                )
-                hit_pid.append(level.point_ids[in_ball])
-                total_hits += int(in_ball.sum())
-                if total_hits > _MAX_BUFFERED_HITS:
-                    return None
-        if not hit_q:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, np.zeros(m, dtype=np.int64)
-        hq = np.concatenate(hit_q)
-        hr = np.concatenate(hit_rank)
-        hd = np.concatenate(hit_depth)
-        hp = np.concatenate(hit_pid)
-        # Ascending (query, rank, depth) == per-query DFS visit order.
-        order = np.lexsort((hd, hr, hq))
-        hq, hp = hq[order], hp[order]
-        counts_all = np.bincount(hq, minlength=m).astype(np.int64)
-        return hq, hp, counts_all
-
-    def _pack(
-        self,
-        queries: np.ndarray,
-        collected,
-        k_row: np.ndarray,
-        k_max: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Truncate, pad, and fill the sorted hit stream into the
-        ``ball_query`` output contract, with a per-row neighbor cap."""
-        hq, hp, counts_all = collected
-        m = len(queries)
-        indices = np.zeros((m, k_max), dtype=np.int64)
-        if len(hq):
-            starts = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(counts_all)[:-1]]
-            )
-            pos = np.arange(len(hq), dtype=np.int64) - starts[hq]
-            keep = pos < k_row[hq]
-            indices[hq[keep], pos[keep]] = hp[keep]
-
-        counts = np.minimum(counts_all, k_row)
-        # Pad short rows by repeating the first neighbor.
-        col = np.arange(k_max, dtype=np.int64)[None, :]
-        pad = col >= np.maximum(counts, 1)[:, None]
-        indices = np.where(pad, indices[:, :1], indices)
-        # Zero-neighbor rows fall back to the nearest node point: dedupe
-        # the (rare) rows and resolve them in one vectorized pass with the
-        # per-query engine's exact tie-breaking.
-        zero = np.nonzero(counts_all == 0)[0]
-        if len(zero):
-            uniq, inverse = np.unique(queries[zero], axis=0, return_inverse=True)
-            nearest = batched_nearest_node(self.tree, uniq)
-            indices[zero, :] = nearest[inverse][:, None]
-        return indices, counts
-
-    def _merged_reference(
-        self,
-        queries: np.ndarray,
-        radii: np.ndarray,
-        starts: np.ndarray,
-        ks: np.ndarray,
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Density-guard fallback: per-request reference searches (grouped
-        by radius within a request, for the heterogeneous-radii form)."""
-        out: List[Tuple[np.ndarray, np.ndarray]] = []
-        for r in range(len(ks)):
-            sl = slice(int(starts[r]), int(starts[r + 1]))
-            qs, rr, k = queries[sl], radii[sl], int(ks[r])
-            idx = np.zeros((len(qs), k), dtype=np.int64)
-            cnt = np.zeros(len(qs), dtype=np.int64)
-            for rad in np.unique(rr):
-                rows = np.nonzero(rr == rad)[0]
-                idx[rows], cnt[rows] = ball_query(self.tree, qs[rows], float(rad), k)
-            out.append((idx, cnt))
-        return out
+        group_rows = np.diff(np.searchsorted(request_ids, np.arange(n_req + 1)))
+        empty = np.zeros(0, dtype=np.int64)
+        rows, keys, points = [empty], [empty], [empty]
+        for level in frontier_sweep(self.tree, queries, radii, ks[request_ids]):
+            hit = level.in_ball
+            rows.append(level.query_ids[hit])
+            keys.append(level.key[hit])
+            points.append(level.point_ids[hit])
+        order = np.argsort(np.concatenate(keys))  # per-query DFS visit order
+        return pack_rows(
+            np.concatenate(rows)[order],
+            np.concatenate(points)[order],
+            group_rows,
+            ks,
+            nearest_padding(self.tree, queries),
+        )

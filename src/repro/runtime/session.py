@@ -45,7 +45,6 @@ from typing import (
 import numpy as np
 
 from ..kdtree.build import KdTree
-from .batched import BatchedBallQuery
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
     from ..core.split_tree import SplitTree
@@ -278,34 +277,6 @@ class SearchSession:
             split = VectorizedSplitTree(tree, int(top_height))
             self.split_trees.put(key, split)
         return split
-
-    def ball_query(
-        self,
-        points: np.ndarray,
-        queries: np.ndarray,
-        radius: float,
-        max_neighbors: int,
-        cache_key: Optional[Hashable] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact batched ball query with optional memoization.
-
-        Bit-identical to :func:`repro.kdtree.exact.ball_query` over the
-        session-built tree (the parity suite pins this down).
-        """
-        points = np.asarray(points, dtype=np.float64)
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-
-        def compute() -> Tuple[np.ndarray, np.ndarray]:
-            tree = self.tree_for(points)
-            return BatchedBallQuery(tree).query(queries, radius, max_neighbors)
-
-        if cache_key is None:
-            return compute()
-        return self.memoize(
-            ("ball_query", cache_key, radius, max_neighbors),
-            (points, queries),
-            compute,
-        )
 
     @staticmethod
     def memo_key(key: Hashable, digest: str) -> Hashable:

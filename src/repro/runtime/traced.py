@@ -11,20 +11,21 @@ search side while staying bit-identical to the reference searcher.
 
 Recovering per-query traces without a stack
 -------------------------------------------
-The batched frontier sweep already computes a DFS rank per visited
-``(query, node)`` pair (near child = 0 bit, far child = 1 bit, rank =
-binary fraction of the path bits; see :mod:`repro.runtime.batched` for
-the proof that ascending ``(rank, depth)`` is exactly DFS preorder with
-the near child first).  So per-query visit traces need no stack
-simulation: collect *every* visited ``(query, rank, depth, node)`` tuple,
-argsort per query by ``(rank, depth)``, and the sorted node column *is*
-the reference visit trace of the full (never-early-stopped) traversal.
+The batched frontier sweep already gives every visited ``(query, node)``
+pair a DFS key (the query id above the node's preorder position; see
+:mod:`repro.runtime.batched` for why ascending keys are exactly DFS
+preorder with the near child first).  So per-query visit traces need no
+stack simulation: collect every visited ``(key, node)`` pair, sort by
+key, and the sorted node column *is* each query's reference visit trace.
 
 The reference searcher early-stops once ``max_neighbors`` hits are
-buffered, abandoning whatever is still on its stack.  Because the
-early-stopped visit sequence is a *prefix* of the full DFS preorder
-sequence, truncating each sorted trace at the node contributing the
-K-th hit reproduces it exactly.
+buffered, abandoning whatever is still on its stack.  The sweep stops the
+same way: given ``K``, it drops every frontier row that comes after a
+query's K-th hit so far, and never one before the final K-th hit.  The
+early-stopped visit sequence is therefore a *prefix* of the sorted
+visits, and truncating each query's trace at the node contributing the
+K-th hit reproduces it exactly; the few visits the sweep made past that
+node are discarded.
 
 Reconstructing :class:`~repro.kdtree.stats.TraversalStats`
 ----------------------------------------------------------
@@ -55,17 +56,10 @@ from typing import List
 import numpy as np
 
 from ..kdtree.build import KdTree
-from ..kdtree.exact import knn_search, radius_search
 from ..kdtree.stats import TraversalStats
-from .batched import batched_nearest_node, frontier_sweep
+from .batched import check_max_neighbors, frontier_sweep, nearest_padding, pack_rows
 
 __all__ = ["TracedBallQuery", "TracedBatchResult"]
-
-# Memory guard: the traced sweep buffers every visited (query, node) pair
-# before sorting, so a huge radius on a huge batch costs O(visits) memory.
-# Past this many buffered visits the engine hands the batch to the
-# per-query reference searcher — identical by definition.
-_MAX_BUFFERED_VISITS = 8_000_000
 
 
 @dataclass
@@ -136,8 +130,8 @@ class TracedBallQuery:
     """
 
     def __init__(self, tree: KdTree):
-        # The DFS-rank depth guard lives in frontier_sweep (the single
-        # definition of the rank arithmetic), which :meth:`query` drives.
+        # The DFS-key guards live in frontier_sweep (the single
+        # definition of the key arithmetic), which :meth:`query` drives.
         self.tree = tree
 
     # ------------------------------------------------------------------
@@ -153,11 +147,9 @@ class TracedBallQuery:
         """
         if not radius > 0:  # NaN fails too
             raise ValueError("radius must be positive")
-        if max_neighbors <= 0:
-            raise ValueError("max_neighbors must be positive")
+        k = int(check_max_neighbors(max_neighbors))
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         m = len(queries)
-        k = max_neighbors
         if m == 0:
             empty = np.zeros(0, dtype=np.int64)
             return TracedBatchResult(
@@ -176,43 +168,27 @@ class TracedBallQuery:
         # visit, not just hits, plus the per-visit push/prune quantities
         # the stats reconstruction needs.
         v_q: list = []
-        v_rank: list = []
-        v_depth: list = []
+        v_key: list = []
         v_node: list = []
         v_hit: list = []
         v_push: list = []
         v_pruned: list = []
-        total_visits = 0
-        for level in frontier_sweep(tree, queries, radius):
+        for level in frontier_sweep(tree, queries, radius, k):
             prune_far = (level.far >= 0) & ~level.within_radius
             pruned = np.zeros(len(level.nodes), dtype=np.int64)
             pruned[prune_far] = tree.subtree_size[level.far[prune_far]]
 
             v_q.append(level.query_ids)
-            v_rank.append(level.rank)
-            v_depth.append(np.full(len(level.nodes), level.depth, dtype=np.int64))
+            v_key.append(level.key)
             v_node.append(level.nodes)
             v_hit.append(level.in_ball)
-            v_push.append(
-                level.take_near.astype(np.int64) + level.take_far.astype(np.int64)
-            )
+            v_push.append(level.take_near.astype(np.int64) + level.take_far)
             v_pruned.append(pruned)
-            total_visits += len(level.nodes)
-            if total_visits > _MAX_BUFFERED_VISITS:
-                return _reference_traced(tree, queries, radius, k)
 
-        q = np.concatenate(v_q)
-        rank = np.concatenate(v_rank)
-        dep = np.concatenate(v_depth)
-        node = np.concatenate(v_node)
-        hit = np.concatenate(v_hit)
-        push = np.concatenate(v_push)
-        pruned = np.concatenate(v_pruned)
-
-        # Ascending (query, rank, depth) == per-query DFS visit order.
-        order = np.lexsort((dep, rank, q))
+        # Ascending keys == per-query DFS visit order.
+        order = np.argsort(np.concatenate(v_key))
         q, node, hit, push, pruned = (
-            q[order], node[order], hit[order], push[order], pruned[order]
+            np.concatenate(v)[order] for v in (v_q, v_node, v_hit, v_push, v_pruned)
         )
 
         visits_all = np.bincount(q, minlength=m)  # >= 1: the root is always visited
@@ -242,38 +218,20 @@ class TracedBallQuery:
         pruned_total = np.bincount(
             qk, weights=pruned_eff[keep], minlength=m
         ).astype(np.int64)
-        hits_total = np.bincount(q, weights=hit, minlength=m).astype(np.int64)
-        neighbors = np.minimum(hits_total, k)
 
         # Traces: the kept node column split per query.
-        nodes_kept = node[keep]
-        traces = np.split(nodes_kept, np.cumsum(trunc_len)[:-1])
+        traces = np.split(node[keep], np.cumsum(trunc_len)[:-1])
 
         # Neighbor matrix: the kept region holds exactly min(hits, K) hits
         # per query, in visit order — the reference's result buffer.
-        indices = np.zeros((m, k), dtype=np.int64)
         hit_keep = hit & keep
-        hq = q[hit_keep]
-        hp = tree.point_id[node[hit_keep]]
-        if len(hq):
-            hstarts = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(neighbors)[:-1]]
-            )
-            hpos = np.arange(len(hq), dtype=np.int64) - hstarts[hq]
-            indices[hq, hpos] = hp
-        counts = neighbors.copy()
-        # Pad short rows by repeating the first neighbor; zero-neighbor
-        # rows fall back to the query's nearest node point, exactly as
-        # ball_query does (same tie-breaking via the per-query search).
-        col = np.arange(k, dtype=np.int64)[None, :]
-        pad = col >= np.maximum(counts, 1)[:, None]
-        indices = np.where(pad, indices[:, :1], indices)
-        zero = np.nonzero(hits_total == 0)[0]
-        if len(zero):
-            uniq, inverse = np.unique(queries[zero], axis=0, return_inverse=True)
-            nearest = batched_nearest_node(tree, uniq)
-            indices[zero, :] = nearest[inverse][:, None]
-
+        (indices, counts), = pack_rows(
+            q[hit_keep],
+            tree.point_id[node[hit_keep]],
+            [m],
+            [k],
+            nearest_padding(tree, queries),
+        )
         return TracedBatchResult(
             indices=indices,
             counts=counts,
@@ -281,40 +239,5 @@ class TracedBallQuery:
             visited=trunc_len,
             pushes=pushes,
             pruned=pruned_total,
-            neighbors=neighbors,
+            neighbors=counts.copy(),
         )
-
-
-def _reference_traced(
-    tree: KdTree, queries: np.ndarray, radius: float, max_neighbors: int
-) -> TracedBatchResult:
-    """Per-query reference fallback (memory guard): identical by definition."""
-    m = len(queries)
-    k = max_neighbors
-    indices = np.zeros((m, k), dtype=np.int64)
-    counts = np.zeros(m, dtype=np.int64)
-    traces: List[np.ndarray] = []
-    visited = np.zeros(m, dtype=np.int64)
-    pushes = np.zeros(m, dtype=np.int64)
-    pruned = np.zeros(m, dtype=np.int64)
-    neighbors = np.zeros(m, dtype=np.int64)
-    for i in range(m):
-        s = TraversalStats()
-        found = radius_search(
-            tree, queries[i], radius, max_neighbors=k, stats=s, record_trace=True
-        )
-        counts[i] = min(len(found), k)
-        if not found:
-            found = knn_search(tree, queries[i], 1)
-        row = found[:k]
-        row = row + [row[0]] * (k - len(row))
-        indices[i] = row
-        traces.append(np.asarray(s.visit_trace, dtype=np.int64))
-        visited[i] = s.nodes_visited
-        pushes[i] = s.stack_pushes
-        pruned[i] = s.nodes_pruned
-        neighbors[i] = s.neighbors_found
-    return TracedBatchResult(
-        indices=indices, counts=counts, traces=traces,
-        visited=visited, pushes=pushes, pruned=pruned, neighbors=neighbors,
-    )

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..runtime.batched import BatchedBallQuery
+from ..runtime.batched import BatchedBallQuery, check_max_neighbors
 from ..runtime.session import SearchSession, geometry_digest
 
 __all__ = [
@@ -74,16 +74,13 @@ def validate_queries(queries: np.ndarray) -> np.ndarray:
 def validate_settings(radius: float, max_neighbors: int) -> None:
     """Validate one request's ``(radius, K)`` setting.
 
-    ``max_neighbors`` must be integral: ``int()`` would serve 2.7 as
-    K = 2 and fail on inf or NaN with an unrelated error.
+    ``K`` follows the search engines' one rule
+    (:func:`~repro.runtime.batched.check_max_neighbors`): an integer
+    >= 1, so 2.7 is refused rather than served as K = 2.
     """
     if not np.isfinite(radius) or radius <= 0:
         raise ValueError("radius must be positive and finite")
-    k = float(max_neighbors)
-    if not (k.is_integer() and k >= 1):
-        raise ValueError(
-            f"max_neighbors must be an integer >= 1, got {max_neighbors!r}"
-        )
+    check_max_neighbors(max_neighbors)
 
 
 @dataclass

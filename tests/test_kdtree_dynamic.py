@@ -294,6 +294,11 @@ class TestErrorsAndStats:
             dyn.query(np.zeros((1, 3)), 1.0, 0)
         with pytest.raises(ValueError, match="finite"):
             dyn.query(np.array([[np.inf, 0.0, 0.0]]), 1.0, 4)
+        for k in (2.5, np.nan, np.inf):  # K must be an integer >= 1
+            with pytest.raises(ValueError, match="max_neighbors"):
+                dyn.query(np.zeros((1, 3)), 1.0, k)
+            with pytest.raises(ValueError, match="max_neighbors"):
+                dyn.query_merged(np.zeros((2, 3)), 1.0, [0, 1], [4, k])
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

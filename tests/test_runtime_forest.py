@@ -138,6 +138,13 @@ def test_single_job_and_empty_batch(rng):
     assert_matches_reference([job], got, 4, 4, "skip", "single")
     with pytest.raises(ValueError):
         approximate_search([SearchJob(job.tree, points[:2], 0.5, 0, ApproxSetting())])
+    # K must be an integer >= 1: 2.5 used to be served as K = 2.
+    for k in (2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="max_neighbors"):
+            approximate_search([SearchJob(job.tree, points[:2], 0.5, k, ApproxSetting(2, None))])
+        for setting in (ApproxSetting(2, None), ApproxSetting(0, None)):
+            with pytest.raises(ValueError, match="max_neighbors"):
+                ApproximationPipeline().query_with_counts(points, points[:6], 0.5, k, setting)
     # Radii the per-step reference rejects, and NaN, which it would turn
     # into all-zero counts; an infinite radius stays legal, as there.
     for radius in (-0.5, 0.0, float("nan")):

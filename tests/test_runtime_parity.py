@@ -20,6 +20,7 @@ layers of checking:
 import numpy as np
 import pytest
 
+from repro.core import ApproximationPipeline, ApproxSetting
 from repro.kdtree import ball_query, brute_radius_search, build_kdtree
 from repro.runtime import BatchedBallQuery, SearchSession
 
@@ -148,15 +149,18 @@ class TestDegenerateInputs:
         pts = rng.normal(size=(150, 3))
         assert_bit_identical(build_kdtree(pts), pts[:30], 0.3, 1)
 
-    def test_density_guard_fallback_stays_identical(self, rng, monkeypatch):
-        # Force the O(total-hits) memory guard to trip: the engine must
-        # hand off to the per-query searcher, not change results.
+    def test_dense_sweep_stops_at_k_and_stays_identical(self, rng, sweep_level_sizes):
+        # Every node lies in every ball.  The sweep must stop at K as the
+        # per-query searcher does, not sweep all O(M * N) hits, and keep
+        # its results: a kept row's parent comes before the K-th hit, so
+        # no level holds more than 2·M·K rows.
         from repro.runtime import batched as batched_mod
 
-        monkeypatch.setattr(batched_mod, "_MAX_BUFFERED_HITS", 10)
+        sizes = sweep_level_sizes(batched_mod)
         pts = rng.normal(size=(200, 3)) * 0.2  # dense cloud, huge radius
         tree = build_kdtree(pts)
         assert_bit_identical(tree, pts[:30], 2.0, 8)
+        assert sizes and max(sizes) <= 2 * 30 * 8
 
     def test_invalid_arguments(self, rng):
         tree = build_kdtree(rng.normal(size=(8, 3)))
@@ -165,7 +169,24 @@ class TestDegenerateInputs:
             engine.query(np.zeros((1, 3)), -1.0, 4)
         with pytest.raises(ValueError, match="radius must be positive"):
             engine.query(np.zeros((1, 3)), float("nan"), 4)
+        pipeline = ApproximationPipeline(session=SearchSession())
+        exact = ApproxSetting(0, None)
         with pytest.raises(ValueError, match="radius must be positive"):
-            SearchSession().ball_query(tree.points, np.zeros((1, 3)), float("nan"), 4)
+            pipeline.query_with_counts(
+                tree.points, np.zeros((1, 3)), float("nan"), 4, exact, cache_key="nan"
+            )
         with pytest.raises(ValueError):
             engine.query(np.zeros((1, 3)), 0.5, 0)
+        # K must be an integer >= 1: 2.5 used to be served as K = 2 (or
+        # fail with a TypeError), never refused by name.
+        for k in (2.5, 0, -3, float("nan"), float("inf"), "four"):
+            with pytest.raises(ValueError, match="max_neighbors"):
+                engine.query(np.zeros((1, 3)), 0.5, k)
+            with pytest.raises(ValueError, match="max_neighbors"):
+                pipeline.query_with_counts(
+                    tree.points, np.zeros((1, 3)), 0.5, k, exact, cache_key="k"
+                )
+        # An integral float is an integer K.
+        np.testing.assert_array_equal(
+            engine.query(tree.points[:3], 0.5, 4.0)[0], engine.query(tree.points[:3], 0.5, 4)[0]
+        )

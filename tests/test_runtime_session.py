@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.core import ApproximationPipeline, ApproxSetting
 from repro.kdtree import ball_query
 from repro.runtime import LruCache, SearchSession, geometry_digest
+
+
+def exact_query(session, points, queries, radius, k, cache_key=None):
+    """The session-backed exact ball query, memoized under ``cache_key``."""
+    pipeline = ApproximationPipeline(session=session)
+    return pipeline.query_with_counts(
+        points, queries, radius, k, ApproxSetting(0, None), cache_key=cache_key
+    )
 
 
 class TestGeometryDigest:
@@ -145,7 +154,7 @@ class TestSearchSession:
         session = SearchSession()
         pts = rng.normal(size=(200, 3))
         queries = pts[:40]
-        idx, cnt = session.ball_query(pts, queries, 0.4, 8)
+        idx, cnt = exact_query(session, pts, queries, 0.4, 8)
         want_idx, want_cnt = ball_query(session.tree_for(pts), queries, 0.4, 8)
         np.testing.assert_array_equal(idx, want_idx)
         np.testing.assert_array_equal(cnt, want_cnt)
@@ -153,8 +162,8 @@ class TestSearchSession:
     def test_memoized_query_returns_cached_object(self, rng):
         session = SearchSession()
         pts = rng.normal(size=(80, 3))
-        a = session.ball_query(pts, pts[:10], 0.3, 4, cache_key="layer0")
-        b = session.ball_query(pts, pts[:10], 0.3, 4, cache_key="layer0")
+        a = exact_query(session, pts, pts[:10], 0.3, 4, cache_key="layer0")
+        b = exact_query(session, pts, pts[:10], 0.3, 4, cache_key="layer0")
         assert a is b
 
     def test_stale_cache_hazard_is_fixed(self, rng):
@@ -164,9 +173,9 @@ class TestSearchSession:
         session = SearchSession()
         pts = rng.normal(size=(120, 3))
         queries = pts[:20].copy()
-        stale_idx, _ = session.ball_query(pts, queries, 0.4, 6, cache_key="k")
+        stale_idx, _ = exact_query(session, pts, queries, 0.4, 6, cache_key="k")
         pts += rng.normal(size=pts.shape)  # same key, new geometry
-        fresh_idx, fresh_cnt = session.ball_query(pts, queries, 0.4, 6, cache_key="k")
+        fresh_idx, fresh_cnt = exact_query(session, pts, queries, 0.4, 6, cache_key="k")
         want_idx, want_cnt = ball_query(session.tree_for(pts), queries, 0.4, 6)
         np.testing.assert_array_equal(fresh_idx, want_idx)
         np.testing.assert_array_equal(fresh_cnt, want_cnt)
@@ -176,14 +185,14 @@ class TestSearchSession:
         session = SearchSession(max_results=3)
         pts = rng.normal(size=(30, 3))
         for i in range(6):
-            session.ball_query(pts, pts[i : i + 4], 0.5, 4, cache_key=("q", i))
+            exact_query(session, pts, pts[i : i + 4], 0.5, 4, cache_key=("q", i))
         assert len(session.results) == 3
         assert session.results.stats.evictions == 3
 
     def test_clear(self, rng):
         session = SearchSession()
         pts = rng.normal(size=(30, 3))
-        session.ball_query(pts, pts[:4], 0.5, 4, cache_key="k")
+        exact_query(session, pts, pts[:4], 0.5, 4, cache_key="k")
         tree = session.tree_for(pts)
         session.split_tree_for(tree, 2)
         session.clear()

@@ -152,12 +152,18 @@ class TestTraceEquivalence:
         assert result.indices.shape == (0, 4)
         assert result.traces == [] and result.stats == []
 
-    def test_memory_guard_fallback_stays_identical(self, rng, monkeypatch):
+    def test_dense_traced_sweep_stops_at_k_and_stays_identical(
+        self, rng, sweep_level_sizes
+    ):
+        # Every node lies in every ball: the traced sweep stops at K too,
+        # so no level holds more than 2·M·K visits, and the traces and
+        # stats stay the reference's.
         from repro.runtime import traced as traced_mod
 
-        monkeypatch.setattr(traced_mod, "_MAX_BUFFERED_VISITS", 10)
+        sizes = sweep_level_sizes(traced_mod)
         pts = rng.normal(size=(200, 3)) * 0.2
         assert_trace_identical(build_kdtree(pts), pts[:30], 2.0, 8)
+        assert sizes and max(sizes) <= 2 * 30 * 8
 
     def test_merged_stats_match_shared_stats_object(self, rng):
         # ball_query with one shared stats object accumulates per-query
@@ -180,6 +186,9 @@ class TestTraceEquivalence:
             engine.query(np.zeros((1, 3)), float("nan"), 4)
         with pytest.raises(ValueError):
             engine.query(np.zeros((1, 3)), 0.5, 0)
+        for k in (2.5, float("nan"), float("inf")):  # K must be an integer >= 1
+            with pytest.raises(ValueError, match="max_neighbors"):
+                engine.query(np.zeros((1, 3)), 0.5, k)
 
 
 class TestDriverOutputsUnchanged:

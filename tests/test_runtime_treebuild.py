@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ApproximationPipeline, ApproxSetting
 from repro.core.split_tree import SplitTree
 from repro.kdtree.build import build_kdtree
 from repro.kdtree.exact import ball_query
@@ -313,7 +314,9 @@ class TestSessionRouting:
         rng = np.random.default_rng(5)
         pts = rng.integers(0, 6, size=(120, 3)).astype(float)
         queries = rng.normal(size=(16, 3)) * 2
-        fast = SearchSession().ball_query(pts, queries, 1.5, 8)
+        fast = ApproximationPipeline(session=SearchSession()).query_with_counts(
+            pts, queries, 1.5, 8, ApproxSetting(0, None), cache_key="grid"
+        )
         ref = ball_query(build_kdtree(pts), queries, 1.5, 8)
         np.testing.assert_array_equal(fast[0], ref[0])
         np.testing.assert_array_equal(fast[1], ref[1])

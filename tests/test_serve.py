@@ -135,11 +135,16 @@ class TestMergedSweep:
             np.testing.assert_array_equal(got_idx[i : i + 1], want_idx)
             np.testing.assert_array_equal(got_cnt[i : i + 1], want_cnt)
 
-    def test_density_guard_fallback_stays_identical(self, rng, monkeypatch):
+    def test_dense_merged_sweep_stops_at_each_k_and_stays_identical(
+        self, rng, sweep_level_sizes
+    ):
+        # Each request's rows stop at that request's K: no level holds
+        # more than 2·K rows per query, and the results stay the frozen
+        # search's.
         from repro.runtime import batched as batched_mod
 
-        monkeypatch.setattr(batched_mod, "_MAX_BUFFERED_HITS", 10)
-        pts = rng.normal(size=(200, 3)) * 0.2  # dense: the guard trips
+        sizes = sweep_level_sizes(batched_mod)
+        pts = rng.normal(size=(200, 3)) * 0.2  # dense cloud, huge radii
         engine = BatchedBallQuery(build_kdtree(pts))
         queries = np.concatenate([pts[:10], pts[10:25]])
         radii = np.concatenate([np.full(10, 1.5), np.full(15, 0.8)])
@@ -151,6 +156,7 @@ class TestMergedSweep:
             want_idx, want_cnt = ball_query(engine.tree, queries[sl], r, k)
             np.testing.assert_array_equal(got_idx, want_idx)
             np.testing.assert_array_equal(got_cnt, want_cnt)
+        assert sizes and max(sizes) <= 2 * (10 * 8 + 15 * 4)
 
     def test_scalar_radius_and_k_broadcast(self, rng):
         pts = rng.normal(size=(100, 3))
@@ -175,6 +181,9 @@ class TestMergedSweep:
             engine.query_merged(q, [0.1, 0.1, np.nan, 0.1], [0, 0, 1, 1], [4, 4])
         with pytest.raises(ValueError):  # non-positive K
             engine.query_merged(q, np.full(4, 0.1), [0, 0, 1, 1], [4, 0])
+        for k in (2.5, np.nan, np.inf):  # K must be an integer >= 1
+            with pytest.raises(ValueError, match="max_neighbors"):
+                engine.query_merged(q, np.full(4, 0.1), [0, 0, 1, 1], [4, k])
         with pytest.raises(ValueError):  # radii shape mismatch
             engine.query_merged(q, np.full(3, 0.1), [0, 0, 1, 1], [4, 4])
         with pytest.raises(ValueError):  # request id out of range
@@ -221,7 +230,12 @@ class TestDepthGuard:
     def test_frontier_sweep_rejects_deep_tree_eagerly(self):
         deep = linear_chain_tree(60)
         with pytest.raises(ValueError, match="DFS-rank depth limit"):
-            frontier_sweep(deep, np.zeros((1, 3)), 0.5)
+            frontier_sweep(deep, np.zeros((1, 3)), 0.5, 4)
+        # The int64 DFS keys hold M * 2**height: at height 50, 2**13 rows.
+        chain = linear_chain_tree(50)
+        assert len(next(frontier_sweep(chain, np.zeros((2**13, 3)), 0.5, 4)).nodes) == 2**13
+        with pytest.raises(ValueError, match="overflow the int64 DFS keys"):
+            frontier_sweep(chain, np.zeros((2**13 + 1, 3)), 0.5, None)
 
     def test_query_paths_are_covered_by_the_moved_guard(self):
         from repro.runtime import TracedBallQuery
