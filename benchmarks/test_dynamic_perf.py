@@ -9,11 +9,15 @@ served twice through ``QueryService`` dynamic handles — incremental
 maintenance versus rebuild-per-frame — with bit-identity asserted first
 and then a conservative wall-clock floor (the measured margin is ~3x;
 the floor is 2x so shared-runner noise cannot flake it, while a
-rebuild-shaped regression measures ~1x and trips it cleanly).  The
-numbers land in ``BENCH_dynamic.json`` (see :mod:`artifacts`), including
-p50/p99 submit-to-serve latency on the incremental path.
+rebuild-shaped regression measures ~1x and trips it cleanly).  Its
+structural twin counts ``frontier_sweep`` calls: each served dynamic
+flush sweeps all of its index's segments in one call, so the replay
+(both services, one flush per frame each) makes exactly two per frame.
+The numbers land in ``BENCH_dynamic.json`` (see :mod:`artifacts`),
+including p50/p99 submit-to-serve latency on the incremental path.
 """
 
+import repro.runtime.batched as batched_module
 from artifacts import latency_percentiles, write_bench_artifact
 from repro.serve import replay_drift_trace
 
@@ -25,9 +29,12 @@ REPEATS = 3
 MIN_SPEEDUP = 2.0
 
 
-def test_incremental_maintenance_does_not_regress():
+def test_incremental_maintenance_does_not_regress(sweep_calls):
+    sweeps = sweep_calls(batched_module)
+    flushes = 2 * NUM_FRAMES  # incremental and rebuild services
     best = None
     for _ in range(REPEATS):
+        sweeps.clear()
         report = replay_drift_trace(
             num_frames=NUM_FRAMES,
             requests_per_frame=1,
@@ -39,6 +46,7 @@ def test_incremental_maintenance_does_not_regress():
         # Identity first: every frame's results must match the
         # rebuild-from-scratch-per-frame service bit for bit.
         assert report.results_identical
+        assert len(sweeps) == flushes  # one sweep per served dynamic flush
         if best is None or report.speedup > best.speedup:
             best = report
 
@@ -55,6 +63,7 @@ def test_incremental_maintenance_does_not_regress():
             "points_indexed_incremental": best.incremental_points_indexed,
             "points_indexed_rebuild": best.rebuild_points_indexed,
             "frames_per_s": round(NUM_FRAMES / best.incremental_time, 1),
+            "sweeps_per_flush": len(sweeps) / flushes,
             # Per-request submit-to-serve latency, incremental path.
             **latency_percentiles(best.incremental_waits),
         },

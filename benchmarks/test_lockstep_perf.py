@@ -43,6 +43,7 @@ from repro.core import ApproxSetting, TreeBufferBanking
 from repro.geometry import ShapeClassificationDataset
 from repro.kdtree import build_kdtree
 from repro.runtime import (
+    Forest,
     SearchJob,
     SearchSession,
     VectorizedLockstep,
@@ -85,7 +86,7 @@ def workload(lockstep_groups_builder):
 
 def run_vectorized(tree, queries, groups):
     engine = VectorizedLockstep(
-        tree, banking=TreeBufferBanking(NUM_BANKS), num_pes=NUM_PES
+        Forest.of([tree]), banking=TreeBufferBanking(NUM_BANKS), num_pes=NUM_PES
     )
     mach_queries = np.concatenate([q for _, q in groups])
     roots = np.concatenate([np.full(len(q), root) for root, q in groups])

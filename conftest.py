@@ -14,7 +14,9 @@ one definition of "drive one SubtreeSearch machine per query through
 reference semantics.  ``digest_calls`` counts the serving layer's
 geometry digests for the serving suites and ``benchmarks/test_serve_perf.py``;
 ``sweep_level_sizes`` records the row count of every frontier-sweep level
-for the dense early-stop tests.
+for the dense early-stop tests, and ``sweep_calls`` the row count of every
+frontier-sweep call for the one-sweep-per-dynamic-query tests and
+``benchmarks/test_dynamic_perf.py``.
 """
 
 import os
@@ -155,6 +157,31 @@ def sweep_level_sizes(monkeypatch):
 
         monkeypatch.setattr(module, "frontier_sweep", recording)
         return sizes
+
+    return spy
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Count a module's ``frontier_sweep`` calls.
+
+    ``sweep_calls(module)`` wraps ``module.frontier_sweep`` and returns the
+    list the wrapper appends each call's row count to.  The dynamic index
+    imports the sweep at call time, so ``repro.runtime.batched`` is the
+    module to pass for it.  The wrapper does not touch the levels, so it
+    adds nothing to a timed sweep.
+    """
+
+    def spy(module):
+        calls = []
+        real = module.frontier_sweep
+
+        def counting(tree, queries, *args, **kwargs):
+            calls.append(len(np.atleast_2d(queries)))
+            return real(tree, queries, *args, **kwargs)
+
+        monkeypatch.setattr(module, "frontier_sweep", counting)
+        return calls
 
     return spy
 

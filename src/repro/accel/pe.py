@@ -102,10 +102,3 @@ class FiveStagePipeline:
             retry_bubbles=sum(retries),
             occupancy_trace=occupancy,
         )
-
-    @staticmethod
-    def analytic_cycles(num_visits: int, retry_bubbles: int, depth: int = PIPELINE_DEPTH) -> int:
-        """Closed form the batch engine uses; verified against :meth:`run`."""
-        if num_visits == 0:
-            return 0
-        return depth + num_visits - 1 + retry_bubbles

@@ -84,9 +84,6 @@ class ApproximationPipeline:
         self.elide_aggregation = elide_aggregation
         self.session = session if session is not None else SearchSession()
 
-    def clear_cache(self) -> None:
-        self.session.results.clear()
-
     # ------------------------------------------------------------------
     def query(
         self,

@@ -102,10 +102,6 @@ class SplitTree:
     # Structure queries
     # ------------------------------------------------------------------
     @property
-    def num_subtrees(self) -> int:
-        return len(self.subtree_roots)
-
-    @property
     def top_nodes(self) -> np.ndarray:
         """Node ids in the top tree (empty when ``top_height == 0``)."""
         return self._top_nodes

@@ -81,16 +81,8 @@ class KdTree:
         """Coordinates of the point stored at ``node``."""
         return self.points[self.point_id[node]]
 
-    def node_address(self, node: int) -> int:
-        """Byte address of ``node`` in the DRAM memory image."""
-        return int(node) * NODE_BYTES
-
     def children(self, node: int) -> Tuple[int, int]:
         return int(self.left[node]), int(self.right[node])
-
-    def nodes_at_depth(self, d: int) -> np.ndarray:
-        """All node ids at depth ``d``."""
-        return np.nonzero(self.depth == d)[0]
 
     def subtree_nodes(self, node: int) -> np.ndarray:
         """All node ids in the subtree rooted at ``node`` (preorder)."""

@@ -20,11 +20,14 @@ immutable stack offers — it maintains a small set of frozen **segments**
   :func:`repro.runtime.treebuild.vectorized_build_kdtree`; the per-node
   builder is the oracle of the rebuild-from-scratch reference only.
 
-Queries sweep each segment with the shared :func:`~repro.runtime.batched
-.frontier_sweep` (skipping segments whose bounding box lies outside the
-ball), brute-force the buffer, drop tombstoned hits, and pack results
-with the **canonical dynamic contract** from
-:mod:`repro.kdtree.dynamic_reference` — hits sorted by ``(d2, slot)``.
+A query sweeps every (query, segment) pair its box test admits in
+**one** :func:`~repro.runtime.batched.frontier_sweep` over the live
+segments as one :class:`~repro.runtime.forest.Forest` (rebuilt only when
+a segment is built or dropped), brute-forces the buffer, drops tombstoned
+hits, and sorts and packs them once (:func:`~repro.runtime.batched
+.pack_rows`) under the **canonical dynamic contract** of
+:mod:`repro.kdtree.dynamic_reference` — hits sorted by ``(d2, slot)``; a
+request without rows gets a ``(0, K)`` matrix, as a static one does.
 The contract is a pure function of the hit set, so results are
 bit-identical to rebuild-from-scratch per frame no matter how the points
 are segmented; the dynamic equivalence suites pin that on every layer up
@@ -51,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .build import KdTree
-from .dynamic_reference import canonical_pack, pair_d2
+from .dynamic_reference import pair_d2
 
 __all__ = ["DirtyRegionDigest", "DynamicKdTree", "DynamicStats", "check_maintenance"]
 
@@ -203,6 +206,7 @@ class DynamicKdTree:
         self._n = 0
         self._buffer: List[int] = []
         self._segments: Dict[int, _Segment] = {}
+        self._forest = None  # (Forest, node slots, box lo, box hi) of the segments
         self._next_segment_id = 0
         self._stale = False
         if points is not None:
@@ -347,6 +351,7 @@ class DynamicKdTree:
         sid = self._next_segment_id
         self._next_segment_id += 1
         self._segments[sid] = seg
+        self._forest = None
         self._owner[slots] = sid
         self.stats.segment_builds += 1
         self.stats.points_indexed += len(slots)
@@ -355,6 +360,7 @@ class DynamicKdTree:
     def _drop_segment(self, sid: int) -> np.ndarray:
         """Remove a segment, returning its alive slots (ascending)."""
         seg = self._segments.pop(sid)
+        self._forest = None
         alive = seg.slots[self._alive[seg.slots]]
         self._owner[alive] = -1
         return alive
@@ -417,27 +423,36 @@ class DynamicKdTree:
         """All (query, alive slot) hit pairs with canonical ``d2`` keys."""
         # Imported lazily for the same load-order reason as _build_segment.
         from ..runtime.batched import frontier_sweep
+        from ..runtime.forest import Forest
 
         r2 = radii * radii
-        hit_q: List[np.ndarray] = []
-        hit_s: List[np.ndarray] = []
-        for sid in sorted(self._segments):
-            seg = self._segments[sid]
-            if seg.alive_count == 0:
-                continue
-            clamped = np.clip(queries, seg.lo, seg.hi)
-            delta = queries - clamped
-            box_d2 = np.einsum("ij,ij->i", delta, delta)
-            sub = np.nonzero(box_d2 <= r2 * _PRUNE_SLACK)[0]
-            if not len(sub):
-                continue
-            for level in frontier_sweep(seg.tree, queries[sub], radii[sub], None):
+        empty = np.zeros(0, dtype=np.int64)
+        hit_q: List[np.ndarray] = [empty]
+        hit_s: List[np.ndarray] = [empty]
+        if self._segments:
+            if self._forest is None:  # a segment was built or dropped
+                segs = [self._segments[sid] for sid in sorted(self._segments)]
+                self._forest = (
+                    Forest.of([seg.tree for seg in segs]),
+                    np.concatenate([seg.slots[seg.tree.point_id] for seg in segs]),
+                    np.array([seg.lo for seg in segs]),
+                    np.array([seg.hi for seg in segs]),
+                )
+            forest, node_slot, lo, hi = self._forest
+            # One row per (query, segment) pair whose box the ball reaches.
+            delta = queries[:, None, :] - np.clip(queries[:, None, :], lo, hi)
+            box_d2 = np.einsum("msj,msj->ms", delta, delta)
+            pair_q, pair_s = np.nonzero(box_d2 <= (r2 * _PRUNE_SLACK)[:, None])
+            for level in frontier_sweep(
+                forest.tree, queries[pair_q], radii[pair_q], None,
+                roots=forest.roots[pair_s],
+            ):
                 in_ball = level.in_ball
                 if not in_ball.any():
                     continue
-                slots = seg.slots[level.point_ids[in_ball]]
+                slots = node_slot[level.nodes[in_ball]]
                 alive = self._alive[slots]
-                hit_q.append(sub[level.query_ids[in_ball][alive]])
+                hit_q.append(pair_q[level.query_ids[in_ball][alive]])
                 hit_s.append(slots[alive])
         if self._buffer:
             bslots = np.asarray(self._buffer, dtype=np.int64)
@@ -446,27 +461,21 @@ class DynamicKdTree:
             mq, mk = np.nonzero(d2 <= r2[:, None])
             hit_q.append(mq.astype(np.int64))
             hit_s.append(bslots[mk])
-        if not hit_q:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0, dtype=np.float64)
         hq = np.concatenate(hit_q)
         hs = np.concatenate(hit_s)
         return hq, hs, pair_d2(self._coords, queries, hq, hs)
-
-    def _check_queryable(self) -> None:
-        if self.maintenance == "state":
-            raise RuntimeError("state-only DynamicKdTree cannot serve queries")
 
     def query(
         self, queries: np.ndarray, radius: float, max_neighbors: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Canonical ``(indices, counts)`` over the current alive set.
 
-        ``indices`` holds slot ids sorted by ``(d2, slot)`` per row,
-        truncated at ``max_neighbors``, nearest-repeated padding; rows
-        with no hit are ``-1``-filled with ``counts == 0``.  Bit-identical
-        to :func:`~repro.kdtree.dynamic_reference.scratch_dynamic_query`.
-        The one-request case of :meth:`query_merged`.
+        ``indices`` (``(M, K)``, also for ``M = 0``) holds slot ids sorted
+        by ``(d2, slot)`` per row, truncated at ``max_neighbors``,
+        nearest-repeated padding; rows with no hit are ``-1``-filled with
+        ``counts == 0``.  Bit-identical to
+        :func:`~repro.kdtree.dynamic_reference.scratch_dynamic_query` for
+        ``M >= 1``.  The one-request case of :meth:`query_merged`.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         request_ids = np.zeros(len(queries), dtype=np.int64)
@@ -484,18 +493,18 @@ class DynamicKdTree:
         Mirrors :meth:`repro.runtime.batched.BatchedBallQuery.query_merged`:
         per-row radii, grouped ``request_ids``, per-request ``K``; request
         ``r``'s pair is bit-identical to ``query(rows_r, radius_r, K_r)``
-        because hits are row-independent and the pack is canonical.
+        because hits are row-independent and the pack is canonical.  One
+        :func:`~repro.runtime.batched.frontier_sweep` serves them all.
         """
         # Imported lazily for the same load-order reason as _build_segment.
-        from ..runtime.batched import check_max_neighbors
+        from ..runtime.batched import check_max_neighbors, pack_rows, request_rows
 
-        self._check_queryable()
+        if self.maintenance == "state":
+            raise RuntimeError("state-only DynamicKdTree cannot serve queries")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         m = len(queries)
         radii = np.asarray(radii, dtype=np.float64)
-        request_ids = np.asarray(request_ids, dtype=np.int64)
         ks = np.atleast_1d(check_max_neighbors(max_neighbors))
-        n_req = len(ks)
         if ((radii <= 0) | ~np.isfinite(radii)).any():
             raise ValueError("radius must be positive and finite")
         if radii.ndim == 0:
@@ -504,22 +513,13 @@ class DynamicKdTree:
             raise ValueError("radii must give one radius per query")
         if not np.isfinite(queries).all():
             raise ValueError("queries must be finite")
-        if request_ids.shape != (m,):
-            raise ValueError("request_ids must give one request per query")
-        if m and ((request_ids < 0) | (request_ids >= n_req)).any():
-            raise ValueError(f"request_ids must lie in [0, {n_req})")
-        if m and (np.diff(request_ids) < 0).any():
-            raise ValueError("request_ids must be grouped (non-decreasing)")
-        if n_req == 0:
+        group_rows = request_rows(request_ids, m, len(ks))
+        if len(ks) == 0:
             return []
         self.refresh()
-        starts = np.searchsorted(request_ids, np.arange(n_req + 1))
         hq, hs, d2 = self._collect(queries, radii)
-        indices, counts = canonical_pack(m, hq, hs, d2, ks[request_ids])
-        return [
-            (
-                indices[starts[r] : starts[r + 1], : int(ks[r])].copy(),
-                counts[starts[r] : starts[r + 1]].copy(),
-            )
-            for r in range(n_req)
-        ]
+        order = np.lexsort((hs, d2, hq))  # the canonical (query, d2, slot) order
+        return pack_rows(
+            hq[order], hs[order], group_rows, ks,
+            lambda rows: np.full(len(rows), -1, dtype=np.int64),  # no hit: -1
+        )

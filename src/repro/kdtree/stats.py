@@ -60,10 +60,3 @@ class TraversalStats:
         self.queries += other.queries
         self.visit_trace.extend(other.visit_trace)
         return self
-
-    @property
-    def nodes_visited_per_query(self) -> float:
-        """Average nodes visited per query (0 if no queries recorded)."""
-        if self.queries == 0:
-            return 0.0
-        return self.nodes_visited / self.queries

@@ -96,7 +96,7 @@ class ReferenceFreezeRule(Rule):
         "core/approx_search.py, core/split_tree.py, runtime/topphase.py, "
         "nn/reference.py) must not import the vectorized/tape/incremental "
         "engines they are the ground truth for (runtime.approx, "
-        "runtime.batched, runtime.lockstep, runtime.treebuild, "
+        "runtime.batched, runtime.forest, runtime.lockstep, runtime.treebuild, "
         "kdtree.dynamic, vectorized_top_phase, nn.tape, nn.tensor)."
     )
     motivation = (
@@ -125,6 +125,7 @@ class ReferenceFreezeRule(Rule):
     FORBIDDEN_MODULES = (
         "runtime.approx",
         "runtime.batched",
+        "runtime.forest",
         "runtime.lockstep",
         "runtime.treebuild",
         "kdtree.dynamic",
@@ -139,6 +140,8 @@ class ReferenceFreezeRule(Rule):
         "approximate_search",
         "SearchJob",
         "batched",
+        "forest",
+        "Forest",
         "lockstep",
         "treebuild",
         "BatchedBallQuery",

@@ -30,10 +30,6 @@ class BankedSramConfig:
         if self.num_banks & (self.num_banks - 1):
             raise ValueError("num_banks must be a power of two (low-order interleave)")
 
-    @property
-    def bank_bytes(self) -> int:
-        return self.size_bytes // self.num_banks
-
 
 @dataclass
 class SramStats:

@@ -1,6 +1,6 @@
 """Batched query runtime: the performance layer under the network-facing API.
 
-Four pieces, composable but independently usable:
+Its pieces, composable but independently usable:
 
 - :class:`BatchedBallQuery` — all M queries of a layer advance together as
   NumPy frontier arrays, each stopping at its K-th hit as the per-query
@@ -19,8 +19,10 @@ Four pieces, composable but independently usable:
   planned query's digests into the pipeline's one resolver, so an epoch's
   neighbor matrices are computed by one forest search before the
   gradient loop runs against a warm cache.
+- :class:`Forest` — any number of K-d trees as one node layout, what
+  every multi-tree search runs over.
 - :class:`VectorizedLockstep` — the accelerator model's lockstep sub-tree
-  search as NumPy stack arrays over a *forest* of K-d trees: arbitration,
+  search as NumPy stack arrays over a :class:`Forest`: arbitration,
   broadcast, elision, and stall decisions per cycle as array ops for every
   sub-tree batch of every search at once, cycle- and stat-identical per
   search to the per-step reference
@@ -59,6 +61,7 @@ simulation the figure benchmarks run.
 
 from .batched import BatchedBallQuery, batched_nearest_node, frontier_sweep
 from .epoch import EpochPlan, EpochSchedule, QueryRequest
+from .forest import Forest, euler_tour
 from .lockstep import LockstepResult, VectorizedLockstep
 from .traced import TracedBallQuery, TracedBatchResult
 from .session import (
@@ -77,7 +80,6 @@ from .topphase import reference_top_phase, vectorized_top_phase
 # it needs is already bound above by the time that re-entrant import runs.
 from .treebuild import (
     VectorizedSplitTree,
-    euler_tour,
     vectorized_build_forest,
     vectorized_build_kdtree,
 )
@@ -94,6 +96,8 @@ __all__ = [
     "EpochPlan",
     "EpochSchedule",
     "QueryRequest",
+    "Forest",
+    "euler_tour",
     "LockstepResult",
     "VectorizedLockstep",
     "SearchJob",
@@ -107,7 +111,6 @@ __all__ = [
     "reference_top_phase",
     "vectorized_top_phase",
     "VectorizedSplitTree",
-    "euler_tour",
     "vectorized_build_forest",
     "vectorized_build_kdtree",
 ]

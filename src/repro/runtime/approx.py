@@ -6,7 +6,8 @@
 :func:`repro.core.approx_search.approximate_ball_query`, job by job —
 indices, counts and every :class:`~repro.core.approx_search.SearchReport`
 statistic — but with the per-job Python loops replaced by array passes
-over all jobs at once:
+over all jobs at once, on one :class:`~repro.runtime.forest.Forest` of
+their distinct trees, each query starting at its own tree's root:
 
 1. **Top-tree phase** — every query of every job descends its tree's top
    levels together, one level per pass, each query stopping at its own
@@ -14,8 +15,8 @@ over all jobs at once:
    the points it streams past.
 2. **Sub-tree phase** — queries are queued per ``(job, sub-tree root)``
    and all conflict-simulated jobs share one
-   :meth:`~repro.runtime.VectorizedLockstep.run` over the forest of their
-   trees; the rest share one :meth:`~repro.runtime.VectorizedLockstep.run_free`.
+   :meth:`~repro.runtime.VectorizedLockstep.run` over the forest; the
+   rest share one :meth:`~repro.runtime.VectorizedLockstep.run_free`.
    Each machine carries its job's radius and elision depth and the
    result capacity its top-tree hits left.
 3. **Assembly** — top-tree hits then sub-tree hits in visit order,
@@ -42,6 +43,7 @@ from ..core.config import ApproxSetting
 from ..core.split_tree import descend_step
 from ..kdtree.build import KdTree
 from .batched import batched_nearest_node, check_max_neighbors, pack_rows
+from .forest import Forest
 from .lockstep import LockstepResult, VectorizedLockstep
 
 __all__ = ["SearchJob", "approximate_search"]
@@ -86,29 +88,16 @@ def approximate_search(
     tree_of: dict = {}
     for job in jobs:
         tree_of.setdefault(id(job.tree), (len(tree_of), job.tree))
+    forest = Forest.of([tree for _, tree in tree_of.values()])
     engine = VectorizedLockstep(
-        [tree for _, tree in tree_of.values()],
-        banking=banking,
-        num_pes=num_pes,
-        elide_policy=elide_policy,
-    )
-    # The forest as one KdTree whose node i holds point i: per-tree array
-    # routines that take their start nodes (descent, nearest node) run on
-    # every tree of it at once.
-    forest = KdTree(
-        points=engine.node_points,
-        point_id=np.arange(len(engine.point_id)),
-        split_dim=engine.split_dim,
-        left=engine.left,
-        right=engine.right,
-        depth=engine.depth,
-        subtree_size=engine.size,
+        forest, banking=banking, num_pes=num_pes, elide_policy=elide_policy
     )
     num_jobs = len(jobs)
     queries = [np.atleast_2d(np.asarray(job.queries, dtype=np.float64)) for job in jobs]
     settings = [job.setting.scaled_to(job.tree.height) for job in jobs]
     job_m = np.array([len(q) for q in queries], dtype=np.int64)
-    job_offset = engine.offsets[[tree_of[id(job.tree)][0] for job in jobs]]
+    # Each job's root in the forest, which is also its tree's node offset.
+    job_root = forest.roots[[tree_of[id(job.tree)][0] for job in jobs]]
     simulate = np.array(
         [
             s.uses_elision if job.simulate_conflicts is None else job.simulate_conflicts
@@ -136,7 +125,6 @@ def approximate_search(
     )
 
     # ---- phase 1: top-tree descent, all jobs level-synchronously.
-    job_root = job_offset + [job.tree.root for job in jobs]  # forest ids
     current = per_row(job_root, np.int64)
     alive = row_top > 0
     row_r2 = row_radius * row_radius
@@ -151,13 +139,13 @@ def approximate_search(
             break
         cur = current[act]
         visited.append(act)
-        pts = engine.node_points[cur]
+        pts = forest.tree.points[cur]
         q = allq[act]
         d2 = ((q - pts) ** 2).sum(axis=1)
         hit = d2 <= row_r2[act]
         hit_rows.append(act[hit])
-        hit_points.append(engine.point_id[cur[hit]])
-        nxt, parked = descend_step(forest, q, cur)
+        hit_points.append(forest.point_id[cur[hit]])
+        nxt, parked = descend_step(forest.tree, q, cur)
         alive[act[parked]] = False
         current[act[~parked]] = nxt[~parked]
         level += 1
@@ -174,7 +162,7 @@ def approximate_search(
     group_start = np.flatnonzero(head)
     group_size = np.diff(np.append(group_start, num_rows))
     group_job = mach_job[group_start]
-    group_root = mach_root[group_start] - job_offset[group_job]
+    group_root = mach_root[group_start] - job_root[group_job]
     capacity = np.maximum(row_k - top_count, 0)[mach_row]
 
     reports = [SearchReport() for _ in jobs]
@@ -213,7 +201,7 @@ def approximate_search(
     # pass over the forest (each from its own tree's root).
     def nearest(rows: np.ndarray) -> np.ndarray:
         roots = job_root[row_job[rows]]
-        return engine.point_id[batched_nearest_node(forest, allq[rows], roots)]
+        return forest.point_id[batched_nearest_node(forest.tree, allq[rows], roots)]
 
     packed = _assemble(job_m, job_k, hit_rows, hit_points, nearest)
     return [(indices, counts, report) for (indices, counts), report in zip(packed, reports)]

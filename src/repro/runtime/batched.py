@@ -83,6 +83,7 @@ __all__ = [
     "frontier_sweep",
     "nearest_padding",
     "pack_rows",
+    "request_rows",
 ]
 
 # Depth limit of the DFS orderings: batched_nearest_node's float64 ranks
@@ -155,6 +156,7 @@ def frontier_sweep(
     queries: np.ndarray,
     radius: Union[float, np.ndarray],
     max_neighbors: Optional[Union[int, np.ndarray]],
+    roots: Optional[np.ndarray] = None,
 ) -> Iterator[FrontierLevel]:
     """Advance all queries together, one tree level per yield.
 
@@ -180,11 +182,14 @@ def frontier_sweep(
     DFS order (:class:`~repro.kdtree.dynamic.DynamicKdTree` sorts by
     ``(d², slot)``).
 
-    Raises ``ValueError`` eagerly (before the first level is yielded) when
-    ``tree`` is deeper than the DFS ranks can represent, or when the batch
-    leaves the keys' query ids no room (``M * 2**height > 2**63``, far
-    beyond any cloud a balanced tree indexes), so malformed custom trees
-    are rejected here rather than in each consuming engine.
+    ``roots`` (default: ``tree.root`` for all) starts each query at its
+    own node, so one sweep serves every tree of a
+    :class:`~repro.runtime.forest.Forest`.
+
+    Raises ``ValueError`` eagerly (before the first level is yielded) on a
+    ``radius`` or ``roots`` of the wrong shape, on a tree deeper than the
+    DFS ranks can represent, or when the batch leaves the keys' query ids
+    no room (``M * 2**height > 2**63``, far beyond any balanced tree).
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     _check_rank_depth(tree)
@@ -202,17 +207,23 @@ def frontier_sweep(
             f"radius must be a scalar or one radius per query; got shape "
             f"{radius.shape} for {len(queries)} queries"
         )
+    if roots is None:
+        roots = np.full(len(queries), tree.root)
+    roots = np.asarray(roots, dtype=np.int64)
+    if roots.shape != (len(queries),):
+        raise ValueError(f"roots must give one start node per query, not {roots.shape}")
     stop = None
     if max_neighbors is not None:
         ks = np.broadcast_to(check_max_neighbors(max_neighbors), (len(queries),))
         stop = _KthHit(ks, height)
-    return _frontier_levels(tree, queries, radius, height, stop)
+    return _frontier_levels(tree, queries, radius, roots, height, stop)
 
 
 def _frontier_levels(
     tree: KdTree,
     queries: np.ndarray,
     radius: np.ndarray,
+    roots: np.ndarray,
     height: int,
     stop: Optional["_KthHit"],
 ) -> Iterator[FrontierLevel]:
@@ -222,7 +233,7 @@ def _frontier_levels(
     # Frontier of live (query, node) pairs and their DFS keys; ``step`` is
     # the preorder offset of this level's far children.
     fq = np.arange(m, dtype=np.int64)
-    fnode = np.full(m, tree.root, dtype=np.int64)
+    fnode = roots
     fkey = fq << height
     step = 1 << max(height - 1, 0)
     while len(fq):
@@ -467,6 +478,19 @@ def pack_rows(
     ]
 
 
+def request_rows(request_ids, num_rows: int, num_requests: int) -> np.ndarray:
+    """Each request's row count in a merged batch, after checking that
+    ``request_ids`` gives every row a request, grouped (non-decreasing)."""
+    request_ids = np.asarray(request_ids, dtype=np.int64)
+    if request_ids.shape != (num_rows,):
+        raise ValueError("request_ids must give one request per query")
+    if num_rows and ((request_ids < 0) | (request_ids >= num_requests)).any():
+        raise ValueError(f"request_ids must lie in [0, {num_requests})")
+    if num_rows and (np.diff(request_ids) < 0).any():
+        raise ValueError("request_ids must be grouped (non-decreasing)")
+    return np.diff(np.searchsorted(request_ids, np.arange(num_requests + 1)))
+
+
 def nearest_padding(
     tree: KdTree, queries: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -541,25 +565,17 @@ class BatchedBallQuery:
         also accepted and equivalent to one single-row call per query.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        m = len(queries)
         radii = np.asarray(radii, dtype=np.float64)
-        request_ids = np.asarray(request_ids, dtype=np.int64)
         ks = np.atleast_1d(check_max_neighbors(max_neighbors))
-        n_req = len(ks)
         if not (radii > 0).all():  # NaN fails too; frontier_sweep checks the shape
             raise ValueError("radius must be positive")
-        if request_ids.shape != (m,):
-            raise ValueError("request_ids must give one request per query")
-        if m and ((request_ids < 0) | (request_ids >= n_req)).any():
-            raise ValueError(f"request_ids must lie in [0, {n_req})")
-        if m and (np.diff(request_ids) < 0).any():
-            raise ValueError("request_ids must be grouped (non-decreasing)")
-        if n_req == 0:
+        group_rows = request_rows(request_ids, len(queries), len(ks))
+        if len(ks) == 0:
             return []
-        group_rows = np.diff(np.searchsorted(request_ids, np.arange(n_req + 1)))
         empty = np.zeros(0, dtype=np.int64)
         rows, keys, points = [empty], [empty], [empty]
-        for level in frontier_sweep(self.tree, queries, radii, ks[request_ids]):
+        row_k = np.repeat(ks, group_rows)
+        for level in frontier_sweep(self.tree, queries, radii, row_k):
             hit = level.in_ball
             rows.append(level.query_ids[hit])
             keys.append(level.key[hit])

@@ -8,10 +8,10 @@ reference for the banked-tree-buffer PE array: it drives one
 :class:`VectorizedLockstep` computes the *same* simulation with NumPy
 array operations, for many searches at once:
 
-* **forest layout** — any number of K-d trees share one node array; tree
-  ``t``'s node ``i`` is forest node ``offsets[t] + i``, children are
-  re-based the same way, and the Euler ``tin``/``tout`` intervals come
-  from :func:`~repro.runtime.treebuild.euler_tour` shifted by the offset;
+* **forest layout** — any number of K-d trees in one
+  :class:`~repro.runtime.forest.Forest`: tree ``t``'s node ``i`` is
+  forest node ``roots[t] + i``, with forest-wide Euler ``tin``/``tout``
+  intervals from one level-synchronous pass;
 * every PE slot of every sub-tree batch is one row of a ``(lanes, depth)``
   stack matrix (``lanes = num_batches x num_pes``), so all sub-tree
   batches of all trees advance concurrently — the cycle loop runs as long
@@ -55,13 +55,13 @@ searches where only results and traversal statistics matter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional
 
 import numpy as np
 
-from ..kdtree.build import KdTree
 from ..kdtree.stats import TraversalStats
 from ..memsim.sram import SramStats
+from .forest import Forest
 
 __all__ = ["LockstepResult", "VectorizedLockstep"]
 
@@ -93,11 +93,10 @@ class VectorizedLockstep:
 
     Parameters
     ----------
-    trees:
-        One :class:`KdTree` or a sequence of them (the forest).  Machine
-        roots are forest node ids: ``offsets[t] + node`` for node ``node``
-        of ``trees[t]`` (``offsets[0] == 0``, so a single tree's ids are
-        unchanged).
+    forest:
+        The trees to search (a lone tree is ``Forest.of([tree])``).
+        Machine roots are forest node ids: ``forest.roots[t] + node`` for
+        node ``node`` of tree ``t``, so a lone tree's ids are unchanged.
     banking:
         Object with ``bank_of_slot(slots) -> banks`` (duck-typed to
         :class:`~repro.core.bank_conflict.TreeBufferBanking`).  Only needed
@@ -112,7 +111,7 @@ class VectorizedLockstep:
 
     def __init__(
         self,
-        trees: Union[KdTree, Sequence[KdTree]],
+        forest: Forest,
         banking=None,
         num_pes: int = 4,
         elide_policy: str = "skip",
@@ -121,36 +120,12 @@ class VectorizedLockstep:
             raise ValueError(f"unknown elide_policy {elide_policy!r}")
         if num_pes <= 0:
             raise ValueError("num_pes must be positive")
-        trees = [trees] if isinstance(trees, KdTree) else list(trees)
-        if not trees:
-            raise ValueError("a forest needs at least one tree")
-        # Imported lazily: treebuild imports repro.core (for the SplitTree
-        # base), whose pipeline imports this module at load time.
-        from .treebuild import euler_tour
-
         self.banking = banking
         self.num_pes = num_pes
         self.elide_policy = elide_policy
-        sizes = np.array([t.num_nodes for t in trees], dtype=np.int64)
-        self.offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        self.height = max(t.height for t in trees)
-
-        def cat(arrays) -> np.ndarray:
-            return np.concatenate([np.asarray(a, dtype=np.int64) for a in arrays])
-
-        def rebase(children, off):
-            return np.where(children >= 0, children + off, -1)
-
-        tours = [euler_tour(t) for t in trees]
-        self.node_points = np.concatenate([t.points[t.point_id] for t in trees])
-        self.point_id = cat(t.point_id for t in trees)  # tree-local ids
-        self.split_dim = cat(t.split_dim for t in trees)
-        self.left = cat(rebase(t.left, o) for t, o in zip(trees, self.offsets))
-        self.right = cat(rebase(t.right, o) for t, o in zip(trees, self.offsets))
-        self.depth = cat(t.depth for t in trees)  # tree-local depths
-        self.size = cat(t.subtree_size for t in trees)
-        self.tin = cat(tin + o for (tin, _), o in zip(tours, self.offsets))
-        self.tout = cat(tout + o for (_, tout), o in zip(tours, self.offsets))
+        self.tree = forest.tree
+        self.point_id = forest.point_id  # tree-local ids
+        self.height = forest.tree.height
 
     # ------------------------------------------------------------------
     def _machines(self, queries, roots, max_hits, radius, jobs, num_jobs):
@@ -219,16 +194,16 @@ class VectorizedLockstep:
         top.  ``delta`` is query minus node point; the split value is the
         node point's coordinate, so the plane distance is one of its
         entries."""
-        diff = delta[np.arange(len(rows)), self.split_dim[nodes]]
+        diff = delta[np.arange(len(rows)), self.tree.split_dim[nodes]]
         go_left = diff <= 0
-        near = np.where(go_left, self.left[nodes], self.right[nodes])
-        far = np.where(go_left, self.right[nodes], self.left[nodes])
+        near = np.where(go_left, self.tree.left[nodes], self.tree.right[nodes])
+        far = np.where(go_left, self.tree.right[nodes], self.tree.left[nodes])
         far_exists = far >= 0
         within = np.abs(diff) <= radius
         push_far = far_exists & within
         cut = far_exists & ~within
         if cut.any():
-            pruned[rows[cut]] += self.size[far[cut]]
+            pruned[rows[cut]] += self.tree.subtree_size[far[cut]]
         frows = rows[push_far]
         stack[frows, sp[frows]] = far[push_far]
         sp[frows] += 1
@@ -288,7 +263,7 @@ class VectorizedLockstep:
         num_pes = self.num_pes
         lanes = ngroups * num_pes
         lane_group = np.repeat(np.arange(ngroups, dtype=np.int64), num_pes)
-        lane_tin_root = np.repeat(self.tin[roots[group_start]], num_pes)
+        lane_tin_root = np.repeat(self.tree.tin[roots[group_start]], num_pes)
         stack = np.zeros((lanes, self.height + 2), dtype=np.int64)
         sp = np.zeros(lanes, dtype=np.int64)
         lane_mach = np.full(lanes, -1, dtype=np.int64)
@@ -359,7 +334,7 @@ class VectorizedLockstep:
             apos = lane_arange[:num_active] - (np.cumsum(n_active) - n_active)[agroup]
             rank = (apos - g_cycles[agroup] % in_group) % in_group
             nodes = stack[active, sp[active] - 1]
-            slots = self.tin[nodes] - lane_tin_root[active]
+            slots = self.tree.tin[nodes] - lane_tin_root[active]
             banks = np.asarray(self.banking.bank_of_slot(slots), dtype=np.int64)
 
             # Winner per (batch, bank) = lowest rotated-priority rank.
@@ -381,7 +356,7 @@ class VectorizedLockstep:
             if elide is not None:
                 elidable = (
                     ~is_winner & ~bcast
-                    & (self.depth[nodes] >= elide[lane_mach[active]])
+                    & (self.tree.depth[nodes] >= elide[lane_mach[active]])
                 )
                 num_elided = int(np.count_nonzero(elidable))
             else:
@@ -394,7 +369,7 @@ class VectorizedLockstep:
             served_log.append(vlanes)
             sp[vlanes] -= 1
             vmach = lane_mach[vlanes]
-            delta = queries[vmach] - self.node_points[vnodes]
+            delta = queries[vmach] - self.tree.points[vnodes]
             in_ball = np.einsum("ij,ij->i", delta, delta) <= r2[vmach]
             full_now = None
             if in_ball.any():
@@ -423,16 +398,17 @@ class VectorizedLockstep:
                     # Sec. 4.2: continue from the winner's node when it is
                     # beneath the requested one; drop the subtree otherwise.
                     sub_ok = elidable & (
-                        (self.tin[nodes] <= self.tin[winner_node])
-                        & (self.tin[winner_node] < self.tout[nodes])
+                        (self.tree.tin[nodes] <= self.tree.tin[winner_node])
+                        & (self.tree.tin[winner_node] < self.tree.tout[nodes])
                     )
                     skip = elidable & ~sub_ok
                     dlanes = active[sub_ok]
                     if len(dlanes):
                         elided_log.append(dlanes)
                         push_log.append(dlanes)
+                        size = self.tree.subtree_size
                         lane_skipped[dlanes] += (
-                            self.size[nodes[sub_ok]] - self.size[winner_node[sub_ok]]
+                            size[nodes[sub_ok]] - size[winner_node[sub_ok]]
                         )
                         # pop + push == replace the top of stack in place
                         stack[dlanes, sp[dlanes] - 1] = winner_node[sub_ok]
@@ -442,7 +418,7 @@ class VectorizedLockstep:
                 if len(slanes):
                     elided_log.append(slanes)
                     sp[slanes] -= 1
-                    lane_skipped[slanes] += self.size[nodes[skip]]
+                    lane_skipped[slanes] += self.tree.subtree_size[nodes[skip]]
 
             # ---- free lanes whose machine finished this cycle; refill.
             # Only served (stack may be empty / buffer full) and elided
@@ -536,7 +512,7 @@ class VectorizedLockstep:
             nodes = stack[act, sp[act] - 1]
             visit_log.append(act)
             sp[act] -= 1
-            delta = queries[act] - self.node_points[nodes]
+            delta = queries[act] - self.tree.points[nodes]
             in_ball = np.einsum("ij,ij->i", delta, delta) <= r2[act]
             push = slice(None)
             if in_ball.any():

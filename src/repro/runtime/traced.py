@@ -107,20 +107,6 @@ class TracedBatchResult:
             ]
         return self._stats
 
-    def merged_stats(self) -> TraversalStats:
-        """Accumulate the per-query stats the way a shared ``stats``
-        object passed to :func:`~repro.kdtree.exact.ball_query` would."""
-        merged = TraversalStats(
-            nodes_visited=int(self.visited.sum()),
-            nodes_pruned=int(self.pruned.sum()),
-            stack_pushes=int(self.pushes.sum()),
-            stack_pops=int(self.visited.sum()),
-            neighbors_found=int(self.neighbors.sum()),
-            queries=len(self.traces),
-        )
-        merged.visit_trace = [int(n) for trace in self.traces for n in trace]
-        return merged
-
 
 class TracedBallQuery:
     """Batched exact search with per-query visit traces and statistics.

@@ -23,11 +23,10 @@ one shot**, O(log N) NumPy passes total and no per-node Python:
   segment rebuilds and the figure drivers build one cloud per call — the
   one-cloud forest, also named :func:`vectorized_build_kdtree` — since at
   4096 points the sorting work, not per-call overhead, sets the cost.
-- :func:`euler_tour` — the preorder entry/exit intervals of
-  ``KdTree._ensure_euler``, computed level-synchronously.
 - :class:`VectorizedSplitTree` — a :class:`SplitTree` with an identical
   DRAM layout (addresses, block order, totals) built from Euler-interval
-  arithmetic instead of per-node dict inserts.
+  arithmetic (:func:`~repro.runtime.forest.euler_tour`) instead of
+  per-node dict inserts.
 
 Why bit-identity needs care: the reference sorts each node's candidate
 list with a *stable* argsort, so ties on the split coordinate are routed
@@ -50,16 +49,16 @@ standing constraint; `reference-freeze` lint rule): this module imports
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from ..core.split_tree import SplitTree
 from ..kdtree.build import NODE_BYTES, KdTree
+from .forest import euler_tour
 
 __all__ = [
     "VectorizedSplitTree",
-    "euler_tour",
     "vectorized_build_forest",
     "vectorized_build_kdtree",
 ]
@@ -263,38 +262,6 @@ def vectorized_build_kdtree(points: np.ndarray, split_rule: str = "widest") -> K
     return vectorized_build_forest([points], split_rule)[0]
 
 
-def euler_tour(tree: KdTree) -> Tuple[np.ndarray, np.ndarray]:
-    """Preorder entry/exit intervals of ``tree``, level-synchronously.
-
-    Identical values to ``KdTree._ensure_euler`` (the per-node stack
-    walk): ``tin`` is the preorder visit index, ``tout = tin +
-    subtree_size``, and node ``b`` lies in the subtree of ``a`` iff
-    ``tin[a] <= tin[b] < tout[a]``.  The computed arrays are cached onto
-    ``tree.tin`` / ``tree.tout`` exactly as the reference would.
-    """
-    if tree.tin is not None and tree.tout is not None:
-        return tree.tin, tree.tout
-    n = tree.num_nodes
-    left, right, size, depth = tree.left, tree.right, tree.subtree_size, tree.depth
-    tin = np.zeros(n, dtype=np.int64)
-    order = np.argsort(depth, kind="stable")
-    height = int(depth[order[-1]]) + 1
-    starts = np.searchsorted(depth[order], np.arange(height + 1))
-    # A left child enters right after its parent; a right child after the
-    # whole left subtree.  One pass per level resolves every interval.
-    for d in range(height - 1):
-        nodes = order[starts[d] : starts[d + 1]]
-        l, r = left[nodes], right[nodes]
-        has_l, has_r = l >= 0, r >= 0
-        tin[l[has_l]] = tin[nodes[has_l]] + 1
-        right_base = tin[nodes] + 1 + np.where(has_l, size[np.where(has_l, l, 0)], 0)
-        tin[r[has_r]] = right_base[has_r]
-    tout = tin + size
-    tree.tin = tin
-    tree.tout = tout
-    return tin, tout
-
-
 class VectorizedSplitTree(SplitTree):
     """A :class:`SplitTree` with an array-built (but identical) DRAM layout.
 
@@ -354,11 +321,6 @@ class VectorizedSplitTree(SplitTree):
         owner = roots_by_tin[slot]
         address[nontop] = base_of_root[owner] + (tin[nontop] - tin[owner]) * NODE_BYTES
         self._address = address
-
-        # Kept for attribute compatibility with the reference (tests and
-        # tooling peek at the bases); small — one entry per sub-tree.
-        self._subtree_base = dict(zip(map(int, roots), map(int, bases)))
-        self._subtree_nodes: dict = {}
         self._total_bytes = int(num_top + sizes.sum()) * NODE_BYTES
 
     def subtree_nodes(self, root: int) -> np.ndarray:

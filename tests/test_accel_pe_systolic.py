@@ -21,7 +21,7 @@ class TestFiveStagePipeline:
 
     def test_retries_add_bubbles(self):
         run = FiveStagePipeline().run([2, 0, 1])
-        assert run.cycles == FiveStagePipeline.analytic_cycles(3, 3)
+        assert run.cycles == 5 + 3 - 1 + 3  # depth + visits - 1 + bubbles
         assert run.retry_bubbles == 3
 
     def test_empty_input(self):
@@ -47,9 +47,8 @@ class TestFiveStagePipeline:
     )
     def test_property_matches_analytic_formula(self, retries):
         run = FiveStagePipeline().run(retries)
-        assert run.cycles == FiveStagePipeline.analytic_cycles(
-            len(retries), sum(retries)
-        )
+        # Closed form: depth + visits - 1 + retry bubbles.
+        assert run.cycles == 5 + len(retries) - 1 + sum(retries)
         assert run.visits_completed == len(retries)
 
 

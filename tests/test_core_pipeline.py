@@ -53,7 +53,7 @@ class TestPipeline:
         pts, queries = problem(seed=4)
         pipe = ApproximationPipeline()
         a = pipe.query(pts, queries, 0.5, 8, ApproxSetting(1, None), cache_key="k")
-        pipe.clear_cache()
+        pipe.session.results.clear()
         b = pipe.query(pts, queries, 0.5, 8, ApproxSetting(1, None), cache_key="k")
         assert a is not b
         assert np.array_equal(a, b)

@@ -85,7 +85,7 @@ class TestSplitTree:
     def test_zero_height_is_single_subtree(self):
         tree = tree_of(31)
         split = SplitTree(tree, 0)
-        assert split.num_subtrees == 1
+        assert len(split.subtree_roots) == 1
         assert split.subtree_roots.tolist() == [tree.root]
         assert split.top_nodes.size == 0
 
@@ -97,7 +97,7 @@ class TestSplitTree:
     def test_subtree_partition(self):
         tree = tree_of(63)  # perfect height-6 tree
         split = SplitTree(tree, 2)
-        assert split.num_subtrees == 4
+        assert len(split.subtree_roots) == 4
         covered = set(split.top_nodes.tolist())
         for root in split.subtree_roots:
             covered.update(split.subtree_nodes(int(root)).tolist())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kdtree import KdTree, NODE_BYTES, build_kdtree
+from repro.kdtree import KdTree, build_kdtree
 
 
 def random_points(n, seed=0):
@@ -51,11 +51,6 @@ class TestBuild:
         assert tree.subtree_size[0] == 50
         assert len(tree.subtree_nodes(0)) == 50
 
-    def test_node_addresses(self):
-        tree = build_kdtree(random_points(10))
-        assert tree.node_address(0) == 0
-        assert tree.node_address(3) == 3 * NODE_BYTES
-
     def test_invariants_validate(self):
         tree = build_kdtree(random_points(128, seed=5))
         tree.validate()
@@ -68,7 +63,7 @@ class TestBuild:
     def test_nodes_at_depth(self):
         tree = build_kdtree(random_points(15))
         # 15 points build a perfect tree: 1, 2, 4, 8 nodes per level.
-        assert [len(tree.nodes_at_depth(d)) for d in range(4)] == [1, 2, 4, 8]
+        assert np.bincount(tree.depth).tolist() == [1, 2, 4, 8]
 
     def test_duplicate_points_ok(self):
         pts = np.zeros((9, 3))

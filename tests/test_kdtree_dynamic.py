@@ -12,12 +12,14 @@ interleaved bursts — with the parity pin asserted after every step.
 import numpy as np
 import pytest
 
+import repro.runtime.batched as batched_mod
 from repro.kdtree import (
     DirtyRegionDigest,
     DynamicKdTree,
     DynamicStats,
     scratch_dynamic_query,
 )
+from repro.runtime import BatchedBallQuery, vectorized_build_kdtree
 
 
 def assert_parity(dyn, queries, radius, k):
@@ -162,6 +164,56 @@ class TestMergedQueries:
             si, sc = dyn.query(batch, r, k)
             np.testing.assert_array_equal(mi, si[:, :k])
             np.testing.assert_array_equal(mc, sc)
+
+    def test_one_sweep_per_query_merged(self, sweep_calls):
+        # Every live segment is one tree of a forest: a merged query sweeps
+        # all its admitted (query, segment) rows at once, whatever the
+        # segment count, buffer, tombstones or boxes.
+        rng = np.random.default_rng(8)
+        dyn = DynamicKdTree(rng.normal(size=(200, 3)), buffer_cap=16, max_segments=8)
+        for shift in (2.0, -2.0, 4.0):
+            dyn.insert(rng.normal(size=(20, 3)) + shift)
+            dyn.refresh()  # each spill is a segment of its own
+        dyn.remove(rng.choice(200, size=12, replace=False))
+        dyn.insert(rng.normal(size=(5, 3)))
+        inside = grid_queries(rng, lo=-3.0, hi=5.0, m=10)
+        outside = rng.normal(size=(4, 3)) + 100.0  # beyond every box
+        sweeps = sweep_calls(batched_mod)
+        for queries in (np.concatenate([inside, outside]), outside):
+            sweeps.clear()
+            m = len(queries)
+            radii = np.where(np.arange(m) % 2, 0.9, 1.6)
+            ids = (np.arange(m) >= m // 2).astype(np.int64)
+            merged = dyn.query_merged(queries, radii, ids, [6, 3])
+            assert len(sweeps) == 1
+            coords, alive = dyn.state()
+            want_idx, want_cnt = scratch_dynamic_query(
+                coords, alive, queries, radii, np.where(ids == 0, 6, 3)
+            )
+            for (idx, cnt), k, rows in zip(merged, (6, 3), (ids == 0, ids == 1)):
+                np.testing.assert_array_equal(idx, want_idx[rows, :k])
+                np.testing.assert_array_equal(cnt, want_cnt[rows])
+        assert dyn.num_segments >= 3 and dyn.buffered > 0
+        assert len(dyn) < dyn.num_slots  # some slots are tombstoned
+
+    def test_zero_row_request_is_zero_by_k(self):
+        # A request without rows comes back (0, K) like a static request,
+        # alone or next to other requests.
+        rng = np.random.default_rng(9)
+        pts = rng.normal(size=(60, 3))
+        dyn = DynamicKdTree(pts)
+        static = BatchedBallQuery(vectorized_build_kdtree(pts))
+        none = np.zeros((0, 3))
+        for engine in (dyn, static):
+            idx, cnt = engine.query(none, 0.5, 4)
+            assert idx.shape == (0, 4) and cnt.shape == (0,)
+        queries = np.concatenate([none, rng.normal(size=(3, 3))])
+        ids = np.array([1, 1, 1])
+        got = dyn.query_merged(queries, 0.8, ids, [4, 6])
+        want = static.query_merged(queries, 0.8, ids, [4, 6])
+        shapes = [i.shape for i, _ in got]
+        assert shapes == [i.shape for i, _ in want] == [(0, 4), (3, 6)]
+        assert [c.shape for _, c in got] == [c.shape for _, c in want]
 
     def test_merged_validation(self):
         dyn = DynamicKdTree(np.zeros((1, 3)))

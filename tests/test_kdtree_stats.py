@@ -8,7 +8,6 @@ class TestTraversalStats:
         s = TraversalStats()
         assert s.nodes_visited == 0
         assert s.visit_trace == []
-        assert s.nodes_visited_per_query == 0.0
 
     def test_merge_accumulates(self):
         a = TraversalStats(nodes_visited=3, queries=1, visit_trace=[1, 2, 3])
@@ -21,10 +20,6 @@ class TestTraversalStats:
     def test_merge_returns_self(self):
         a = TraversalStats()
         assert a.merge(TraversalStats()) is a
-
-    def test_per_query_average(self):
-        s = TraversalStats(nodes_visited=10, queries=4)
-        assert s.nodes_visited_per_query == 2.5
 
     def test_independent_instances(self):
         a = TraversalStats()

@@ -138,7 +138,7 @@ class TestSubtreeSearch:
             tree, np.zeros(3), 1.0, root=tree.root, elide_depth=2
         )
         assert not machine.would_elide(tree.root)
-        deep = tree.nodes_at_depth(3)[0]
+        deep = np.flatnonzero(tree.depth == 3)[0]
         assert machine.would_elide(int(deep))
 
     def test_no_elide_depth_never_elides(self):

@@ -207,6 +207,20 @@ class TestReferenceFreeze:
         )
         assert "reference-freeze" in rules_fired(lint(tmp_path))
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "from ..runtime.forest import Forest\n",
+            "from ..runtime import Forest\n",
+            "from ..runtime import forest\n",
+            "import repro.runtime.forest\n",
+        ],
+    )
+    def test_reference_importing_forest_layout_fires(self, tmp_path, line):
+        self._package(tmp_path)
+        write(tmp_path, "pkg/core/approx_search.py", line)
+        assert "reference-freeze" in rules_fired(lint(tmp_path))
+
     def test_reference_builder_plain_numpy_allowed(self, tmp_path):
         self._package(tmp_path)
         write(

@@ -8,13 +8,14 @@ diffs as binary noise, and can shadow stale code paths in review — so the
 ban is enforced both here (tier-1) and as a CI workflow step, keeping the
 guard active even when only one of the two lanes runs.
 
-The per-node builders ``build_kdtree`` and ``SplitTree`` and the
-per-query searchers ``ball_query``, ``radius_search`` and ``knn_search``
-are the oracles the vectorized engines are pinned against (ROADMAP
-standing constraint), not production routes: outside the frozen
-reference modules themselves, ``src/`` builds trees and layouts only
-through :mod:`repro.runtime.treebuild` and searches only through the
-batched engines of :mod:`repro.runtime`.
+The per-node builders ``build_kdtree`` and ``SplitTree``, the per-query
+searchers ``ball_query``, ``radius_search`` and ``knn_search``, and the
+dynamic reference's ``canonical_pack`` are the oracles the vectorized
+engines are pinned against (ROADMAP standing constraint), not production
+routes: outside the frozen reference modules themselves, ``src/`` builds
+trees and layouts only through :mod:`repro.runtime.treebuild`, searches
+only through the batched engines of :mod:`repro.runtime`, and packs
+through :func:`repro.runtime.batched.pack_rows`.
 
 Farthest point sampling runs once per run, in the network planner
 (:func:`repro.models.layers.plan_chain`); a forward consumes the plan.  A
@@ -32,7 +33,14 @@ from repro.lint.rules import ReferenceFreezeRule
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
-FROZEN_ORACLES = ("build_kdtree", "SplitTree", "ball_query", "radius_search", "knn_search")
+FROZEN_ORACLES = (
+    "build_kdtree",
+    "SplitTree",
+    "ball_query",
+    "radius_search",
+    "knn_search",
+    "canonical_pack",
+)
 SAMPLERS = ("farthest_point_sampling", "farthest_point_sampling_batched")
 
 FORBIDDEN_SUFFIXES = (".pyc", ".pyo", ".pyd", ".so", ".egg")
@@ -91,10 +99,11 @@ def test_production_modules_never_call_the_frozen_builders():
     assert len(modules) > 50  # the scan found the package
     offenders = [call for path in modules for call in _calls(path, FROZEN_ORACLES)]
     assert not offenders, (
-        "production code calls a frozen per-node builder or per-query "
-        "searcher; use repro.runtime.treebuild's vectorized_build_kdtree / "
-        "VectorizedSplitTree and the batched engines (BatchedBallQuery, "
-        f"TracedBallQuery, batched_nearest_node) instead: {offenders}"
+        "production code calls a frozen per-node builder, per-query "
+        "searcher or reference packer; use repro.runtime.treebuild's "
+        "vectorized_build_kdtree / VectorizedSplitTree, the batched engines "
+        "(BatchedBallQuery, TracedBallQuery, batched_nearest_node) and "
+        f"pack_rows instead: {offenders}"
     )
 
 

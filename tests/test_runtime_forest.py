@@ -12,7 +12,10 @@ node, with duplicate coordinates), radii, ``K``, top heights from 0 to
 past the tree height, elision on and off, machines whose top-tree hits
 already fill ``K``, queries that find nothing, and both elision policies
 — and pin that epoch materialization's one-forest serial path fills the
-session exactly as per-request queries do.
+session exactly as per-request queries do.  The layout underneath,
+:meth:`repro.runtime.Forest.of`, is pinned tree by tree against the trees
+it lays out, and :func:`~repro.runtime.frontier_sweep` with per-row
+``roots`` against one sweep per tree.
 """
 
 import numpy as np
@@ -22,7 +25,15 @@ from repro.core import ApproxSetting, TreeBufferBanking
 from repro.core.approx_search import approximate_ball_query
 from repro.core.pipeline import ApproximationPipeline
 from repro.kdtree import build_kdtree
-from repro.runtime import QueryRequest, SearchJob, approximate_search
+from repro.runtime import (
+    Forest,
+    QueryRequest,
+    SearchJob,
+    approximate_search,
+    euler_tour,
+    frontier_sweep,
+)
+from repro.runtime import forest as forest_mod
 
 
 def random_cloud(rng):
@@ -196,3 +207,114 @@ def test_materialize_fills_same_entries_as_per_request_queries(rng, elide_aggreg
     # Both paths built each cloud's tree once and looked it up per request.
     assert forest.session.trees.stats.misses == alone.session.trees.stats.misses
     assert forest.session.trees.stats.hits == alone.session.trees.stats.hits
+
+
+def mixed_trees(rng):
+    """Trees of mixed sizes and heights: one point, a few, duplicate
+    coordinates (tie routing), and a few hundred."""
+    clouds = [
+        rng.normal(size=(257, 3)),
+        np.zeros((1, 3)),
+        np.repeat(rng.normal(size=(1, 3)), 9, axis=0),
+        rng.normal(size=(40, 3)),
+        np.array([[0.0, 0, 0], [0.1, 0, 0]]),
+    ]
+    return [build_kdtree(c) for c in clouds]
+
+
+class TestForestLayout:
+    def test_each_tree_comes_back_rebased(self, rng):
+        trees = mixed_trees(rng)
+        forest = Forest.of(trees)
+        sizes = [t.num_nodes for t in trees]
+        assert forest.roots.tolist() == np.cumsum([0] + sizes[:-1]).tolist()
+        assert forest.tree.num_nodes == sum(sizes)
+        assert forest.tree.height == max(t.height for t in trees)
+        np.testing.assert_array_equal(forest.tree.point_id, np.arange(sum(sizes)))
+        for tree, root in zip(trees, forest.roots.tolist()):
+            nodes = slice(root, root + tree.num_nodes)
+            np.testing.assert_array_equal(forest.point_id[nodes], tree.point_id)
+            np.testing.assert_array_equal(
+                forest.tree.points[nodes], tree.points[tree.point_id]
+            )
+            for field in ("split_dim", "depth", "subtree_size"):
+                np.testing.assert_array_equal(
+                    getattr(forest.tree, field)[nodes], getattr(tree, field)
+                )
+            for field in ("left", "right"):
+                child = getattr(tree, field)
+                np.testing.assert_array_equal(
+                    getattr(forest.tree, field)[nodes],
+                    np.where(child >= 0, child + root, -1),
+                )
+            tin, tout = euler_tour(tree)
+            np.testing.assert_array_equal(forest.tree.tin[nodes], tin + root)
+            np.testing.assert_array_equal(forest.tree.tout[nodes], tout + root)
+
+    def test_one_euler_pass_per_forest(self, rng, monkeypatch):
+        # The intervals of every tree come from one level loop over the
+        # whole forest, not one per tree.
+        passes = []
+        real = forest_mod._preorder
+
+        def recording(left, right, size, roots):
+            passes.append(len(roots))
+            return real(left, right, size, roots)
+
+        monkeypatch.setattr(forest_mod, "_preorder", recording)
+        trees = mixed_trees(rng)
+        Forest.of(trees)
+        assert passes == [len(trees)]
+
+    def test_rejects_an_empty_forest(self):
+        with pytest.raises(ValueError, match="at least one tree"):
+            Forest.of([])
+
+
+class TestForestSweep:
+    @staticmethod
+    def per_row(levels):
+        """Each row's visits, as ``(level, node, in_ball, within, near,
+        far)`` tuples in DFS order within each level."""
+        rows = {}
+        for depth, level in enumerate(levels):
+            order = np.argsort(level.key, kind="stable")
+            for i in order.tolist():
+                rows.setdefault(int(level.query_ids[i]), []).append((
+                    depth,
+                    int(level.nodes[i]),
+                    bool(level.in_ball[i]),
+                    bool(level.within_radius[i]),
+                    bool(level.take_near[i]),
+                    bool(level.take_far[i]),
+                ))
+        return rows
+
+    @pytest.mark.parametrize("k", [3, None])
+    def test_rows_match_one_sweep_per_tree(self, rng, k):
+        # Rows are (query, tree) pairs, every query against every tree, as
+        # the dynamic index sweeps a query against each segment it admits.
+        trees = mixed_trees(rng)
+        forest = Forest.of(trees)
+        pair_q, tree_of = np.divmod(np.arange(12 * len(trees)), len(trees))
+        queries = (rng.normal(size=(12, 3)) * 0.8)[pair_q]
+        radii = rng.uniform(0.1, 1.5, size=12)[pair_q]
+        got = self.per_row(
+            frontier_sweep(forest.tree, queries, radii, k, roots=forest.roots[tree_of])
+        )
+        for t, tree in enumerate(trees):
+            rows = np.flatnonzero(tree_of == t)
+            want = self.per_row(frontier_sweep(tree, queries[rows], radii[rows], k))
+            root = int(forest.roots[t])
+            for local_row, row in enumerate(rows.tolist()):
+                shifted = [
+                    (d, node + root, *rest) for d, node, *rest in want[local_row]
+                ]
+                assert got[row] == shifted, (t, row)
+
+    def test_rejects_roots_of_the_wrong_shape_eagerly(self, rng):
+        forest = Forest.of(mixed_trees(rng))
+        queries = np.zeros((3, 3))
+        for roots in (np.zeros(2, dtype=np.int64), np.zeros((3, 1), dtype=np.int64)):
+            with pytest.raises(ValueError, match="roots"):
+                frontier_sweep(forest.tree, queries, 0.5, None, roots=roots)

@@ -19,7 +19,7 @@ from repro.core.approx_search import approximate_ball_query
 from repro.core.split_tree import SplitTree
 from repro.kdtree import SubtreeSearch, build_kdtree
 from repro.kdtree.stats import TraversalStats
-from repro.runtime import SearchJob, VectorizedLockstep, approximate_search
+from repro.runtime import Forest, SearchJob, VectorizedLockstep, approximate_search
 
 
 def report_fingerprint(report):
@@ -157,7 +157,7 @@ class TestEngineLevelEquivalence:
             elide_policy=policy,
         )
         engine = VectorizedLockstep(
-            tree, banking=banking, num_pes=pes, elide_policy=policy
+            Forest.of([tree]), banking=banking, num_pes=pes, elide_policy=policy
         )
         mach_queries, roots = machines_of(groups)
         outcome = engine.run(
@@ -177,7 +177,9 @@ class TestEngineLevelEquivalence:
 
     def test_group_cycles_sum_to_total(self, problem_builder):
         tree, queries, split, groups = problem_builder(ht=3)
-        engine = VectorizedLockstep(tree, banking=TreeBufferBanking(4), num_pes=4)
+        engine = VectorizedLockstep(
+            Forest.of([tree]), banking=TreeBufferBanking(4), num_pes=4
+        )
         mach_queries, roots = machines_of(groups)
         outcome = engine.run(
             queries[mach_queries], roots, np.full(len(mach_queries), 8), 0.5,
@@ -198,7 +200,7 @@ class TestEngineLevelEquivalence:
                 )
                 machine.run_to_completion()
                 expected[int(qi)] = list(machine.hits)
-        engine = VectorizedLockstep(tree)
+        engine = VectorizedLockstep(Forest.of([tree]))
         mach_queries, roots = machines_of(groups)
         outcome = engine.run_free(
             queries[mach_queries], roots, np.full(len(mach_queries), 8), 0.5,
@@ -214,26 +216,26 @@ class TestEngineLevelEquivalence:
         # they must equal the reference's SplitTree.subtree_nodes order, in
         # every tree of a forest.
         trees = [build_kdtree(rng.normal(size=(n, 3))) for n in (257, 40)]
-        engine = VectorizedLockstep(trees)
-        for tree, offset in zip(trees, engine.offsets):
+        forest = Forest.of(trees)
+        for tree, offset in zip(trees, forest.roots):
             split = SplitTree(tree, 3)
             for root in split.subtree_roots:
                 nodes = split.subtree_nodes(int(root)) + offset
-                slots = engine.tin[nodes] - engine.tin[int(root) + offset]
+                slots = forest.tree.tin[nodes] - forest.tree.tin[int(root) + offset]
                 assert np.array_equal(slots, np.arange(len(nodes)))
 
     def test_rejects_bad_arguments(self, rng):
-        tree = build_kdtree(rng.normal(size=(31, 3)))
+        forest = Forest.of([build_kdtree(rng.normal(size=(31, 3)))])
         with pytest.raises(ValueError):
-            VectorizedLockstep(tree, num_pes=0)
+            VectorizedLockstep(forest, num_pes=0)
         with pytest.raises(ValueError):
-            VectorizedLockstep(tree, elide_policy="bogus")
+            VectorizedLockstep(forest, elide_policy="bogus")
         with pytest.raises(ValueError):
-            VectorizedLockstep([])
-        engine = VectorizedLockstep(tree)  # no banking
+            Forest.of([])
+        engine = VectorizedLockstep(forest)  # no banking
         with pytest.raises(ValueError):
             engine.run(np.zeros((1, 3)), [0], np.array([4]), 0.5)
-        engine = VectorizedLockstep(tree, banking=TreeBufferBanking(2))
+        engine = VectorizedLockstep(forest, banking=TreeBufferBanking(2))
         with pytest.raises(ValueError):  # one capacity per machine
             engine.run(np.zeros((2, 3)), [0, 0], np.array([4]), 0.5)
         with pytest.raises(ValueError):  # one query row per machine

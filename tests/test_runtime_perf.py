@@ -23,6 +23,7 @@ from repro.kdtree.exact import radius_search
 from repro.kdtree.stats import TraversalStats
 from repro.runtime import (
     BatchedBallQuery,
+    Forest,
     SearchSession,
     TracedBallQuery,
     VectorizedLockstep,
@@ -114,7 +115,7 @@ def test_vectorized_lockstep_beats_reference_loop_on_4k_cloud(
 
     def vectorized():
         engine = VectorizedLockstep(
-            tree, banking=banking, num_pes=LOCKSTEP_PES
+            Forest.of([tree]), banking=banking, num_pes=LOCKSTEP_PES
         )
         outcome = engine.run(
             queries[mach_queries], roots, max_hits, LOCKSTEP_RADIUS,

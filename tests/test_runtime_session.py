@@ -78,7 +78,6 @@ class TestLruCache:
             0,
             0,
         )
-        assert cache.stats.hit_rate == 0.0
 
     def test_reset_stats_keeps_entries(self):
         cache = LruCache(max_entries=2)

@@ -24,7 +24,7 @@ engine.
 import numpy as np
 import pytest
 
-from repro.kdtree import ball_query, build_kdtree
+from repro.kdtree import NODE_BYTES, ball_query, build_kdtree
 from repro.kdtree.exact import radius_search
 from repro.kdtree.stats import TraversalStats
 from repro.runtime import TracedBallQuery
@@ -167,13 +167,16 @@ class TestTraceEquivalence:
 
     def test_merged_stats_match_shared_stats_object(self, rng):
         # ball_query with one shared stats object accumulates per-query
-        # stats in query order; merged_stats() must reproduce that.
+        # stats in query order; merging the per-query stats must
+        # reproduce that.
         pts = rng.normal(size=(150, 3))
         queries = rng.normal(size=(20, 3)) * 0.8
         tree = build_kdtree(pts)
         shared = TraversalStats()
         ball_query(tree, queries, 0.4, 6, stats=shared, record_trace=True)
-        merged = TracedBallQuery(tree).query(queries, 0.4, 6).merged_stats()
+        merged = TraversalStats()
+        for stats in TracedBallQuery(tree).query(queries, 0.4, 6).stats:
+            merged.merge(stats)
         for field in STAT_FIELDS:
             assert getattr(merged, field) == getattr(shared, field), field
         assert merged.visit_trace == shared.visit_trace
@@ -205,5 +208,5 @@ class TestDriverOutputsUnchanged:
         for points, queries, radius, k in _network_layer_queries(spec, seed=0):
             tree = build_kdtree(points)
             for stats in reference_traces(tree, queries[:24], radius, k):
-                want.append([tree.node_address(n) for n in stats.visit_trace])
+                want.append([n * NODE_BYTES for n in stats.visit_trace])
         assert got == want

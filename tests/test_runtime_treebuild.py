@@ -20,11 +20,8 @@ from repro.kdtree.build import build_kdtree
 from repro.kdtree.exact import ball_query
 from repro.runtime import SearchSession
 from repro.runtime import treebuild as tb
-from repro.runtime.treebuild import (
-    VectorizedSplitTree,
-    euler_tour,
-    vectorized_build_kdtree,
-)
+from repro.runtime.forest import euler_tour
+from repro.runtime.treebuild import VectorizedSplitTree, vectorized_build_kdtree
 
 NODE_FIELDS = ("point_id", "split_dim", "left", "right", "depth", "subtree_size")
 RULES = ("widest", "cycle")
@@ -245,7 +242,6 @@ class TestSplitTreeEquivalence:
             assert ref.total_bytes == fast.total_bytes
             assert ref.top_tree_bytes() == fast.top_tree_bytes()
             assert ref.max_subtree_nodes() == fast.max_subtree_nodes()
-            assert ref._subtree_base == fast._subtree_base
             for node in range(ref_tree.num_nodes):
                 assert ref.dram_address_of(node) == fast.dram_address_of(node)
             for root in ref.subtree_roots:

@@ -335,6 +335,28 @@ class TestQueryService:
         assert digest_calls == [1]
         assert all(t.error is None for t in tickets)
 
+    def test_zero_row_requests_are_zero_by_k_in_any_flush(self, rng):
+        # A request without query rows gets a (0, K) matrix whether it is
+        # alone in its flush or shares it, static or dynamic.
+        pts = rng.normal(size=(120, 3))
+        none = np.zeros((0, 3))
+        service = QueryService()
+        handle = service.register_dynamic(pts)
+        shapes = []
+        for submit in (
+            lambda: service.submit(pts, none, 0.5, 4),
+            lambda: service.submit_dynamic(handle, none, 0.5, 4),
+        ):
+            alone = submit()
+            service.flush()
+            shared = submit()
+            service.submit(pts, pts[:3], 0.5, 6)
+            service.submit_dynamic(handle, pts[:3], 0.5, 6)
+            service.flush()
+            for ticket in (alone, shared):
+                shapes.append(tuple(a.shape for a in ticket.result()))
+        assert shapes == [((0, 4), (0,))] * 4
+
     def test_ticket_result_before_flush_raises(self, rng):
         service = QueryService()
         ticket = service.submit(rng.normal(size=(20, 3)), np.zeros((1, 3)), 0.5, 4)
