@@ -29,8 +29,8 @@ REPEATS = 3
 MIN_SPEEDUP = 2.0
 
 
-def test_incremental_maintenance_does_not_regress(sweep_calls):
-    sweeps = sweep_calls(batched_module)
+def test_incremental_maintenance_does_not_regress(call_rows):
+    sweeps = call_rows(batched_module, "frontier_sweep", "queries")
     flushes = 2 * NUM_FRAMES  # incremental and rebuild services
     best = None
     for _ in range(REPEATS):

@@ -14,11 +14,12 @@ one definition of "drive one SubtreeSearch machine per query through
 reference semantics.  ``digest_calls`` counts the serving layer's
 geometry digests for the serving suites and ``benchmarks/test_serve_perf.py``;
 ``sweep_level_sizes`` records the row count of every frontier-sweep level
-for the dense early-stop tests, and ``sweep_calls`` the row count of every
-frontier-sweep call for the one-sweep-per-dynamic-query tests and
-``benchmarks/test_dynamic_perf.py``.
+for the dense early-stop tests, and ``call_rows`` the row count of every
+call of a named module function (``frontier_sweep``, ``pair_d2``) for the
+structural twins of the dynamic tests and ``benchmarks/test_dynamic_perf.py``.
 """
 
+import inspect
 import os
 
 import numpy as np
@@ -115,24 +116,47 @@ def reference_lockstep_driver():
 
 
 @pytest.fixture
-def digest_calls(monkeypatch):
+def call_rows(monkeypatch):
+    """Count the rows of a module function's calls.
+
+    ``call_rows(module, name, arg)`` wraps ``module.<name>`` and returns
+    the list the wrapper appends each call's ``len`` of argument ``arg``
+    to.  Patch the module a caller reads the function from: the dynamic
+    index imports ``frontier_sweep`` at call time, so ``(repro.runtime
+    .batched, "frontier_sweep", "queries")`` counts its sweeps, and it
+    imports ``pair_d2`` by name, so ``(repro.kdtree.dynamic, "pair_d2",
+    "hit_q")`` counts the hits it computes distances for.  The wrapper
+    passes arguments and results through untouched and adds one
+    signature bind per call, nothing per row: a work count that timing
+    noise cannot flake.
+    """
+
+    def spy(module, name, arg):
+        rows = []
+        real = getattr(module, name)
+        signature = inspect.signature(real)
+
+        def counting(*args, **kwargs):
+            rows.append(len(signature.bind(*args, **kwargs).arguments[arg]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return rows
+
+    return spy
+
+
+@pytest.fixture
+def digest_calls(call_rows):
     """Record every ``geometry_digest`` call the serving layer makes.
 
-    Wraps ``repro.serve.service.geometry_digest`` (the service imports it
-    by name) and returns the list the wrapper appends to, one entry per
-    call: a work count that timing noise cannot flake.
+    ``call_rows`` over ``repro.serve.service.geometry_digest`` (the
+    service imports it by name): one entry per call, the number of arrays
+    it digested.
     """
     import repro.serve.service as service_module
 
-    calls = []
-    real = service_module.geometry_digest
-
-    def counting(*arrays):
-        calls.append(len(arrays))
-        return real(*arrays)
-
-    monkeypatch.setattr(service_module, "geometry_digest", counting)
-    return calls
+    return call_rows(service_module, "geometry_digest", "arrays")
 
 
 @pytest.fixture
@@ -157,31 +181,6 @@ def sweep_level_sizes(monkeypatch):
 
         monkeypatch.setattr(module, "frontier_sweep", recording)
         return sizes
-
-    return spy
-
-
-@pytest.fixture
-def sweep_calls(monkeypatch):
-    """Count a module's ``frontier_sweep`` calls.
-
-    ``sweep_calls(module)`` wraps ``module.frontier_sweep`` and returns the
-    list the wrapper appends each call's row count to.  The dynamic index
-    imports the sweep at call time, so ``repro.runtime.batched`` is the
-    module to pass for it.  The wrapper does not touch the levels, so it
-    adds nothing to a timed sweep.
-    """
-
-    def spy(module):
-        calls = []
-        real = module.frontier_sweep
-
-        def counting(tree, queries, *args, **kwargs):
-            calls.append(len(np.atleast_2d(queries)))
-            return real(tree, queries, *args, **kwargs)
-
-        monkeypatch.setattr(module, "frontier_sweep", counting)
-        return calls
 
     return spy
 

@@ -122,10 +122,6 @@ class SplitTree:
     def subtree_size(self, root: int) -> int:
         return int(self.tree.subtree_size[int(root)])
 
-    def max_subtree_nodes(self) -> int:
-        """Size of the largest sub-tree — what must fit in the tree buffer."""
-        return max(self.subtree_size(int(r)) for r in self.subtree_roots)
-
     def top_tree_bytes(self) -> int:
         return len(self._top_nodes) * NODE_BYTES
 

@@ -28,6 +28,12 @@ hits, and sorts and packs them once (:func:`~repro.runtime.batched
 .pack_rows`) under the **canonical dynamic contract** of
 :mod:`repro.kdtree.dynamic_reference` — hits sorted by ``(d2, slot)``; a
 request without rows gets a ``(0, K)`` matrix, as a static one does.
+Each hit's ``d2`` is computed once: a tree hit keeps the value its sweep
+level compared for the in-ball test (``FrontierLevel.d2``, the same bits
+as :func:`~repro.kdtree.dynamic_reference.pair_d2`), and ``pair_d2``
+keys buffer hits only.  The sort is one int64 argsort of a key fused from
+query, ``d2``'s dense rank and slot (a three-key ``lexsort`` only where
+that key could overflow).
 The contract is a pure function of the hit set, so results are
 bit-identical to rebuild-from-scratch per frame no matter how the points
 are segmented; the dynamic equivalence suites pin that on every layer up
@@ -63,6 +69,31 @@ __all__ = ["DirtyRegionDigest", "DynamicKdTree", "DynamicStats", "check_maintena
 # could drop a corner point whose own d2 rounds just inside the ball.
 # Admitting a segment is always safe (members are re-tested per point).
 _PRUNE_SLACK = 1.0 + 1e-9
+
+
+def _canonical_order(
+    hq: np.ndarray, d2: np.ndarray, hs: np.ndarray, num_queries: int, num_slots: int
+) -> np.ndarray:
+    """The canonical ``(query, d2, slot)`` order of hits, by one int64 argsort.
+
+    ``d2`` enters as its dense rank (equal values, equal rank), so the
+    fused key ``(query * U + rank) * num_slots + slot`` (``U`` distinct
+    ``d2`` values) orders exactly as ``np.lexsort((hs, d2, hq))``; it is
+    unique per hit, so the default sort needs no stability.  Where that
+    key could overflow int64 (queries x distinct values x slots past
+    ``2**63``, far beyond any served cloud), the three-key ``lexsort``
+    runs instead.
+    """
+    by_d2 = np.argsort(d2)
+    ranked = d2[by_d2]
+    step = np.zeros(len(d2), dtype=np.int64)  # 1 where a new d2 value starts
+    step[1:] = ranked[1:] != ranked[:-1]
+    rank = np.empty_like(step)
+    rank[by_d2] = np.cumsum(step)
+    distinct = int(step.sum()) + 1
+    if num_queries * distinct * num_slots > 2**63:  # keys reach the product - 1
+        return np.lexsort((hs, d2, hq))
+    return np.argsort((hq * distinct + rank) * num_slots + hs)
 
 
 def check_maintenance(maintenance: str) -> None:
@@ -420,7 +451,11 @@ class DynamicKdTree:
     def _collect(
         self, queries: np.ndarray, radii: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All (query, alive slot) hit pairs with canonical ``d2`` keys."""
+        """All (query, alive slot) hit pairs with canonical ``d2`` keys.
+
+        A tree hit keeps the ``d2`` its sweep level computed for the
+        in-ball test; only buffer hits go through :func:`pair_d2`.
+        """
         # Imported lazily for the same load-order reason as _build_segment.
         from ..runtime.batched import frontier_sweep
         from ..runtime.forest import Forest
@@ -429,6 +464,7 @@ class DynamicKdTree:
         empty = np.zeros(0, dtype=np.int64)
         hit_q: List[np.ndarray] = [empty]
         hit_s: List[np.ndarray] = [empty]
+        hit_d2: List[np.ndarray] = [np.zeros(0)]
         if self._segments:
             if self._forest is None:  # a segment was built or dropped
                 segs = [self._segments[sid] for sid in sorted(self._segments)]
@@ -443,27 +479,31 @@ class DynamicKdTree:
             delta = queries[:, None, :] - np.clip(queries[:, None, :], lo, hi)
             box_d2 = np.einsum("msj,msj->ms", delta, delta)
             pair_q, pair_s = np.nonzero(box_d2 <= (r2 * _PRUNE_SLACK)[:, None])
+            rows, nodes, level_d2 = [empty], [empty], [np.zeros(0)]
             for level in frontier_sweep(
                 forest.tree, queries[pair_q], radii[pair_q], None,
                 roots=forest.roots[pair_s],
             ):
-                in_ball = level.in_ball
-                if not in_ball.any():
-                    continue
-                slots = node_slot[level.nodes[in_ball]]
-                alive = self._alive[slots]
-                hit_q.append(pair_q[level.query_ids[in_ball][alive]])
-                hit_s.append(slots[alive])
+                hit = level.in_ball
+                rows.append(level.query_ids[hit])
+                nodes.append(level.nodes[hit])
+                level_d2.append(level.d2[hit])
+            # Slots and tombstones once, over every level's hits.
+            slots = node_slot[np.concatenate(nodes)]
+            alive = self._alive[slots]
+            hit_q.append(pair_q[np.concatenate(rows)[alive]])
+            hit_s.append(slots[alive])
+            hit_d2.append(np.concatenate(level_d2)[alive])
         if self._buffer:
             bslots = np.asarray(self._buffer, dtype=np.int64)
             delta = queries[:, None, :] - self._coords[bslots][None, :, :]
             d2 = np.einsum("mkj,mkj->mk", delta, delta)
             mq, mk = np.nonzero(d2 <= r2[:, None])
-            hit_q.append(mq.astype(np.int64))
-            hit_s.append(bslots[mk])
-        hq = np.concatenate(hit_q)
-        hs = np.concatenate(hit_s)
-        return hq, hs, pair_d2(self._coords, queries, hq, hs)
+            mq, bs = mq.astype(np.int64), bslots[mk]
+            hit_q.append(mq)
+            hit_s.append(bs)
+            hit_d2.append(pair_d2(self._coords, queries, mq, bs))
+        return np.concatenate(hit_q), np.concatenate(hit_s), np.concatenate(hit_d2)
 
     def query(
         self, queries: np.ndarray, radius: float, max_neighbors: int
@@ -494,7 +534,9 @@ class DynamicKdTree:
         per-row radii, grouped ``request_ids``, per-request ``K``; request
         ``r``'s pair is bit-identical to ``query(rows_r, radius_r, K_r)``
         because hits are row-independent and the pack is canonical.  One
-        :func:`~repro.runtime.batched.frontier_sweep` serves them all.
+        :func:`~repro.runtime.batched.frontier_sweep` serves them all, and
+        one int64 argsort (:func:`_canonical_order`) puts every hit in the
+        canonical ``(query, d2, slot)`` order.
         """
         # Imported lazily for the same load-order reason as _build_segment.
         from ..runtime.batched import check_max_neighbors, pack_rows, request_rows
@@ -518,7 +560,7 @@ class DynamicKdTree:
             return []
         self.refresh()
         hq, hs, d2 = self._collect(queries, radii)
-        order = np.lexsort((hs, d2, hq))  # the canonical (query, d2, slot) order
+        order = _canonical_order(hq, d2, hs, m, self._n)
         return pack_rows(
             hq[order], hs[order], group_rows, ks,
             lambda rows: np.full(len(rows), -1, dtype=np.int64),  # no hit: -1

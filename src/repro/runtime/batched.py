@@ -134,17 +134,22 @@ class FrontierLevel(NamedTuple):
     """One level of the batched frontier sweep (see :func:`frontier_sweep`).
 
     All arrays are parallel over the live ``(query, node)`` pairs of one
-    tree level.  ``far`` and ``within_radius`` let consumers reconstruct the
-    bounding-plane prune (``far >= 0`` and not ``within_radius``); the
-    children the traversal rule descends are ``take_near``/``take_far``
-    (the early stop may still drop some of them from the next level).
+    tree level.  ``d2`` is the squared distance the in-ball test compared,
+    bit-equal to :func:`~repro.kdtree.dynamic_reference.pair_d2` of the
+    row's query and point, so the dynamic index keys its hits with it
+    instead of computing it again.  ``far`` and ``within_radius`` let
+    consumers reconstruct the bounding-plane prune (``far >= 0`` and not
+    ``within_radius``); the children the traversal rule descends are
+    ``take_near``/``take_far`` (the early stop may still drop some of them
+    from the next level).
     """
 
     query_ids: np.ndarray  # query index per frontier row
     key: np.ndarray  # query_ids << tree.height | the node's preorder position
     nodes: np.ndarray  # node id per row
     point_ids: np.ndarray  # tree.point_id[nodes]
-    in_ball: np.ndarray  # distance test outcome
+    d2: np.ndarray  # squared distance from the query to the node's point
+    in_ball: np.ndarray  # d2 <= radius**2
     far: np.ndarray  # far-child node id (-1 when absent)
     within_radius: np.ndarray  # |query[dim] - split| <= radius
     take_near: np.ndarray  # near child exists (always descended)
@@ -180,7 +185,7 @@ def frontier_sweep(
     level is never filtered: only the next frontier shrinks.  ``None``
     sweeps every in-radius branch, for contracts that do not follow the
     DFS order (:class:`~repro.kdtree.dynamic.DynamicKdTree` sorts by
-    ``(d², slot)``).
+    ``(d², slot)``, keying each tree hit with the level's own ``d2``).
 
     ``roots`` (default: ``tree.root`` for all) starts each query at its
     own node, so one sweep serves every tree of a
@@ -258,6 +263,7 @@ def _frontier_levels(
             key=fkey,
             nodes=fnode,
             point_ids=pid,
+            d2=d2,
             in_ball=in_ball,
             far=far,
             within_radius=within,

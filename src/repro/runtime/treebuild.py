@@ -327,9 +327,6 @@ class VectorizedSplitTree(SplitTree):
         r = int(root)
         return self._preorder[self._tin[r] : self._tout[r]]
 
-    def max_subtree_nodes(self) -> int:
-        return int(self.tree.subtree_size[self.subtree_roots].max())
-
     def dram_address_of(self, node: int) -> int:
         return int(self._address[int(node)])
 

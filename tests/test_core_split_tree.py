@@ -151,7 +151,10 @@ class TestSplitTree:
 
     def test_max_subtree_shrinks_with_height(self):
         tree = tree_of(255, seed=9)
-        sizes = [SplitTree(tree, h).max_subtree_nodes() for h in range(0, 5)]
+        sizes = [
+            int(tree.subtree_size[SplitTree(tree, h).subtree_roots].max())
+            for h in range(0, 5)
+        ]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 

@@ -12,6 +12,7 @@ interleaved bursts — with the parity pin asserted after every step.
 import numpy as np
 import pytest
 
+import repro.kdtree.dynamic as dynamic_mod
 import repro.runtime.batched as batched_mod
 from repro.kdtree import (
     DirtyRegionDigest,
@@ -19,6 +20,7 @@ from repro.kdtree import (
     DynamicStats,
     scratch_dynamic_query,
 )
+from repro.kdtree.dynamic_reference import pair_d2
 from repro.runtime import BatchedBallQuery, vectorized_build_kdtree
 
 
@@ -165,7 +167,7 @@ class TestMergedQueries:
             np.testing.assert_array_equal(mi, si[:, :k])
             np.testing.assert_array_equal(mc, sc)
 
-    def test_one_sweep_per_query_merged(self, sweep_calls):
+    def test_one_sweep_per_query_merged(self, call_rows):
         # Every live segment is one tree of a forest: a merged query sweeps
         # all its admitted (query, segment) rows at once, whatever the
         # segment count, buffer, tombstones or boxes.
@@ -178,7 +180,7 @@ class TestMergedQueries:
         dyn.insert(rng.normal(size=(5, 3)))
         inside = grid_queries(rng, lo=-3.0, hi=5.0, m=10)
         outside = rng.normal(size=(4, 3)) + 100.0  # beyond every box
-        sweeps = sweep_calls(batched_mod)
+        sweeps = call_rows(batched_mod, "frontier_sweep", "queries")
         for queries in (np.concatenate([inside, outside]), outside):
             sweeps.clear()
             m = len(queries)
@@ -195,6 +197,69 @@ class TestMergedQueries:
                 np.testing.assert_array_equal(cnt, want_cnt[rows])
         assert dyn.num_segments >= 3 and dyn.buffered > 0
         assert len(dyn) < dyn.num_slots  # some slots are tombstoned
+
+    def test_pair_d2_keys_buffer_hits_only(self, call_rows):
+        # Tree hits keep the d2 their sweep level computed; only buffer
+        # hits reach pair_d2, and none when the buffer is empty.
+        rng = np.random.default_rng(10)
+        dyn = DynamicKdTree(rng.normal(size=(150, 3)), buffer_cap=32, max_segments=8)
+        dyn.insert(rng.normal(size=(20, 3)) + 1.0)
+        dyn.refresh(flush=True)  # a second segment
+        buffered = dyn.insert(rng.normal(size=(12, 3)))  # stays in the buffer
+        dyn.remove(np.concatenate([rng.choice(150, size=9, replace=False), buffered[:2]]))
+        queries = grid_queries(rng, lo=-2.0, hi=3.0, m=14)
+        radii = np.where(np.arange(14) % 2, 0.7, 1.3)
+        ids = (np.arange(14) >= 5).astype(np.int64)
+        d2_rows = call_rows(dynamic_mod, "pair_d2", "hit_q")
+        for flush in (False, True):
+            d2_rows.clear()
+            if flush:
+                dyn.refresh(flush=True)  # the buffer spills into a segment
+            coords, alive = dyn.state()
+            live = buffered[alive[buffered]] if dyn.buffered else buffered[:0]
+            delta = queries[:, None, :] - coords[live][None, :, :]
+            d2 = np.einsum("mkj,mkj->mk", delta, delta)
+            buffer_hits = int((d2 <= (radii * radii)[:, None]).sum())
+            merged = dyn.query_merged(queries, radii, ids, [5, 7])
+            assert sum(d2_rows) == buffer_hits
+            assert buffer_hits > 0 or flush
+            want_idx, want_cnt = scratch_dynamic_query(
+                coords, alive, queries, radii, np.where(ids == 0, 5, 7)
+            )
+            for (idx, cnt), k, rows in zip(merged, (5, 7), (ids == 0, ids == 1)):
+                np.testing.assert_array_equal(idx, want_idx[rows, :k])
+                np.testing.assert_array_equal(cnt, want_cnt[rows])
+        assert dyn.buffered == 0 and dyn.num_segments >= 2
+
+    def test_fused_key_order_is_lexsort_order(self, call_rows):
+        # Hits sort by (query, d2, slot); the fused int64 key must give
+        # exactly the three-key lexsort order on ties of every kind.
+        rng = np.random.default_rng(11)
+        centers = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [0.5, 0.5, 0.5]])
+        offsets = np.array([
+            [0.5, 0, 0], [-0.5, 0, 0], [0, 0.5, 0], [0, -0.5, 0], [0, 0, 0.5],
+            [0.25, 0, 0], [0, -0.25, 0], [0, 0, 0],
+        ])  # mirrored about each center: equal d2 for different slots
+        coords = np.concatenate([c + offsets for c in centers] + [rng.normal(size=(20, 3))])
+        queries = np.concatenate([centers, centers[:1]])  # equal d2 across queries
+        hq, hs = map(np.ravel, np.meshgrid(np.arange(4), np.arange(len(coords)), indexing="ij"))
+        shuffle = rng.permutation(len(hq))
+        hq, hs = hq[shuffle], hs[shuffle]
+        d2 = pair_d2(coords, queries, hq, hs)
+        per_query = np.unique(np.stack([hq, d2.view(np.int64)]), axis=1).shape[1]
+        assert len(np.unique(d2)) < per_query < len(d2)  # both kinds of tie
+        cases = [(hq, d2, hs), (hq[:0], d2[:0], hs[:0]), (hq[:1], d2[:1], hs[:1])]
+        wants = [np.lexsort((slot, dist, q)) for q, dist, slot in cases]
+        lexsorts = call_rows(np, "lexsort", "keys")
+        for (q, dist, slot), want in zip(cases, wants):
+            lexsorts.clear()
+            got = dynamic_mod._canonical_order(q, dist, slot, 4, len(coords))
+            assert lexsorts == []  # one int64 argsort, no lexsort
+            np.testing.assert_array_equal(got, want)
+            # A slot space too large for the fused key falls back to lexsort.
+            got = dynamic_mod._canonical_order(q, dist, slot, 4, 1 << 62)
+            assert lexsorts == [3]
+            np.testing.assert_array_equal(got, want)
 
     def test_zero_row_request_is_zero_by_k(self):
         # A request without rows comes back (0, K) like a static request,

@@ -15,7 +15,8 @@ already fill ``K``, queries that find nothing, and both elision policies
 session exactly as per-request queries do.  The layout underneath,
 :meth:`repro.runtime.Forest.of`, is pinned tree by tree against the trees
 it lays out, and :func:`~repro.runtime.frontier_sweep` with per-row
-``roots`` against one sweep per tree.
+``roots`` against one sweep per tree, its yielded ``d2`` bit for bit
+against :func:`~repro.kdtree.dynamic_reference.pair_d2`.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.core import ApproxSetting, TreeBufferBanking
 from repro.core.approx_search import approximate_ball_query
 from repro.core.pipeline import ApproximationPipeline
 from repro.kdtree import build_kdtree
+from repro.kdtree.dynamic_reference import pair_d2
 from repro.runtime import (
     Forest,
     QueryRequest,
@@ -311,6 +313,32 @@ class TestForestSweep:
                     (d, node + root, *rest) for d, node, *rest in want[local_row]
                 ]
                 assert got[row] == shifted, (t, row)
+
+    @pytest.mark.parametrize("k", [3, None])
+    def test_level_d2_is_pair_d2(self, rng, k):
+        # The dynamic index keys its tree hits with the d2 the sweep's
+        # in-ball test compared, so every yielded row's d2 must carry the
+        # same bits as the reference formula over the same query and point.
+        trees = mixed_trees(rng)
+        forest = Forest.of(trees)
+        pair_q, tree_of = np.divmod(np.arange(12 * len(trees)), len(trees))
+        queries = rng.normal(size=(12, 3)) * 0.8
+        queries[:4] = forest.tree.points[rng.integers(0, forest.tree.num_nodes, 4)]
+        radii = rng.uniform(0.1, 1.5, size=12)[pair_q]
+        rows = hits = 0
+        for level in frontier_sweep(
+            forest.tree, queries[pair_q], radii, k, roots=forest.roots[tree_of]
+        ):
+            want = pair_d2(
+                forest.tree.points, queries, pair_q[level.query_ids], level.point_ids
+            )
+            np.testing.assert_array_equal(level.d2.view(np.int64), want.view(np.int64))
+            np.testing.assert_array_equal(
+                level.in_ball, level.d2 <= (radii * radii)[level.query_ids]
+            )
+            rows += len(level.d2)
+            hits += int(level.in_ball.sum())
+        assert 0 < hits < rows
 
     def test_rejects_roots_of_the_wrong_shape_eagerly(self, rng):
         forest = Forest.of(mixed_trees(rng))
