@@ -17,7 +17,9 @@ lane (it is *not* marked slow) and checks identity before speed:
 * one Fig. 14 suite: its 12 network runs (4 networks x Mesorasi, ANS and
   ANS+BCE) as one :func:`~repro.accel.run_networks` batch against one
   ``run_network`` call per run, result-by-result identical.  This one
-  records its numbers and asserts no speed floor.
+  records its numbers and asserts no speed floor, and also records the
+  suite's one ``VectorizedLockstep.run``: its iterations (the longest
+  sub-tree batch's cycles), lanes, time and time per simulated cycle.
 
 All write their numbers to ``BENCH_lockstep.json``.
 """
@@ -236,8 +238,20 @@ def suite_runs():
     return runs
 
 
-def test_suite_forest_matches_per_network_runs():
+def test_suite_forest_matches_per_network_runs(monkeypatch):
     runs = suite_runs()
+    cycle_loops = []  # (seconds, lanes, iterations) per VectorizedLockstep.run
+    real_run = VectorizedLockstep.run
+
+    def timed_run(self, *args, **kwargs):
+        t0 = time.perf_counter()
+        outcome = real_run(self, *args, **kwargs)
+        seconds = time.perf_counter() - t0
+        lanes = len(outcome.group_cycles) * self.num_pes
+        cycle_loops.append((seconds, lanes, int(outcome.group_cycles.max())))
+        return outcome
+
+    monkeypatch.setattr(VectorizedLockstep, "run", timed_run)
 
     def per_network():
         return [
@@ -254,7 +268,10 @@ def test_suite_forest_matches_per_network_runs():
         assert dataclasses.asdict(batched) == dataclasses.asdict(single)
 
     per_network_time = best_of(per_network, repeats=3)
+    cycle_loops.clear()
     batch_time = best_of(suite_batch, repeats=3)
+    assert len(cycle_loops) == 3  # one cycle loop per suite
+    loop_time, lanes, iterations = min(cycle_loops)
     write_bench_artifact(
         "lockstep",
         {
@@ -264,6 +281,13 @@ def test_suite_forest_matches_per_network_runs():
                 "ms_per_network": round(per_network_time * 1e3, 3),
                 "ms_suite_batch": round(batch_time * 1e3, 3),
                 "speedup": round(per_network_time / batch_time, 2),
-            }
+            },
+            "suite_cycle_loop": {
+                "stage": "VectorizedLockstep.run (one per Fig. 14 suite)",
+                "iterations": iterations,
+                "lanes": lanes,
+                "ms": round(loop_time * 1e3, 3),
+                "us_per_cycle": round(loop_time * 1e6 / iterations, 2),
+            },
         },
     )

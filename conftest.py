@@ -15,8 +15,9 @@ reference semantics.  ``digest_calls`` counts the serving layer's
 geometry digests for the serving suites and ``benchmarks/test_serve_perf.py``;
 ``sweep_level_sizes`` records the row count of every frontier-sweep level
 for the dense early-stop tests, and ``call_rows`` the row count of every
-call of a named module function (``frontier_sweep``, ``pair_d2``) for the
-structural twins of the dynamic tests and ``benchmarks/test_dynamic_perf.py``.
+call of a named module function (``frontier_sweep``, ``pair_d2``, the
+lockstep's ``_refill``) for the structural twins of the dynamic and
+lockstep tests and ``benchmarks/test_dynamic_perf.py``.
 """
 
 import inspect
@@ -51,6 +52,8 @@ def _drive_reference_lockstep(
 ):
     """The per-step reference: one SubtreeSearch machine per query driven
     through ``run_subtree_lockstep``, sub-tree by sub-tree.
+    ``max_neighbors`` is one result capacity for every machine, or one per
+    ``queries`` row (0 makes a machine that is done at creation).
 
     Returns ``(cycles, stalls, hits_by_query, traversal_stats, sram_stats)``
     — the fingerprint the vectorized engine must reproduce exactly.
@@ -63,12 +66,13 @@ def _drive_reference_lockstep(
     stats, sram = TraversalStats(), SramStats()
     cycles = stalls = 0
     hits = {}
+    per_query = np.ndim(max_neighbors) > 0
     for root, q_ids in groups:
         machines = [
             SubtreeSearch(
                 tree, queries[qi], radius, root=root,
-                max_neighbors=max_neighbors, elide_depth=elide_depth,
-                stats=stats,
+                max_neighbors=int(max_neighbors[qi]) if per_query else max_neighbors,
+                elide_depth=elide_depth, stats=stats,
             )
             for qi in q_ids
         ]

@@ -30,6 +30,7 @@ Absolute GPU latencies are not meaningful; only bar ordering is.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=256)
 def _staggered_scan_cost(
     num_nodes: int, num_pes: int, num_banks: int
 ) -> Tuple[int, int]:
@@ -67,7 +69,9 @@ def _staggered_scan_cost(
 
     ``num_pes`` PEs walk the ``num_nodes`` buffer slots concurrently at
     offsets ``i * (num_nodes // num_pes)``; each cycle the group serializes
-    to the worst per-bank occupancy (stall-and-retry, no elision).
+    to the worst per-bank occupancy (stall-and-retry, no elision).  A pure
+    function of three ints, memoized: a Fig. 14 suite asks for a handful
+    of distinct sub-tree sizes hundreds of times.
     """
     if num_nodes == 0 or num_pes == 0:
         return 0, 0

@@ -217,6 +217,20 @@ def _fold(outcome: LockstepResult, reports: List[SearchReport], conflicts: bool)
             report.stall_cycles += int(outcome.stalls[j])
 
 
+def _pair_order(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Hits in ``(row, point)`` order, ties in emission order.
+
+    One stable argsort of the fused key ``rows * width + points``
+    (``width`` = largest point id + 1) orders exactly as
+    ``np.lexsort((np.arange(n), points, rows))``; where that key could
+    overflow int64, the three-key ``lexsort`` runs instead.
+    """
+    width = int(points.max(initial=0)) + 1
+    if (int(rows.max(initial=0)) + 1) * width > 2**63:  # keys reach it - 1
+        return np.lexsort((np.arange(len(rows)), points, rows))
+    return np.argsort(rows * width + points, kind="stable")
+
+
 def _assemble(job_m, job_k, hit_rows, hit_points, nearest):
     """Order-preserving dedup, truncation and padding on flat hit arrays.
 
@@ -229,7 +243,7 @@ def _assemble(job_m, job_k, hit_rows, hit_points, nearest):
     points = np.concatenate(hit_points)
     # Keep each (row, point)'s first occurrence: a short top-tree branch
     # can queue a query at a node it already passed, re-testing it.
-    seen = np.lexsort((np.arange(len(rows)), points, rows))
+    seen = _pair_order(rows, points)
     dup = np.zeros(len(rows), dtype=bool)
     dup[seen[1:]] = (rows[seen[1:]] == rows[seen[:-1]]) & (
         points[seen[1:]] == points[seen[:-1]]

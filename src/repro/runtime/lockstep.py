@@ -18,11 +18,17 @@ array operations, for many searches at once:
   as the longest batch instead of the sum over batches and searches;
 * each machine carries its own radius, result capacity and elision depth,
   so searches with different settings share the loop;
-* each iteration performs arbitration (rotating round-robin priority, one
-  winner per ``(batch, bank)``), broadcast detection (same-address losers
-  observe the winner's read), elision (conflicted fetches at or below the
-  machine's elision depth drop their subtree) and stall bookkeeping as
-  whole-array masks;
+* one simulated cycle touches the active lanes only: it gathers each
+  one's top-of-stack node and bank, takes its position and its batch's
+  active count from ``searchsorted`` over the sorted active batch ids,
+  and ranks it by the batch's rotating round-robin priority.  One
+  ``np.minimum.at`` of ``rank * num_nodes + node`` into a reused
+  ``(batch, bank)`` table names each winner and, modulo ``num_nodes``,
+  its node, so same-address losers are served by broadcast.  Served
+  lanes visit and push children in place from the gathered top index;
+  other losers at or below their elision depth drop their subtree, the
+  rest stall.  The refill pops queued machines onto the lanes freed this
+  cycle plus those a discarded pop left empty, never scanning all lanes;
 * statistics are per-lane event counts, folded after the loop into
   per-job cycles, stalls, traversal and SRAM statistics (a *job* is one
   caller-level search; its machines are tagged with its id).
@@ -187,31 +193,36 @@ class VectorizedLockstep:
             )
         return traversal, sram
 
-    def _push_children(self, stack, sp, rows, nodes, delta, radius, pruned, log):
-        """A served visit's pushes onto the ``rows`` of ``stack``: the far
-        child when the splitting plane lies within ``radius`` (its subtree
-        size is added to ``pruned`` otherwise), then the near child on
-        top.  ``delta`` is query minus node point; the split value is the
-        node point's coordinate, so the plane distance is one of its
-        entries."""
-        diff = delta[np.arange(len(rows)), self.tree.split_dim[nodes]]
-        go_left = diff <= 0
-        near = np.where(go_left, self.tree.left[nodes], self.tree.right[nodes])
-        far = np.where(go_left, self.tree.right[nodes], self.tree.left[nodes])
+    def _push_children(self, stack, sp, rows, top, nodes, delta, radius, pruned, log):
+        """A served visit's pushes onto the ``rows`` of ``stack``, whose
+        node was popped from position ``top``: the far child when the
+        splitting plane lies within ``radius`` (its subtree size is added
+        to ``pruned`` otherwise), then the near child on top.  ``delta``
+        is query minus node point; the split value is the node point's
+        coordinate, so the plane distance is one of its entries.  Sets
+        ``sp[rows]`` and returns it."""
+        tree = self.tree
+        diff = delta[np.arange(len(rows)), tree.split_dim[nodes]]
+        left, right = tree.left[nodes], tree.right[nodes]
+        near = np.where(diff <= 0, left, right)
+        far = left + right - near
         far_exists = far >= 0
         within = np.abs(diff) <= radius
         push_far = far_exists & within
         cut = far_exists & ~within
-        if cut.any():
-            pruned[rows[cut]] += self.tree.subtree_size[far[cut]]
+        if np.count_nonzero(cut):
+            pruned[rows[cut]] += tree.subtree_size[far[cut]]
         frows = rows[push_far]
-        stack[frows, sp[frows]] = far[push_far]
-        sp[frows] += 1
-        nrows = rows[near >= 0]
-        stack[nrows, sp[nrows]] = near[near >= 0]
-        sp[nrows] += 1
+        stack[frows, top[push_far]] = far[push_far]
+        top = top + push_far
+        has_near = near >= 0
+        nrows = rows[has_near]
+        stack[nrows, top[has_near]] = near[has_near]
+        top += has_near
+        sp[rows] = top
         log.append(frows)
         log.append(nrows)
+        return top
 
     # ------------------------------------------------------------------
     def run(
@@ -257,8 +268,7 @@ class VectorizedLockstep:
         head[1:] = (roots[1:] != roots[:-1]) | (jobs[1:] != jobs[:-1])
         group_start = np.flatnonzero(head)
         ngroups = len(group_start)
-        pend = group_start.copy()
-        pend_end = np.append(group_start[1:], num_machines)
+        queue = (group_start.copy(), np.append(group_start[1:], num_machines))
         group_job = jobs[group_start]
         num_pes = self.num_pes
         lanes = ngroups * num_pes
@@ -267,9 +277,9 @@ class VectorizedLockstep:
         stack = np.zeros((lanes, self.height + 2), dtype=np.int64)
         sp = np.zeros(lanes, dtype=np.int64)
         lane_mach = np.full(lanes, -1, dtype=np.int64)
-        hits_cnt = np.zeros(num_machines, dtype=np.int64)
+        room = capacity.copy()  # result-buffer entries left per machine
         g_cycles = np.zeros(ngroups, dtype=np.int64)
-        pending_left = num_machines  # machines not yet popped from a queue
+        lane_state = (lane_group, queue, capacity, roots, lane_mach, stack, sp)
 
         # Event logs (lane ids per cycle), counted once after the loop.
         access_log: List[np.ndarray] = []
@@ -282,159 +292,127 @@ class VectorizedLockstep:
         lane_skipped = np.zeros(lanes, dtype=np.int64)
         lane_pruned = np.zeros(lanes, dtype=np.int64)
 
-        def refill() -> bool:
-            """One pop attempt per free lane, in PE slot order (the
-            reference's per-iteration refill pass).  A popped machine that
-            is already done — its result buffer was filled by top-tree
-            hits — is discarded and leaves the slot empty for this cycle.
-            Returns whether such a lane's batch still has pending machines
-            (it needs another refill pass even if nothing else frees)."""
-            nonlocal pending_left
-            free = (lane_mach < 0).reshape(ngroups, num_pes)
-            # The k-th free slot of a batch pops its k-th pending machine.
-            mach = np.cumsum(free, axis=1) + (pend - 1)[:, None]
-            pop = free & (mach < pend_end[:, None])
-            lanes_now = np.flatnonzero(pop)
-            if len(lanes_now) == 0:
-                return False
-            pend[:] += pop.sum(axis=1)
-            mach = mach.reshape(-1)[lanes_now]
-            pending_left -= len(mach)
-            live = capacity[mach] != 0
-            retry = False
-            if not live.all():
-                retry = bool(
-                    (~live & (mach + 1 < pend_end[lane_group[lanes_now]])).any()
-                )
-                lanes_now, mach = lanes_now[live], mach[live]
-            lane_mach[lanes_now] = mach
-            stack[lanes_now, 0] = roots[mach]
-            sp[lanes_now] = 1
-            return retry
-
+        # Arbitration table: per (batch, bank), the lowest claim
+        # ``rank * num_nodes + node`` of the cycle, reset after each use.
+        tree = self.tree
         num_banks = getattr(self.banking, "num_banks", 0)
+        num_nodes = tree.num_nodes
+        best = np.full(ngroups * num_banks, _UNBOUNDED, dtype=np.int64)
         descend = self.elide_policy == "descend"
         lane_arange = np.arange(lanes, dtype=np.int64)
-        retry_refill = refill()
+        popped, retry = _refill(lane_arange, *lane_state)
+        pending_left = num_machines - popped  # machines not yet popped
         while True:
-            active = np.flatnonzero(lane_mach >= 0)
+            active = (lane_mach >= 0).nonzero()[0]
             num_active = len(active)
             if num_active == 0:
                 if pending_left == 0:
                     break
-                retry_refill = refill()
-                continue  # batches with pending machines refill next pass
+                popped, retry = _refill(retry, *lane_state)
+                pending_left -= popped
+                continue
 
             # ---- one lockstep cycle for every batch with active lanes.
             access_log.append(active)
-            agroup = lane_group[active]
-            n_active = np.bincount(agroup, minlength=ngroups)
-            g_cycles += n_active > 0
-            in_group = n_active[agroup]
-            apos = lane_arange[:num_active] - (np.cumsum(n_active) - n_active)[agroup]
-            rank = (apos - g_cycles[agroup] % in_group) % in_group
-            nodes = stack[active, sp[active] - 1]
-            slots = self.tree.tin[nodes] - lane_tin_root[active]
+            agroup = lane_group[active]  # sorted: lanes are batch-major
+            first = np.searchsorted(agroup, agroup)
+            in_group = np.searchsorted(agroup, agroup, "right") - first
+            g_cycles[agroup] += 1  # once per distinct batch
+            rank = (lane_arange[:num_active] - first - g_cycles[agroup]) % in_group
+            top = sp[active] - 1
+            nodes = stack[active, top]
+            slots = tree.tin[nodes] - lane_tin_root[active]
             banks = np.asarray(self.banking.bank_of_slot(slots), dtype=np.int64)
 
             # Winner per (batch, bank) = lowest rotated-priority rank.
-            # Ranks are unique within a batch, so the composite key is
-            # unique and a plain (unstable) argsort suffices.
+            # Ranks are unique within a batch, so the lowest claim names
+            # the winner and, modulo num_nodes, its node; a loser that
+            # requested the same node is served by broadcast.
             nb = num_banks or int(banks.max()) + 1
-            key = (agroup * nb + banks) * num_pes + rank
-            order = np.argsort(key)
-            seg = key[order] // num_pes  # (batch, bank) segment id
-            new_seg = np.empty(num_active, dtype=bool)
-            new_seg[0] = True
-            new_seg[1:] = seg[1:] != seg[:-1]
-            winner_idx = np.empty(num_active, dtype=np.int64)
-            winner_idx[order] = order[new_seg][np.cumsum(new_seg) - 1]
-            is_winner = winner_idx == lane_arange[:num_active]
-            winner_node = nodes[winner_idx]
-            bcast = ~is_winner & (winner_node == nodes)
-            bcast_log.append(active[bcast])
+            if len(best) < ngroups * nb:
+                best = np.full(ngroups * nb, _UNBOUNDED, dtype=np.int64)
+            cell = agroup * nb + banks
+            claim = rank * num_nodes + nodes
+            np.minimum.at(best, cell, claim)
+            won = best[cell]
+            best[cell] = _UNBOUNDED
+            winner_node = won % num_nodes
+            visit = winner_node == nodes
+            bcast_log.append(active[visit & (won != claim)])
             if elide is not None:
-                elidable = (
-                    ~is_winner & ~bcast
-                    & (self.tree.depth[nodes] >= elide[lane_mach[active]])
-                )
-                num_elided = int(np.count_nonzero(elidable))
+                elidable = ~visit & (tree.depth[nodes] >= elide[lane_mach[active]])
+                num_elided = np.count_nonzero(elidable)
             else:
                 num_elided = 0
 
             # ---- served fetches (won or broadcast): the normal visit.
-            visit = is_winner | bcast
             vlanes = active[visit]
             vnodes = nodes[visit]
+            vtop = top[visit]
             served_log.append(vlanes)
-            sp[vlanes] -= 1
             vmach = lane_mach[vlanes]
-            delta = queries[vmach] - self.tree.points[vnodes]
+            # take() gathers (n, 3) rows several times faster than [].
+            delta = queries.take(vmach, 0) - tree.points.take(vnodes, 0)
             in_ball = np.einsum("ij,ij->i", delta, delta) <= r2[vmach]
-            full_now = None
-            if in_ball.any():
+            freed = []
+            if np.count_nonzero(in_ball):
                 hit_mach = vmach[in_ball]
-                hits_cnt[hit_mach] += 1
+                room[hit_mach] -= 1
                 hit_mach_log.append(hit_mach)
                 hit_pid_log.append(self.point_id[vnodes[in_ball]])
-                full_now = in_ball & (hits_cnt[vmach] >= capacity[vmach])
-                if not full_now.any():
-                    full_now = None
-            if full_now is not None:
-                push = ~full_now  # a filling visit pushes no children
-                plane, pnode, pdelta = vlanes[push], vnodes[push], delta[push]
-                pmach = vmach[push]
-            else:
-                plane, pnode, pdelta, pmach = vlanes, vnodes, delta, vmach
-            if len(plane):
-                self._push_children(
-                    stack, sp, plane, pnode, pdelta, radius[pmach], lane_pruned, push_log
+                full_now = in_ball & (room[vmach] == 0)
+                if np.count_nonzero(full_now):
+                    # A filling visit ends its machine and pushes no children.
+                    freed.append(vlanes[full_now])
+                    push = ~full_now
+                    vlanes, vnodes, vtop = vlanes[push], vnodes[push], vtop[push]
+                    vmach, delta = vmach[push], delta[push]
+            if len(vlanes):
+                vsp = self._push_children(
+                    stack, sp, vlanes, vtop, vnodes, delta, radius[vmach],
+                    lane_pruned, push_log,
                 )
+                freed.append(vlanes[vsp == 0])
 
             # ---- conflicted losers at/below the elision depth.
-            slanes = ()
             if num_elided:
                 if descend:
                     # Sec. 4.2: continue from the winner's node when it is
                     # beneath the requested one; drop the subtree otherwise.
                     sub_ok = elidable & (
-                        (self.tree.tin[nodes] <= self.tree.tin[winner_node])
-                        & (self.tree.tin[winner_node] < self.tree.tout[nodes])
+                        (tree.tin[nodes] <= tree.tin[winner_node])
+                        & (tree.tin[winner_node] < tree.tout[nodes])
                     )
                     skip = elidable & ~sub_ok
                     dlanes = active[sub_ok]
                     if len(dlanes):
                         elided_log.append(dlanes)
                         push_log.append(dlanes)
-                        size = self.tree.subtree_size
+                        size = tree.subtree_size
                         lane_skipped[dlanes] += (
                             size[nodes[sub_ok]] - size[winner_node[sub_ok]]
                         )
                         # pop + push == replace the top of stack in place
-                        stack[dlanes, sp[dlanes] - 1] = winner_node[sub_ok]
+                        stack[dlanes, top[sub_ok]] = winner_node[sub_ok]
                 else:
                     skip = elidable
                 slanes = active[skip]
                 if len(slanes):
                     elided_log.append(slanes)
-                    sp[slanes] -= 1
-                    lane_skipped[slanes] += self.tree.subtree_size[nodes[skip]]
+                    stop = top[skip]
+                    sp[slanes] = stop
+                    lane_skipped[slanes] += tree.subtree_size[nodes[skip]]
+                    freed.append(slanes[stop == 0])
 
-            # ---- free lanes whose machine finished this cycle; refill.
-            # Only served (stack may be empty / buffer full) and elided
-            # (stack may be empty) lanes can finish.
-            if full_now is not None:
-                vdone = vlanes[(sp[vlanes] == 0) | full_now]
-            else:
-                vdone = vlanes[sp[vlanes] == 0]
-            lane_mach[vdone] = -1
-            freed = len(vdone)
-            if len(slanes):
-                sdone = slanes[sp[slanes] == 0]
-                lane_mach[sdone] = -1
-                freed += len(sdone)
-            if pending_left and (freed or retry_refill):
-                retry_refill = refill()
+            # ---- free lanes whose machine finished this cycle; refill
+            # them and the lanes a discarded pop left empty in a batch
+            # that still has pending machines: every free lane that can pop.
+            freed = np.concatenate(freed) if freed else active[:0]
+            lane_mach[freed] = -1
+            if pending_left and (len(freed) or len(retry)):
+                cand = np.sort(np.concatenate((freed, retry)))
+                popped, retry = _refill(cand, *lane_state)
+                pending_left -= popped
 
         per_lane = np.stack(
             [
@@ -509,10 +487,10 @@ class VectorizedLockstep:
             act = np.flatnonzero(sp > 0)
             if len(act) == 0:
                 break
-            nodes = stack[act, sp[act] - 1]
+            top = sp[act] - 1
+            nodes = stack[act, top]
             visit_log.append(act)
-            sp[act] -= 1
-            delta = queries[act] - self.tree.points[nodes]
+            delta = queries.take(act, 0) - self.tree.points.take(nodes, 0)
             in_ball = np.einsum("ij,ij->i", delta, delta) <= r2[act]
             push = slice(None)
             if in_ball.any():
@@ -527,8 +505,8 @@ class VectorizedLockstep:
             plane = act[push]
             if len(plane):
                 self._push_children(
-                    stack, sp, plane, nodes[push], delta[push], radius[plane],
-                    mach_pruned, push_log,
+                    stack, sp, plane, top[push], nodes[push], delta[push],
+                    radius[plane], mach_pruned, push_log,
                 )
 
         zeros = np.zeros(num_machines, dtype=np.int64)
@@ -553,6 +531,37 @@ class VectorizedLockstep:
             traversal=traversal,
             sram=[SramStats() for _ in range(num_jobs)],
         )
+
+
+def _refill(cand, lane_group, queue, capacity, roots, lane_mach, stack, sp):
+    """One pop attempt per candidate lane, in lane order (the reference's
+    per-iteration refill pass over free PE slots).
+
+    ``cand`` (sorted) must hold every free lane of every batch that still
+    has pending machines, so a batch's k-th candidate pops its k-th
+    pending machine; ``queue`` is each batch's ``(next, end)`` machine
+    pointers.  A popped machine that is already done — its result buffer
+    was filled by top-tree hits — is discarded and leaves the lane empty
+    for this cycle.  Returns the number of machines popped and the lanes
+    so left empty in a batch that still has pending machines (they must
+    be candidates of the next refill even if nothing else frees).
+    """
+    pend, pend_end = queue
+    group = lane_group[cand]
+    mach = pend[group] + np.arange(len(cand)) - np.searchsorted(group, group)
+    pop = mach < pend_end[group]
+    cand, group, mach = cand[pop], group[pop], mach[pop]
+    last = np.ones(len(mach), dtype=bool)  # each batch's last pop
+    last[:-1] = group[1:] != group[:-1]
+    pend[group[last]] = mach[last] + 1
+    live = capacity[mach] != 0
+    lanes_now, mach_now = cand[live], mach[live]
+    lane_mach[lanes_now] = mach_now
+    stack[lanes_now, 0] = roots[mach_now]
+    sp[lanes_now] = 1
+    dead = ~live
+    retry = cand[dead][pend[group[dead]] < pend_end[group[dead]]]
+    return len(mach), retry
 
 
 def _flat(log: List[np.ndarray]) -> np.ndarray:

@@ -345,21 +345,21 @@ class SearchSession:
         except KeyError:
             raise KeyError(f"unknown dynamic handle {handle!r}") from None
 
-    def update(self, handle: str, inserts=None, removes=None) -> str:
-        """Apply one frame of mutations; returns the new content digest.
+    def update(self, handle: str, inserts=None, removes=None) -> None:
+        """Apply one frame of mutations.
 
         Removes apply before inserts (the frame contract every replica —
         worker, shadow, reference — shares, so slot allocation stays
         deterministic everywhere).  A dynamic cloud is queried through its
         own index, never the tree or result caches, so no cache entry can
-        go stale.
+        go stale.  Nothing is hashed here: ``dynamic(handle).digest``
+        gives the content digest on demand.
         """
         dyn = self.dynamic(handle)
         if removes is not None:
             dyn.remove(removes)
         if inserts is not None:
             dyn.insert(inserts)
-        return dyn.digest
 
     def clear(self) -> None:
         """Drop the caches (dynamic-cloud registrations are state, not

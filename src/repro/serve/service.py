@@ -349,16 +349,16 @@ class QueryService:
         points = validate_points(points) if points is not None else None
         return self.session.register_dynamic(points, maintenance=maintenance)
 
-    def update(self, handle: str, inserts=None, removes=None) -> str:
-        """Apply one frame of mutations (removes first, then inserts);
-        returns the cloud's new content digest.
+    def update(self, handle: str, inserts=None, removes=None) -> None:
+        """Apply one frame of mutations (removes first, then inserts).
 
         Mutations take effect at the next flush — in-flight tickets from
         a previous flush are already settled, queued tickets will observe
-        the post-update cloud.
+        the post-update cloud.  Nothing is hashed here (see
+        :meth:`SearchSession.update`).
         """
         inserts = validate_points(inserts) if inserts is not None else None
-        return self.session.update(handle, inserts=inserts, removes=removes)
+        self.session.update(handle, inserts=inserts, removes=removes)
 
     def submit_dynamic(
         self,

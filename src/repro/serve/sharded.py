@@ -303,9 +303,8 @@ class ShardedQueryService:
         self._dynamic[handle] = (shadow, maintenance)
         return handle
 
-    def update(self, handle: str, inserts=None, removes=None) -> str:
-        """Route one frame of mutations to the owning shard; returns the
-        cloud's new content digest.
+    def update(self, handle: str, inserts=None, removes=None) -> None:
+        """Route one frame of mutations to the owning shard.
 
         Removes apply before inserts (the shared frame contract).  The
         mutations hit the dispatcher's shadow replica first — a malformed
@@ -328,7 +327,6 @@ class ShardedQueryService:
         slot = self._slot_for(handle)
         self._ensure_alive(slot)
         self._workers[slot].send(("update_handle", handle, inserts, removes))
-        return shadow.digest
 
     def submit_dynamic(
         self,

@@ -6,6 +6,8 @@ flat array passes); ``TestExhaustiveEngineOracle`` pins the engine to it
 bit for bit.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,13 @@ class TestExhaustiveEngine:
         a = engine.run(tree, queries, 0.5, 8, ApproxSetting())
         b = engine.run(tree, queries, 0.5, 8, ApproxSetting())
         assert np.array_equal(a[0], b[0])
+
+
+def test_staggered_scan_cost_cache_matches_uncached():
+    sizes, pes, banks = (0, 1, 7, 31, 64), (0, 1, 3, 4), (1, 4, 16)
+    for _ in range(2):  # the second pass reads the cache
+        for args in itertools.product(sizes, pes, banks):
+            assert _staggered_scan_cost(*args) == _staggered_scan_cost.__wrapped__(*args)
 
 
 def reference_exhaustive_run(engine, tree, queries, radius, max_neighbors):

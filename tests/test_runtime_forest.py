@@ -35,6 +35,7 @@ from repro.runtime import (
     euler_tour,
     frontier_sweep,
 )
+from repro.runtime import approx as approx_mod
 from repro.runtime import forest as forest_mod
 
 
@@ -169,6 +170,29 @@ def test_single_job_and_empty_batch(rng):
             )
     wide = SearchJob(job.tree, points[:6], np.inf, 8, ApproxSetting(2, None))
     assert_matches_reference([wide], approximate_search([wide]), 4, 4, "skip", "inf")
+
+
+def test_assembly_pair_order_is_lexsort_order(rng, call_rows):
+    # The assembly keeps each (row, point)'s first occurrence, so hits
+    # sort by (row, point) with repeats in emission order; the fused int64
+    # key must give exactly the three-key lexsort order.
+    rows = rng.integers(0, 40, 600)
+    points = rng.integers(0, 25, 600)
+    # Repeated pairs: a parked top-tree branch re-testing its node.
+    rows[300:360], points[300:360] = rows[:60], points[:60]
+    assert np.unique(np.stack([rows, points]), axis=1).shape[1] < len(rows)
+    lexsorts = call_rows(np, "lexsort", "keys")
+    for r, p in ((rows, points), (rows[:0], points[:0]), (rows[:1], points[:1])):
+        want = np.lexsort((np.arange(len(r)), p, r))
+        lexsorts.clear()
+        np.testing.assert_array_equal(approx_mod._pair_order(r, p), want)
+        assert lexsorts == []  # one stable argsort, no lexsort
+    # Point ids too large for the fused key fall back to lexsort.
+    big = points + (1 << 62)
+    np.testing.assert_array_equal(
+        approx_mod._pair_order(rows, big), np.lexsort((np.arange(600), big, rows))
+    )
+    assert lexsorts == [3, 3]  # the expected order's lexsort, then the fallback
 
 
 @pytest.mark.parametrize("elide_aggregation", [False, True])

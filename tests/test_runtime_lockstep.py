@@ -7,8 +7,10 @@ tests pin that claim on randomized clouds, settings, and hardware shapes —
 both end to end (the one-job :func:`repro.runtime.approximate_search`
 against the per-step ``approximate_ball_query``, full
 :class:`SearchReport` comparison) and at the raw engine level, one tree
-at a time.  Mixed multi-tree forests are pinned in
-``tests/test_runtime_forest.py``.
+at a time, including queues where done machines sit between live ones
+(the refill's retry path) and a banking without ``num_banks``; a
+structural twin counts the refill's candidate lanes.  Mixed multi-tree
+forests are pinned in ``tests/test_runtime_forest.py``.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.core.split_tree import SplitTree
 from repro.kdtree import SubtreeSearch, build_kdtree
 from repro.kdtree.stats import TraversalStats
 from repro.runtime import Forest, SearchJob, VectorizedLockstep, approximate_search
+from repro.runtime import lockstep as lockstep_module
 
 
 def report_fingerprint(report):
@@ -67,6 +70,57 @@ def machines_of(groups):
         [np.full(len(q), root, dtype=np.int64) for root, q in groups]
     )
     return mach_queries, roots
+
+
+def assert_engine_matches_reference(
+    driver, tree, queries, split, groups, radius, k, he, pes, banking,
+    policy="skip",
+):
+    """Drive both engines on the same machine queues; ``k`` is one result
+    capacity or one per query.  Every cycle, stall, hit and stat agrees."""
+    cycles, stalls, hits, stats, sram = driver(
+        tree, queries, split, groups, radius, k, he, pes, banking,
+        elide_policy=policy,
+    )
+    engine = VectorizedLockstep(
+        Forest.of([tree]), banking=banking, num_pes=pes, elide_policy=policy
+    )
+    mach_queries, roots = machines_of(groups)
+    outcome = engine.run(
+        queries[mach_queries], roots,
+        np.broadcast_to(k, (len(queries),))[mach_queries], radius,
+        elide_depth=he,
+    )
+    (vstats,), (vsram,) = outcome.traversal, outcome.sram
+    assert outcome.cycles.tolist() == [cycles]
+    assert outcome.stalls.tolist() == [stalls]
+    assert hits_by_query(mach_queries, outcome) == hits
+    for field in ("nodes_visited", "nodes_skipped", "nodes_pruned",
+                  "stack_pushes", "stack_pops", "neighbors_found"):
+        assert getattr(vstats, field) == getattr(stats, field), field
+    for field in ("accesses", "conflicted", "elided", "broadcasts",
+                  "reads_served", "cycles"):
+        assert getattr(vsram, field) == getattr(sram, field), field
+
+
+def capacities_with_done_machines(groups, k, rng):
+    """Per-query capacities where capacity-0 machines (buffers already
+    filled by top-tree hits) sit between live ones in every batch, so a
+    discarded pop leaves a lane empty while its batch has pending machines."""
+    caps = np.full(sum(len(q) for _, q in groups), k, dtype=np.int64)
+    for _, q_ids in groups:
+        done = rng.random(len(q_ids)) < 0.4
+        done[1::5] = True
+        done[-1] = False  # a live machine queued behind the done ones
+        caps[q_ids[done]] = 0
+    return caps
+
+
+class HashedBanking:
+    """A banking duck type: ``bank_of_slot`` only, no ``num_banks``."""
+
+    def bank_of_slot(self, slots):
+        return (np.asarray(slots) * 7 + 3) % 5
 
 
 def hits_by_query(mach_queries, outcome):
@@ -150,30 +204,61 @@ class TestEngineLevelEquivalence:
         self, problem_builder, reference_lockstep_driver, policy
     ):
         tree, queries, split, groups = problem_builder()
-        banking = TreeBufferBanking(2)
-        radius, k, he, pes = 0.6, 16, 2, 8
-        cycles, stalls, hits, stats, sram = reference_lockstep_driver(
-            tree, queries, split, groups, radius, k, he, pes, banking,
-            elide_policy=policy,
+        assert_engine_matches_reference(
+            reference_lockstep_driver, tree, queries, split, groups,
+            0.6, 16, 2, 8, TreeBufferBanking(2), policy,
         )
-        engine = VectorizedLockstep(
-            Forest.of([tree]), banking=banking, num_pes=pes, elide_policy=policy
+
+    @pytest.mark.parametrize("policy", ["skip", "descend"])
+    @pytest.mark.parametrize("banks", [1, 3, 16])
+    @pytest.mark.parametrize("pes", [1, 3, 4])
+    def test_done_pops_between_live_machines(
+        self, rng, problem_builder, reference_lockstep_driver, pes, banks, policy
+    ):
+        # The refill's retry path: a lane that popped a done machine must
+        # pop again next cycle while other lanes of its batch run on.
+        tree, queries, split, groups = problem_builder(n=400, m=64)
+        caps = capacities_with_done_machines(groups, 6, rng)
+        assert_engine_matches_reference(
+            reference_lockstep_driver, tree, queries, split, groups,
+            0.6, caps, 3, pes, TreeBufferBanking(banks), policy,
         )
+
+    @pytest.mark.parametrize("policy", ["skip", "descend"])
+    def test_banking_without_num_banks(
+        self, rng, problem_builder, reference_lockstep_driver, policy
+    ):
+        tree, queries, split, groups = problem_builder(n=400, m=64)
+        caps = capacities_with_done_machines(groups, 8, rng)
+        assert_engine_matches_reference(
+            reference_lockstep_driver, tree, queries, split, groups,
+            0.6, caps, 2, 4, HashedBanking(), policy,
+        )
+
+    def test_refill_sees_only_freed_and_retry_lanes(
+        self, rng, call_rows, lockstep_groups_builder
+    ):
+        # A Fig. 14-shaped run: the evaluation hardware's 4 PEs and 4
+        # banks, ~32 machines per sub-tree batch, some done at creation.
+        # A live machine frees its lane once and a discarded (done) one
+        # leaves one lane to retry, so after the first pass (every lane)
+        # the refill's candidates are bounded by the machines, not by
+        # lanes times refills (a scan over every lane per refill).
+        candidates = call_rows(lockstep_module, "_refill", "cand")
+        points = rng.normal(size=(2048, 3))
+        tree = build_kdtree(points)
+        queries = points[rng.choice(2048, 1024, replace=False)]
+        groups, _ = lockstep_groups_builder(tree, queries, 5)
+        caps = capacities_with_done_machines(groups, 16, rng)
         mach_queries, roots = machines_of(groups)
-        outcome = engine.run(
-            queries[mach_queries], roots, np.full(len(mach_queries), k),
-            radius, elide_depth=he,
+        engine = VectorizedLockstep(
+            Forest.of([tree]), banking=TreeBufferBanking(4), num_pes=4
         )
-        (vstats,), (vsram,) = outcome.traversal, outcome.sram
-        assert outcome.cycles.tolist() == [cycles]
-        assert outcome.stalls.tolist() == [stalls]
-        assert hits_by_query(mach_queries, outcome) == hits
-        for field in ("nodes_visited", "nodes_skipped", "nodes_pruned",
-                      "stack_pushes", "stack_pops", "neighbors_found"):
-            assert getattr(vstats, field) == getattr(stats, field), field
-        for field in ("accesses", "conflicted", "elided", "broadcasts",
-                      "reads_served", "cycles"):
-            assert getattr(vsram, field) == getattr(sram, field), field
+        engine.run(queries[mach_queries], roots, caps[mach_queries], 0.3, 8)
+        lanes, machines = 4 * len(groups), len(mach_queries)
+        assert candidates[0] == lanes
+        assert sum(candidates) <= lanes + machines
+        assert len(candidates) * lanes > 4 * sum(candidates)
 
     def test_group_cycles_sum_to_total(self, problem_builder):
         tree, queries, split, groups = problem_builder(ht=3)

@@ -82,6 +82,22 @@ class TestServiceDynamic:
             np.testing.assert_array_equal(got_idx, want_idx)
             np.testing.assert_array_equal(got_cnt, want_cnt)
 
+    def test_update_hashes_nothing(self, rng):
+        # A frame's mutations hash no digest chunk (random removes would
+        # dirty every one); the digest is computed on demand and equals a
+        # replica's.
+        service = QueryService()
+        handle = service.register_dynamic(rng.normal(size=(3000, 3)))
+        dyn = service.session.dynamic(handle)
+        before = dyn.digest_chunks_hashed
+        for _ in range(3):
+            removes = rng.choice(dyn.alive_slots(), size=40, replace=False)
+            inserts = rng.normal(size=(40, 3))
+            assert service.update(handle, inserts=inserts, removes=removes) is None
+        assert dyn.digest_chunks_hashed == before
+        assert dyn.digest == DynamicKdTree.from_state(*dyn.state()).digest
+        assert dyn.digest_chunks_hashed > before
+
     def test_static_and_dynamic_requests_share_a_flush(self, rng):
         static_pts = rng.normal(size=(60, 3))
         dyn_pts = rng.normal(size=(60, 3))
