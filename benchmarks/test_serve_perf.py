@@ -12,15 +12,17 @@ speed floor — well under the margin the full-size
 cannot flake it, but far above the ~1x a per-request fallback measures.
 The measured numbers land in ``BENCH_serve.json`` (see :mod:`artifacts`),
 uploaded by CI so the serving-throughput trajectory accumulates across
-PRs.  The record also counts the geometry digests of the best coalesced
-run, submits and flush together: the trace shares one cloud array, so
-serving it hashes that array once.
+PRs.  The record also counts the geometry digests and the cloud
+validations of the best coalesced run, submits and flush together: the
+trace shares one cloud array, so serving it hashes that array once and
+checks it once.
 """
 
 import time
 
 import numpy as np
 
+import repro.serve.service as service_module
 from artifacts import latency_percentiles, write_bench_artifact
 from repro.runtime import SearchSession
 from repro.serve import QueryService
@@ -44,7 +46,8 @@ def make_trace(rng):
     return points, trace
 
 
-def test_coalesced_service_does_not_regress(digest_calls):
+def test_coalesced_service_does_not_regress(digest_calls, call_rows):
+    checks = call_rows(service_module, "validate_points", "points")
     rng = np.random.default_rng(20260730)
     points, trace = make_trace(rng)
     # Both sides share one warm session: the comparison is coalescing
@@ -54,12 +57,13 @@ def test_coalesced_service_does_not_regress(digest_calls):
 
     def coalesced():
         digest_calls.clear()
+        checks.clear()
         service = QueryService(session=session)
         tickets = [service.submit(*request) for request in trace]
         service.flush()
         waits = [ticket.wait for ticket in tickets]
         results = [ticket.result() for ticket in tickets]
-        return results, service.stats, waits, len(digest_calls)
+        return results, service.stats, waits, len(digest_calls), len(checks)
 
     def sequential():
         service = QueryService(session=session)
@@ -70,24 +74,26 @@ def test_coalesced_service_does_not_regress(digest_calls):
     sequential_results = sequential()
     sequential_time = time.perf_counter() - t0
     coalesced_time = float("inf")
-    coalesced_results = stats = waits = digests_per_flush = None
+    coalesced_results = stats = waits = digests_per_flush = validations_per_flush = None
     for _ in range(3):
         t0 = time.perf_counter()
         attempt = coalesced()
         elapsed = time.perf_counter() - t0
         if elapsed < coalesced_time:
             coalesced_time = elapsed
-            coalesced_results, stats, waits, digests_per_flush = attempt
+            (coalesced_results, stats, waits, digests_per_flush,
+             validations_per_flush) = attempt
 
     # Identity: the coalesced stream equals per-request serving.
     for (ci, cc), (si, sc) in zip(coalesced_results, sequential_results):
         np.testing.assert_array_equal(ci, si)
         np.testing.assert_array_equal(cc, sc)
     # The whole same-cloud trace must have merged into one sweep, after
-    # hashing its one shared cloud array once.
+    # hashing its one shared cloud array once and validating it once.
     assert stats.sweeps == 1
     assert stats.coalesce_factor == N_REQUESTS
     assert digests_per_flush == 1
+    assert validations_per_flush == 1
 
     speedup = sequential_time / coalesced_time
     write_bench_artifact(
@@ -98,6 +104,7 @@ def test_coalesced_service_does_not_regress(digest_calls):
             "queries_per_request": QUERIES_PER_REQUEST,
             "coalesce_factor": stats.coalesce_factor,
             "digests_per_flush": digests_per_flush,
+            "validations_per_flush": validations_per_flush,
             "s_sequential": round(sequential_time, 4),
             "s_coalesced": round(coalesced_time, 4),
             "speedup": round(speedup, 2),

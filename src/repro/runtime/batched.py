@@ -56,6 +56,14 @@ frontier advance and split the results per request afterwards,
 bit-identical to N separate :meth:`~BatchedBallQuery.query` calls.  This
 is the kernel under the request-coalescing serving layer
 (:mod:`repro.serve`).
+
+A level's work is mostly scattered reads, so the sweep gathers every row
+block and per-row array with ``take``: on 20k rows ``queries.take(rows,
+0)`` costs about a quarter of ``queries[rows]``, NumPy's general indexing
+path.  The next frontier comes from one selection index (near rows, then
+far rows), one ``take`` per array, instead of two boolean compressions
+and a concatenation per array.  Every field of every level still equals
+the plain fancy-index formulas bit for bit (``tests/test_runtime_forest.py``).
 """
 
 from __future__ import annotations
@@ -241,19 +249,21 @@ def _frontier_levels(
     fnode = roots
     fkey = fq << height
     step = 1 << max(height - 1, 0)
+    width = queries.shape[1]
     while len(fq):
-        rad = radius[fq] if per_query else radius
-        rsq = r2[fq] if per_query else r2
-        pid = tree.point_id[fnode]
-        pts = tree.points[pid]
-        delta = queries[fq] - pts
+        rad = radius.take(fq) if per_query else radius
+        rsq = r2.take(fq) if per_query else r2
+        pid = tree.point_id.take(fnode)
+        delta = queries.take(fq, 0) - tree.points.take(pid, 0)
         d2 = np.einsum("ij,ij->i", delta, delta)
         in_ball = d2 <= rsq
 
-        diff = delta[np.arange(len(fq)), tree.split_dim[fnode]]
+        rows = np.arange(len(fq))
+        diff = delta.take(rows * width + tree.split_dim.take(fnode))
         go_left = diff <= 0
-        near = np.where(go_left, tree.left[fnode], tree.right[fnode])
-        far = np.where(go_left, tree.right[fnode], tree.left[fnode])
+        left, right = tree.left.take(fnode), tree.right.take(fnode)
+        near = np.where(go_left, left, right)
+        far = left + right - near  # the other child, -1 when absent
         within = np.abs(diff) <= rad
         take_near = near >= 0
         take_far = (far >= 0) & within
@@ -272,12 +282,16 @@ def _frontier_levels(
         )
 
         bound = None if stop is None else stop.add(fq[in_ball], fkey[in_ball])
-        fq = np.concatenate([fq[take_near], fq[take_far]])
-        fnode = np.concatenate([near[take_near], far[take_far]])
-        fkey = np.concatenate([fkey[take_near] + 1, fkey[take_far] + step])
+        near_rows, far_rows = take_near.nonzero()[0], take_far.nonzero()[0]
+        sel = np.concatenate((near_rows, far_rows))
+        fq = fq.take(sel)
+        fnode = np.concatenate((near.take(near_rows), far.take(far_rows)))
+        fkey = fkey.take(sel)
+        fkey[: len(near_rows)] += 1
+        fkey[len(near_rows) :] += step
         if bound is not None:  # some query holds K hits: stop past them
-            keep = fkey < bound[fq]
-            fq, fnode, fkey = fq[keep], fnode[keep], fkey[keep]
+            keep = (fkey < bound.take(fq)).nonzero()[0]
+            fq, fnode, fkey = fq.take(keep), fnode.take(keep), fkey.take(keep)
         step >>= 1
 
 
@@ -341,8 +355,7 @@ def _greedy_bound(tree: KdTree, queries: np.ndarray, start: np.ndarray) -> np.nd
     rows = np.arange(len(queries))
     node = start
     while len(rows):
-        pts = tree.points[tree.point_id[node]]
-        delta = queries[rows] - pts
+        delta = queries.take(rows, 0) - tree.points.take(tree.point_id.take(node), 0)
         bound[rows] = np.minimum(bound[rows], np.einsum("ij,ij->i", delta, delta))
         go_left = delta[np.arange(len(rows)), tree.split_dim[node]] <= 0
         near = np.where(go_left, tree.left[node], tree.right[node])
@@ -396,9 +409,8 @@ def batched_nearest_node(
     frank = np.zeros(m, dtype=np.float64)
     scale = 0.5
     while len(fq):
-        pid = tree.point_id[fnode]
-        pts = tree.points[pid]
-        delta = queries[fq] - pts
+        pid = tree.point_id.take(fnode)
+        delta = queries.take(fq, 0) - tree.points.take(pid, 0)
         d2 = np.einsum("ij,ij->i", delta, delta)
 
         # Per-query winner of this level: min (d2, rank).  Ranks are

@@ -14,7 +14,9 @@ demuxes the per-request results back onto the callers' tickets.
 The digest is taken at flush, once per distinct array, from the bytes
 about to be searched: a request is served against its cloud's content at
 flush, and the session's tree cache keeps its own read-only copy of every
-cloud it indexes, so no caller's later write reaches a cached tree.
+cloud it indexes, so no caller's later write reaches a cached tree.  A
+cloud array is validated once per flush window, and again for finiteness
+at flush.
 
 Coalescing is a pure batching transform: row independence of the merged
 sweep makes every served result bit-identical to running the request
@@ -198,6 +200,9 @@ class QueryService:
         self.stats = ServiceStats()
         self._clock = clock
         self._queue: List[_Pending] = []
+        # Clouds submit checked since the last flush without a copy, by id:
+        # (input, checked array).  Holding the input bars its id's reuse.
+        self._checked: Dict[int, Tuple[object, np.ndarray]] = {}
 
     @property
     def pending(self) -> int:
@@ -221,13 +226,29 @@ class QueryService:
         same-cloud ticket with its exception.  The cloud is not hashed
         here but at :meth:`flush`, so the request is served against the
         cloud's content at flush.
+
+        A later submit of the same float64 array before the next flush
+        reuses its first check, so a cloud written non-finite after that
+        check is accepted here and fails all its tickets at :meth:`flush`.
         """
         validate_settings(radius, max_neighbors)
-        points = validate_points(points)
+        points = self._checked_points(points)
         queries = validate_queries(queries)
         ticket = QueryTicket(float(radius), int(max_neighbors), self._clock())
         self._queue.append(_Pending(None, points, queries, ticket))
         return ticket
+
+    def _checked_points(self, points) -> np.ndarray:
+        """``validate_points``, once per flush window for an input it does
+        not copy (a float64 array; an unpickled one comes back as a view).
+        A converted input (a list, float32) is checked on every submit."""
+        held = self._checked.get(id(points))
+        if held is not None:
+            return held[1]
+        valid = validate_points(points)
+        if valid is points or valid.base is points:
+            self._checked[id(points)] = (points, valid)
+        return valid
 
     def flush(self) -> int:
         """Serve everything queued; returns the merged sweeps *executed*.
@@ -249,7 +270,8 @@ class QueryService:
         fresh view of an unpickled float64 array, so a worker's batch on
         one shipped cloud arrives as distinct objects over one buffer.
         The batch holds every array until the flush ends, so no address
-        can be reused mid-flush.
+        can be reused mid-flush.  A cloud written non-finite after submit
+        fails its group's tickets with ``validate_points``' ``ValueError``.
 
         A group whose sweep fails settles its tickets with the error and
         executes nothing, so it contributes neither to the return value
@@ -257,6 +279,7 @@ class QueryService:
         ``stats.failed_requests`` instead.  ``stats.flushes`` only counts
         calls that served at least one request.
         """
+        self._checked = {}
         if not self._queue:
             return 0
         batch, self._queue = self._queue, []
@@ -280,26 +303,28 @@ class QueryService:
             try:
                 sizes = [len(p.queries) for p in members]
                 merged_queries = np.concatenate([p.queries for p in members])
-                radii = np.concatenate(
-                    [np.full(n, p.ticket.radius) for p, n in zip(members, sizes)]
-                )
+                radii = np.repeat([p.ticket.radius for p in members], sizes)
                 request_ids = np.repeat(np.arange(len(members)), sizes)
                 ks = np.asarray([p.ticket.max_neighbors for p in members])
                 if isinstance(key, tuple) and key[0] == "dyn":
                     engine = self.session.dynamic(key[1])
                 else:
                     # Digested above from these bytes; don't re-hash the
-                    # cloud just to key the tree cache.
-                    tree = self.session.tree_for(members[0].points, digest=key)
+                    # cloud just to key the tree cache.  Equal bytes share
+                    # finiteness, so one check covers the group.
+                    points = members[0].points
+                    if not np.isfinite(points).all():
+                        validate_points(points)  # written since submit: raises
+                    tree = self.session.tree_for(points, digest=key)
                     engine = BatchedBallQuery(tree)
                 results = engine.query_merged(
                     merged_queries, radii, request_ids, ks
                 )
             except Exception as exc:  # repro: allow[broad-except] -- error containment is the contract: one cloud group's failure settles its own tickets and must not take down the other groups in the flush
                 # Contain the blast radius to this cloud group: its
-                # tickets settle with the error (submit-time validation
-                # makes this an internal failure, e.g. a malformed custom
-                # tree), other groups still get served.
+                # tickets settle with the error (a cloud written non-finite
+                # after submit, or an internal failure such as a malformed
+                # custom tree), other groups still get served.
                 for p in members:
                     p.ticket.error = exc
                 self.stats.failed_requests += len(members)

@@ -16,7 +16,8 @@ session exactly as per-request queries do.  The layout underneath,
 :meth:`repro.runtime.Forest.of`, is pinned tree by tree against the trees
 it lays out, and :func:`~repro.runtime.frontier_sweep` with per-row
 ``roots`` against one sweep per tree, its yielded ``d2`` bit for bit
-against :func:`~repro.kdtree.dynamic_reference.pair_d2`.
+against :func:`~repro.kdtree.dynamic_reference.pair_d2`, and every field
+of every level it yields against the same formulas spelled out plainly.
 """
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.runtime import (
 )
 from repro.runtime import approx as approx_mod
 from repro.runtime import forest as forest_mod
+from repro.runtime.batched import FrontierLevel
 
 
 def random_cloud(rng):
@@ -363,6 +365,68 @@ class TestForestSweep:
             rows += len(level.d2)
             hits += int(level.in_ball.sum())
         assert 0 < hits < rows
+
+    @staticmethod
+    def spelled_out_levels(tree, queries, radii, k, roots):
+        """The sweep's per-level formulas written the plain way: fancy-index
+        gathers, both children by ``np.where``, the next frontier by
+        compress-and-concatenate, and each query's K-th hit from a sorted
+        list of its hit keys."""
+        height = tree.height
+        fq = np.arange(len(queries), dtype=np.int64)
+        fnode, fkey = roots, fq << height
+        step = 1 << max(height - 1, 0)
+        hits = [[] for _ in fq]
+        while len(fq):
+            pid = tree.point_id[fnode]
+            delta = queries[fq] - tree.points[pid]
+            d2 = np.einsum("ij,ij->i", delta, delta)
+            in_ball = d2 <= (radii * radii)[fq]
+            diff = delta[np.arange(len(fq)), tree.split_dim[fnode]]
+            go_left = diff <= 0
+            near = np.where(go_left, tree.left[fnode], tree.right[fnode])
+            far = np.where(go_left, tree.right[fnode], tree.left[fnode])
+            within = np.abs(diff) <= radii[fq]
+            take_near, take_far = near >= 0, (far >= 0) & within
+            yield FrontierLevel(
+                fq, fkey, fnode, pid, d2, in_ball, far, within, take_near, take_far
+            )
+            for q, key in zip(fq[in_ball].tolist(), fkey[in_ball].tolist()):
+                hits[q].append(key)
+            fq = np.concatenate([fq[take_near], fq[take_far]])
+            fnode = np.concatenate([near[take_near], far[take_far]])
+            fkey = np.concatenate([fkey[take_near] + 1, fkey[take_far] + step])
+            if k is not None:
+                bound = np.array([
+                    sorted(keys)[k - 1] if len(keys) >= k else np.iinfo(np.int64).max
+                    for keys in hits
+                ])
+                keep = fkey < bound[fq]
+                fq, fnode, fkey = fq[keep], fnode[keep], fkey[keep]
+            step >>= 1
+
+    @pytest.mark.parametrize("k", [3, None])
+    def test_every_level_field_matches_the_spelled_out_formulas(self, rng, k):
+        # Values and dtypes of all ten fields, level by level, on a forest
+        # of mixed heights with duplicate coordinates (ties go left) and
+        # queries sitting on points.
+        trees = mixed_trees(rng)
+        forest = Forest.of(trees)
+        pair_q, tree_of = np.divmod(np.arange(16 * len(trees)), len(trees))
+        queries = rng.normal(size=(16, 3)) * 0.8
+        queries[:6] = forest.tree.points[rng.integers(0, forest.tree.num_nodes, 6)]
+        queries = queries[pair_q]
+        radii = rng.uniform(0.1, 1.5, size=16)[pair_q]
+        roots = forest.roots[tree_of]
+        got = list(frontier_sweep(forest.tree, queries, radii, k, roots=roots))
+        want = list(self.spelled_out_levels(forest.tree, queries, radii, k, roots))
+        assert len(got) == len(want) == forest.tree.height
+        for depth, (g, w) in enumerate(zip(got, want)):
+            for field in FrontierLevel._fields:
+                a, b = getattr(g, field), getattr(w, field)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), (depth, field)
+                assert a.tobytes() == b.tobytes(), (depth, field)
+        assert any(g.in_ball.any() for g in got)
 
     def test_rejects_roots_of_the_wrong_shape_eagerly(self, rng):
         forest = Forest.of(mixed_trees(rng))

@@ -26,6 +26,14 @@ RADII = (0.1, 0.2, 0.35, 0.6)
 KS = (1, 4, 8, 16)
 
 
+@pytest.fixture
+def cloud_checks(call_rows):
+    """The cloud size of every ``validate_points`` call the service makes."""
+    import repro.serve.service as service_module
+
+    return call_rows(service_module, "validate_points", "points")
+
+
 def random_requests(rng, clouds, n_requests, max_queries=40, far_fraction=0.15):
     """Draw ``(points, queries, radius, K)`` requests over ``clouds``."""
     requests = []
@@ -322,18 +330,50 @@ class TestQueryService:
         np.testing.assert_array_equal(got_idx, want_idx)
         np.testing.assert_array_equal(got_cnt, want_cnt)
 
-    def test_flush_digests_each_shared_cloud_once(self, rng, digest_calls):
-        # A same-cloud flush hashes its cloud once, not once per request.
+    def test_flush_digests_each_shared_cloud_once(
+        self, rng, digest_calls, cloud_checks
+    ):
+        # A same-cloud flush hashes its cloud once, not once per request,
+        # and validates it once, at its first submit; the next flush
+        # window starts over.
         pts = rng.normal(size=(300, 3))
         service = QueryService()
-        tickets = [
-            service.submit(pts, pts[i % 50 : i % 50 + 2], 0.3, 1 + i % 8)
-            for i in range(256)
-        ]
-        assert digest_calls == []  # submit validates but does not hash
+        for window in (1, 2):
+            tickets = [
+                service.submit(pts, pts[i % 50 : i % 50 + 2], 0.3, 1 + i % 8)
+                for i in range(256)
+            ]
+            assert digest_calls == [1] * (window - 1)  # submit does not hash
+            assert cloud_checks == [300] * window
+            assert service.flush() == 1
+            assert digest_calls == [1] * window
+            assert all(t.error is None for t in tickets)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cloud_written_nonfinite_after_submit_fails_at_flush(self, rng, bad):
+        # Submit checks a cloud once per flush window, so a write after
+        # submit is caught by the flush's own finiteness check: every
+        # ticket on that cloud fails with validate_points' error, a repeat
+        # submit of the written array included, and other clouds are served.
+        pts, other = rng.normal(size=(512, 3)), rng.normal(size=(80, 3))
+        queries = pts[:4].copy()
+        service = QueryService()
+        first = service.submit(pts, queries, 0.3, 4)
+        good = service.submit(other, other[:4], 0.3, 4)
+        pts[7, 1] = bad
+        again = service.submit(pts, queries, 0.5, 2)  # accepted: checked already
         assert service.flush() == 1
-        assert digest_calls == [1]
-        assert all(t.error is None for t in tickets)
+        for ticket in (first, again):
+            assert ticket.done
+            with pytest.raises(ValueError, match=r"^points must be finite"):
+                ticket.result()
+        assert service.stats.failed_requests == 2
+        assert service.stats.requests == 1
+        want_idx, want_cnt = ball_query(build_kdtree(other), other[:4], 0.3, 4)
+        np.testing.assert_array_equal(good.result()[0], want_idx)
+        np.testing.assert_array_equal(good.result()[1], want_cnt)
+        with pytest.raises(ValueError, match="finite"):  # a new window checks again
+            service.submit(pts, queries, 0.3, 4)
 
     def test_zero_row_requests_are_zero_by_k_in_any_flush(self, rng):
         # A request without query rows gets a (0, K) matrix whether it is
@@ -465,6 +505,42 @@ class TestQueryService:
         want_idx, want_cnt = ball_query(build_kdtree(other), other[:4], 0.3, 4)
         np.testing.assert_array_equal(good.result()[0], want_idx)
         np.testing.assert_array_equal(good.result()[1], want_cnt)
+
+    def test_distinct_and_converted_clouds_are_checked_every_submit(
+        self, rng, cloud_checks
+    ):
+        # Only the caller's own float64 array is remembered: an equal copy
+        # is another array, and a list or float32 input converts to a fresh
+        # array on every submit.
+        pts = rng.normal(size=(40, 3))
+        service = QueryService()
+        service.submit(pts, pts[:2], 0.3, 4)
+        service.submit(pts.copy(), pts[:2], 0.3, 4)
+        as_list, as_f32 = pts.tolist(), pts.astype(np.float32)
+        for _ in range(3):
+            service.submit(as_list, pts[:2], 0.3, 4)
+            service.submit(as_f32, pts[:2], 0.3, 4)
+        assert len(cloud_checks) == 8
+        assert service.flush() == 2  # float32 rounding makes another cloud
+
+    def test_recreated_converted_input_is_served_against_its_own_content(self, rng):
+        # A list or float32 input freed after submit can hand its id to
+        # the next one; each request must still be served from its own
+        # content.
+        clouds = [rng.normal(size=(60, 3)) + 3.0 * i for i in range(6)]
+        queries = np.concatenate([c[:3] for c in clouds])
+        service = QueryService()
+        tickets = []
+        for i, cloud in enumerate(clouds):
+            fresh = cloud.tolist() if i % 2 else cloud.astype(np.float32)
+            tickets.append(service.submit(fresh, queries, 0.5, 4))
+            del fresh
+        service.flush()
+        for i, (cloud, ticket) in enumerate(zip(clouds, tickets)):
+            content = cloud if i % 2 else cloud.astype(np.float32).astype(np.float64)
+            want_idx, want_cnt = ball_query(build_kdtree(content), queries, 0.5, 4)
+            np.testing.assert_array_equal(ticket.result()[0], want_idx)
+            np.testing.assert_array_equal(ticket.result()[1], want_cnt)
 
     def test_flush_empty_queue_is_a_noop(self):
         service = QueryService()

@@ -221,9 +221,13 @@ class TestDeadWorkerRecovery:
 
 
 class TestWorkerBatchDigests:
-    """A worker's batch hashes each cloud it serves once, not once per job."""
+    """A worker's batch hashes and validates each cloud it serves once, not
+    once per job."""
 
-    def test_each_batch_digests_its_cloud_once(self, rng, digest_calls):
+    def test_each_batch_digests_its_cloud_once(self, rng, digest_calls, call_rows):
+        import repro.serve.service as service_module
+
+        checks = call_rows(service_module, "validate_points", "points")
         pts = rng.normal(size=(120, 3))
         digest = geometry_digest(pts)
         requests = [(pts, pts[i % 40 : i % 40 + 3], 0.3, 1 + i % 6) for i in range(64)]
@@ -234,12 +238,15 @@ class TestWorkerBatchDigests:
             pickle.dumps([(i, digest, *request) for i, request in enumerate(requests)])
         )
         reply = _serve_batch(service, {}, 0, 0, shipped)
-        assert len(digest_calls) == 1
-        # 64 handle-only jobs on one registered cloud.
+        assert len(digest_calls) == len(checks) == 1
+        # 64 handle-only jobs on one registered cloud, unpickled as the
+        # register message delivers it: each job submits that one array.
         digest_calls.clear()
+        checks.clear()
         handle_only = [(i, digest, None, *request[1:]) for i, request in enumerate(requests)]
-        again = _serve_batch(service, {digest: pts}, 0, 1, handle_only)
-        assert len(digest_calls) == 1
+        registered = {digest: pickle.loads(pickle.dumps(pts))}
+        again = _serve_batch(service, registered, 0, 1, handle_only)
+        assert len(digest_calls) == len(checks) == 1
         engine = BatchedBallQuery(build_kdtree(pts))
         for *_, results, delta in (reply, again):
             assert delta["sweeps"] == 1
