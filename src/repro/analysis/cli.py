@@ -256,13 +256,14 @@ def _render_figure(fig: str) -> str:
 def _serve_main(argv: List[str]) -> int:
     """The ``serve`` subcommand: synthetic request-trace replay.
 
-    ``--workers N`` (N >= 1) additionally replays the trace through the
-    sharded multi-process tier — distinct clouds registered by digest
-    handle up front, one flush fanned across N serving worker processes —
-    and reports its stats and result identity next to the single-process
-    coalescing numbers.
+    One replay serves the trace sequentially (the baseline), coalesced
+    through the async front-end and, with ``--workers N`` (N >= 1), through
+    the sharded multi-process tier (distinct clouds registered by digest
+    handle, one flush fanned across N serving worker processes).  Each
+    replica's set-up (service, registrations, tree warm-up) runs before
+    its clock starts.
     """
-    from ..serve import replay_trace, replay_trace_sharded, synthetic_trace
+    from ..serve import replay_trace, synthetic_trace
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.cli serve",
@@ -315,8 +316,10 @@ def _serve_main(argv: List[str]) -> int:
     report = replay_trace(
         trace, window=args.window_ms / 1000.0,
         max_batch=args.max_batch, max_pending=args.max_pending,
+        num_workers=args.workers or None,
     )
-    stats = report.stats
+    identical = ["results identical", str(report.results_identical)]
+    stats = report.stats["coalesced"]
     print(format_table(
         f"serve: {report.requests} requests over {args.clouds} clouds "
         f"({args.queries} queries each)",
@@ -327,34 +330,31 @@ def _serve_main(argv: List[str]) -> int:
             ["largest merged batch", str(stats.max_coalesced)],
             ["mean request latency", f"{stats.mean_wait * 1e3:.2f} ms"],
             ["serve throughput", f"{stats.throughput:.0f} req/s"],
-            ["coalesced wall time", f"{report.coalesced_time:.3f} s"],
-            ["sequential wall time", f"{report.sequential_time:.3f} s"],
-            ["speedup vs sequential", f"{report.speedup:.2f}x"],
-            ["results identical", str(report.results_identical)],
+            ["coalesced wall time", f"{report.times['coalesced']:.3f} s"],
+            ["sequential wall time", f"{report.times['sequential']:.3f} s"],
+            ["speedup vs sequential", f"{report.speedup('coalesced'):.2f}x"],
+            identical,
         ],
     ))
-    ok = report.results_identical
     if args.workers > 0:
-        sharded = replay_trace_sharded(trace, num_workers=args.workers)
-        sstats = sharded.stats
+        sstats = report.stats["sharded"]
         print()
         print(format_table(
             f"serve --workers {args.workers}: sharded multi-process tier",
             ["metric", "value"],
             [
-                ["worker shards", str(sharded.num_workers)],
+                ["worker shards", str(args.workers)],
                 ["merged sweeps", str(sstats.sweeps)],
                 ["coalesce factor", f"{sstats.coalesce_factor:.1f}x"],
                 ["failed requests", str(sstats.failed_requests)],
                 ["worker respawns", str(sstats.respawns)],
-                ["sharded wall time", f"{sharded.sharded_time:.3f} s"],
-                ["sequential wall time", f"{sharded.sequential_time:.3f} s"],
-                ["speedup vs sequential", f"{sharded.speedup:.2f}x"],
-                ["results identical", str(sharded.results_identical)],
+                ["sharded wall time", f"{report.times['sharded']:.3f} s"],
+                ["sequential wall time", f"{report.times['sequential']:.3f} s"],
+                ["speedup vs sequential", f"{report.speedup('sharded'):.2f}x"],
+                identical,
             ],
         ))
-        ok = ok and sharded.results_identical
-    return 0 if ok else 1
+    return 0 if report.results_identical else 1
 
 
 def main(argv: List[str] | None = None) -> int:

@@ -5,14 +5,13 @@ from .stats import TraversalStats
 from .exact import ball_query, knn_search, radius_search
 from .brute import brute_ball_query, brute_knn_search, brute_radius_search
 from .traversal import SubtreeSearch, TopTreeDescent
-from .dynamic import DirtyRegionDigest, DynamicKdTree, DynamicStats
+from .dynamic import DynamicKdTree, DynamicStats
 from .dynamic_reference import scratch_dynamic_query
 
 __all__ = [
     "NODE_BYTES",
     "KdTree",
     "build_kdtree",
-    "DirtyRegionDigest",
     "DynamicKdTree",
     "DynamicStats",
     "scratch_dynamic_query",

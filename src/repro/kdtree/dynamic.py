@@ -39,21 +39,19 @@ bit-identical to rebuild-from-scratch per frame no matter how the points
 are segmented; the dynamic equivalence suites pin that on every layer up
 through the sharded serving tier.
 
-Dirty-region digests
---------------------
-Serving keys caches by content digest, and re-hashing a whole cloud per
-frame would put an O(N) hash on every mutation.  :class:`DirtyRegionDigest`
-splits the slot space into fixed chunks, caches one blake2b per chunk,
-and re-hashes only chunks a mutation touched; the top-level digest
-combines the cached chunk digests.  It is a pure function of
-``(coords[:n], alive[:n])`` — independent of segmentation, maintenance
-mode, or mutation history — so a rebuilt-from-state replica (worker
-recovery) reports the same digest as the original.
+Digests
+-------
+:attr:`DynamicKdTree.digest` hashes ``(coords[:n], alive[:n])`` with
+:func:`~repro.runtime.session.geometry_digest` on every read; mutations
+hash nothing.  Serving reads it once per registration, to salt the
+cloud's stable handle (:func:`~repro.runtime.session.dynamic_handle`).
+It is a pure function of the slot space — independent of segmentation,
+maintenance mode, or mutation history — so a rebuilt-from-state replica
+(worker recovery) reports the same digest as the original.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -62,7 +60,7 @@ import numpy as np
 from .build import KdTree
 from .dynamic_reference import pair_d2
 
-__all__ = ["DirtyRegionDigest", "DynamicKdTree", "DynamicStats", "check_maintenance"]
+__all__ = ["DynamicKdTree", "DynamicStats", "check_maintenance"]
 
 # Relative slack on the segment bounding-box prune: the box distance is
 # a rounded lower bound on member distances, so pruning exactly at r**2
@@ -97,9 +95,16 @@ def _canonical_order(
 
 
 def check_maintenance(maintenance: str) -> None:
-    """Reject an unknown :class:`DynamicKdTree` maintenance mode."""
-    if maintenance not in ("incremental", "rebuild", "state"):
-        raise ValueError(f"unknown maintenance mode {maintenance!r}")
+    """Reject a maintenance mode a served dynamic cloud cannot use.
+
+    ``"state"`` keeps no index (the sharded dispatcher's shadow replica),
+    so a cloud registered with it could never answer a request.
+    """
+    if maintenance not in ("incremental", "rebuild"):
+        raise ValueError(
+            f"a served dynamic cloud needs maintenance 'incremental' or "
+            f"'rebuild', got {maintenance!r}"
+        )
 
 
 @dataclass
@@ -111,61 +116,6 @@ class DynamicStats:
     refreshes: int = 0
     segment_builds: int = 0
     points_indexed: int = 0  # total build work, in points
-
-
-class DirtyRegionDigest:
-    """Chunked content digest with dirty-region re-hash.
-
-    Slots are hashed in fixed chunks of ``chunk_slots``; ``mark_*`` dirties
-    the chunks a mutation touched and :meth:`value` re-hashes only those,
-    combining cached chunk digests into the top-level hex digest.
-    ``chunks_hashed`` counts chunk re-hashes, so tests can prove an update
-    touching one chunk did not re-hash the cloud.
-    """
-
-    def __init__(self, chunk_slots: int = 1024):
-        if chunk_slots <= 0:
-            raise ValueError("chunk_slots must be positive")
-        self.chunk_slots = int(chunk_slots)
-        self.chunks_hashed = 0
-        self.evaluations = 0
-        self._hashes: List[Optional[bytes]] = []
-        self._dirty: set = set()
-
-    def mark_range(self, lo: int, hi: int) -> None:
-        """Dirty every chunk overlapping slots ``[lo, hi)``."""
-        if hi <= lo:
-            return
-        self._dirty.update(range(lo // self.chunk_slots, (hi - 1) // self.chunk_slots + 1))
-
-    def mark_slots(self, slots: np.ndarray) -> None:
-        if len(slots):
-            self._dirty.update(np.unique(np.asarray(slots) // self.chunk_slots).tolist())
-
-    def value(self, coords: np.ndarray, alive: np.ndarray, n: int) -> str:
-        """Digest of ``(coords[:n], alive[:n])``, re-hashing dirty chunks only."""
-        n_chunks = -(-n // self.chunk_slots)
-        if len(self._hashes) < n_chunks:
-            self._hashes.extend([None] * (n_chunks - len(self._hashes)))
-        for c in sorted(self._dirty):
-            if c < n_chunks:
-                self._hashes[c] = None
-        self._dirty.clear()
-        for c in range(n_chunks):
-            if self._hashes[c] is None:
-                lo, hi = c * self.chunk_slots, min((c + 1) * self.chunk_slots, n)
-                h = hashlib.blake2b(digest_size=16)
-                h.update(np.ascontiguousarray(coords[lo:hi]).tobytes())
-                h.update(np.ascontiguousarray(alive[lo:hi]).tobytes())
-                self._hashes[c] = h.digest()
-                self.chunks_hashed += 1
-        top = hashlib.blake2b(digest_size=16)
-        top.update(np.int64(n).tobytes())
-        top.update(np.int64(self.chunk_slots).tobytes())
-        for c in range(n_chunks):
-            top.update(self._hashes[c])
-        self.evaluations += 1
-        return top.hexdigest()
 
 
 @dataclass
@@ -206,8 +156,6 @@ class DynamicKdTree:
         tombstones.
     max_segments:
         Segment-count cap; beyond it the two smallest segments merge.
-    digest_chunk:
-        Slots per :class:`DirtyRegionDigest` chunk.
     """
 
     def __init__(
@@ -218,9 +166,9 @@ class DynamicKdTree:
         buffer_cap: int = 512,
         rebuild_fraction: float = 0.25,
         max_segments: int = 4,
-        digest_chunk: int = 1024,
     ):
-        check_maintenance(maintenance)
+        if maintenance not in ("incremental", "rebuild", "state"):
+            raise ValueError(f"unknown maintenance mode {maintenance!r}")
         if buffer_cap <= 0 or max_segments <= 0:
             raise ValueError("buffer_cap and max_segments must be positive")
         if not 0.0 < rebuild_fraction <= 1.0:
@@ -230,7 +178,6 @@ class DynamicKdTree:
         self.rebuild_fraction = float(rebuild_fraction)
         self.max_segments = int(max_segments)
         self.stats = DynamicStats()
-        self._digest = DirtyRegionDigest(digest_chunk)
         self._coords = np.empty((0, 3), dtype=np.float64)
         self._alive = np.empty(0, dtype=bool)
         self._owner = np.empty(0, dtype=np.int64)  # segment id, -1 = buffer
@@ -265,12 +212,11 @@ class DynamicKdTree:
 
     @property
     def digest(self) -> str:
-        """Content digest of ``(coords, alive)`` via dirty-region re-hash."""
-        return self._digest.value(self._coords, self._alive, self._n)
+        """Content digest of ``(coords, alive)``, hashed on each read."""
+        # Imported lazily for the same load-order reason as _build_segment.
+        from ..runtime.session import geometry_digest
 
-    @property
-    def digest_chunks_hashed(self) -> int:
-        return self._digest.chunks_hashed
+        return geometry_digest(self._coords[: self._n], self._alive[: self._n])
 
     def state(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(coords, alive)`` snapshot over the full slot space.
@@ -295,7 +241,6 @@ class DynamicKdTree:
         obj._coords[:n] = coords
         obj._alive[:n] = alive
         obj._n = n
-        obj._digest.mark_range(0, n)
         alive_slots = np.nonzero(obj._alive[:n])[0]
         if obj.maintenance != "state" and len(alive_slots):
             obj._build_segment(alive_slots.astype(np.int64))
@@ -303,9 +248,6 @@ class DynamicKdTree:
 
     def alive_slots(self) -> np.ndarray:
         return np.nonzero(self._alive[: self._n])[0].astype(np.int64)
-
-    def coordinates(self, slots: np.ndarray) -> np.ndarray:
-        return self._coords[np.asarray(slots, dtype=np.int64)].copy()
 
     # -- mutation ------------------------------------------------------
     def _grow(self, need: int) -> None:
@@ -342,7 +284,6 @@ class DynamicKdTree:
         self._owner[slots] = -1
         self._n += k
         self._buffer.extend(slots.tolist())
-        self._digest.mark_range(self._n - k, self._n)
         self.stats.inserts += k
         self._stale = True
         return slots
@@ -362,7 +303,6 @@ class DynamicKdTree:
         owners = self._owner[slots]
         for sid, count in zip(*np.unique(owners[owners >= 0], return_counts=True)):
             self._segments[int(sid)].dead += int(count)
-        self._digest.mark_slots(slots)
         self.stats.removes += len(slots)
         self._stale = True
 

@@ -170,7 +170,6 @@ class ReferenceFreezeRule(Rule):
         "dynamic",
         "DynamicKdTree",
         "DynamicStats",
-        "DirtyRegionDigest",
         "*",
     }
 

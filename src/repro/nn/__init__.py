@@ -1,4 +1,4 @@
-"""Minimal deep-learning framework over NumPy (autograd, layers, optimizers)."""
+"""Minimal deep-learning framework over NumPy (autograd, layers, Adam)."""
 
 from .tensor import Tensor, no_grad
 from .tape import reset_tape, tape_length
@@ -7,7 +7,7 @@ from .gradcheck import gradcheck
 from .module import Module, Parameter
 from .layers import MLP, BatchNorm, Dropout, Linear, ReLU, Sequential
 from .losses import huber_loss, log_softmax, mse_loss, softmax_cross_entropy
-from .optim import Adam, SGD
+from .optim import Adam
 from .init import kaiming_uniform, xavier_uniform, zeros
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "mse_loss",
     "softmax_cross_entropy",
     "Adam",
-    "SGD",
     "kaiming_uniform",
     "xavier_uniform",
     "zeros",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -78,20 +78,3 @@ class Module:
         for m in self.modules():
             m.training = False
         return self
-
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
-        extra = set(state) - set(own)
-        if missing or extra:
-            raise KeyError(f"state mismatch: missing={missing}, extra={extra}")
-        for name, p in own.items():
-            if p.data.shape != state[name].shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: {p.data.shape} vs {state[name].shape}"
-                )
-            p.data = state[name].copy()

@@ -1,4 +1,4 @@
-"""Optimizers: SGD with momentum, Adam."""
+"""The optimizer: Adam."""
 
 from __future__ import annotations
 
@@ -8,58 +8,10 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["SGD", "Adam"]
+__all__ = ["Adam"]
 
 
-class Optimizer:
-    def __init__(self, params: Sequence[Parameter], lr: float):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.params: List[Parameter] = list(params)
-        if not self.params:
-            raise ValueError("no parameters to optimize")
-        self.lr = lr
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """SGD with classical momentum and decoupled weight decay."""
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 1e-2,
-        momentum: float = 0.9,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            v *= self.momentum
-            v += grad
-            p.data -= self.lr * v
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam with bias correction (Kingma & Ba)."""
 
     def __init__(
@@ -70,7 +22,12 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        super().__init__(params, lr)
+        if lr <= 0:
+            raise ValueError("learning rate must be positive")
+        self.params: List[Parameter] = list(params)
+        if not self.params:
+            raise ValueError("no parameters to optimize")
+        self.lr = lr
         b1, b2 = betas
         if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
             raise ValueError("betas must be in [0, 1)")
@@ -80,6 +37,10 @@ class Adam(Optimizer):
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
 
     def step(self) -> None:
         self._t += 1

@@ -44,7 +44,6 @@ import numpy as np
 __all__ = [
     "Tape",
     "TapeEntry",
-    "active_tape",
     "backward_pass",
     "defvjp",
     "defvjp_argnum",
@@ -112,10 +111,6 @@ class Tape:
 
 
 _TAPE = Tape()
-
-
-def active_tape() -> Tape:
-    return _TAPE
 
 
 def tape_length() -> int:

@@ -104,9 +104,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -121,9 +118,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def item(self) -> float:
         return float(self.data)

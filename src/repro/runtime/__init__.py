@@ -45,9 +45,6 @@ Its pieces, composable but independently usable:
   :func:`repro.kdtree.build.build_kdtree` / :class:`SplitTree`, built in
   O(log N) NumPy passes instead of per-node Python, any number of clouds
   in one forest pass; what sessions use to fill cache misses.
-- :class:`WorkerProcess` — one long-lived, respawnable worker process
-  (mailbox + heartbeat + in-place respawn); what the sharded serving tier
-  builds its workers on.
 - :mod:`~repro.runtime.network` — the helpers behind
   ``PointCloudAccelerator.run_many`` and the figure drivers: per-cloud
   sampling plans shared across settings, and the process-wide
@@ -72,7 +69,6 @@ from .session import (
     tree_digest,
 )
 from .network import layer_sampling_plan, worker_session
-from .sweep import WorkerProcess
 from .topphase import reference_top_phase, vectorized_top_phase
 
 # Imported last: treebuild pulls in repro.core (for the SplitTree base),
@@ -107,7 +103,6 @@ __all__ = [
     "SearchSession",
     "geometry_digest",
     "tree_digest",
-    "WorkerProcess",
     "reference_top_phase",
     "vectorized_top_phase",
     "VectorizedSplitTree",

@@ -317,12 +317,15 @@ class SearchSession:
         identical drift independently, so they must not alias) and never
         changes — it is the identity callers (and the sharded tier's
         static digest routing) hold onto across mutations.  The *current*
-        content digest moves with every :meth:`update`.
+        content digest moves with every :meth:`update`.  ``maintenance``
+        must be one that serves queries (``"incremental"`` or
+        ``"rebuild"``).
         """
         # Imported lazily: repro.kdtree.dynamic pulls treebuild back in
         # through the segment builders at query time.
-        from ..kdtree.dynamic import DynamicKdTree
+        from ..kdtree.dynamic import DynamicKdTree, check_maintenance
 
+        check_maintenance(maintenance)
         dyn = DynamicKdTree(points, maintenance=maintenance)
         handle = dynamic_handle(dyn.digest, next(self._dynamic_seq))
         self._dynamic[handle] = dyn

@@ -22,15 +22,17 @@ callers* rather than replaying figure grids.  Three layers:
   heartbeats, dead-worker respawn, and orphaned-request requeue; results
   stay bit-identical to the single-process service.  Per-shard stats
   roll up into :class:`ShardedStats`.
-- :func:`synthetic_trace` / :func:`replay_trace` /
-  :func:`replay_trace_sharded` — the request-trace workload generator
-  and replay harnesses behind ``python -m repro.analysis.cli serve``.
+- :func:`synthetic_trace` / :func:`replay_trace` — the request-trace
+  workload generator and its replay behind ``python -m
+  repro.analysis.cli serve``: sequential, coalesced and (optionally)
+  sharded serving of one trace, timed without set-up and pinned
+  bit-identical in one :class:`TraceReport`.
 - :func:`drift_trace` / :func:`replay_drift_trace` — the mutating-cloud
   counterpart: a deterministic frame-drift stream served through
   dynamic handles (``register_dynamic`` → per-frame ``update`` →
   ``submit_dynamic``), with every frame's results pinned bit-identical
-  between incremental maintenance, rebuild-from-scratch-per-frame, and
-  the sharded tier.
+  between rebuild-from-scratch-per-frame, incremental maintenance, and
+  (optionally) the sharded tier.
 """
 
 from .frontend import AsyncQueryFrontend
@@ -45,31 +47,25 @@ from .service import (
 from .sharded import ShardedQueryService, ShardedStats
 from .trace import (
     DriftFrame,
-    DynamicTraceReport,
-    ShardedTraceReport,
     TraceReport,
     drift_trace,
     replay_drift_trace,
     replay_trace,
-    replay_trace_sharded,
     synthetic_trace,
 )
 
 __all__ = [
     "AsyncQueryFrontend",
     "DriftFrame",
-    "DynamicTraceReport",
     "QueryService",
     "QueryTicket",
     "ServiceStats",
     "ShardedQueryService",
     "ShardedStats",
-    "ShardedTraceReport",
     "TraceReport",
     "drift_trace",
     "replay_drift_trace",
     "replay_trace",
-    "replay_trace_sharded",
     "synthetic_trace",
     "validate_points",
     "validate_queries",

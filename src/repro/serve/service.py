@@ -369,7 +369,8 @@ class QueryService:
         default segment overlay with lazy dirty-region rebuilds — or
         ``"rebuild"``, the rebuild-from-scratch-per-frame baseline the
         parity suites pin results against; both serve bit-identical
-        results by the canonical dynamic contract).
+        results by the canonical dynamic contract).  Any other mode,
+        ``"state"`` included, raises ``ValueError`` here.
         """
         points = validate_points(points) if points is not None else None
         return self.session.register_dynamic(points, maintenance=maintenance)

@@ -25,10 +25,11 @@ long sweep still reads alive); the dispatcher's flush loop age-checks the
 heartbeat and process liveness of every shard it is waiting on, and a
 dead worker is respawned in place — its shard's registered clouds are
 re-shipped and its orphaned in-flight batches requeued onto the fresh
-incarnation.  Mailboxes are per-incarnation (a reply that raced the kill
-dies with the old outbox and the batch is simply served again —
-deterministic serving makes the do-over bit-identical), so a crashed
-worker can never poison a queue another shard depends on.  Per-shard
+incarnation.  Each shard runs in a :class:`WorkerProcess`: one child
+process with per-incarnation mailboxes (a reply that raced the kill dies
+with the old outbox and the batch is simply served again — deterministic
+serving makes the do-over bit-identical), so a crashed worker can never
+poison a queue another shard depends on.  Per-shard
 :class:`~repro.serve.ServiceStats` roll up into :class:`ShardedStats`,
 which also counts respawns and requeues.
 """
@@ -36,6 +37,7 @@ which also counts respawns and requeues.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import queue
 import time
 from dataclasses import dataclass, field
@@ -44,7 +46,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..runtime.session import geometry_digest
-from ..runtime.sweep import WorkerProcess
 from .service import (
     QueryTicket,
     ServiceStats,
@@ -52,9 +53,9 @@ from .service import (
     validate_queries,
     validate_settings,
 )
-from .worker import BEAT_INTERVAL, serving_worker_main
+from .worker import serving_worker_main
 
-__all__ = ["ShardedQueryService", "ShardedStats"]
+__all__ = ["ShardedQueryService", "ShardedStats", "WorkerProcess"]
 
 
 @dataclass
@@ -123,6 +124,156 @@ class ShardedStats:
         return self.requests / self.serve_time if self.serve_time else 0.0
 
 
+class WorkerProcess:
+    """One long-lived, respawnable worker process with mailbox + heartbeat.
+
+    Parameters
+    ----------
+    target:
+        Module-level callable run in the child as ``target(inbox, outbox,
+        heartbeat, *args)`` (module-level so spawn platforms can pickle
+        it).  It should consume messages from ``inbox`` in a loop, reply
+        on ``outbox``, and store ``time.monotonic()`` into
+        ``heartbeat.value`` periodically — ideally from a side thread, so
+        a long-running job does not read as a dead worker.
+    args:
+        Extra positional arguments appended after ``(inbox, outbox,
+        heartbeat)``.  Only things that must *survive* a respawn belong
+        here; the mailboxes and heartbeat are recreated fresh by every
+        :meth:`start`.
+    ctx:
+        ``multiprocessing`` context (platform default when omitted: fork
+        on Linux, spawn on macOS / Windows).
+    clock:
+        Monotonic time source for spawn timestamps and heartbeat aging
+        (injectable so staleness logic can be tested without sleeping;
+        the child process keeps writing real ``time.monotonic`` beats
+        regardless, so only use a fake clock with workers that share it).
+
+    Both mailboxes are private to one incarnation *by design*, not
+    convenience: a queue is only as healthy as the processes that touch
+    its locks, and a worker SIGKILL-ed mid-``put`` dies holding the
+    queue's write lock — poisoning it for every other writer, forever.
+    Sharing one result queue across workers would let a single crash hang
+    the whole tier (on a loaded box the feeder thread reliably still
+    holds the lock when a kill lands right after a reply).  Per-worker
+    queues confine the damage: the poisoned pair is abandoned with the
+    dead incarnation and the fresh one starts with clean locks.
+    """
+
+    def __init__(
+        self,
+        target: Callable[..., None],
+        args: Tuple = (),
+        name: Optional[str] = None,
+        ctx=None,
+        clock: Callable[[], float] = time.monotonic,
+    ):
+        self._ctx = ctx if ctx is not None else multiprocessing.get_context()
+        self._target = target
+        self._args = tuple(args)
+        self._clock = clock
+        self.name = name
+        self.generation = 0  # how many times this slot has been (re)spawned
+        self.started_at = 0.0
+        self.inbox = None
+        self.outbox = None
+        self.heartbeat = None
+        self._process = None
+
+    def start(self) -> "WorkerProcess":
+        """Spawn the worker with fresh mailboxes and heartbeat."""
+        if self.is_alive():
+            raise RuntimeError(f"worker {self.name or ''} already running")
+        self.inbox = self._ctx.Queue()
+        self.outbox = self._ctx.Queue()
+        self.heartbeat = self._ctx.Value("d", 0.0)
+        self._process = self._ctx.Process(
+            target=self._target,
+            args=(self.inbox, self.outbox, self.heartbeat) + self._args,
+            name=self.name,
+            daemon=True,  # a crashed parent must not leave workers behind
+        )
+        self._process.start()
+        self.generation += 1
+        self.started_at = self._clock()
+        return self
+
+    def send(self, message) -> None:
+        """Enqueue one (picklable) message on the worker's inbox."""
+        if self.inbox is None:
+            raise RuntimeError("worker not started")
+        self.inbox.put(message)
+
+    def receive(self, timeout: Optional[float] = None):
+        """Pop one reply from this incarnation's outbox.
+
+        Raises :class:`queue.Empty` on timeout (``timeout=None`` returns
+        immediately if nothing is queued — a non-blocking poll).
+        """
+        if self.outbox is None:
+            raise RuntimeError("worker not started")
+        if timeout is None:
+            return self.outbox.get_nowait()
+        return self.outbox.get(timeout=timeout)
+
+    def is_alive(self) -> bool:
+        return self._process is not None and self._process.is_alive()
+
+    def heartbeat_age(self, now: Optional[float] = None) -> float:
+        """Seconds since the worker's last sign of life.
+
+        The spawn instant counts as a beat, so a freshly (re)started
+        worker that has not reached its loop yet is never mistaken for a
+        stale one; ``inf`` before the first :meth:`start`.
+        """
+        beat = float(self.heartbeat.value) if self.heartbeat is not None else 0.0
+        beat = max(beat, self.started_at)
+        if beat <= 0.0:
+            return float("inf")
+        now = self._clock() if now is None else now
+        return max(0.0, now - beat)
+
+    def respawn(self) -> "WorkerProcess":
+        """Replace a dead (or hung) incarnation in place.
+
+        The old process is killed outright and both mailboxes are
+        abandoned with it — messages queued to (or replies pending from)
+        the dead incarnation are *lost*, and requeueing them onto the
+        fresh one is deliberately the caller's job (only the caller knows
+        which were already answered).
+        """
+        self.kill()
+        return self.start()
+
+    def stop(self, message=("stop",), timeout: float = 5.0) -> None:
+        """Graceful shutdown: send ``message``, join, kill on overrun."""
+        if self._process is None:
+            return
+        if self._process.is_alive():
+            try:
+                self.send(message)
+            except (OSError, ValueError):  # inbox already torn down
+                pass
+            self._process.join(timeout)
+        self.kill()
+
+    def kill(self) -> None:
+        """Hard-stop the worker (SIGKILL) and reap it."""
+        if self._process is not None and self._process.is_alive():
+            self._process.kill()
+        if self._process is not None:
+            self._process.join()
+        for mailbox in (self.inbox, self.outbox):
+            if mailbox is not None:
+                # Drop the mailbox without joining its feeder thread: the
+                # other end is gone, so unflushed messages never drain.
+                mailbox.close()
+                mailbox.cancel_join_thread()
+        self.inbox = None
+        self.outbox = None
+
+
 class _PendingJob:
     __slots__ = ("job_id", "digest", "points", "queries", "ticket", "kind")
 
@@ -176,7 +327,6 @@ class ShardedQueryService:
         num_workers: int = 2,
         heartbeat_timeout: Optional[float] = 10.0,
         poll_interval: float = 0.02,
-        beat_interval: float = BEAT_INTERVAL,
         clock: Callable[[], float] = time.perf_counter,
         ctx=None,
     ):
@@ -193,9 +343,6 @@ class ShardedQueryService:
             shards=[ServiceStats() for _ in range(self.num_workers)]
         )
         self._clock = clock
-        import multiprocessing
-
-        self._ctx = ctx if ctx is not None else multiprocessing.get_context()
         # One WorkerProcess per shard, each with its own per-incarnation
         # inbox/outbox pair (a shared result queue would hang the whole
         # tier if one worker died holding its write lock — see
@@ -203,9 +350,9 @@ class ShardedQueryService:
         self._workers = [
             WorkerProcess(
                 serving_worker_main,
-                args=(slot, beat_interval),
+                args=(slot,),
                 name=f"serve-shard-{slot}",
-                ctx=self._ctx,
+                ctx=ctx,
             )
             for slot in range(self.num_workers)
         ]
@@ -282,9 +429,9 @@ class ShardedQueryService:
         The dispatcher keeps a **state-only shadow replica** (coordinates,
         alive bits, digest — no index): it validates updates before they
         ship and is the snapshot a respawned worker is rebuilt from.
-        ``maintenance`` is checked here too, since the shadow never uses
-        it: a mode the worker rejects would kill its shard on every
-        re-ship.
+        ``maintenance`` is checked here too (only ``"incremental"`` and
+        ``"rebuild"`` serve), since the shadow never uses it: a mode the
+        worker rejects would kill its shard on every re-ship.
         """
         self._check_open()
         points = validate_points(points) if points is not None else None

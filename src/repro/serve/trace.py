@@ -1,4 +1,4 @@
-"""Synthetic request traces and the replay harness behind ``cli serve``.
+"""Synthetic request traces and the one replay behind ``cli serve``.
 
 A *trace* is a list of ``(points, queries, radius, max_neighbors)``
 requests — the workload a fleet of independent callers would put on the
@@ -7,15 +7,20 @@ handful of distinct clouds, each request picking a cloud, a query batch
 sampled from it, and heterogeneous ``(radius, K)`` settings, so replay
 exercises exactly the coalescing the service exists for (many same-cloud
 requests with different settings, interleaved across clouds).
+:func:`drift_trace` draws the mutating-cloud counterpart: a cloud to
+register, then per frame a mutation batch and the frame's requests.
 
-:func:`replay_trace` drives the trace twice — all requests submitted
-concurrently through the :class:`~repro.serve.AsyncQueryFrontend`, then
-one at a time through a fresh sequential service — verifies the two
-result streams are bit-identical, and reports the serving stats plus the
-wall-clock speedup of coalescing.  :func:`replay_trace_sharded` does the
-same for the multi-process tier: distinct clouds registered up front (the
-handle fast path), the whole trace flushed through N worker shards, and
-the result stream checked bit-identical against sequential serving.
+Both replays serve one stream through several *replicas* in one loop.  A
+replica's set-up (its service, registrations, tree warm-up) runs before
+its clock starts, so the timings compare serving, not builds, and its
+result stream must equal the first replica's in length and bits.  The
+first replica is the baseline: :func:`replay_trace` serves one request
+per flush (``"sequential"``), then all of them concurrently through the
+:class:`~repro.serve.AsyncQueryFrontend` (``"coalesced"``);
+:func:`replay_drift_trace` rebuilds the index every frame
+(``"rebuild"``), then maintains it incrementally (``"incremental"``).
+``num_workers`` adds the sharded multi-process tier (``"sharded"``) to
+either stream.  Both return one :class:`TraceReport`.
 """
 
 from __future__ import annotations
@@ -23,31 +28,34 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .frontend import AsyncQueryFrontend
-from .service import QueryService, ServiceStats
+from .service import QueryService
+from .sharded import ShardedQueryService
 
 __all__ = [
     "DriftFrame",
-    "DynamicTraceReport",
-    "ShardedTraceReport",
     "TraceReport",
     "drift_trace",
     "replay_drift_trace",
     "replay_trace",
-    "replay_trace_sharded",
     "synthetic_trace",
 ]
 
 Request = Tuple[np.ndarray, np.ndarray, float, int]
+# What a replica served: (result, submit-to-serve wait) per request.
+Served = List[Tuple[Tuple[np.ndarray, np.ndarray], float]]
 
 # The heterogeneous settings pool requests draw from: network-layer-like
 # radii and neighbor caps, so merged sweeps always mix radius and K.
 _RADII = (0.1, 0.15, 0.25)
 _MAX_NEIGHBORS = (8, 16, 32)
+# Dynamic-scene settings pool: LiDAR-scale radii (the drift scenes span
+# tens of meters, unlike the unit-Gaussian clouds above).
+_DYN_RADII = (1.0, 1.5, 2.5)
 
 
 def synthetic_trace(
@@ -87,95 +95,6 @@ def synthetic_trace(
 
 
 @dataclass
-class TraceReport:
-    """What one replay measured."""
-
-    stats: ServiceStats  # the coalescing service's counters
-    requests: int
-    coalesced_time: float  # wall clock, all requests through the frontend
-    sequential_time: float  # wall clock, one flush per request
-    results_identical: bool  # coalesced stream == sequential stream
-
-    @property
-    def speedup(self) -> float:
-        return (
-            self.sequential_time / self.coalesced_time
-            if self.coalesced_time
-            else float("inf")
-        )
-
-
-def replay_trace(
-    trace: List[Request],
-    window: float = 0.001,
-    max_batch: int = 64,
-    max_pending: int = 256,
-    clock: Callable[[], float] = time.perf_counter,
-) -> TraceReport:
-    """Replay ``trace`` coalesced and sequentially; compare and report.
-
-    ``clock`` is the wall-clock source behind the reported timings,
-    injectable so tests can pin the speedup arithmetic without racing a
-    real timer.
-    """
-    service = QueryService(clock=clock)
-
-    async def run_coalesced():
-        async with AsyncQueryFrontend(
-            service, window=window, max_batch=max_batch, max_pending=max_pending
-        ) as frontend:
-            return await asyncio.gather(
-                *[frontend.submit(*request) for request in trace]
-            )
-
-    t0 = clock()
-    coalesced = asyncio.run(run_coalesced())
-    coalesced_time = clock() - t0
-
-    sequential_service = QueryService(clock=clock)
-    t0 = clock()
-    sequential = [sequential_service.query(*request) for request in trace]
-    sequential_time = clock() - t0
-
-    identical = all(
-        np.array_equal(ci, si) and np.array_equal(cc, sc)
-        for (ci, cc), (si, sc) in zip(coalesced, sequential)
-    )
-    return TraceReport(
-        stats=service.stats,
-        requests=len(trace),
-        coalesced_time=coalesced_time,
-        sequential_time=sequential_time,
-        results_identical=identical,
-    )
-
-
-@dataclass
-class ShardedTraceReport:
-    """What one multi-process replay measured."""
-
-    stats: "ShardedStats"  # the sharded tier's rolled-up counters
-    requests: int
-    num_workers: int
-    sharded_time: float  # wall clock, whole trace through the sharded tier
-    sequential_time: float  # wall clock, one flush per request, one process
-    results_identical: bool  # sharded stream == sequential stream
-
-    @property
-    def speedup(self) -> float:
-        return (
-            self.sequential_time / self.sharded_time
-            if self.sharded_time
-            else float("inf")
-        )
-
-
-# Dynamic-scene settings pool: LiDAR-scale radii (the drift scenes span
-# tens of meters, unlike the unit-Gaussian clouds above).
-_DYN_RADII = (1.0, 1.5, 2.5)
-
-
-@dataclass
 class DriftFrame:
     """One frame of a mutating-cloud trace: the mutation plus the frame's
     request batches ``(queries, radius, max_neighbors)``."""
@@ -204,8 +123,10 @@ def drift_trace(
     """
     from ..geometry.scenes import FrameDrift
 
-    if num_frames <= 0 or requests_per_frame <= 0:
+    if num_frames <= 0 or requests_per_frame <= 0 or num_points <= 0:
         raise ValueError("trace dimensions must be positive")
+    if queries_per_request <= 0:
+        raise ValueError("queries_per_request must be positive")
     drift = FrameDrift(num_points=num_points, churn=churn, seed=seed)
     settings_rng = np.random.default_rng(seed + 1)
     frames: List[DriftFrame] = []
@@ -228,54 +149,128 @@ def drift_trace(
 
 
 @dataclass
-class DynamicTraceReport:
-    """What one mutating-cloud replay measured."""
+class TraceReport:
+    """What one replay measured, per replica name; the first is the baseline.
 
-    frames: int
+    ``stats`` holds the counters each replica reports: its service's
+    (:class:`~repro.serve.ServiceStats`, or :class:`~repro.serve
+    .ShardedStats` on the sharded tier), or for an in-process dynamic
+    cloud its index's :class:`~repro.kdtree.DynamicStats` (the build work
+    incremental maintenance saves).
+    """
+
     requests: int
-    incremental_time: float  # wall clock, update+serve, incremental index
-    rebuild_time: float  # wall clock, update+serve, rebuild-per-frame
-    results_identical: bool  # incremental stream == rebuild stream
-    sharded_identical: Optional[bool]  # == sharded stream (None if not run)
-    num_workers: Optional[int]
-    incremental_points_indexed: int  # total build work, points
-    rebuild_points_indexed: int
-    incremental_waits: List[float]  # per-request submit-to-serve latency
+    times: Dict[str, float]  # wall clock of serving, set-up excluded
+    stats: Dict[str, object]
+    waits: Dict[str, List[float]]  # per-request submit-to-serve latency
+    results_identical: bool  # every replica's stream == the baseline's
 
-    @property
-    def speedup(self) -> float:
-        return (
-            self.rebuild_time / self.incremental_time
-            if self.incremental_time
-            else float("inf")
-        )
+    def speedup(self, name: str) -> float:
+        """The baseline's serving time over replica ``name``'s."""
+        baseline, elapsed = next(iter(self.times.values())), self.times[name]
+        return baseline / elapsed if elapsed else float("inf")
 
 
-def _replay_dynamic_frames(
-    service: QueryService, handle: str, frames: List[DriftFrame], clock
-) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], float, List[float]]:
-    """Drive one service through the trace: update, submit, flush per frame."""
-    results: List[Tuple[np.ndarray, np.ndarray]] = []
-    waits: List[float] = []
-    t0 = clock()
-    for frame in frames:
-        service.update(handle, inserts=frame.inserts, removes=frame.removes)
-        tickets = [
-            service.submit_dynamic(handle, queries, radius, k)
-            for queries, radius, k in frame.requests
-        ]
-        service.flush()
-        for ticket in tickets:
-            results.append(ticket.result())
-            waits.append(ticket.wait)
-    return results, clock() - t0, waits
+def _replay(replicas: Dict[str, Callable[[], Iterator]], clock) -> TraceReport:
+    """Time each replica's serving, set-up excluded; pin every stream.
 
-
-def _streams_identical(a, b) -> bool:
-    return all(
-        np.array_equal(ai, bi) and np.array_equal(ac, bc)
-        for (ai, ac), (bi, bc) in zip(a, b)
+    A replica is a generator: it sets up and yields its stats, then, when
+    resumed, serves the stream and yields what it :data:`Served`.
+    """
+    times, stats, waits, streams = {}, {}, {}, []
+    for name, replica in replicas.items():
+        steps = replica()
+        stats[name] = next(steps)
+        t0 = clock()
+        served = next(steps)
+        times[name] = clock() - t0
+        steps.close()  # its teardown: the sharded tier stops its workers
+        # Two arrays per request: its (indices, counts).
+        streams.append([array for result, _ in served for array in result])
+        waits[name] = [wait for _, wait in served]
+    first = streams[0]
+    identical = all(
+        len(stream) == len(first) and all(map(np.array_equal, stream, first))
+        for stream in streams[1:]
     )
+    return TraceReport(len(first) // 2, times, stats, waits, identical)
+
+
+def _settled(tickets) -> Served:
+    return [(ticket.result(), ticket.wait) for ticket in tickets]
+
+
+def _sharded(num_workers: int, clock, replica) -> Iterator:
+    """``replica`` run against a sharded tier that stops when it ends."""
+    with ShardedQueryService(num_workers=num_workers, clock=clock) as tier:
+        yield from replica(tier)
+
+
+def replay_trace(
+    trace: List[Request],
+    window: float = 0.001,
+    max_batch: int = 64,
+    max_pending: int = 256,
+    num_workers: Optional[int] = None,
+    clock: Callable[[], float] = time.perf_counter,
+) -> TraceReport:
+    """Replay ``trace`` sequentially, coalesced and (with ``num_workers``)
+    sharded; compare and report.
+
+    The in-process services build each cloud's tree in their set-up; the
+    sharded tier :meth:`~repro.serve.ShardedQueryService.register`-s every
+    cloud there (as a repeat caller would; its workers build the trees
+    from their FIFO inboxes) and serves the handle fast path.  ``clock``
+    is the wall-clock source behind every timing, injectable so tests can
+    pin the speedup arithmetic without racing a real timer.
+    """
+    clouds = {id(points): points for points, *_ in trace}.values()
+
+    def warm() -> QueryService:
+        service = QueryService(clock=clock)
+        for points in clouds:
+            service.session.tree_for(points)
+        return service
+
+    def sequential() -> Iterator:
+        service = warm()
+        yield service.stats
+        tickets = []
+        for request in trace:
+            tickets.append(service.submit(*request))
+            service.flush()
+        yield _settled(tickets)
+
+    def coalesced() -> Iterator:
+        service = warm()
+        yield service.stats
+
+        async def one(frontend, request):
+            t0 = clock()
+            return await frontend.submit(*request), clock() - t0
+
+        async def run() -> Served:
+            async with AsyncQueryFrontend(
+                service, window=window, max_batch=max_batch, max_pending=max_pending
+            ) as frontend:
+                return await asyncio.gather(*[one(frontend, r) for r in trace])
+
+        yield asyncio.run(run())
+
+    def by_handle(tier: ShardedQueryService) -> Iterator:
+        handles = [tier.register(points) for points, *_ in trace]
+        yield tier.stats
+        tickets = [
+            tier.submit_handle(handle, *request[1:])
+            for handle, request in zip(handles, trace)
+        ]
+        tier.flush()
+        yield _settled(tickets)
+
+    replicas = {"sequential": sequential, "coalesced": coalesced}
+    if num_workers is not None:
+        replicas["sharded"] = lambda: _sharded(num_workers, clock, by_handle)
+    return _replay(replicas, clock)
 
 
 def replay_drift_trace(
@@ -287,19 +282,18 @@ def replay_drift_trace(
     seed: int = 0,
     num_workers: Optional[int] = None,
     clock: Callable[[], float] = time.perf_counter,
-) -> DynamicTraceReport:
-    """Replay one mutating-cloud trace three ways and pin the results.
+) -> TraceReport:
+    """Replay one mutating-cloud trace per replica and pin the results.
 
-    The same frame stream — mutations and requests — is served by (1) a
-    :class:`QueryService` with incremental index maintenance, (2) one
-    with rebuild-from-scratch-per-frame maintenance, and, when
-    ``num_workers`` is set, (3) a :class:`~repro.serve.sharded
-    .ShardedQueryService` routing ``update_handle`` messages to the
-    owning shard.  Every frame's query results must be bit-identical
-    across all replicas (the canonical dynamic contract makes this exact
-    neighbor-set equality); the report also carries the wall-clock and
-    index-build-work comparison the incremental path justifies itself
-    with.
+    The same frame stream — per frame an ``update``, the frame's
+    ``submit_dynamic`` calls and one ``flush`` — is served with
+    rebuild-from-scratch-per-frame maintenance, with incremental
+    maintenance, and, with ``num_workers``, through a
+    :class:`~repro.serve.ShardedQueryService` routing ``update_handle``
+    messages to the owning shard.  Every frame's results must be
+    bit-identical across replicas (the canonical dynamic contract makes
+    this exact neighbor-set equality).  Registration, which indexes the
+    initial cloud, is set-up.
     """
     initial, frames = drift_trace(
         num_frames=num_frames,
@@ -310,97 +304,23 @@ def replay_drift_trace(
         seed=seed,
     )
 
-    incremental = QueryService(clock=clock)
-    inc_handle = incremental.register_dynamic(initial)
-    inc_results, inc_time, inc_waits = _replay_dynamic_frames(
-        incremental, inc_handle, frames, clock
-    )
+    def by_frame(service, maintenance: str = "incremental") -> Iterator:
+        handle = service.register_dynamic(initial, maintenance=maintenance)
+        if isinstance(service, QueryService):
+            yield service.session.dynamic(handle).stats
+        else:
+            yield service.stats
+        tickets = []
+        for frame in frames:
+            service.update(handle, inserts=frame.inserts, removes=frame.removes)
+            tickets += [service.submit_dynamic(handle, *r) for r in frame.requests]
+            service.flush()
+        yield _settled(tickets)
 
-    rebuild = QueryService(clock=clock)
-    reb_handle = rebuild.register_dynamic(initial, maintenance="rebuild")
-    reb_results, reb_time, _ = _replay_dynamic_frames(
-        rebuild, reb_handle, frames, clock
-    )
-
-    sharded_identical: Optional[bool] = None
+    replicas = {
+        "rebuild": lambda: by_frame(QueryService(clock=clock), "rebuild"),
+        "incremental": lambda: by_frame(QueryService(clock=clock)),
+    }
     if num_workers is not None:
-        from .sharded import ShardedQueryService
-
-        with ShardedQueryService(num_workers=num_workers, clock=clock) as tier:
-            handle = tier.register_dynamic(initial)
-            sharded_results = []
-            for frame in frames:
-                tier.update(handle, inserts=frame.inserts, removes=frame.removes)
-                tickets = [
-                    tier.submit_dynamic(handle, queries, radius, k)
-                    for queries, radius, k in frame.requests
-                ]
-                tier.flush()
-                sharded_results.extend(t.result() for t in tickets)
-        sharded_identical = _streams_identical(sharded_results, inc_results)
-
-    return DynamicTraceReport(
-        frames=num_frames,
-        requests=num_frames * requests_per_frame,
-        incremental_time=inc_time,
-        rebuild_time=reb_time,
-        results_identical=_streams_identical(inc_results, reb_results),
-        sharded_identical=sharded_identical,
-        num_workers=num_workers,
-        incremental_points_indexed=incremental.session.dynamic(
-            inc_handle
-        ).stats.points_indexed,
-        rebuild_points_indexed=rebuild.session.dynamic(
-            reb_handle
-        ).stats.points_indexed,
-        incremental_waits=inc_waits,
-    )
-
-
-def replay_trace_sharded(
-    trace: List[Request],
-    num_workers: int = 2,
-    clock: Callable[[], float] = time.perf_counter,
-) -> ShardedTraceReport:
-    """Replay ``trace`` through the sharded tier; compare against sequential.
-
-    Every distinct cloud is :meth:`~repro.serve.ShardedQueryService.
-    register`-ed first (shipping geometry and warming worker-side trees up
-    front, as a repeat caller would), so the timed section measures the
-    handle fast path: query shipping, parallel per-shard merged sweeps,
-    and result demux.  The sequential side gets the same courtesy — a
-    warm tree cache — to keep the comparison about serving, not builds.
-    """
-    from .sharded import ShardedQueryService
-
-    sequential_service = QueryService(clock=clock)
-    for points, *_ in trace:
-        sequential_service.session.tree_for(points)
-    t0 = clock()
-    sequential = [sequential_service.query(*request) for request in trace]
-    sequential_time = clock() - t0
-
-    with ShardedQueryService(num_workers=num_workers, clock=clock) as service:
-        handles = [service.register(points) for points, *_ in trace]
-        t0 = clock()
-        tickets = [
-            service.submit_handle(handle, queries, radius, max_neighbors)
-            for handle, (_, queries, radius, max_neighbors) in zip(handles, trace)
-        ]
-        service.flush()
-        results = [ticket.result() for ticket in tickets]
-        sharded_time = clock() - t0
-        stats = service.stats
-
-    identical = all(
-        np.array_equal(gi, si) and np.array_equal(gc, sc)
-        for (gi, gc), (si, sc) in zip(results, sequential)
-    )
-    return ShardedTraceReport(
-        stats=stats,
-        requests=len(trace),
-        num_workers=num_workers,
-        sharded_time=sharded_time,
-        sequential_time=sequential_time,
-        results_identical=identical,
-    )
+        replicas["sharded"] = lambda: _sharded(num_workers, clock, by_frame)
+    return _replay(replicas, clock)

@@ -1,8 +1,8 @@
 """The serving-worker process loop behind the sharded tier.
 
 Each worker is one long-lived process (spawned through
-:class:`repro.runtime.WorkerProcess`) that owns a digest-sharded slice of
-the registered clouds.  Inside it lives exactly the single-process
+:class:`repro.serve.sharded.WorkerProcess`) that owns a digest-sharded
+slice of the registered clouds.  Inside it lives exactly the single-process
 serving stack — a :class:`~repro.serve.QueryService` over the process's
 long-lived :func:`~repro.runtime.worker_session` — so every result the
 sharded tier produces is, by construction, a result the single-process
@@ -43,8 +43,8 @@ Inbox protocol (tuples, first element is the kind):
     jobs share its pinned array) and reply with
     one atomic ``("result", slot, batch_id, results, delta)`` message on
     this worker's own outbox (per-incarnation by design — see
-    :class:`~repro.runtime.WorkerProcess` on why a shared result queue
-    cannot survive a worker killed mid-``put``).  ``results`` is
+    :class:`~repro.serve.sharded.WorkerProcess` on why a shared result
+    queue cannot survive a worker killed mid-``put``).  ``results`` is
     ``[(job_id, indices, counts, error), ...]`` in job order; ``delta``
     carries the sweeps/serve-time accounting for the dispatcher's
     per-shard stats roll-up.  Per-job failures (bad request, unknown
@@ -56,9 +56,9 @@ Inbox protocol (tuples, first element is the kind):
 ``("stop",)``
     Exit the loop (graceful shutdown path of ``WorkerProcess.stop``).
 
-Heartbeats are written by a side thread every ``beat_interval`` seconds,
-so a worker grinding through a long merged sweep still reads as alive;
-only a dead (or truly wedged) process goes stale.
+Heartbeats are written by a side thread every :data:`BEAT_INTERVAL`
+seconds, so a worker grinding through a long merged sweep still reads as
+alive; only a dead (or truly wedged) process goes stale.
 """
 
 from __future__ import annotations
@@ -136,14 +136,13 @@ def serving_worker_main(
     outbox,
     heartbeat,
     slot: int,
-    beat_interval: float = BEAT_INTERVAL,
     clock: Callable[[], float] = time.monotonic,
 ) -> None:
     """Entry point of one serving worker process (see module docs).
 
     ``inbox``/``outbox``/``heartbeat`` are supplied per incarnation by
-    :class:`~repro.runtime.WorkerProcess`; ``slot`` is the shard index
-    stamped on every reply.  ``clock`` is the beat source written into
+    :class:`~repro.serve.sharded.WorkerProcess`; ``slot`` is the shard
+    index stamped on every reply.  ``clock`` is the beat source written into
     ``heartbeat.value`` — injectable (picklable, so a module-level fake
     works across spawn) for tests that exercise staleness handling; it
     must share a timebase with the dispatcher's ``heartbeat_age`` clock.
@@ -158,7 +157,7 @@ def serving_worker_main(
     stop_beating = threading.Event()
 
     def _beat_forever() -> None:
-        while not stop_beating.wait(beat_interval):
+        while not stop_beating.wait(BEAT_INTERVAL):
             heartbeat.value = clock()
 
     beater = threading.Thread(target=_beat_forever, daemon=True)
@@ -167,7 +166,7 @@ def serving_worker_main(
     try:
         while True:
             try:
-                message = inbox.get(timeout=beat_interval)
+                message = inbox.get(timeout=BEAT_INTERVAL)
             except queue.Empty:
                 continue
             kind = message[0]

@@ -58,3 +58,14 @@ def test_serve_rejects_bad_argument(capsys, flag, value):
     assert main(["serve", flag, value]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and flag in err[0]
+
+
+def test_serve_replays_through_both_tiers(capsys):
+    argv = ["serve", "--requests", "12", "--clouds", "2", "--cloud-size", "128",
+            "--queries", "8", "--workers", "1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "serve: 12 requests over 2 clouds (8 queries each)" in out
+    assert "serve --workers 1: sharded multi-process tier" in out
+    assert out.count("results identical") == 2
+    assert "False" not in out

@@ -14,12 +14,7 @@ import pytest
 
 import repro.kdtree.dynamic as dynamic_mod
 import repro.runtime.batched as batched_mod
-from repro.kdtree import (
-    DirtyRegionDigest,
-    DynamicKdTree,
-    DynamicStats,
-    scratch_dynamic_query,
-)
+from repro.kdtree import DynamicKdTree, DynamicStats, scratch_dynamic_query
 from repro.kdtree.dynamic_reference import pair_d2
 from repro.runtime import BatchedBallQuery, vectorized_build_kdtree
 
@@ -292,7 +287,7 @@ class TestMergedQueries:
 
 
 # ----------------------------------------------------------------------
-# Dirty-region digest
+# Content digest
 # ----------------------------------------------------------------------
 
 class TestDigest:
@@ -323,17 +318,6 @@ class TestDigest:
         dyn.insert(np.array([[9.0, 9.0, 9.0]]))
         assert dyn.digest != d1
 
-    def test_dirty_region_rehash_is_local(self):
-        """A one-chunk mutation on a many-chunk cloud re-hashes one chunk."""
-        rng = np.random.default_rng(6)
-        dyn = DynamicKdTree(rng.normal(size=(4096, 3)), digest_chunk=256)
-        dyn.digest  # settle: every chunk hashed once
-        before = dyn.digest_chunks_hashed
-        assert before == 16
-        dyn.remove([100])  # slot 100 lives in chunk 0 only
-        dyn.digest
-        assert dyn.digest_chunks_hashed == before + 1
-
     def test_digest_distinguishes_alive_bits(self):
         """Same coordinates, different tombstones -> different digest."""
         pts = np.arange(12.0).reshape(4, 3)
@@ -341,10 +325,6 @@ class TestDigest:
         b = DynamicKdTree(pts)
         b.remove([2])
         assert a.digest != b.digest
-
-    def test_digest_chunk_validation(self):
-        with pytest.raises(ValueError):
-            DirtyRegionDigest(0)
 
 
 # ----------------------------------------------------------------------

@@ -169,11 +169,6 @@ class TestGraphMechanics:
             y = (x * 2).sum()
         assert not y.requires_grad
 
-    def test_detach(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        y = (x.detach() * 2).sum()
-        assert not y.requires_grad
-
     def test_diamond_graph(self):
         # f(x) = (x*2) + (x*2) reuses a node; gradient must not double-count.
         x = Tensor(np.array([1.0]), requires_grad=True)

@@ -21,10 +21,17 @@ Farthest point sampling runs once per run, in the network planner
 (:func:`repro.models.layers.plan_chain`); a forward consumes the plan.  A
 second call site would re-sample what the plan already holds, so in
 ``src/`` only :mod:`repro.models.layers` calls the samplers.
+
+Every public function, class and method in ``src/`` has a caller outside
+``tests/``: some ``Name`` or ``Attribute`` in ``src/``, ``benchmarks/``,
+``examples/`` or ``perfbench/`` names it outside its own body.  A
+definition kept without one (an oracle, a test instrument) is listed with
+its reason.
 """
 
 import ast
 import subprocess
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -119,3 +126,110 @@ def test_only_the_layers_module_calls_the_samplers():
         "farthest point sampling runs in the network planner "
         f"(repro.models.layers.plan_chain); consume its plan instead: {offenders}"
     )
+
+
+# Modules whose definitions are oracles: the frozen reference modules plus
+# the brute-force searchers and the finite-difference gradient check.
+ORACLE_MODULES = ReferenceFreezeRule.FROZEN_SUFFIXES + (
+    "kdtree/brute.py",
+    "nn/gradcheck.py",
+)
+# Public definitions kept without a caller outside tests/, and why.
+UNCALLED_ALLOWED = {
+    "accel/pe.py:FiveStagePipeline": "per-cycle PE oracle behind the analytic pipeline cost",
+    "runtime/treebuild.py:VectorizedSplitTree.dram_address_of": "override pinned to SplitTree's",
+    "nn/tape.py:tape_length": "test instrument: live tape entries",
+    "nn/tape.py:reset_tape": "test instrument: drops a forward never backpropagated",
+    "nn/tensor.py:Tensor.take": "gather_rows' per-row test reference",
+    "nn/tensor.py:Tensor.sigmoid": "tape op pinned against nn.reference by the tape suites",
+    "nn/init.py:xavier_uniform": "nn API initializer beside kaiming_uniform, with its tests",
+    "nn/losses.py:mse_loss": "nn API loss; the batched-loss tests pin its per-sample reduction",
+    "memsim/energy.py:EnergyBreakdown.fraction": "memsim API: one component's share, with its tests",
+    "models/layers.py:farthest_point_sampling": "one-cloud FPS the FPS tests pin; perfbench hooks it",
+    "kdtree/dynamic.py:DynamicKdTree.buffered": "test probe of the insert buffer",
+}
+CALLER_DIRS = ("src", "benchmarks", "examples", "perfbench")
+
+
+def _public_definitions(tree):
+    """``(qualified name, node)`` of each public top-level function or
+    class, and of each public method."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            yield node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, kinds[:2]) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _uncalled_definitions(package: Path, sources):
+    """Public definitions under ``package`` that no ``Name`` id or
+    ``Attribute`` attr in ``sources`` names outside their own body."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+    seen = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                seen.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                seen.setdefault(node.attr, []).append((path, node.lineno))
+    uncalled = []
+    for path, tree in trees.items():
+        if package not in path.parents:
+            continue
+        for qualname, node in _public_definitions(tree):
+            if all(
+                where == path and node.lineno <= line <= node.end_lineno
+                for where, line in seen.get(node.name, ())
+            ):
+                uncalled.append(f"{path.relative_to(package).as_posix()}:{qualname}")
+    return uncalled
+
+
+def test_every_public_definition_has_a_caller_outside_tests():
+    sources = [p for d in CALLER_DIRS for p in sorted((REPO_ROOT / d).rglob("*.py"))]
+    assert len(sources) > 100  # the scan found the package and its callers
+    uncalled = _uncalled_definitions(PACKAGE_ROOT, sources)
+    offenders = [
+        name
+        for name in uncalled
+        if name not in UNCALLED_ALLOWED and not name.split(":")[0].endswith(ORACLE_MODULES)
+    ]
+    assert not offenders, (
+        "public definitions with no caller outside tests/: delete them (and "
+        f"their tests), or list them in UNCALLED_ALLOWED with a reason: {offenders}"
+    )
+    for entry in UNCALLED_ALLOWED:  # the allowlist names live definitions
+        module, qualname = entry.split(":")
+        tree = ast.parse((PACKAGE_ROOT / module).read_text())
+        assert qualname in dict(_public_definitions(tree)), entry
+
+
+def test_uncalled_definition_scan_reports_an_uncalled_function(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    module = package / "mod.py"
+    module.write_text(textwrap.dedent(
+        """
+        def used():
+            return 1
+
+        def unused():
+            return used()
+
+        def recursive(n):
+            return recursive(n - 1) if n else 0
+
+        def _private():
+            return 0
+
+        class Box:
+            def size(self):
+                return 1
+        """
+    ))
+    caller = tmp_path / "caller.py"
+    caller.write_text("from pkg.mod import Box\n\nBox().size()\n")
+    found = _uncalled_definitions(package, [module, caller])
+    assert found == ["mod.py:unused", "mod.py:recursive"]

@@ -753,8 +753,8 @@ class TestTraceReplay:
         report = replay_trace(trace, window=0.001, max_batch=16)
         assert report.results_identical
         assert report.requests == 18
-        assert report.stats.requests == 18
-        assert report.stats.coalesce_factor > 1.0
+        assert report.stats["coalesced"].requests == 18
+        assert report.stats["coalesced"].coalesce_factor > 1.0
 
     def test_synthetic_trace_validation(self):
         with pytest.raises(ValueError):

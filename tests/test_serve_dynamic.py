@@ -12,6 +12,7 @@ dynamic-handle worker recovery.
 import numpy as np
 import pytest
 
+import repro.runtime.session as session_module
 from repro.kdtree import DynamicKdTree
 from repro.runtime.session import SearchSession, dynamic_handle
 from repro.serve import (
@@ -37,14 +38,15 @@ class TestDriftTraceParity:
             seed=7,
             num_workers=2,
         )
-        assert report.frames == 50
+        assert list(report.times) == ["rebuild", "incremental", "sharded"]
         assert report.requests == 50
-        assert report.results_identical  # incremental == rebuild, per frame
-        assert report.sharded_identical  # == multi-process tier
+        # rebuild == incremental == multi-process tier, per frame
+        assert report.results_identical
         # The incremental path must have done strictly less index-build
         # work than rebuilding every frame (the point of the PR).
-        assert report.incremental_points_indexed < report.rebuild_points_indexed
-        assert len(report.incremental_waits) == 50
+        incremental, rebuild = report.stats["incremental"], report.stats["rebuild"]
+        assert incremental.points_indexed < rebuild.points_indexed
+        assert len(report.waits["incremental"]) == 50
 
     def test_trace_generator_is_deterministic(self):
         initial_a, frames_a = drift_trace(num_frames=5, num_points=100, seed=3)
@@ -56,6 +58,22 @@ class TestDriftTraceParity:
             for (qa, ra, ka), (qb, rb, kb) in zip(fa.requests, fb.requests):
                 np.testing.assert_array_equal(qa, qb)
                 assert ra == rb and ka == kb
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"num_points": 0}, "trace dimensions must be positive"),
+            ({"num_points": -5}, "trace dimensions must be positive"),
+            ({"num_frames": 0}, "trace dimensions must be positive"),
+            ({"requests_per_frame": 0}, "trace dimensions must be positive"),
+            ({"queries_per_request": 0}, "queries_per_request must be positive"),
+            ({"queries_per_request": -1}, "queries_per_request must be positive"),
+        ],
+    )
+    def test_trace_generator_rejects_non_positive_dimensions(self, kwargs, message):
+        # The messages synthetic_trace gives for the same inputs.
+        with pytest.raises(ValueError, match=message):
+            drift_trace(**{"num_frames": 2, "num_points": 50, **kwargs})
 
 
 # ----------------------------------------------------------------------
@@ -82,21 +100,20 @@ class TestServiceDynamic:
             np.testing.assert_array_equal(got_idx, want_idx)
             np.testing.assert_array_equal(got_cnt, want_cnt)
 
-    def test_update_hashes_nothing(self, rng):
-        # A frame's mutations hash no digest chunk (random removes would
-        # dirty every one); the digest is computed on demand and equals a
-        # replica's.
+    def test_update_hashes_nothing(self, rng, call_rows):
+        # A frame's mutations make no geometry_digest call; the digest is
+        # computed on demand and equals a replica's.
         service = QueryService()
         handle = service.register_dynamic(rng.normal(size=(3000, 3)))
         dyn = service.session.dynamic(handle)
-        before = dyn.digest_chunks_hashed
+        digests = call_rows(session_module, "geometry_digest", "arrays")
         for _ in range(3):
             removes = rng.choice(dyn.alive_slots(), size=40, replace=False)
             inserts = rng.normal(size=(40, 3))
             assert service.update(handle, inserts=inserts, removes=removes) is None
-        assert dyn.digest_chunks_hashed == before
+        assert digests == []
         assert dyn.digest == DynamicKdTree.from_state(*dyn.state()).digest
-        assert dyn.digest_chunks_hashed > before
+        assert digests == [2, 2]  # one per read, over (coords, alive)
 
     def test_static_and_dynamic_requests_share_a_flush(self, rng):
         static_pts = rng.normal(size=(60, 3))
@@ -254,6 +271,19 @@ class TestShardedDynamic:
             tier.flush()
             assert ticket.error is None
             assert tier.stats.respawns == 0
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_state_maintenance_rejected_at_register(self, rng, sharded):
+        # A state-only index can never serve: both tiers used to accept the
+        # registration, then fail every request against it at flush.
+        service = ShardedQueryService(num_workers=1) if sharded else QueryService()
+        try:
+            with pytest.raises(ValueError, match="'incremental' or 'rebuild', got 'state'"):
+                service.register_dynamic(rng.normal(size=(20, 3)), maintenance="state")
+            assert service.pending == 0 and service.stats.failed_requests == 0
+        finally:
+            if sharded:
+                service.close()
 
     def test_malformed_update_fails_at_dispatch_not_on_worker(self, rng):
         with ShardedQueryService(num_workers=2) as tier:

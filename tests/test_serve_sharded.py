@@ -17,14 +17,15 @@ import numpy as np
 import pytest
 
 from repro.kdtree import build_kdtree
-from repro.runtime import BatchedBallQuery, WorkerProcess
+from repro.runtime import BatchedBallQuery
 from repro.runtime.session import geometry_digest
 from repro.serve import (
     QueryService,
     ShardedQueryService,
-    replay_trace_sharded,
+    replay_trace,
     synthetic_trace,
 )
+from repro.serve.sharded import WorkerProcess
 from repro.serve.worker import _serve_batch
 
 
@@ -313,14 +314,15 @@ class TestShardedTraceReplay:
             num_requests=16, num_clouds=3, cloud_size=128,
             queries_per_request=8, seed=5,
         )
-        report = replay_trace_sharded(trace, num_workers=2)
+        report = replay_trace(trace, num_workers=2)
         assert report.results_identical
         assert report.requests == 16
-        assert report.num_workers == 2
-        assert report.stats.requests == 16
-        assert report.stats.failed_requests == 0
-        assert report.stats.coalesce_factor > 1.0
-        assert report.speedup > 0
+        stats = report.stats["sharded"]
+        assert len(stats.shards) == 2
+        assert stats.requests == 16
+        assert stats.failed_requests == 0
+        assert stats.coalesce_factor > 1.0
+        assert report.speedup("sharded") > 0
 
 
 def _echo_worker(inbox, outbox, heartbeat):
