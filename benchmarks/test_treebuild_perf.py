@@ -146,9 +146,9 @@ def test_all_distinct_cloud_serving_floor(monkeypatch):
     # cold path.
     reference_builds = []
 
-    def reference_forest(clouds, split_rule="widest"):
+    def reference_forest(clouds):
         reference_builds.append(len(clouds))
-        return [build_kdtree(points, split_rule) for points in clouds]
+        return [build_kdtree(points) for points in clouds]
 
     with monkeypatch.context() as patch:
         patch.setattr(treebuild, "vectorized_build_forest", reference_forest)

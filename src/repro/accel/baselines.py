@@ -40,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.session import SearchSession
 
 from ..core.config import ApproxSetting, CrescentHardwareConfig, valid_top_heights
+from ..core.split_tree import descend_step
 from ..kdtree.build import NODE_BYTES, KdTree
 from ..memsim.dram import DramModel
 from ..memsim.energy import EnergyBreakdown
@@ -144,48 +145,39 @@ class ExhaustiveSplitSearchEngine:
         split = VectorizedSplitTree(tree, ht)
         report = SearchReport()
         report.traversal.queries = m
+        r2 = radius * radius
 
-        assigned = split.route_queries(queries)
-        uniq_roots, inverse = np.unique(assigned, return_inverse=True)
+        # One top-tree descent routes every query to its sub-tree and
+        # collects its hits as flat (query, point) pairs: the top-tree hits
+        # (points streamed past during descent are tested) in level order,
+        # then the sub-tree scan hits in buffer order.  Nothing is
+        # deduplicated: a branch that runs out of children parks and
+        # re-tests its node.
+        empty = np.zeros(0, dtype=np.int64)
+        hit_rows: List[np.ndarray] = [empty]
+        hit_points: List[np.ndarray] = [empty]
+        current = np.full(m, tree.root, dtype=np.int64)
+        for _ in range(ht):
+            point = tree.point_id[current]
+            d2 = ((queries - tree.points[point]) ** 2).sum(axis=1)
+            hit = np.flatnonzero(d2 <= r2)
+            hit_rows.append(hit)
+            hit_points.append(point[hit])
+            nxt, parked = descend_step(tree, queries, current)
+            current = np.where(parked, current, nxt)
+        top_found = np.bincount(np.concatenate(hit_rows), minlength=m)
+
+        uniq_roots, inverse = np.unique(current, return_inverse=True)
         occupancy = np.bincount(inverse, minlength=len(uniq_roots))
         report.queue_occupancy = dict(zip(uniq_roots.tolist(), occupancy.tolist()))
         report.subtrees_loaded = len(uniq_roots)
         report.top_tree_visits = m * ht
         report.traversal.nodes_visited += m * ht
 
-        r2 = radius * radius
-        compute_cycles = 0
+        compute_cycles = (m // self.hw.num_pes + 1) * ht
         dram = DramModel(self.hw.dram)
         dram.stream(m * QUERY_BYTES)
         dram.stream(split.top_tree_bytes())
-
-        # Hits as flat (query, point) pairs: the top-tree hits (points
-        # streamed past during descent are tested) in level order, then the
-        # sub-tree scan hits in buffer order.  Nothing is deduplicated: a
-        # branch that runs out of children parks and re-tests its node.
-        empty = np.zeros(0, dtype=np.int64)
-        hit_rows: List[np.ndarray] = [empty]
-        hit_points: List[np.ndarray] = [empty]
-        if ht > 0:
-            current = np.full(m, tree.root, dtype=np.int64)
-            rows = np.arange(m)
-            for _ in range(ht):
-                pts = tree.points[tree.point_id[current]]
-                d2 = ((queries - pts) ** 2).sum(axis=1)
-                hit = np.flatnonzero(d2 <= r2)
-                hit_rows.append(hit)
-                hit_points.append(tree.point_id[current[hit]])
-                dims = tree.split_dim[current]
-                go_left = queries[rows, dims] <= pts[rows, dims]
-                nxt = np.where(go_left, tree.left[current], tree.right[current])
-                missing = nxt < 0
-                if missing.any():
-                    alt = np.where(go_left, tree.right[current], tree.left[current])
-                    nxt = np.where(missing, alt, nxt)
-                    nxt = np.where(nxt < 0, current, nxt)
-                current = nxt.astype(np.int64)
-            compute_cycles += (m // self.hw.num_pes + 1) * ht
-        top_found = np.bincount(np.concatenate(hit_rows), minlength=m)
 
         nearest = np.zeros(m, dtype=np.int64)  # the pad of hitless queries
         by_root = np.argsort(inverse, kind="stable")

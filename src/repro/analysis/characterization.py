@@ -9,7 +9,7 @@ SRAM models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from ..kdtree.build import NODE_BYTES
 from ..memsim.cache import FullyAssociativeCache
 from ..runtime.approx import SearchJob, approximate_search
 from ..runtime.batched import BatchedBallQuery
+from ..runtime.network import layer_sampling_plan
 from ..runtime.traced import TracedBallQuery
 from ..runtime.treebuild import vectorized_build_kdtree
 from ..memsim.trace import fraction_noncontiguous, interleave_round_robin
@@ -36,15 +37,12 @@ __all__ = [
 
 
 def _network_layer_queries(spec_name: str, seed: int = 0):
-    """Yield (points, queries, radius, K) per layer of an evaluation network."""
+    """Yield (points, queries, radius, K) per layer of an evaluation network,
+    along the network run's own sampling plan."""
     spec = evaluation_networks()[spec_name]
-    points = workload_points(spec_name, seed=seed)
-    rng = np.random.default_rng(seed)
-    current = points
-    for layer in spec.layers:
-        queries = current[rng.choice(len(current), layer.num_queries, replace=False)]
-        yield current, queries, layer.radius, layer.max_neighbors
-        current = queries
+    plan = layer_sampling_plan(spec, workload_points(spec_name, seed=seed), seed)
+    for (points, queries), layer in zip(plan, spec.layers):
+        yield points, queries, layer.radius, layer.max_neighbors
 
 
 def layer_search_traces(
@@ -70,17 +68,20 @@ def layer_search_traces(
     return traces
 
 
-def nonstreaming_fraction(spec_name: str, num_parallel: int = 8, seed: int = 0) -> float:
-    """Fig. 2: fraction of non-continuous DRAM accesses in neighbor search.
-
-    Per-query traces are interleaved round-robin in groups of
-    ``num_parallel`` (concurrent PEs sharing the memory controller).
-    """
+def _interleaved_addresses(spec_name: str, num_parallel: int, seed: int) -> np.ndarray:
+    """Every layer's search traces, interleaved round-robin in groups of
+    ``num_parallel`` (concurrent PEs sharing the memory controller)."""
     traces = layer_search_traces(spec_name, seed=seed)
-    merged: List[np.ndarray] = []
-    for start in range(0, len(traces), num_parallel):
-        merged.append(interleave_round_robin(traces[start : start + num_parallel]))
-    addresses = np.concatenate(merged) if merged else np.empty(0, dtype=np.int64)
+    merged = [
+        interleave_round_robin(traces[start : start + num_parallel])
+        for start in range(0, len(traces), num_parallel)
+    ]
+    return np.concatenate(merged) if merged else np.empty(0, dtype=np.int64)
+
+
+def nonstreaming_fraction(spec_name: str, num_parallel: int = 8, seed: int = 0) -> float:
+    """Fig. 2: fraction of non-continuous DRAM accesses in neighbor search."""
+    addresses = _interleaved_addresses(spec_name, num_parallel, seed)
     return fraction_noncontiguous(addresses, NODE_BYTES)
 
 
@@ -103,15 +104,10 @@ def dram_traffic_study(
     ``cache_fraction`` of the tree image to stay in the same regime for
     the smaller synthetic scenes.
     """
-    traces = layer_search_traces(spec_name, seed=seed)
-    merged = []
-    for start in range(0, len(traces), num_parallel):
-        merged.append(interleave_round_robin(traces[start : start + num_parallel]))
-    addresses = np.concatenate(merged) if merged else np.empty(0, dtype=np.int64)
+    addresses = _interleaved_addresses(spec_name, num_parallel, seed)
     if addresses.size == 0:
-        # No traces (e.g. zero queries per layer): no traffic, no misses —
-        # mirror nonstreaming_fraction's guard instead of crashing on
-        # np.concatenate([]) / max() of an empty address stream.
+        # No traces (e.g. zero queries per layer): no traffic, no misses,
+        # instead of crashing on max() of an empty address stream.
         return DramTrafficResult(traffic_ratio=0.0, miss_rate=0.0)
     image_bytes = int(addresses.max()) + NODE_BYTES
     cache = FullyAssociativeCache(

@@ -14,8 +14,9 @@ one shot**, O(log N) NumPy passes total and no per-node Python:
 
 - :func:`vectorized_build_forest` — any number of clouds in one level
   loop, each tree bit-identical to ``build_kdtree`` of its cloud alone
-  (all six node arrays, both split rules, including stable-argsort tie
-  routing on duplicate coordinates), pinned by the randomized equivalence
+  (all six node arrays, the ``"widest"`` split rule every production
+  build uses, including stable-argsort tie routing on duplicate
+  coordinates), pinned by the randomized equivalence
   suites in ``tests/test_runtime_treebuild.py``.  Epoch materialization
   builds all of its ~100-point clouds in one pass
   (:meth:`~repro.runtime.SearchSession.trees_for`), where per-call
@@ -87,18 +88,16 @@ def _stable_segment_order(
     return np.argsort(key, kind="stable")
 
 
-def vectorized_build_forest(
-    clouds: Sequence[np.ndarray], split_rule: str = "widest"
-) -> List[KdTree]:
-    """Build ``build_kdtree(points, split_rule)`` for every cloud, level at a time.
+def vectorized_build_forest(clouds: Sequence[np.ndarray]) -> List[KdTree]:
+    """Build ``build_kdtree(points)`` for every cloud, level at a time.
 
     One level loop serves the whole forest: the first level's segments are
     the clouds themselves, and every later level sorts the open segments of
     every tree with one segmented stable sort.  Bit-identical output
     contract, tree for tree: each returned tree's ``point_id`` /
     ``split_dim`` / ``left`` / ``right`` / ``depth`` / ``subtree_size``
-    arrays (values *and* dtypes) match ``build_kdtree(points, split_rule)``
-    of its cloud alone, for both split rules, on any input the reference
+    arrays (values *and* dtypes) match ``build_kdtree(points)`` (the
+    ``"widest"`` split rule) of its cloud alone, on any input the reference
     accepts — including duplicate coordinates, where tie routing follows
     the reference's stable argsort.  Each tree's ``points`` is its cloud
     (no copy when it is already C-contiguous float64); its node arrays are
@@ -121,8 +120,6 @@ def vectorized_build_forest(
         if len(points) == 0:
             raise ValueError("cannot build a K-d tree over zero points")
         arrays.append(points)
-    if split_rule not in ("widest", "cycle"):
-        raise ValueError(f"unknown split_rule {split_rule!r}")
     if not arrays:
         return []
 
@@ -169,19 +166,16 @@ def vectorized_build_forest(
         num_segments = len(seg_len)
         seg = np.repeat(np.arange(num_segments, dtype=np.int64), seg_len)
 
-        if split_rule == "widest":
-            # Largest-extent dim per segment.  np.argmax takes the lowest
-            # index on ties, matching the reference; a 1-point segment has
-            # all-zero extents ⇒ dim 0, matching its len==1 special case.
-            extents = np.empty((num_segments, 3))
-            for k in range(3):
-                c = cols[k][ids]
-                extents[:, k] = np.maximum.reduceat(c, seg_start) - np.minimum.reduceat(
-                    c, seg_start
-                )
-            dim = np.argmax(extents, axis=1)
-        else:
-            dim = np.full(num_segments, d % 3, dtype=np.int64)
+        # Largest-extent dim per segment.  np.argmax takes the lowest index
+        # on ties, matching the reference; a 1-point segment has all-zero
+        # extents ⇒ dim 0, matching its len==1 special case.
+        extents = np.empty((num_segments, 3))
+        for k in range(3):
+            c = cols[k][ids]
+            extents[:, k] = np.maximum.reduceat(c, seg_start) - np.minimum.reduceat(
+                c, seg_start
+            )
+        dim = np.argmax(extents, axis=1)
 
         rank_vals = ranks_flat[dim[seg] * n + ids]
         order = _stable_segment_order(seg, rank_vals, num_segments, n_uniq)
@@ -256,10 +250,10 @@ def vectorized_build_forest(
     ]
 
 
-def vectorized_build_kdtree(points: np.ndarray, split_rule: str = "widest") -> KdTree:
+def vectorized_build_kdtree(points: np.ndarray) -> KdTree:
     """Build the same balanced K-d tree as :func:`build_kdtree`, level at a time:
     the one-cloud forest of :func:`vectorized_build_forest`."""
-    return vectorized_build_forest([points], split_rule)[0]
+    return vectorized_build_forest([points])[0]
 
 
 class VectorizedSplitTree(SplitTree):

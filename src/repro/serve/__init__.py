@@ -15,13 +15,15 @@ callers* rather than replaying figure grids.  Three layers:
   and a bounded pending queue (backpressure) shape the batches; ``drain``
   serves everything queued and shuts down gracefully.
 - :class:`ShardedQueryService` — the multi-process tier: a dispatcher
-  routes requests by geometry digest to N long-lived serving worker
-  processes (each running its own coalescing ``QueryService`` over a
-  long-lived session), with a ``register(points) -> handle`` API so
-  repeat callers skip re-shipping and re-hashing geometry, worker
-  heartbeats, dead-worker respawn, and orphaned-request requeue; results
-  stay bit-identical to the single-process service.  Per-shard stats
-  roll up into :class:`ShardedStats`.
+  queues requests through the same request window as ``QueryService``
+  (checked at submit, hashed at flush) and routes each cloud group by
+  geometry digest to N long-lived serving worker processes (each running
+  its own coalescing ``QueryService`` over a long-lived session), with a
+  ``register(points) -> handle`` API so repeat callers skip re-shipping
+  and re-hashing geometry, worker heartbeats, dead-worker respawn, and
+  orphaned-request requeue; results stay bit-identical to the
+  single-process service.  :class:`ShardedStats` holds the tier totals
+  under the ``ServiceStats`` names, plus per-shard entries.
 - :func:`synthetic_trace` / :func:`replay_trace` — the request-trace
   workload generator and its replay behind ``python -m
   repro.analysis.cli serve``: sequential, coalesced and (optionally)

@@ -11,12 +11,12 @@ request-id vector, answers the whole group with one
 :meth:`~repro.runtime.batched.BatchedBallQuery.query_merged` advance, and
 demuxes the per-request results back onto the callers' tickets.
 
-The digest is taken at flush, once per distinct array, from the bytes
-about to be searched: a request is served against its cloud's content at
-flush, and the session's tree cache keeps its own read-only copy of every
-cloud it indexes, so no caller's later write reaches a cached tree.  A
-cloud array is validated once per flush window, and again for finiteness
-at flush.
+Requests queue in ``_RequestWindow``, the one queue both serving tiers
+use: it validates a request at submit, checks a cloud array once per
+flush window, and digests each distinct array at flush, from the bytes
+about to be searched, so a request is served against its cloud's content
+at flush.  The session's tree cache keeps its own read-only copy of every
+cloud it indexes, so no caller's later write reaches a cached tree.
 
 Coalescing is a pure batching transform: row independence of the merged
 sweep makes every served result bit-identical to running the request
@@ -51,9 +51,9 @@ __all__ = [
 def validate_points(points: np.ndarray) -> np.ndarray:
     """Validate one request's cloud: float64, ``(N >= 1, 3)``, finite.
 
-    Shared by :meth:`QueryService.submit` and the sharded dispatcher's
-    ``register``/``submit`` so a cloud rejected by one tier is rejected
-    identically by the other.
+    Shared by the request window both tiers submit through and by the
+    sharded dispatcher's ``register``, so a cloud rejected by one tier is
+    rejected identically by the other.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0:
@@ -167,13 +167,83 @@ class _Pending:
     __slots__ = ("key", "points", "queries", "ticket")
 
     def __init__(self, key, points, queries, ticket):
-        # A dynamic request is grouped by its ``("dyn", handle)`` key; a
-        # static one carries its ``points`` instead and is grouped by the
-        # geometry digest the flush takes of them.
+        # A static request carries its checked ``points`` and is grouped
+        # by the digest the window takes of them when it closes; any other
+        # carries its group ``key``: a registered cloud's digest handle, or
+        # ``("dyn", handle)`` for a dynamic cloud.
         self.key = key
         self.points = points
         self.queries = queries
         self.ticket = ticket
+
+
+class _RequestWindow:
+    """The requests queued since the last flush, for both serving tiers.
+
+    :meth:`add` validates a request's settings and queries at submit and
+    checks its cloud array once per window.  :meth:`close` ends the window
+    and groups its requests in arrival order: a static request by the
+    geometry digest of its cloud's content at that moment, any other by
+    its key.
+    """
+
+    def __init__(self, clock: Callable[[], float]):
+        self._clock = clock
+        self.queue: List[_Pending] = []
+        # Clouds checked this window without a copy, by id: (input,
+        # checked array).  Holding the input bars its id's reuse.
+        self._checked: Dict[int, Tuple[object, np.ndarray]] = {}
+
+    def add(self, key, points, queries, radius, max_neighbors) -> QueryTicket:
+        """Queue one request (``points`` is None for a keyed one)."""
+        validate_settings(radius, max_neighbors)
+        if points is not None:
+            points = self._checked_points(points)
+        queries = validate_queries(queries)
+        ticket = QueryTicket(float(radius), int(max_neighbors), self._clock())
+        self.queue.append(_Pending(key, points, queries, ticket))
+        return ticket
+
+    def _checked_points(self, points) -> np.ndarray:
+        """``validate_points``, once per window for an input it does not
+        copy (a float64 array; an unpickled one comes back as a view).  A
+        converted input (a list, float32) is checked on every add."""
+        held = self._checked.get(id(points))
+        if held is not None:
+            return held[1]
+        valid = validate_points(points)
+        if valid is points or valid.base is points:
+            self._checked[id(points)] = (points, valid)
+        return valid
+
+    def close(self) -> "OrderedDict[object, List[_Pending]]":
+        """End the window; return its requests grouped by cloud.
+
+        A static request's cloud is digested here, once per distinct array
+        memory ``(data address, shape, strides)``: equal content in
+        distinct arrays still shares a group.  The key is the memory, not
+        ``id()``: ``validate_points`` returns a fresh view of an unpickled
+        float64 array, so a worker's batch on one shipped cloud arrives as
+        distinct objects over one buffer.  The groups hold every array, so
+        no address is reused while they live.
+        """
+        self._checked = {}
+        batch, self.queue = self.queue, []
+        digests: Dict[tuple, str] = {}
+        groups: "OrderedDict[object, List[_Pending]]" = OrderedDict()
+        for p in batch:
+            key = p.key
+            if p.points is not None:
+                memory = (
+                    p.points.__array_interface__["data"][0],
+                    p.points.shape,
+                    p.points.strides,
+                )
+                key = digests.get(memory)
+                if key is None:
+                    key = digests[memory] = geometry_digest(p.points)
+            groups.setdefault(key, []).append(p)
+        return groups
 
 
 class QueryService:
@@ -199,15 +269,12 @@ class QueryService:
         self.session = session if session is not None else SearchSession()
         self.stats = ServiceStats()
         self._clock = clock
-        self._queue: List[_Pending] = []
-        # Clouds submit checked since the last flush without a copy, by id:
-        # (input, checked array).  Holding the input bars its id's reuse.
-        self._checked: Dict[int, Tuple[object, np.ndarray]] = {}
+        self._window = _RequestWindow(clock)
 
     @property
     def pending(self) -> int:
         """Requests queued but not yet served."""
-        return len(self._queue)
+        return len(self._window.queue)
 
     # ------------------------------------------------------------------
     def submit(
@@ -231,24 +298,7 @@ class QueryService:
         reuses its first check, so a cloud written non-finite after that
         check is accepted here and fails all its tickets at :meth:`flush`.
         """
-        validate_settings(radius, max_neighbors)
-        points = self._checked_points(points)
-        queries = validate_queries(queries)
-        ticket = QueryTicket(float(radius), int(max_neighbors), self._clock())
-        self._queue.append(_Pending(None, points, queries, ticket))
-        return ticket
-
-    def _checked_points(self, points) -> np.ndarray:
-        """``validate_points``, once per flush window for an input it does
-        not copy (a float64 array; an unpickled one comes back as a view).
-        A converted input (a list, float32) is checked on every submit."""
-        held = self._checked.get(id(points))
-        if held is not None:
-            return held[1]
-        valid = validate_points(points)
-        if valid is points or valid.base is points:
-            self._checked[id(points)] = (points, valid)
-        return valid
+        return self._window.add(None, points, queries, radius, max_neighbors)
 
     def flush(self) -> int:
         """Serve everything queued; returns the merged sweeps *executed*.
@@ -262,16 +312,10 @@ class QueryService:
         tickets.  Pending updates to a dynamic cloud are applied by its
         lazy refresh here — between flushes, never mid-sweep.
 
-        Each static request's cloud is digested here, from the bytes about
-        to be searched, once per distinct array memory ``(data address,
-        shape, strides)``: equal content in distinct arrays still merges
-        into one sweep, and a same-cloud flush hashes its cloud once.  The
-        key is the memory, not ``id()``: ``validate_points`` returns a
-        fresh view of an unpickled float64 array, so a worker's batch on
-        one shipped cloud arrives as distinct objects over one buffer.
-        The batch holds every array until the flush ends, so no address
-        can be reused mid-flush.  A cloud written non-finite after submit
-        fails its group's tickets with ``validate_points``' ``ValueError``.
+        Each static request's cloud is digested here, once per distinct
+        array memory (see :meth:`_RequestWindow.close`).  A cloud written
+        non-finite after submit fails its group's tickets with
+        ``validate_points``' ``ValueError``.
 
         A group whose sweep fails settles its tickets with the error and
         executes nothing, so it contributes neither to the return value
@@ -279,26 +323,11 @@ class QueryService:
         ``stats.failed_requests`` instead.  ``stats.flushes`` only counts
         calls that served at least one request.
         """
-        self._checked = {}
-        if not self._queue:
-            return 0
-        batch, self._queue = self._queue, []
         t0 = self._clock()
+        groups = self._window.close()
+        if not groups:
+            return 0
         executed = 0
-        digests: Dict[tuple, str] = {}
-        groups: "OrderedDict[object, List[_Pending]]" = OrderedDict()
-        for p in batch:
-            key = p.key
-            if p.points is not None:
-                memory = (
-                    p.points.__array_interface__["data"][0],
-                    p.points.shape,
-                    p.points.strides,
-                )
-                key = digests.get(memory)
-                if key is None:
-                    key = digests[memory] = geometry_digest(p.points)
-            groups.setdefault(key, []).append(p)
         for key, members in groups.items():
             try:
                 sizes = [len(p.queries) for p in members]
@@ -306,12 +335,12 @@ class QueryService:
                 radii = np.repeat([p.ticket.radius for p in members], sizes)
                 request_ids = np.repeat(np.arange(len(members)), sizes)
                 ks = np.asarray([p.ticket.max_neighbors for p in members])
-                if isinstance(key, tuple) and key[0] == "dyn":
+                if isinstance(key, tuple):
                     engine = self.session.dynamic(key[1])
                 else:
-                    # Digested above from these bytes; don't re-hash the
-                    # cloud just to key the tree cache.  Equal bytes share
-                    # finiteness, so one check covers the group.
+                    # Digested at close from these bytes; don't re-hash
+                    # the cloud just to key the tree cache.  Equal bytes
+                    # share finiteness, so one check covers the group.
                     points = members[0].points
                     if not np.isfinite(points).all():
                         validate_points(points)  # written since submit: raises
@@ -399,9 +428,5 @@ class QueryService:
         ``(d2, slot id)``; see :mod:`repro.kdtree.dynamic_reference`),
         evaluated against the cloud state at flush time.
         """
-        validate_settings(radius, max_neighbors)
-        queries = validate_queries(queries)
         self.session.dynamic(handle)  # unknown handles fail their caller now
-        ticket = QueryTicket(float(radius), int(max_neighbors), self._clock())
-        self._queue.append(_Pending(("dyn", handle), None, queries, ticket))
-        return ticket
+        return self._window.add(("dyn", handle), None, queries, radius, max_neighbors)

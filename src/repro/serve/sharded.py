@@ -13,11 +13,18 @@ the same shard and still coalesce into one merged sweep, so the sharded
 tier's results are bit-identical to the single-process service by
 construction (the sharded parity suite pins this).
 
+Both tiers queue through one request window (``_RequestWindow`` in
+:mod:`repro.serve.service`): settings and queries are validated at
+submit, a cloud array is checked once per window, and each cloud is
+hashed at flush, once per distinct array, so a request is served against
+its cloud's content at flush on either tier.  The dispatcher then routes
+each group by its digest.
+
 The ``register(points) -> handle`` API is the repeat-caller fast path: a
 registered cloud is shipped to its shard once and pinned in the worker's
-tree cache, after which submits for that cloud (by handle, or by points
-whose digest matches) carry only the query batch — no geometry re-ship,
-and no per-submit re-hash when the handle is used directly.
+tree cache, after which requests for that cloud (by handle, or by points
+whose content at flush matches) carry only the query batch — no geometry
+re-ship, and no hash at all when the handle is used directly.
 
 Failure recovery follows the master/worker discipline of RD-MCL's worker
 suite: every worker carries a heartbeat (written by a side thread, so a
@@ -29,9 +36,9 @@ incarnation.  Each shard runs in a :class:`WorkerProcess`: one child
 process with per-incarnation mailboxes (a reply that raced the kill dies
 with the old outbox and the batch is simply served again — deterministic
 serving makes the do-over bit-identical), so a crashed worker can never
-poison a queue another shard depends on.  Per-shard
-:class:`~repro.serve.ServiceStats` roll up into :class:`ShardedStats`,
-which also counts respawns and requeues.
+poison a queue another shard depends on.  :class:`ShardedStats` is a
+:class:`~repro.serve.ServiceStats` of tier totals that also keeps one
+entry per shard and counts respawns and requeues.
 """
 
 from __future__ import annotations
@@ -46,82 +53,29 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..runtime.session import geometry_digest
-from .service import (
-    QueryTicket,
-    ServiceStats,
-    validate_points,
-    validate_queries,
-    validate_settings,
-)
+from .service import QueryTicket, ServiceStats, _RequestWindow, validate_points
 from .worker import serving_worker_main
 
 __all__ = ["ShardedQueryService", "ShardedStats", "WorkerProcess"]
 
 
 @dataclass
-class ShardedStats:
-    """Per-shard :class:`ServiceStats` plus tier-level recovery counters.
+class ShardedStats(ServiceStats):
+    """Tier totals under the :class:`ServiceStats` names, per-shard entries,
+    and tier-level recovery counters.
 
-    The per-shard entries are dispatcher-maintained (accumulated from
-    batch-reply deltas), so they survive worker respawns; aggregate
-    properties mirror the :class:`ServiceStats` names so tier-level code
-    can read either interchangeably.  ``serve_time`` sums *worker-side*
-    serve time across shards (total serving CPU, not wall clock — shards
-    serve in parallel); ``wait_time`` is dispatcher-measured
-    submit-to-settle latency, so it includes shipping and queueing.
+    The dispatcher updates each total next to its shard's entry as batch
+    replies settle, so both survive worker respawns and every total equals
+    its sum over ``shards`` (``max_coalesced``: its maximum).
+    ``serve_time`` sums *worker-side* serve time across shards (total
+    serving CPU, not wall clock — shards serve in parallel); ``wait_time``
+    is dispatcher-measured submit-to-settle latency, so it includes
+    shipping and queueing.
     """
 
     shards: List[ServiceStats] = field(default_factory=list)
     respawns: int = 0  # dead workers replaced with a fresh process
     requeued_requests: int = 0  # orphaned in-flight requests re-dispatched
-
-    def _sum(self, attr: str) -> float:
-        return sum(getattr(s, attr) for s in self.shards)
-
-    @property
-    def requests(self) -> int:
-        return int(self._sum("requests"))
-
-    @property
-    def queries(self) -> int:
-        return int(self._sum("queries"))
-
-    @property
-    def sweeps(self) -> int:
-        return int(self._sum("sweeps"))
-
-    @property
-    def flushes(self) -> int:
-        return int(self._sum("flushes"))
-
-    @property
-    def failed_requests(self) -> int:
-        return int(self._sum("failed_requests"))
-
-    @property
-    def serve_time(self) -> float:
-        return float(self._sum("serve_time"))
-
-    @property
-    def wait_time(self) -> float:
-        return float(self._sum("wait_time"))
-
-    @property
-    def max_coalesced(self) -> int:
-        return max((s.max_coalesced for s in self.shards), default=0)
-
-    @property
-    def coalesce_factor(self) -> float:
-        return self.requests / self.sweeps if self.sweeps else 0.0
-
-    @property
-    def mean_wait(self) -> float:
-        return self.wait_time / self.requests if self.requests else 0.0
-
-    @property
-    def throughput(self) -> float:
-        """Requests per second of summed worker serve time."""
-        return self.requests / self.serve_time if self.serve_time else 0.0
 
 
 class WorkerProcess:
@@ -274,30 +228,6 @@ class WorkerProcess:
         self.outbox = None
 
 
-class _PendingJob:
-    __slots__ = ("job_id", "digest", "points", "queries", "ticket", "kind")
-
-    def __init__(self, job_id, digest, points, queries, ticket, kind="static"):
-        self.job_id = job_id
-        self.digest = digest  # geometry digest, or the dynamic handle
-        self.points = points  # None once the digest is registered
-        self.queries = queries
-        self.ticket = ticket
-        self.kind = kind
-
-    def payload(self) -> Tuple:
-        t = self.ticket
-        base = (
-            self.job_id,
-            self.digest,
-            self.points,
-            self.queries,
-            t.radius,
-            t.max_neighbors,
-        )
-        return base if self.kind == "static" else base + (self.kind,)
-
-
 class ShardedQueryService:
     """Digest-sharded multi-process serving tier (see module docs).
 
@@ -362,8 +292,7 @@ class ShardedQueryService:
         # ships — validating it — and is the state source for respawn.
         self._dynamic: Dict[str, Tuple[object, str]] = {}
         self._dynamic_seq = itertools.count()
-        self._pending: List[_PendingJob] = []
-        self._job_ids = itertools.count()
+        self._window = _RequestWindow(clock)
         self._batch_ids = itertools.count()
         self._closed = False
         for worker in self._workers:
@@ -383,7 +312,7 @@ class ShardedQueryService:
     @property
     def pending(self) -> int:
         """Requests queued but not yet dispatched/served."""
-        return len(self._pending)
+        return len(self._window.queue)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -491,7 +420,7 @@ class ShardedQueryService:
         self._check_open()
         if handle not in self._dynamic:
             raise KeyError(f"unknown dynamic handle {handle!r}")
-        return self._enqueue(handle, None, queries, radius, max_neighbors, "dynamic")
+        return self._window.add(("dyn", handle), None, queries, radius, max_neighbors)
 
     def submit(
         self,
@@ -502,15 +431,16 @@ class ShardedQueryService:
     ) -> QueryTicket:
         """Queue one request by cloud; returns its ticket.
 
-        Validation happens here, exactly as in
-        :meth:`QueryService.submit` — a malformed or non-finite request
-        fails its own caller instead of travelling to a worker.
+        Queued through the same request window as
+        :meth:`QueryService.submit`: a malformed or non-finite request
+        fails its own caller here instead of travelling to a worker, a
+        cloud array is checked once per flush window, and the cloud is
+        hashed at :meth:`flush`, so the request is served against its
+        content at flush — from the registered copy when that content is
+        registered.
         """
         self._check_open()
-        points = validate_points(points)
-        digest = geometry_digest(points)
-        ship = None if digest in self._registered else points
-        return self._enqueue(digest, ship, queries, radius, max_neighbors)
+        return self._window.add(None, points, queries, radius, max_neighbors)
 
     def submit_handle(
         self,
@@ -527,51 +457,49 @@ class ShardedQueryService:
         self._check_open()
         if handle not in self._registered:
             raise KeyError(f"unknown cloud handle {handle!r}; register() it first")
-        return self._enqueue(handle, None, queries, radius, max_neighbors)
-
-    def _enqueue(
-        self, digest, points, queries, radius, max_neighbors, kind="static"
-    ) -> QueryTicket:
-        validate_settings(radius, max_neighbors)
-        queries = validate_queries(queries)
-        ticket = QueryTicket(float(radius), int(max_neighbors), self._clock())
-        self._pending.append(
-            _PendingJob(next(self._job_ids), digest, points, queries, ticket, kind)
-        )
-        return ticket
+        return self._window.add(handle, None, queries, radius, max_neighbors)
 
     # ------------------------------------------------------------------
     def flush(self) -> int:
         """Serve everything queued; returns the merged sweeps executed.
 
-        Pending requests are grouped by shard and dispatched as one batch
-        message per shard; the shards serve their batches concurrently
-        while this loop demuxes replies onto tickets as they arrive.  If
-        a worker dies mid-flush its shard is respawned, re-registered,
-        and its orphaned batches requeued — the flush still settles every
-        ticket.
+        The request window closes as :class:`QueryService`'s does, and
+        each cloud group is routed by its digest (a dynamic one by its
+        handle): a registered cloud's requests ship no geometry, any other
+        static group ships its cloud once.  Each shard gets one batch
+        message; the shards serve their batches concurrently while this
+        loop demuxes replies onto tickets as they arrive.  If a worker
+        dies mid-flush its shard is respawned, re-registered, and its
+        orphaned batches requeued — the flush still settles every ticket.
         """
         self._check_open()
-        if not self._pending:
-            return 0
-        batch, self._pending = self._pending, []
-        by_slot: Dict[int, List[_PendingJob]] = {}
-        for job in batch:
-            by_slot.setdefault(self._slot_for(job.digest), []).append(job)
-        outstanding: Dict[int, Tuple[int, List[_PendingJob]]] = {}
-        for slot, jobs in by_slot.items():
+        by_slot: Dict[int, Tuple[List[Tuple], list]] = {}
+        for key, members in self._window.close().items():
+            if isinstance(key, tuple):  # ("dyn", handle)
+                route, points, kind = key[1], None, ("dynamic",)
+            else:
+                route, kind = key, ()
+                points = None if key in self._registered else members[0].points
+            jobs, pending = by_slot.setdefault(self._slot_for(route), ([], []))
+            for p in members:
+                t = p.ticket
+                jobs.append(
+                    (len(jobs), route, points, p.queries, t.radius, t.max_neighbors)
+                    + kind
+                )
+                pending.append(p)
+        outstanding: Dict[int, Tuple[int, List[Tuple], list]] = {}
+        for slot, (jobs, pending) in by_slot.items():
             self._ensure_alive(slot)
             batch_id = next(self._batch_ids)
-            outstanding[batch_id] = (slot, jobs)
-            self._workers[slot].send(
-                ("batch", batch_id, [job.payload() for job in jobs])
-            )
+            outstanding[batch_id] = (slot, jobs, pending)
+            self._workers[slot].send(("batch", batch_id, jobs))
         executed = 0
         while outstanding:
             # Round-robin the shards we are waiting on, splitting the
             # poll budget between their (per-incarnation) outboxes; a
             # full quiet round triggers the dead-worker sweep.
-            waiting = sorted({slot for slot, _ in outstanding.values()})
+            waiting = sorted({entry[0] for entry in outstanding.values()})
             progressed = False
             for slot in waiting:
                 try:
@@ -589,38 +517,39 @@ class ShardedQueryService:
                 if entry is None:
                     continue  # stale reply for an already-settled batch
                 progressed = True
-                executed += self._settle(entry[0], entry[1], results, delta)
+                executed += self._settle(entry[0], entry[2], results, delta)
             if not progressed and outstanding:
                 self._recover_dead(outstanding)
         return executed
 
-    def _settle(self, slot, jobs, results, delta) -> int:
-        """Demux one batch reply onto tickets; fold into per-shard stats."""
+    def _settle(self, slot, pending, results, delta) -> int:
+        """Demux one batch reply onto tickets; fold it into the shard's
+        stats and the tier totals."""
         now = self._clock()
-        shard = self.stats.shards[slot]
-        jobs_by_id = {job.job_id: job for job in jobs}
-        served = 0
+        served = failed = queries = 0
+        wait = 0.0
         for job_id, indices, counts, error in results:
-            job = jobs_by_id.get(job_id)
-            if job is None:
-                continue
-            ticket = job.ticket
+            p = pending[job_id]
             if error is not None:
-                ticket.error = error
-                shard.failed_requests += 1
+                p.ticket.error = error
+                failed += 1
             else:
-                ticket.indices = indices
-                ticket.counts = counts
-                ticket.served_at = now
-                shard.wait_time += now - ticket.submitted_at
-                shard.requests += 1
-                shard.queries += len(job.queries)
+                p.ticket.indices = indices
+                p.ticket.counts = counts
+                p.ticket.served_at = now
+                wait += now - p.ticket.submitted_at
                 served += 1
-        shard.sweeps += delta["sweeps"]
-        shard.serve_time += delta["serve_time"]
-        shard.max_coalesced = max(shard.max_coalesced, delta["max_coalesced"])
-        if served:
-            shard.flushes += 1
+                queries += len(p.queries)
+        for stats in (self.stats.shards[slot], self.stats):
+            stats.requests += served
+            stats.failed_requests += failed
+            stats.queries += queries
+            stats.wait_time += wait
+            stats.sweeps += delta["sweeps"]
+            stats.serve_time += delta["serve_time"]
+            stats.max_coalesced = max(stats.max_coalesced, delta["max_coalesced"])
+            if served:
+                stats.flushes += 1
         return int(delta["sweeps"])
 
     # ------------------------------------------------------------------
@@ -656,20 +585,18 @@ class ShardedQueryService:
                     ("register_dynamic", handle, coords, alive, maintenance)
                 )
 
-    def _recover_dead(self, outstanding: Dict[int, Tuple[int, List[_PendingJob]]]) -> None:
+    def _recover_dead(self, outstanding: Dict[int, Tuple]) -> None:
         """Respawn dead shards we are waiting on; requeue their batches."""
-        waiting_on = {slot for slot, _ in outstanding.values()}
+        waiting_on = {entry[0] for entry in outstanding.values()}
         for slot in waiting_on:
             if self._worker_ok(slot):
                 continue
             self._respawn(slot)
-            for batch_id, (owner, jobs) in outstanding.items():
+            for batch_id, (owner, jobs, _) in outstanding.items():
                 if owner != slot:
                     continue
                 self.stats.requeued_requests += len(jobs)
-                self._workers[slot].send(
-                    ("batch", batch_id, [job.payload() for job in jobs])
-                )
+                self._workers[slot].send(("batch", batch_id, jobs))
 
     # ------------------------------------------------------------------
     def close(self, timeout: float = 5.0) -> None:
@@ -681,8 +608,8 @@ class ShardedQueryService:
         if self._closed:
             return
         self._closed = True
-        for job in self._pending:
-            job.ticket.error = RuntimeError("sharded service closed before flush")
-        self._pending = []
+        for p in self._window.queue:
+            p.ticket.error = RuntimeError("sharded service closed before flush")
+        self._window.queue = []
         for worker in self._workers:
             worker.stop(timeout=timeout)

@@ -341,6 +341,25 @@ class TestExhaustiveEngineOracle:
             assert (cnt == 0).all()
             assert (idx == idx[:, :1]).all()
 
+    def test_one_top_tree_descent_per_job(self, call_rows, monkeypatch):
+        # The descent that tests the top-tree points also routes the
+        # queues: one descend_step per top level, over every query, and no
+        # second descent through route_queries.
+        from repro.accel import baselines
+        from repro.core.split_tree import SplitTree
+
+        def second_descent(self, queries):
+            raise AssertionError("a second top-tree descent")
+
+        monkeypatch.setattr(SplitTree, "route_queries", second_descent)
+        steps = call_rows(baselines, "descend_step", "current")
+        engine = ExhaustiveSplitSearchEngine(TINY_BUFFER)
+        pts = np.random.default_rng(44).normal(size=(33, 3))
+        tree = build_kdtree(pts)
+        engine.run(tree, pts, 10.0, 66, ApproxSetting())
+        assert engine._split_height(tree) == 5
+        assert steps == [len(pts)] * 5
+
     @pytest.mark.parametrize("reload", [True, False])
     def test_k_below_hit_count(self, reload):
         rng = np.random.default_rng(43)

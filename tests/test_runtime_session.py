@@ -116,9 +116,9 @@ class TestSearchSession:
         passes = []
         real = treebuild.vectorized_build_forest
 
-        def counting(clouds, split_rule="widest"):
+        def counting(clouds):
             passes.append(len(clouds))
-            return real(clouds, split_rule)
+            return real(clouds)
 
         monkeypatch.setattr(treebuild, "vectorized_build_forest", counting)
         clouds = [rng.normal(size=(int(n), 3)) for n in (40, 1, 112, 7)]

@@ -2,7 +2,7 @@
 
 Pins :func:`repro.runtime.treebuild.vectorized_build_kdtree` bit-identical
 to the frozen per-node reference :func:`repro.kdtree.build.build_kdtree`
-(all six node arrays, values and dtypes, both split rules), and
+(all six node arrays, values and dtypes, the ``"widest"`` split rule), and
 :class:`VectorizedSplitTree` layout-identical to
 :class:`repro.core.split_tree.SplitTree` — the contract that lets the
 session route every cold build through the fast path without any golden
@@ -24,7 +24,6 @@ from repro.runtime.forest import euler_tour
 from repro.runtime.treebuild import VectorizedSplitTree, vectorized_build_kdtree
 
 NODE_FIELDS = ("point_id", "split_dim", "left", "right", "depth", "subtree_size")
-RULES = ("widest", "cycle")
 
 
 def assert_same_tree(ref, fast):
@@ -58,26 +57,17 @@ class TestBuilderEquivalence:
         for _ in range(30):
             n = int(rng.integers(1, 300))
             pts = cloud(kind, n, rng)
-            for rule in RULES:
-                assert_same_tree(
-                    build_kdtree(pts, rule), vectorized_build_kdtree(pts, rule)
-                )
+            assert_same_tree(build_kdtree(pts), vectorized_build_kdtree(pts))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_tiny_clouds(self, n):
         rng = np.random.default_rng(n)
         for pts in (rng.normal(size=(n, 3)), np.zeros((n, 3))):
-            for rule in RULES:
-                assert_same_tree(
-                    build_kdtree(pts, rule), vectorized_build_kdtree(pts, rule)
-                )
+            assert_same_tree(build_kdtree(pts), vectorized_build_kdtree(pts))
 
     def test_all_duplicate_points(self):
         pts = np.ones((17, 3)) * 2.5
-        for rule in RULES:
-            assert_same_tree(
-                build_kdtree(pts, rule), vectorized_build_kdtree(pts, rule)
-            )
+        assert_same_tree(build_kdtree(pts), vectorized_build_kdtree(pts))
 
     def test_ties_on_split_value(self):
         # Several points share the median's split coordinate: routing of
@@ -85,10 +75,7 @@ class TestBuilderEquivalence:
         pts = np.array(
             [[1.0, 9, 0], [1.0, 3, 0], [2.0, 5, 0], [1.0, 7, 0], [0.0, 1, 0]]
         )
-        for rule in RULES:
-            assert_same_tree(
-                build_kdtree(pts, rule), vectorized_build_kdtree(pts, rule)
-            )
+        assert_same_tree(build_kdtree(pts), vectorized_build_kdtree(pts))
 
     def test_unbalanced_short_branches(self):
         # Size-2 subtrees produce right-only nodes (the `parked` descent
@@ -96,10 +83,9 @@ class TestBuilderEquivalence:
         for n in (2, 6):
             rng = np.random.default_rng(n)
             pts = rng.normal(size=(n, 3))
-            for rule in RULES:
-                ref = build_kdtree(pts, rule)
-                assert (ref.left[ref.subtree_size == 2] < 0).all()
-                assert_same_tree(ref, vectorized_build_kdtree(pts, rule))
+            ref = build_kdtree(pts)
+            assert (ref.left[ref.subtree_size == 2] < 0).all()
+            assert_same_tree(ref, vectorized_build_kdtree(pts))
 
     def test_negative_zero_ties_with_zero(self):
         pts = np.array([[-0.0, 1, 0], [0.0, 2, 0], [-0.0, 3, 0]])
@@ -111,17 +97,12 @@ class TestBuilderEquivalence:
         monkeypatch.setattr(tb, "_FUSED_KEY_LIMIT", 0)
         rng = np.random.default_rng(11)
         pts = rng.integers(0, 5, size=(200, 3)).astype(float)
-        for rule in RULES:
-            assert_same_tree(
-                build_kdtree(pts, rule), vectorized_build_kdtree(pts, rule)
-            )
+        assert_same_tree(build_kdtree(pts), vectorized_build_kdtree(pts))
 
     def test_error_parity(self):
         for bad in (np.empty((0, 3)), np.zeros((4, 2))):
             with pytest.raises(ValueError):
                 vectorized_build_kdtree(bad)
-        with pytest.raises(ValueError):
-            vectorized_build_kdtree(np.zeros((4, 3)), split_rule="bogus")
 
     def test_result_validates(self):
         tree = vectorized_build_kdtree(np.random.default_rng(0).normal(size=(500, 3)))
@@ -137,19 +118,18 @@ class TestForestEquivalence:
         kind = CLOUD_KINDS[int(rng.integers(0, len(CLOUD_KINDS)))]
         return cloud(kind, n, rng)
 
-    @pytest.mark.parametrize("rule", RULES)
-    def test_randomized_forests_match_each_cloud_alone(self, rule):
+    def test_randomized_forests_match_each_cloud_alone(self):
         rng = np.random.default_rng(20261017)
         sizes = set()
         for _ in range(40):
             clouds = [self._random_cloud(rng) for _ in range(int(rng.integers(1, 9)))]
             if rng.integers(0, 4) == 0:
                 clouds.append(clouds[0].copy())  # the same cloud twice
-            forest = tb.vectorized_build_forest(clouds, rule)
+            forest = tb.vectorized_build_forest(clouds)
             assert len(forest) == len(clouds)
             for points, tree in zip(clouds, forest):
                 sizes.add(len(points))
-                assert_same_tree(build_kdtree(points, rule), tree)
+                assert_same_tree(build_kdtree(points), tree)
                 np.testing.assert_array_equal(tree.points, points)
         assert {1, 2, 3} <= sizes and max(sizes) > 300
 
@@ -161,18 +141,16 @@ class TestForestEquivalence:
             np.ones((17, 3)) * 2.5,
             np.array([[1.0, 9, 0], [1.0, 3, 0], [2.0, 5, 0], [1.0, 7, 0], [0.0, 1, 0]]),
         ]
-        for rule in RULES:
-            for tree, points in zip(tb.vectorized_build_forest(clouds, rule), clouds):
-                assert_same_tree(build_kdtree(points, rule), tree)
+        for tree, points in zip(tb.vectorized_build_forest(clouds), clouds):
+            assert_same_tree(build_kdtree(points), tree)
         assert tb.vectorized_build_forest([]) == []
 
     def test_stable_fallback_path_identical(self, monkeypatch):
         monkeypatch.setattr(tb, "_FUSED_KEY_LIMIT", 0)
         rng = np.random.default_rng(12)
         clouds = [rng.integers(0, 5, size=(n, 3)).astype(float) for n in (200, 3, 77)]
-        for rule in RULES:
-            for tree, points in zip(tb.vectorized_build_forest(clouds, rule), clouds):
-                assert_same_tree(build_kdtree(points, rule), tree)
+        for tree, points in zip(tb.vectorized_build_forest(clouds), clouds):
+            assert_same_tree(build_kdtree(points), tree)
 
     def test_error_parity(self):
         # The messages the single-cloud builders raise, from any position
@@ -184,19 +162,16 @@ class TestForestEquivalence:
             with pytest.raises(ValueError) as forest:
                 tb.vectorized_build_forest([good, bad])
             assert str(forest.value) == str(single.value)
-        with pytest.raises(ValueError, match="unknown split_rule"):
-            tb.vectorized_build_forest([good], split_rule="bogus")
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=120),
     seed=st.integers(min_value=0, max_value=2**31),
-    rule=st.sampled_from(RULES),
 )
-def test_property_bit_identical(n, seed, rule):
+def test_property_bit_identical(n, seed):
     pts = np.random.default_rng(seed).normal(size=(n, 3))
-    assert_same_tree(build_kdtree(pts, rule), vectorized_build_kdtree(pts, rule))
+    assert_same_tree(build_kdtree(pts), vectorized_build_kdtree(pts))
 
 
 class TestEulerTour:

@@ -20,18 +20,36 @@ from repro.kdtree import build_kdtree
 from repro.kdtree.build import KdTree
 from repro.kdtree.exact import ball_query, knn_search
 from repro.runtime import BatchedBallQuery, batched_nearest_node, frontier_sweep
-from repro.serve import AsyncQueryFrontend, QueryService, replay_trace, synthetic_trace
+from repro.serve import (
+    AsyncQueryFrontend,
+    QueryService,
+    ShardedQueryService,
+    replay_trace,
+    synthetic_trace,
+)
 
 RADII = (0.1, 0.2, 0.35, 0.6)
 KS = (1, 4, 8, 16)
 
 
 @pytest.fixture
-def cloud_checks(call_rows):
-    """The cloud size of every ``validate_points`` call the service makes."""
+def cloud_checks(monkeypatch):
+    """The cloud size of every ``validate_points`` call this process makes
+    through the serving module or the sharded dispatcher (each binds the
+    function by name)."""
     import repro.serve.service as service_module
+    import repro.serve.sharded as sharded_module
 
-    return call_rows(service_module, "validate_points", "points")
+    rows = []
+    real = service_module.validate_points
+
+    def counting(points):
+        rows.append(len(points))
+        return real(points)
+
+    for module in (service_module, sharded_module):
+        monkeypatch.setattr(module, "validate_points", counting)
+    return rows
 
 
 def random_requests(rng, clouds, n_requests, max_queries=40, far_fraction=0.15):
@@ -265,7 +283,62 @@ class TestDepthGuard:
         np.testing.assert_array_equal(cnt, want_cnt)
 
 
-class TestQueryService:
+class WindowContract:
+    """The request-window contract both serving tiers keep: a cloud array
+    is checked once per flush window and served against its content at
+    flush.  Each subclass supplies its tier as the ``service`` fixture."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cloud_written_nonfinite_after_submit_fails_at_flush(
+        self, rng, bad, service
+    ):
+        # Submit checks a cloud once per flush window, so a write after
+        # submit is caught by the flush's own finiteness check: every
+        # ticket on that cloud fails with validate_points' error, a repeat
+        # submit of the written array included, and other clouds are served.
+        pts, other = rng.normal(size=(512, 3)), rng.normal(size=(80, 3))
+        queries = pts[:4].copy()
+        first = service.submit(pts, queries, 0.3, 4)
+        good = service.submit(other, other[:4], 0.3, 4)
+        pts[7, 1] = bad
+        again = service.submit(pts, queries, 0.5, 2)  # accepted: checked already
+        assert service.flush() == 1
+        for ticket in (first, again):
+            assert ticket.done
+            with pytest.raises(ValueError, match=r"^points must be finite"):
+                ticket.result()
+        assert service.stats.failed_requests == 2
+        assert service.stats.requests == 1
+        want_idx, want_cnt = ball_query(build_kdtree(other), other[:4], 0.3, 4)
+        np.testing.assert_array_equal(good.result()[0], want_idx)
+        np.testing.assert_array_equal(good.result()[1], want_cnt)
+        with pytest.raises(ValueError, match="finite"):  # a new window checks again
+            service.submit(pts, queries, 0.3, 4)
+
+    def test_distinct_and_converted_clouds_are_checked_every_submit(
+        self, rng, service, cloud_checks
+    ):
+        # Only the caller's own float64 array is remembered: a repeat
+        # submit of it reuses its check, an equal copy is another array,
+        # and a list or float32 input converts to a fresh array on every
+        # submit.
+        pts = rng.normal(size=(40, 3))
+        service.submit(pts, pts[:2], 0.3, 4)
+        service.submit(pts, pts[:3], 0.3, 4)
+        service.submit(pts.copy(), pts[:2], 0.3, 4)
+        as_list, as_f32 = pts.tolist(), pts.astype(np.float32)
+        for _ in range(3):
+            service.submit(as_list, pts[:2], 0.3, 4)
+            service.submit(as_f32, pts[:2], 0.3, 4)
+        assert len(cloud_checks) == 8
+        assert service.flush() == 2  # float32 rounding makes another cloud
+
+
+class TestQueryService(WindowContract):
+    @pytest.fixture
+    def service(self):
+        return QueryService()
+
     def test_randomized_coalesced_parity(self, test_seed):
         # The acceptance criterion: coalesced results bit-identical to
         # independent per-request query calls — mixed radii, mixed K,
@@ -348,32 +421,6 @@ class TestQueryService:
             assert service.flush() == 1
             assert digest_calls == [1] * window
             assert all(t.error is None for t in tickets)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_cloud_written_nonfinite_after_submit_fails_at_flush(self, rng, bad):
-        # Submit checks a cloud once per flush window, so a write after
-        # submit is caught by the flush's own finiteness check: every
-        # ticket on that cloud fails with validate_points' error, a repeat
-        # submit of the written array included, and other clouds are served.
-        pts, other = rng.normal(size=(512, 3)), rng.normal(size=(80, 3))
-        queries = pts[:4].copy()
-        service = QueryService()
-        first = service.submit(pts, queries, 0.3, 4)
-        good = service.submit(other, other[:4], 0.3, 4)
-        pts[7, 1] = bad
-        again = service.submit(pts, queries, 0.5, 2)  # accepted: checked already
-        assert service.flush() == 1
-        for ticket in (first, again):
-            assert ticket.done
-            with pytest.raises(ValueError, match=r"^points must be finite"):
-                ticket.result()
-        assert service.stats.failed_requests == 2
-        assert service.stats.requests == 1
-        want_idx, want_cnt = ball_query(build_kdtree(other), other[:4], 0.3, 4)
-        np.testing.assert_array_equal(good.result()[0], want_idx)
-        np.testing.assert_array_equal(good.result()[1], want_cnt)
-        with pytest.raises(ValueError, match="finite"):  # a new window checks again
-            service.submit(pts, queries, 0.3, 4)
 
     def test_zero_row_requests_are_zero_by_k_in_any_flush(self, rng):
         # A request without query rows gets a (0, K) matrix whether it is
@@ -506,23 +553,6 @@ class TestQueryService:
         np.testing.assert_array_equal(good.result()[0], want_idx)
         np.testing.assert_array_equal(good.result()[1], want_cnt)
 
-    def test_distinct_and_converted_clouds_are_checked_every_submit(
-        self, rng, cloud_checks
-    ):
-        # Only the caller's own float64 array is remembered: an equal copy
-        # is another array, and a list or float32 input converts to a fresh
-        # array on every submit.
-        pts = rng.normal(size=(40, 3))
-        service = QueryService()
-        service.submit(pts, pts[:2], 0.3, 4)
-        service.submit(pts.copy(), pts[:2], 0.3, 4)
-        as_list, as_f32 = pts.tolist(), pts.astype(np.float32)
-        for _ in range(3):
-            service.submit(as_list, pts[:2], 0.3, 4)
-            service.submit(as_f32, pts[:2], 0.3, 4)
-        assert len(cloud_checks) == 8
-        assert service.flush() == 2  # float32 rounding makes another cloud
-
     def test_recreated_converted_input_is_served_against_its_own_content(self, rng):
         # A list or float32 input freed after submit can hand its id to
         # the next one; each request must still be served from its own
@@ -559,6 +589,14 @@ class TestQueryService:
         assert service.stats.mean_wait > 0
         assert service.stats.throughput > 0
         assert service.stats.serve_time > 0
+
+
+class TestShardedWindow(WindowContract):
+    @pytest.fixture
+    def service(self):
+        tier = ShardedQueryService(num_workers=1)
+        yield tier
+        tier.close()
 
 
 def run(coro):

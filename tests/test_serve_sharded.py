@@ -17,16 +17,44 @@ import numpy as np
 import pytest
 
 from repro.kdtree import build_kdtree
+from repro.kdtree.exact import ball_query
 from repro.runtime import BatchedBallQuery
 from repro.runtime.session import geometry_digest
 from repro.serve import (
     QueryService,
+    ServiceStats,
     ShardedQueryService,
     replay_trace,
     synthetic_trace,
 )
 from repro.serve.sharded import WorkerProcess
 from repro.serve.worker import _serve_batch
+
+
+@pytest.fixture
+def sent_jobs(monkeypatch):
+    """The jobs of every batch message the dispatcher sends, in order."""
+    jobs = []
+    real = WorkerProcess.send
+
+    def recording(self, message):
+        if message[0] == "batch":
+            jobs.extend(message[2])
+        return real(self, message)
+
+    monkeypatch.setattr(WorkerProcess, "send", recording)
+    return jobs
+
+
+def assert_totals_are_shard_sums(stats):
+    """The tier totals are a ``ServiceStats`` summed over the shards."""
+    assert isinstance(stats, ServiceStats)
+    for name in ("requests", "queries", "sweeps", "flushes", "failed_requests"):
+        assert getattr(stats, name) == sum(getattr(s, name) for s in stats.shards), name
+    for name in ("serve_time", "wait_time"):
+        want = sum(getattr(s, name) for s in stats.shards)
+        assert getattr(stats, name) == pytest.approx(want), name
+    assert stats.max_coalesced == max(s.max_coalesced for s in stats.shards)
 
 
 def assert_ticket_parity(requests, tickets):
@@ -108,18 +136,17 @@ class TestRegisterHandles:
             service.flush()
             assert_ticket_parity([(pts, pts[:5], 0.3, 4)], [ticket])
 
-    def test_submit_by_points_uses_registered_handle(self, rng):
-        # A submit whose points hash to a registered digest must ship no
-        # geometry (the job payload carries None).
+    def test_submit_by_points_uses_registered_handle(self, rng, sent_jobs):
+        # A submit whose points are a registered cloud at flush must ship
+        # no geometry (the job payload carries None).
         pts = rng.normal(size=(80, 3))
         with ShardedQueryService(num_workers=2) as service:
             service.register(pts)
             service.submit(pts, pts[:4], 0.3, 4)
-            assert service._pending[0].points is None
             unregistered = pts + 3.0
             service.submit(unregistered, pts[:4], 0.3, 4)
-            assert service._pending[1].points is not None
             assert service.flush() == 2
+        assert [job[2] is None for job in sent_jobs] == [True, False]
 
     def test_unknown_handle_rejected_at_dispatch(self, rng):
         with ShardedQueryService(num_workers=2) as service:
@@ -156,7 +183,7 @@ class TestRegisterHandles:
 
 
 class TestDeadWorkerRecovery:
-    def test_worker_killed_mid_flush_is_respawned_and_requeued(self, rng):
+    def test_worker_killed_mid_flush_is_respawned_and_requeued(self, rng, sent_jobs):
         # The RD-MCL discipline end to end: park shard 0 in a long sleep
         # so its dispatched batch sits unanswered, SIGKILL it mid-flush,
         # and require the dispatcher to respawn the shard, re-register its
@@ -179,13 +206,15 @@ class TestDeadWorkerRecovery:
                 killer.cancel()
             assert service.stats.respawns == 1
             assert service.stats.requeued_requests == 2 * len(by_slot[0])
+            assert_totals_are_shard_sums(service.stats)
             assert all(t.done for t in tickets)
             assert_ticket_parity(requests, tickets)
             # The fresh incarnation owns its re-registered clouds: a
             # handle-only submit for a slot-0 cloud must serve cleanly.
+            sent_jobs.clear()
             again = service.submit(clouds[0], clouds[0][:3], 0.25, 4)
-            assert service._pending[0].points is None
             service.flush()
+            assert [job[2] for job in sent_jobs] == [None]
             assert again.error is None
             assert_ticket_parity([(clouds[0], clouds[0][:3], 0.25, 4)], [again])
         assert service.stats.failed_requests == 0
@@ -259,6 +288,50 @@ class TestWorkerBatchDigests:
                 np.testing.assert_array_equal(cnt, want_cnt)
 
 
+class TestDispatcherWindow:
+    """The dispatcher queues through ``QueryService``'s request window:
+    it checks and hashes a cloud once per flush, at flush."""
+
+    def test_same_cloud_submits_check_and_hash_once_per_flush(self, rng, call_rows):
+        import repro.serve.service as service_module
+        import repro.serve.sharded as sharded_module
+
+        pts = rng.normal(size=(4096, 3))
+        requests = [(pts, pts[i % 50 : i % 50 + 2], 0.3, 1 + i % 8) for i in range(64)]
+        with ShardedQueryService(num_workers=1) as service:
+            # Counted after the worker forked: these are the dispatcher's.
+            calls = {
+                name: [call_rows(module, name, arg) for module in (service_module, sharded_module)]
+                for name, arg in [("validate_points", "points"), ("geometry_digest", "arrays")]
+            }
+            tickets = [service.submit(*request) for request in requests]
+            assert service.flush() == 1
+        for name, (in_service, in_dispatcher) in calls.items():
+            assert len(in_service) + len(in_dispatcher) == 1, name
+        assert_ticket_parity(requests, tickets)
+
+    def test_write_between_submit_and_flush_matches_single_process(self, rng):
+        # A registered cloud's copy is submitted, then written before the
+        # flush: both tiers serve the content at flush, not the snapshot
+        # the registration pinned.
+        pts = rng.normal(size=(200, 3))
+        queries = pts[:4].copy()
+        single = QueryService()
+        results = []
+        with ShardedQueryService(num_workers=1) as sharded:
+            sharded.register(pts)
+            for service in (single, sharded):
+                arr = pts.copy()
+                ticket = service.submit(arr, queries, 0.3, 4)
+                arr += 5.0
+                service.flush()
+                results.append(ticket.result())
+        want_idx, want_cnt = ball_query(build_kdtree(pts + 5.0), queries, 0.3, 4)
+        for idx, cnt in results:
+            np.testing.assert_array_equal(idx, want_idx)
+            np.testing.assert_array_equal(cnt, want_cnt)
+
+
 class TestShardedLifecycleAndStats:
     def test_stats_rollup_across_shards(self, rng):
         clouds = [rng.normal(size=(60, 3)) for _ in range(5)]
@@ -277,7 +350,7 @@ class TestShardedLifecycleAndStats:
         assert stats.mean_wait > 0 and stats.wait_time > 0
         assert stats.serve_time > 0 and stats.throughput > 0
         assert len(stats.shards) == 2
-        assert sum(s.requests for s in stats.shards) == 10
+        assert_totals_are_shard_sums(stats)
         assert all(t.done for t in tickets)
 
     def test_flush_empty_is_noop_and_close_is_idempotent(self):
