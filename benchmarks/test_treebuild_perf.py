@@ -15,7 +15,11 @@ smoke lane (not slow-marked):
   between the production session and the same session with the frozen
   per-node builder substituted at its import seam;
 - a forest record (no floor): an epoch-sized batch of small clouds built
-  one call per cloud and as one ``vectorized_build_forest`` pass.
+  one call per cloud and as one ``vectorized_build_forest`` pass, and one
+  all-distinct serving flush's forest (8 x 4096 points) built as one level
+  loop and split across the CPUs.  A floor on the split would depend on
+  the machine's CPU count, so the record carries the part and CPU counts
+  instead.
 
 All three write their measurements into ``BENCH_treebuild.json``
 (see :mod:`artifacts`), which CI uploads so the cold-path perf
@@ -188,23 +192,35 @@ def test_all_distinct_cloud_serving_floor(monkeypatch):
     )
 
 
-def test_forest_build_record():
-    """An epoch-sized batch of small clouds, per cloud vs one forest pass.
-
-    Identity first, then the best of 5 each way; recorded, not gated.
-    """
-    rng = np.random.default_rng(20261017)
-    clouds = [rng.normal(size=(FOREST_CLOUD_SIZE, 3)) for _ in range(FOREST_CLOUDS)]
-    forest = vectorized_build_forest(clouds)
-    for points, tree in zip(clouds, forest):
-        ref = build_kdtree(points)
+def assert_same_trees(want, got):
+    for ref, tree in zip(want, got, strict=True):
         for field in NODE_FIELDS:
             np.testing.assert_array_equal(
                 getattr(ref, field), getattr(tree, field), err_msg=field
             )
 
+
+def test_forest_build_record(call_rows):
+    """An epoch-sized batch of small clouds, per cloud vs one forest pass;
+    one serving flush's forest, one level loop vs split.
+
+    Identity first, then the best of 5 each way; recorded, not gated.
+    """
+    rng = np.random.default_rng(20261017)
+    clouds = [rng.normal(size=(FOREST_CLOUD_SIZE, 3)) for _ in range(FOREST_CLOUDS)]
+    assert_same_trees(
+        [build_kdtree(points) for points in clouds], vectorized_build_forest(clouds)
+    )
     per_cloud = best_of(lambda: [vectorized_build_kdtree(c) for c in clouds], 5)
     one_pass = best_of(lambda: vectorized_build_forest(clouds), 5)
+
+    flush = [rng.normal(size=(N_POINTS, 3)) for _ in range(N_CLOUDS)]
+    one_loop = treebuild._level_loop(flush)
+    parts = call_rows(treebuild, "_level_loop", "arrays")
+    assert_same_trees(one_loop, vectorized_build_forest(flush))
+    num_parts = len(parts)
+    loop_time = best_of(lambda: treebuild._level_loop(flush), 5)
+    split_time = best_of(lambda: vectorized_build_forest(flush), 5)
     write_bench_artifact(
         "treebuild",
         {
@@ -213,5 +229,12 @@ def test_forest_build_record():
             "forest_ms_per_cloud_calls": round(per_cloud * 1e3, 3),
             "forest_ms_one_pass": round(one_pass * 1e3, 3),
             "forest_speedup": round(per_cloud / one_pass, 2),
+            "split_forest_clouds": N_CLOUDS,
+            "split_forest_cloud_size": N_POINTS,
+            "split_forest_parts": num_parts,
+            "split_forest_cpus": treebuild._available_cpus(),
+            "split_forest_ms_one_loop": round(loop_time * 1e3, 3),
+            "split_forest_ms_split": round(split_time * 1e3, 3),
+            "split_forest_speedup": round(loop_time / split_time, 2),
         },
     )

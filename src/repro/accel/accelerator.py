@@ -294,7 +294,8 @@ def run_networks(runs: Sequence[NetworkRun]) -> List[NetworkResult]:
     its first layer's points are the input cloud).  Three steps:
 
     1. **plan** — every layer of every run becomes a
-       :class:`~repro.runtime.SearchJob` on its accelerator's session tree;
+       :class:`~repro.runtime.SearchJob` on its accelerator's session tree,
+       each session's trees coming from one ``trees_for`` call;
     2. **search** — each search-engine object gets all of its jobs in one
        ``run_batch``, so accelerators that share an engine (ANS and
        ANS+BCE of a suite) share one forest pass;
@@ -304,14 +305,21 @@ def run_networks(runs: Sequence[NetworkRun]) -> List[NetworkResult]:
     ``results[i]`` equals ``accelerator.run_network(spec, cloud, setting,
     plan=plan)`` of ``runs[i]`` alone, bit for bit.
     """
+    clouds: Dict[int, Tuple[SearchSession, List[np.ndarray]]] = {}
+    for acc, spec, _, plan in runs:
+        layer_clouds = clouds.setdefault(id(acc.session), (acc.session, []))[1]
+        layer_clouds.extend(points for _, (points, _) in zip(spec.layers, plan))
+    trees = {
+        key: iter(session.trees_for(layer_clouds))
+        for key, (session, layer_clouds) in clouds.items()
+    }
     batches: Dict[int, Tuple[SearchEngineProtocol, List[SearchJob]]] = {}
     spans = []  # each run's slice of its engine's jobs
     for acc, spec, setting, plan in runs:
         engine = acc.search_engine
         jobs = batches.setdefault(id(engine), (engine, []))[1]
         start = len(jobs)
-        for layer, (points, queries) in zip(spec.layers, plan):
-            tree = acc.session.tree_for(points)
+        for layer, (_, queries), tree in zip(spec.layers, plan, trees[id(acc.session)]):
             jobs.append(
                 SearchJob(tree, queries, layer.radius, layer.max_neighbors, setting)
             )

@@ -219,6 +219,11 @@ class SearchSession:
         A miss builds from a private read-only copy of its cloud: the tree
         stays filed under this digest, so a later write to the caller's
         array must not reach it.  A hit copies nothing.
+
+        Batch callers — epoch materialization, a Fig. 14 suite, each
+        :meth:`~repro.serve.QueryService.flush` — resolve all their clouds
+        in one call, so their cold clouds share one build.  If it raises,
+        nothing is cached and the error reaches the caller.
         """
         clouds = [np.asarray(points, dtype=np.float64) for points in clouds]
         if digests is None:

@@ -17,13 +17,14 @@ one shot**, O(log N) NumPy passes total and no per-node Python:
   (all six node arrays, the ``"widest"`` split rule every production
   build uses, including stable-argsort tie routing on duplicate
   coordinates), pinned by the randomized equivalence
-  suites in ``tests/test_runtime_treebuild.py``.  Epoch materialization
-  builds all of its ~100-point clouds in one pass
-  (:meth:`~repro.runtime.SearchSession.trees_for`), where per-call
-  overhead would dominate.  The serving flush (``tree_for``), dynamic
-  segment rebuilds and the figure drivers build one cloud per call — the
-  one-cloud forest, also named :func:`vectorized_build_kdtree` — since at
-  4096 points the sorting work, not per-call overhead, sets the cost.
+  suites in ``tests/test_runtime_treebuild.py``.  Every batch caller —
+  epoch materialization, a Fig. 14 suite, the serving flush — builds its
+  cold clouds in one call (:meth:`~repro.runtime.SearchSession.trees_for`).
+  A forest as big as one all-distinct flush's (8 x 4096 points) is split
+  across the CPUs, since NumPy releases the GIL inside each large sort,
+  gather and reduction; smaller ones stay on one loop.  Dynamic segment
+  rebuilds and the figure drivers build one cloud per call — the
+  one-cloud forest, also named :func:`vectorized_build_kdtree`.
 - :class:`VectorizedSplitTree` — a :class:`SplitTree` with an identical
   DRAM layout (addresses, block order, totals) built from Euler-interval
   arithmetic (:func:`~repro.runtime.forest.euler_tour`) instead of
@@ -39,9 +40,10 @@ segmented stable sort.  Coordinates are replaced by dense ranks
 (``np.unique`` inverse) once up front: equal coordinates get equal ranks,
 so the segmented integer key ``segment * n_uniq + rank`` reproduces the
 reference's comparisons exactly.  When the fused total-order key
-``key * m + position`` fits in int64 (every realistic cloud), an unstable
-``argsort`` of it is order-identical to the stable sort and measurably
-faster; otherwise we fall back to ``kind="stable"``.
+``(key << b) | position`` fits in int64 (every realistic forest), an
+in-place sort of its values is order-identical to the stable sort, and
+its low ``b`` bits give the order to gather ids through — cheaper than
+an indirect ``argsort``; otherwise we fall back to ``kind="stable"``.
 
 The per-node reference paths stay frozen as ground truth (ROADMAP
 standing constraint; `reference-freeze` lint rule): this module imports
@@ -50,7 +52,8 @@ standing constraint; `reference-freeze` lint rule): this module imports
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import os
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -64,34 +67,69 @@ __all__ = [
     "vectorized_build_kdtree",
 ]
 
-# Above this, the fused sort key S * n_uniq * m could overflow int64 and
-# the segmented sort falls back to kind="stable".  Reached only past ~2M
-# points per cloud (the key bound grows like n^3).
+# Above this, the fused sort key could overflow int64 and the segmented
+# sort falls back to a stable argsort.  Reached only past ~1.6M points in
+# one level loop (the key bound grows like 2 n^3).
 _FUSED_KEY_LIMIT = 2**63 - 1
 
+# Points per part below which splitting a forest across threads does not
+# pay.  Two threads against one level loop on 2 vCPUs (best of 21): 8 x
+# 4096 points (16k per part) 1.49x, 4 x 4096 and 2 x 8192 (8k) 1.11-1.13x,
+# the Fig. 14 suite's 11 clouds (6k) 0.93x, 64 x 112 (3.6k, an epoch's)
+# and 2 x 4096 (4k) 0.77x, 4 x 1024 (2k) 0.69x.
+_SPLIT_FLOOR = 16_384
 
-def _stable_segment_order(
-    seg: np.ndarray, rank_vals: np.ndarray, num_segments: int, n_uniq: int
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _segment_sorted_ids(
+    ids: np.ndarray,
+    seg: np.ndarray,
+    rank_vals: np.ndarray,
+    num_segments: int,
+    n_uniq: int,
 ) -> np.ndarray:
-    """Stable argsort of ``(seg, rank_vals)`` pairs, fastest safe way.
+    """``ids`` stably sorted by ``(seg, rank_vals)``: the fused key
+    ``((seg * n_uniq + rank) << b) | position`` sorted in place, then
+    ``ids`` gathered through its low ``b`` bits; a stable argsort where
+    that key could overflow int64."""
+    m = len(ids)
+    b = (m - 1).bit_length()
+    key = seg * n_uniq
+    key += rank_vals
+    if ((num_segments * n_uniq) << b) - 1 > _FUSED_KEY_LIMIT:
+        return ids[np.argsort(key, kind="stable")]
+    key <<= b
+    key |= np.arange(m, dtype=np.int64)
+    key.sort()
+    key &= (1 << b) - 1
+    return ids[key]
 
-    ``key = seg * n_uniq + rank_vals`` composes both into one int64; when
-    the further-fused ``key * m + position`` cannot overflow, sorting that
-    total-order key with the default (unstable) sort gives exactly the
-    stable order — every element's key is unique, and position is the
-    stable tie-break.
-    """
-    m = len(seg)
-    key = seg * n_uniq + rank_vals
-    if num_segments * n_uniq * m <= _FUSED_KEY_LIMIT:
-        return np.argsort(key * m + np.arange(m, dtype=np.int64))
-    return np.argsort(key, kind="stable")
+
+def _balanced_spans(sizes: Sequence[int], parts: int) -> List[Tuple[int, int]]:
+    """Cut ``len(sizes)`` clouds into ``parts`` contiguous, non-empty runs
+    of near-equal point counts; ``[(lo, hi), ...]`` in input order."""
+    ends = np.cumsum(sizes)
+    cuts = [0]
+    for k in range(1, parts):
+        # The run boundary whose prefix is nearest k/parts of the points,
+        # leaving every run at least one cloud.
+        nearest = int(np.abs(ends - ends[-1] * k / parts).argmin()) + 1
+        cuts.append(min(max(nearest, cuts[-1] + 1), len(sizes) - parts + k))
+    cuts.append(len(sizes))
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def vectorized_build_forest(clouds: Sequence[np.ndarray]) -> List[KdTree]:
     """Build ``build_kdtree(points)`` for every cloud, level at a time.
 
-    One level loop serves the whole forest: the first level's segments are
+    One level loop serves a whole forest: the first level's segments are
     the clouds themselves, and every later level sorts the open segments of
     every tree with one segmented stable sort.  Bit-identical output
     contract, tree for tree: each returned tree's ``point_id`` /
@@ -103,14 +141,12 @@ def vectorized_build_forest(clouds: Sequence[np.ndarray]) -> List[KdTree]:
     (no copy when it is already C-contiguous float64); its node arrays are
     slices of forest-wide arrays.
 
-    Dense ranks are taken over the concatenation of the clouds; restricted
-    to one cloud they order exactly as that cloud's own ranks would, so the
-    segmented sort routes every tie as the per-cloud build does.  The
-    segments of a level stay grouped by tree, in each tree's own queue
-    order ("parent order, left child before right" — the reference's BFS
-    pop order), so every tree numbers its level's nodes consecutively as
-    the level is emitted: node ids come out in each tree's own level order
-    without a renumbering pass.
+    Every cloud is checked before any work starts.  With ``min(CPUs
+    available, clouds, points // _SPLIT_FLOOR)`` parts of 2 or more, the
+    clouds are cut into contiguous runs balanced by point count; the caller
+    builds one, a per-call thread each of the others, all joined before
+    this returns (no pool outlives the call to meet the fork that starts a
+    sharded worker).  Trees come back in input order.
     """
     arrays = []
     for points in clouds:
@@ -122,7 +158,37 @@ def vectorized_build_forest(clouds: Sequence[np.ndarray]) -> List[KdTree]:
         arrays.append(points)
     if not arrays:
         return []
+    sizes = [len(points) for points in arrays]
+    parts = min(_available_cpus(), len(arrays), sum(sizes) // _SPLIT_FLOOR)
+    if parts < 2:
+        return _level_loop(arrays)
+    # Imported here: only a split build needs threads, and the thread pool
+    # module would otherwise add to every process's start-up.
+    from concurrent.futures import ThreadPoolExecutor
 
+    spans = _balanced_spans(sizes, parts)
+    with ThreadPoolExecutor(max_workers=parts - 1) as pool:
+        rest = [pool.submit(_level_loop, arrays[lo:hi]) for lo, hi in spans[1:]]
+        lo, hi = spans[0]
+        trees = _level_loop(arrays[lo:hi])
+        for future in rest:
+            trees += future.result()
+    return trees
+
+
+def _level_loop(arrays: List[np.ndarray]) -> List[KdTree]:
+    """The level loop of :func:`vectorized_build_forest` over one or more
+    checked clouds.
+
+    Dense ranks are taken over the concatenation of the clouds; restricted
+    to one cloud they order exactly as that cloud's own ranks would, so the
+    segmented sort routes every tie as the per-cloud build does.  The
+    segments of a level stay grouped by tree, in each tree's own queue
+    order ("parent order, left child before right" — the reference's BFS
+    pop order), so every tree numbers its level's nodes consecutively as
+    the level is emitted: node ids come out in each tree's own level order
+    without a renumbering pass.
+    """
     sizes = np.array([len(points) for points in arrays], dtype=np.int64)
     offsets = np.cumsum(sizes) - sizes
     n = int(sizes.sum())
@@ -178,8 +244,7 @@ def vectorized_build_forest(clouds: Sequence[np.ndarray]) -> List[KdTree]:
         dim = np.argmax(extents, axis=1)
 
         rank_vals = ranks_flat[dim[seg] * n + ids]
-        order = _stable_segment_order(seg, rank_vals, num_segments, n_uniq)
-        sorted_ids = ids[order]
+        sorted_ids = _segment_sorted_ids(ids, seg, rank_vals, num_segments, n_uniq)
 
         med_off = (seg_len - 1) // 2
         med_pos = seg_start + med_off

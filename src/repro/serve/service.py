@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..kdtree.build import KdTree
 from ..runtime.batched import BatchedBallQuery, check_max_neighbors
 from ..runtime.session import SearchSession, geometry_digest
 
@@ -168,9 +169,10 @@ class _Pending:
 
     def __init__(self, key, points, queries, ticket):
         # A static request carries its checked ``points`` and is grouped
-        # by the digest the window takes of them when it closes; any other
-        # carries its group ``key``: a registered cloud's digest handle, or
-        # ``("dyn", handle)`` for a dynamic cloud.
+        # by their digest: its ``key`` if given (a sharded worker passes
+        # the dispatcher's), else taken when the window closes.  Any other
+        # carries only its group ``key``: a registered cloud's digest
+        # handle, or ``("dyn", handle)`` for a dynamic cloud.
         self.key = key
         self.points = points
         self.queries = queries
@@ -195,7 +197,9 @@ class _RequestWindow:
         self._checked: Dict[int, Tuple[object, np.ndarray]] = {}
 
     def add(self, key, points, queries, radius, max_neighbors) -> QueryTicket:
-        """Queue one request (``points`` is None for a keyed one)."""
+        """Queue one request.  ``points`` is None for a handle-keyed one; a
+        static request given a ``key`` is grouped under it unhashed, the
+        caller vouching that it is ``geometry_digest`` of the content."""
         validate_settings(radius, max_neighbors)
         if points is not None:
             points = self._checked_points(points)
@@ -219,13 +223,13 @@ class _RequestWindow:
     def close(self) -> "OrderedDict[object, List[_Pending]]":
         """End the window; return its requests grouped by cloud.
 
-        A static request's cloud is digested here, once per distinct array
-        memory ``(data address, shape, strides)``: equal content in
-        distinct arrays still shares a group.  The key is the memory, not
-        ``id()``: ``validate_points`` returns a fresh view of an unpickled
-        float64 array, so a worker's batch on one shipped cloud arrives as
-        distinct objects over one buffer.  The groups hold every array, so
-        no address is reused while they live.
+        A static request that came without a key has its cloud digested
+        here, once per distinct array memory ``(data address, shape,
+        strides)``: equal content in distinct arrays still shares a group.
+        The key is the memory, not ``id()``: ``validate_points`` returns a
+        fresh view of an unpickled float64 array, so requests on one
+        unpickled cloud arrive as distinct objects over one buffer.  The
+        groups hold every array, so no address is reused while they live.
         """
         self._checked = {}
         batch, self.queue = self.queue, []
@@ -233,7 +237,7 @@ class _RequestWindow:
         groups: "OrderedDict[object, List[_Pending]]" = OrderedDict()
         for p in batch:
             key = p.key
-            if p.points is not None:
+            if key is None:
                 memory = (
                     p.points.__array_interface__["data"][0],
                     p.points.shape,
@@ -313,22 +317,33 @@ class QueryService:
         lazy refresh here — between flushes, never mid-sweep.
 
         Each static request's cloud is digested here, once per distinct
-        array memory (see :meth:`_RequestWindow.close`).  A cloud written
-        non-finite after submit fails its group's tickets with
-        ``validate_points``' ``ValueError``.
+        array memory (see :meth:`_RequestWindow.close`), and checked for
+        finiteness once per group: a cloud written non-finite after submit
+        fails its group's tickets with ``validate_points``' ``ValueError``
+        and is never built.  The trees of every other static group come
+        from one :meth:`~repro.runtime.session.SearchSession.trees_for`
+        call, so all the cold clouds of a flush share one forest build;
+        the sweeps stay one per group.  If that shared build raises, every
+        static group waiting on it settles with its error, and the
+        dynamic groups are still served.
 
-        A group whose sweep fails settles its tickets with the error and
-        executes nothing, so it contributes neither to the return value
-        nor to ``stats.sweeps`` — its requests are counted in
-        ``stats.failed_requests`` instead.  ``stats.flushes`` only counts
-        calls that served at least one request.
+        A group that fails settles its tickets with the error and executes
+        nothing, so it contributes neither to the return value nor to
+        ``stats.sweeps`` — its requests are counted in
+        ``stats.failed_requests`` instead; a failed sweep settles only its
+        own group.  ``stats.flushes`` only counts calls that served at
+        least one request.
         """
         t0 = self._clock()
         groups = self._window.close()
         if not groups:
             return 0
+        trees, failed = self._static_trees(groups)
         executed = 0
         for key, members in groups.items():
+            if key in failed:
+                self._fail(members, failed[key])
+                continue
             try:
                 sizes = [len(p.queries) for p in members]
                 merged_queries = np.concatenate([p.queries for p in members])
@@ -338,25 +353,16 @@ class QueryService:
                 if isinstance(key, tuple):
                     engine = self.session.dynamic(key[1])
                 else:
-                    # Digested at close from these bytes; don't re-hash
-                    # the cloud just to key the tree cache.  Equal bytes
-                    # share finiteness, so one check covers the group.
-                    points = members[0].points
-                    if not np.isfinite(points).all():
-                        validate_points(points)  # written since submit: raises
-                    tree = self.session.tree_for(points, digest=key)
-                    engine = BatchedBallQuery(tree)
+                    engine = BatchedBallQuery(trees[key])
                 results = engine.query_merged(
                     merged_queries, radii, request_ids, ks
                 )
             except Exception as exc:  # repro: allow[broad-except] -- error containment is the contract: one cloud group's failure settles its own tickets and must not take down the other groups in the flush
                 # Contain the blast radius to this cloud group: its
-                # tickets settle with the error (a cloud written non-finite
-                # after submit, or an internal failure such as a malformed
-                # custom tree), other groups still get served.
-                for p in members:
-                    p.ticket.error = exc
-                self.stats.failed_requests += len(members)
+                # tickets settle with the error (an internal failure such
+                # as a malformed custom tree), other groups still get
+                # served.
+                self._fail(members, exc)
                 continue
             now = self._clock()
             for p, (indices, counts) in zip(members, results):
@@ -373,6 +379,39 @@ class QueryService:
             self.stats.flushes += 1
         self.stats.serve_time += self._clock() - t0
         return executed
+
+    def _static_trees(self, groups) -> Tuple[Dict[str, KdTree], Dict[str, Exception]]:
+        """Each static group's tree, all from one ``trees_for`` call, or
+        the error that fails the group (see :meth:`flush`).
+
+        A group's key is the digest of the bytes about to be searched, so
+        it keys the tree cache without a re-hash; equal bytes share
+        finiteness, so one check covers the group.
+        """
+        clouds: Dict[str, np.ndarray] = {}
+        failed: Dict[str, Exception] = {}
+        for key, members in groups.items():
+            if isinstance(key, tuple):
+                continue
+            points = members[0].points
+            try:
+                if not np.isfinite(points).all():
+                    validate_points(points)  # written since submit: raises
+            except ValueError as exc:
+                failed[key] = exc
+                continue
+            clouds[key] = points
+        try:
+            built = self.session.trees_for(list(clouds.values()), list(clouds))
+        except Exception as exc:  # repro: allow[broad-except] -- the shared build serves every static group of the flush: its failure settles those groups' tickets, and the dynamic groups must still be served
+            return {}, {**failed, **dict.fromkeys(clouds, exc)}
+        return dict(zip(clouds, built)), failed
+
+    def _fail(self, members: List[_Pending], exc: Exception) -> None:
+        """Settle one group's tickets with ``exc``."""
+        for p in members:
+            p.ticket.error = exc
+        self.stats.failed_requests += len(members)
 
     def query(
         self,

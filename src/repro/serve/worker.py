@@ -38,11 +38,11 @@ Inbox protocol (tuples, first element is the kind):
     Serve ``jobs`` — each ``(job_id, digest, points_or_None, queries,
     radius, max_neighbors)``, with a 7th element ``"dynamic"`` marking
     requests against a dynamic handle — through the local coalescing
-    service (one submit per job, one flush for the batch, which hashes
-    each distinct cloud array once — a registered cloud's handle-only
-    jobs share its pinned array) and reply with
-    one atomic ``("result", slot, batch_id, results, delta)`` message on
-    this worker's own outbox (per-incarnation by design — see
+    service (one submit per job, keyed by the dispatcher's ``digest`` so
+    the batch's one flush hashes no static cloud; a registered cloud's
+    handle-only jobs share its pinned array) and reply with one atomic
+    ``("result", slot, batch_id, results, delta)`` message on this
+    worker's own outbox (per-incarnation by design — see
     :class:`~repro.serve.sharded.WorkerProcess` on why a shared result
     queue cannot survive a worker killed mid-``put``).  ``results`` is
     ``[(job_id, indices, counts, error), ...]`` in job order; ``delta``
@@ -109,8 +109,10 @@ def _serve_batch(
                     digest, queries, radius, max_neighbors
                 )
             else:
-                tickets[job_id] = service.submit(
-                    points, queries, radius, max_neighbors
+                # Keyed by the dispatcher's digest of this content, as
+                # ``register`` is: the flush hashes no cloud.
+                tickets[job_id] = service._window.add(
+                    digest, points, queries, radius, max_neighbors
                 )
         except Exception as exc:  # repro: allow[broad-except] -- whatever submit raises must travel back as this one job's error; letting it escape would kill the worker and fail every co-batched caller
             failures[job_id] = exc

@@ -9,6 +9,8 @@ session route every cold build through the fast path without any golden
 snapshot, cycle count, or serving result shifting by a bit.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,20 +111,30 @@ class TestBuilderEquivalence:
         tree.validate()
 
 
+def random_cloud(rng):
+    n = int(rng.choice([1, 2, 3, int(rng.integers(4, 64)), int(rng.integers(64, 401))]))
+    kind = CLOUD_KINDS[int(rng.integers(0, len(CLOUD_KINDS)))]
+    return cloud(kind, n, rng)
+
+
+TINY_AND_DUPLICATE_CLOUDS = [
+    np.zeros((1, 3)),
+    np.array([[0.0, 1, 0], [0.0, 1, 0]]),
+    np.array([[1.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0]]),
+    np.ones((17, 3)) * 2.5,
+    np.array([[1.0, 9, 0], [1.0, 3, 0], [2.0, 5, 0], [1.0, 7, 0], [0.0, 1, 0]]),
+]
+
+
 class TestForestEquivalence:
     """``vectorized_build_forest`` builds every cloud in one level loop;
     each tree must equal the frozen per-node build of its cloud alone."""
-
-    def _random_cloud(self, rng):
-        n = int(rng.choice([1, 2, 3, int(rng.integers(4, 64)), int(rng.integers(64, 401))]))
-        kind = CLOUD_KINDS[int(rng.integers(0, len(CLOUD_KINDS)))]
-        return cloud(kind, n, rng)
 
     def test_randomized_forests_match_each_cloud_alone(self):
         rng = np.random.default_rng(20261017)
         sizes = set()
         for _ in range(40):
-            clouds = [self._random_cloud(rng) for _ in range(int(rng.integers(1, 9)))]
+            clouds = [random_cloud(rng) for _ in range(int(rng.integers(1, 9)))]
             if rng.integers(0, 4) == 0:
                 clouds.append(clouds[0].copy())  # the same cloud twice
             forest = tb.vectorized_build_forest(clouds)
@@ -134,13 +146,7 @@ class TestForestEquivalence:
         assert {1, 2, 3} <= sizes and max(sizes) > 300
 
     def test_tiny_and_duplicate_clouds_in_one_forest(self):
-        clouds = [
-            np.zeros((1, 3)),
-            np.array([[0.0, 1, 0], [0.0, 1, 0]]),
-            np.array([[1.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0]]),
-            np.ones((17, 3)) * 2.5,
-            np.array([[1.0, 9, 0], [1.0, 3, 0], [2.0, 5, 0], [1.0, 7, 0], [0.0, 1, 0]]),
-        ]
+        clouds = TINY_AND_DUPLICATE_CLOUDS
         for tree, points in zip(tb.vectorized_build_forest(clouds), clouds):
             assert_same_tree(build_kdtree(points), tree)
         assert tb.vectorized_build_forest([]) == []
@@ -162,6 +168,110 @@ class TestForestEquivalence:
             with pytest.raises(ValueError) as forest:
                 tb.vectorized_build_forest([good, bad])
             assert str(forest.value) == str(single.value)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The name of every thread started in this process from here on."""
+    starts = []
+    real = threading.Thread.start
+
+    def counting(thread):
+        starts.append(thread.name)
+        return real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return starts
+
+
+@pytest.fixture
+def split_on_three_cpus(monkeypatch):
+    """Split every forest of 2+ clouds: a 1-point floor and 3 CPUs."""
+    monkeypatch.setattr(tb, "_SPLIT_FLOOR", 1)
+    monkeypatch.setattr(tb, "_available_cpus", lambda: 3)
+
+
+class TestSplitForest:
+    """A forest large enough is built as contiguous runs of clouds, one
+    level loop per run on its own thread; every tree must still equal the
+    frozen per-node build of its cloud alone, in input order."""
+
+    def test_randomized_split_forests_match_each_cloud_alone(
+        self, split_on_three_cpus, call_rows
+    ):
+        parts = call_rows(tb, "_level_loop", "arrays")
+        rng = np.random.default_rng(20261019)
+        for _ in range(30):
+            clouds = [random_cloud(rng) for _ in range(int(rng.integers(2, 10)))]
+            if rng.integers(0, 3) == 0:
+                clouds.append(clouds[0].copy())  # the same cloud twice
+            parts.clear()
+            forest = tb.vectorized_build_forest(clouds)
+            assert len(parts) == min(3, len(clouds)) and sum(parts) == len(clouds)
+            assert len(forest) == len(clouds)
+            for points, tree in zip(clouds, forest):
+                assert_same_tree(build_kdtree(points), tree)
+                np.testing.assert_array_equal(tree.points, points)
+
+    @pytest.mark.parametrize(
+        "fused_key_limit", [tb._FUSED_KEY_LIMIT, 0], ids=["fused-key", "stable-fallback"]
+    )
+    def test_tiny_duplicate_and_repeated_clouds_split(
+        self, split_on_three_cpus, monkeypatch, fused_key_limit
+    ):
+        monkeypatch.setattr(tb, "_FUSED_KEY_LIMIT", fused_key_limit)
+        clouds = TINY_AND_DUPLICATE_CLOUDS + TINY_AND_DUPLICATE_CLOUDS[:2]
+        forest = tb.vectorized_build_forest(clouds)
+        assert len(forest) == len(clouds)
+        for tree, points in zip(forest, clouds):
+            assert_same_tree(build_kdtree(points), tree)
+
+    def test_split_build_joins_its_threads(self, split_on_three_cpus, thread_starts):
+        rng = np.random.default_rng(5)
+        clouds = [rng.normal(size=(300, 3)) for _ in range(6)]
+        before = threading.active_count()
+        tb.vectorized_build_forest(clouds)
+        assert len(thread_starts) == 2  # the caller builds the third part
+        assert threading.active_count() == before
+
+    def test_no_thread_on_one_cpu_or_below_the_floor(self, monkeypatch, thread_starts):
+        rng = np.random.default_rng(6)
+        clouds = [rng.normal(size=(112, 3)) for _ in range(64)]  # one epoch's
+        tb.vectorized_build_forest(clouds)
+        monkeypatch.setattr(tb, "_SPLIT_FLOOR", 1)
+        monkeypatch.setattr(tb, "_available_cpus", lambda: 1)
+        tb.vectorized_build_forest(clouds)
+        assert thread_starts == []
+
+    def test_bad_cloud_anywhere_fails_before_any_thread(
+        self, split_on_three_cpus, thread_starts
+    ):
+        good = np.zeros((4, 3))
+        for bad in (np.empty((0, 3)), np.zeros((4, 2)), np.zeros(3)):
+            with pytest.raises(ValueError) as single:
+                build_kdtree(bad)
+            for position in range(4):
+                clouds = [good] * 3
+                clouds.insert(position, bad)
+                with pytest.raises(ValueError) as forest:
+                    tb.vectorized_build_forest(clouds)
+                assert str(forest.value) == str(single.value)
+        assert thread_starts == []
+
+    def test_spans_are_contiguous_nonempty_and_balanced(self):
+        assert tb._balanced_spans([4096] * 8, 2) == [(0, 4), (4, 8)]
+        assert tb._balanced_spans([1, 1, 100], 2) == [(0, 2), (2, 3)]
+        assert tb._balanced_spans([100, 1, 1], 3) == [(0, 1), (1, 2), (2, 3)]
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            sizes = rng.integers(1, 500, size=int(rng.integers(2, 12))).tolist()
+            parts = int(rng.integers(2, len(sizes) + 1))
+            spans = tb._balanced_spans(sizes, parts)
+            assert len(spans) == parts
+            assert spans[0][0] == 0 and spans[-1][1] == len(sizes)
+            for (_, hi), (lo, _) in zip(spans, spans[1:]):
+                assert hi == lo
+            assert all(lo < hi for lo, hi in spans)
 
 
 @settings(max_examples=25, deadline=None)

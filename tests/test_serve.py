@@ -553,6 +553,76 @@ class TestQueryService(WindowContract):
         np.testing.assert_array_equal(good.result()[0], want_idx)
         np.testing.assert_array_equal(good.result()[1], want_cnt)
 
+    def test_distinct_cloud_flush_builds_one_forest(self, rng, call_rows):
+        # Every cold cloud of a flush shares one tree build; the sweeps
+        # stay one per cloud group.
+        import repro.runtime.treebuild as treebuild
+
+        builds = call_rows(treebuild, "vectorized_build_forest", "clouds")
+        clouds = [rng.normal(size=(200, 3)) for _ in range(8)]
+        requests = [(c, c[:5], 0.3, 4) for c in clouds]
+        service = QueryService()
+        tickets = [service.submit(*request) for request in requests]
+        assert service.flush() == 8
+        assert builds == [8]
+        assert_request_parity(requests, [t.result() for t in tickets])
+
+    def test_cloud_written_nonfinite_after_submit_is_never_built(
+        self, rng, monkeypatch
+    ):
+        # The flush's finiteness check runs before its one build: the
+        # written cloud fails its own group and is left out of the build.
+        import repro.runtime.treebuild as treebuild
+
+        built = []
+        real = treebuild.vectorized_build_forest
+
+        def recording(clouds):
+            built.append([len(points) for points in clouds])
+            return real(clouds)
+
+        monkeypatch.setattr(treebuild, "vectorized_build_forest", recording)
+        clouds = [rng.normal(size=(100 + i, 3)) for i in range(3)]
+        requests = [(c, c[:4].copy(), 0.3, 4) for c in clouds]
+        service = QueryService()
+        tickets = [service.submit(*request) for request in requests]
+        clouds[1][5, 2] = np.nan
+        assert service.flush() == 2
+        assert built == [[100, 102]]
+        with pytest.raises(ValueError, match=r"^points must be finite"):
+            tickets[1].result()
+        assert service.stats.failed_requests == 1
+        kept = [0, 2]
+        assert_request_parity(
+            [requests[i] for i in kept], [tickets[i].result() for i in kept]
+        )
+
+    def test_failed_shared_build_settles_static_groups_only(self, rng, monkeypatch):
+        # The flush's one build serves every static group: if it raises,
+        # each of them settles with its error, while a co-queued dynamic
+        # group (its index already built) is still served.
+        import repro.runtime.treebuild as treebuild
+
+        pts = rng.normal(size=(150, 3))
+        service = QueryService()
+        handle = service.register_dynamic(pts)
+        want = service.submit_dynamic(handle, pts[:6], 0.4, 5)
+        service.flush()
+
+        def failing(clouds):
+            raise RuntimeError("builder failed")
+
+        monkeypatch.setattr(treebuild, "vectorized_build_forest", failing)
+        static = [service.submit(c, c[:3], 0.3, 4) for c in (pts + 1.0, pts - 1.0)]
+        dynamic = service.submit_dynamic(handle, pts[:6], 0.4, 5)
+        assert service.flush() == 1
+        for ticket in static:
+            with pytest.raises(RuntimeError, match="builder failed"):
+                ticket.result()
+        assert service.stats.failed_requests == 2
+        for got, expected in zip(dynamic.result(), want.result()):
+            np.testing.assert_array_equal(got, expected)
+
     def test_recreated_converted_input_is_served_against_its_own_content(self, rng):
         # A list or float32 input freed after submit can hand its id to
         # the next one; each request must still be served from its own

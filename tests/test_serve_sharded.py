@@ -251,8 +251,8 @@ class TestDeadWorkerRecovery:
 
 
 class TestWorkerBatchDigests:
-    """A worker's batch hashes and validates each cloud it serves once, not
-    once per job."""
+    """A worker's batch validates each cloud it serves once, not once per
+    job, and hashes none: every job carries the dispatcher's digest."""
 
     def test_each_batch_digests_its_cloud_once(self, rng, digest_calls, call_rows):
         import repro.serve.service as service_module
@@ -268,7 +268,7 @@ class TestWorkerBatchDigests:
             pickle.dumps([(i, digest, *request) for i, request in enumerate(requests)])
         )
         reply = _serve_batch(service, {}, 0, 0, shipped)
-        assert len(digest_calls) == len(checks) == 1
+        assert (len(digest_calls), len(checks)) == (0, 1)
         # 64 handle-only jobs on one registered cloud, unpickled as the
         # register message delivers it: each job submits that one array.
         digest_calls.clear()
@@ -276,7 +276,7 @@ class TestWorkerBatchDigests:
         handle_only = [(i, digest, None, *request[1:]) for i, request in enumerate(requests)]
         registered = {digest: pickle.loads(pickle.dumps(pts))}
         again = _serve_batch(service, registered, 0, 1, handle_only)
-        assert len(digest_calls) == len(checks) == 1
+        assert (len(digest_calls), len(checks)) == (0, 1)
         engine = BatchedBallQuery(build_kdtree(pts))
         for *_, results, delta in (reply, again):
             assert delta["sweeps"] == 1
