@@ -114,11 +114,13 @@ def test_sharded_tier_scales_past_single_process():
             sharded_time = min(sharded_time, time.perf_counter() - t0)
         stats = service.stats
         # No recovery events may pollute the measurement, every request
-        # must be served, and each run must sweep once per distinct cloud.
+        # must be served, and each run must sweep once per shard, over
+        # all the clouds it owns.
         assert stats.respawns == 0 and stats.requeued_requests == 0
         assert stats.requests == RUNS * len(trace)
         assert stats.failed_requests == 0
-        assert stats.sweeps == RUNS * N_CLOUDS
+        shards = {service._slot_for(handle) for handle in handles.values()}
+        assert stats.sweeps == RUNS * len(shards)
 
     # Identity: the sharded tier is a transparent drop-in.
     for (si, sc), (gi, gc) in zip(single_results, sharded_results):

@@ -13,7 +13,8 @@ smoke lane (not slow-marked):
 - an end-to-end >=1.5x floor on an all-distinct-cloud serving trace —
   the workload where cold builds dominate — with results bit-identical
   between the production session and the same session with the frozen
-  per-node builder substituted at its import seam;
+  per-node builder substituted at its import seam, and the flush's sweep
+  count recorded (its clouds share one sweep, so 1);
 - a forest record (no floor): an epoch-sized batch of small clouds built
   one call per cloud and as one ``vectorized_build_forest`` pass, and one
   all-distinct serving flush's forest (8 x 4096 points) built as one level
@@ -132,11 +133,12 @@ def make_distinct_cloud_trace(rng):
 
 
 def serve_trace_cold(trace):
-    """One flush over the whole trace through a cold session."""
+    """One flush over the whole trace through a cold session: the results
+    and the flush's sweep count."""
     service = QueryService()
     tickets = [service.submit(*request) for request in trace]
-    service.flush()
-    return [ticket.result() for ticket in tickets]
+    sweeps = service.flush()
+    return [ticket.result() for ticket in tickets], sweeps
 
 
 def test_all_distinct_cloud_serving_floor(monkeypatch):
@@ -157,14 +159,14 @@ def test_all_distinct_cloud_serving_floor(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(treebuild, "vectorized_build_forest", reference_forest)
         t0 = time.perf_counter()
-        ref_results = serve_trace_cold(trace)
+        ref_results, _ = serve_trace_cold(trace)
         ref_time = time.perf_counter() - t0
     assert sum(reference_builds) == N_CLOUDS  # the reference really built
     fast_time = float("inf")
     fast_results = None
     for _ in range(3):
         t0 = time.perf_counter()
-        fast_results = serve_trace_cold(trace)
+        fast_results, sweeps = serve_trace_cold(trace)
         fast_time = min(fast_time, time.perf_counter() - t0)
 
     for (fi, fc), (ri, rc) in zip(fast_results, ref_results):
@@ -183,6 +185,7 @@ def test_all_distinct_cloud_serving_floor(monkeypatch):
             "serve_s_vectorized": round(fast_time, 4),
             "serve_speedup": round(speedup, 2),
             "serve_requests_per_s": round(total_requests / fast_time, 1),
+            "serve_sweeps_per_flush": sweeps,
         },
     )
 

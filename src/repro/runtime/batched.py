@@ -53,9 +53,12 @@ decisions, so the sweep accepts a **per-query radius array** and per-query
 :meth:`BatchedBallQuery.query_merged` builds on that to serve N
 concatenated *requests* (each with its own radius and ``K``) with one
 frontier advance and split the results per request afterwards,
-bit-identical to N separate :meth:`~BatchedBallQuery.query` calls.  This
-is the kernel under the request-coalescing serving layer
-(:mod:`repro.serve`).
+bit-identical to N separate :meth:`~BatchedBallQuery.query` calls.  With
+per-row ``roots`` the requests may target different trees of one
+:class:`~repro.runtime.forest.Forest`: each row starts at its own tree's
+root and pads from that tree alone.  This is the kernel under the
+request-coalescing serving layer (:mod:`repro.serve`), which answers all
+the static clouds of a flush with one such sweep.
 
 A level's work is mostly scattered reads, so the sweep gathers every row
 block and per-row array with ``take``: on 20k rows ``queries.take(rows,
@@ -92,6 +95,7 @@ __all__ = [
     "nearest_padding",
     "pack_rows",
     "request_rows",
+    "sweep_room",
 ]
 
 # Depth limit of the DFS orderings: batched_nearest_node's float64 ranks
@@ -114,6 +118,13 @@ def _check_rank_depth(tree: KdTree) -> None:
             f"tree height {tree.height} exceeds the DFS-rank depth limit "
             f"({_MAX_RANK_DEPTH}); use the per-query searchers"
         )
+
+
+def sweep_room(height: int) -> int:
+    """Most query rows one :func:`frontier_sweep` over a tree of
+    ``height`` takes: its int64 DFS keys hold ``rows * 2**height <=
+    2**63``.  Past the DFS-rank depth limit it takes none (-1)."""
+    return 1 << (63 - height) if height <= _MAX_RANK_DEPTH else -1
 
 
 def check_max_neighbors(max_neighbors) -> np.ndarray:
@@ -207,7 +218,7 @@ def frontier_sweep(
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     _check_rank_depth(tree)
     height = tree.height
-    if len(queries) > 1 << (63 - height):
+    if len(queries) > sweep_room(height):
         raise ValueError(
             f"{len(queries)} queries overflow the int64 DFS keys of a tree "
             f"of height {height}; split the batch"
@@ -510,15 +521,19 @@ def request_rows(request_ids, num_rows: int, num_requests: int) -> np.ndarray:
 
 
 def nearest_padding(
-    tree: KdTree, queries: np.ndarray
+    tree: KdTree, queries: np.ndarray, roots: Optional[np.ndarray] = None
 ) -> Callable[[np.ndarray], np.ndarray]:
     """:func:`pack_rows`'s padding for rows without hits: each row's
     nearest node point, from one :func:`batched_nearest_node` pass over
-    the distinct query points (rows without hits often repeat a point)."""
+    the distinct ``(root, query point)`` pairs (rows without hits often
+    repeat a point; with per-row ``roots`` each pads from its own tree)."""
 
     def nearest(rows: np.ndarray) -> np.ndarray:
-        uniq, inverse = np.unique(queries[rows], axis=0, return_inverse=True)
-        return batched_nearest_node(tree, uniq)[inverse.reshape(-1)]
+        starts = np.full(len(rows), tree.root) if roots is None else roots[rows]
+        keyed = np.column_stack((starts, queries[rows]))
+        uniq, inverse = np.unique(keyed, axis=0, return_inverse=True)
+        found = batched_nearest_node(tree, uniq[:, 1:], uniq[:, 0].astype(np.int64))
+        return found[inverse.reshape(-1)]
 
     return nearest
 
@@ -557,6 +572,7 @@ class BatchedBallQuery:
         radii: Union[float, np.ndarray],
         request_ids: np.ndarray,
         max_neighbors: Union[int, Sequence[int], np.ndarray],
+        roots: Optional[np.ndarray] = None,
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Serve N concatenated requests with one merged frontier advance.
 
@@ -574,6 +590,11 @@ class BatchedBallQuery:
             concatenation.
         max_neighbors:
             ``(R,)`` per-request ``K`` (a scalar means one request).
+        roots:
+            ``(M,)`` start node per row (default: the tree's root), so the
+            requests of one sweep may target different trees of a
+            :class:`~repro.runtime.forest.Forest`; results are then
+            forest node ids, which ``forest.point_id`` maps back.
 
         Returns the list of per-request ``(indices, counts)`` pairs.
         Request ``r``'s pair is bit-identical to
@@ -593,7 +614,9 @@ class BatchedBallQuery:
         empty = np.zeros(0, dtype=np.int64)
         rows, keys, points = [empty], [empty], [empty]
         row_k = np.repeat(ks, group_rows)
-        for level in frontier_sweep(self.tree, queries, radii, row_k):
+        if roots is not None:
+            roots = np.asarray(roots, dtype=np.int64)
+        for level in frontier_sweep(self.tree, queries, radii, row_k, roots):
             hit = level.in_ball
             rows.append(level.query_ids[hit])
             keys.append(level.key[hit])
@@ -604,5 +627,5 @@ class BatchedBallQuery:
             np.concatenate(points)[order],
             group_rows,
             ks,
-            nearest_padding(self.tree, queries),
+            nearest_padding(self.tree, queries, roots),
         )

@@ -1,17 +1,20 @@
 """One node layout for any number of K-d trees.
 
 Every multi-tree search runs over a :class:`Forest`: the lockstep engine,
-:func:`~repro.runtime.approximate_search` and a dynamic index's one
-sweep of its segments.  Routines that take per-row start nodes
-(``frontier_sweep``, ``batched_nearest_node``, ``descend_step``) search
-all trees of ``forest.tree`` at once.  Imports only NumPy and
+:func:`~repro.runtime.approximate_search`, a dynamic index's one sweep of
+its segments and a serving flush's one sweep of its static clouds.
+Routines that take per-row start nodes (``frontier_sweep``,
+``batched_nearest_node``, ``descend_step``) search all trees of
+``forest.tree`` at once.  The layout holds nodes only: the Euler
+intervals, which only the lockstep engine reads, are computed on first
+use by :func:`euler_tour`.  Imports only NumPy and
 :mod:`repro.kdtree.build`, so any module may import it at load time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,10 +30,10 @@ class Forest:
     Tree ``t``'s node ``i`` is node ``roots[t] + i`` of ``tree``, a
     :class:`KdTree` whose node ``i`` holds point ``i``: ``points`` are
     the node coordinates, ``left``/``right`` forest ids, ``depth`` and
-    ``subtree_size`` the trees' own, and ``tin``/``tout`` each tree's
-    Euler intervals shifted by its root.  ``point_id`` is each node's
-    point id in its own tree.  Every tree is numbered from its root,
-    node 0, so ``roots`` are also the trees' node offsets.
+    ``subtree_size`` the trees' own.  ``tree.tin``/``tout`` stay unset
+    until :func:`euler_tour` of the forest fills them.  ``point_id`` is
+    each node's point id in its own tree.  Every tree is numbered from its
+    root, node 0, so ``roots`` are also the trees' node offsets.
     """
 
     tree: KdTree
@@ -47,25 +50,19 @@ class Forest:
         roots = np.concatenate(([0], np.cumsum(sizes)[:-1]))
 
         def cat(arrays) -> np.ndarray:
-            return np.concatenate([np.asarray(a, dtype=np.int64) for a in arrays])
+            return np.concatenate(list(arrays), dtype=np.int64)
 
         def rebase(children, offset):
             return np.where(children >= 0, children + offset, -1)
 
-        left = cat(rebase(t.left, o) for t, o in zip(trees, roots.tolist()))
-        right = cat(rebase(t.right, o) for t, o in zip(trees, roots.tolist()))
-        size = cat(t.subtree_size for t in trees)
-        tin = _preorder(left, right, size, roots)
         tree = KdTree(
-            points=np.concatenate([t.points[t.point_id] for t in trees]),
+            points=np.concatenate([t.points.take(t.point_id, 0) for t in trees]),
             point_id=np.arange(int(sizes.sum()), dtype=np.int64),
             split_dim=cat(t.split_dim for t in trees),
-            left=left,
-            right=right,
+            left=cat(rebase(t.left, o) for t, o in zip(trees, roots.tolist())),
+            right=cat(rebase(t.right, o) for t, o in zip(trees, roots.tolist())),
             depth=cat(t.depth for t in trees),
-            subtree_size=size,
-            tin=tin,
-            tout=tin + size,
+            subtree_size=cat(t.subtree_size for t in trees),
         )
         return cls(tree=tree, point_id=cat(t.point_id for t in trees), roots=roots)
 
@@ -88,15 +85,21 @@ def _preorder(
     return tin
 
 
-def euler_tour(tree: KdTree) -> Tuple[np.ndarray, np.ndarray]:
-    """Preorder entry/exit intervals of one tree: the one-tree forest pass.
+def euler_tour(trees: Union[KdTree, Forest]) -> Tuple[np.ndarray, np.ndarray]:
+    """Preorder entry/exit intervals of a tree, or of every tree of a
+    forest (each shifted by its root) from one pass over all of them.
 
-    The values of ``KdTree._ensure_euler`` (the per-node stack walk),
-    cached onto ``tree.tin``/``tree.tout`` as the reference caches them:
-    ``b`` lies in the subtree of ``a`` iff ``tin[a] <= tin[b] < tout[a]``.
+    Computed on first use and cached onto the tree (``forest.tree`` for a
+    forest), as ``KdTree._ensure_euler`` caches its per-node stack walk,
+    whose values the one-tree case equals: ``b`` lies in the subtree of
+    ``a`` iff ``tin[a] <= tin[b] < tout[a]``.  A forest's intervals come
+    from here only; the stack walk starts from one root.
     """
+    if isinstance(trees, Forest):
+        tree, roots = trees.tree, trees.roots
+    else:  # every tree is numbered from its root
+        tree, roots = trees, np.zeros(1, dtype=np.int64)
     if tree.tin is None or tree.tout is None:
-        root = np.zeros(1, dtype=np.int64)  # every tree is numbered from its root
-        tree.tin = _preorder(tree.left, tree.right, tree.subtree_size, root)
+        tree.tin = _preorder(tree.left, tree.right, tree.subtree_size, roots)
         tree.tout = tree.tin + tree.subtree_size
     return tree.tin, tree.tout

@@ -10,8 +10,9 @@ array operations, for many searches at once:
 
 * **forest layout** — any number of K-d trees in one
   :class:`~repro.runtime.forest.Forest`: tree ``t``'s node ``i`` is
-  forest node ``roots[t] + i``, with forest-wide Euler ``tin``/``tout``
-  intervals from one level-synchronous pass;
+  forest node ``roots[t] + i``; :meth:`VectorizedLockstep.run` computes
+  the forest-wide Euler ``tin``/``tout`` intervals on first use, in one
+  level-synchronous pass (:func:`~repro.runtime.forest.euler_tour`);
 * every PE slot of every sub-tree batch is one row of a ``(lanes, depth)``
   stack matrix (``lanes = num_batches x num_pes``), so all sub-tree
   batches of all trees advance concurrently — the cycle loop runs as long
@@ -67,7 +68,7 @@ import numpy as np
 
 from ..kdtree.stats import TraversalStats
 from ..memsim.sram import SramStats
-from .forest import Forest
+from .forest import Forest, euler_tour
 
 __all__ = ["LockstepResult", "VectorizedLockstep"]
 
@@ -129,6 +130,7 @@ class VectorizedLockstep:
         self.banking = banking
         self.num_pes = num_pes
         self.elide_policy = elide_policy
+        self.forest = forest
         self.tree = forest.tree
         self.point_id = forest.point_id  # tree-local ids
         self.height = forest.tree.height
@@ -254,6 +256,7 @@ class VectorizedLockstep:
             queries, roots, max_hits, radius, jobs, num_jobs
         )
         num_machines = len(roots)
+        tin, tout = euler_tour(self.forest)
         r2 = radius * radius
         elide = None
         if elide_depth is not None:
@@ -273,7 +276,7 @@ class VectorizedLockstep:
         num_pes = self.num_pes
         lanes = ngroups * num_pes
         lane_group = np.repeat(np.arange(ngroups, dtype=np.int64), num_pes)
-        lane_tin_root = np.repeat(self.tree.tin[roots[group_start]], num_pes)
+        lane_tin_root = np.repeat(tin[roots[group_start]], num_pes)
         stack = np.zeros((lanes, self.height + 2), dtype=np.int64)
         sp = np.zeros(lanes, dtype=np.int64)
         lane_mach = np.full(lanes, -1, dtype=np.int64)
@@ -321,7 +324,7 @@ class VectorizedLockstep:
             rank = (lane_arange[:num_active] - first - g_cycles[agroup]) % in_group
             top = sp[active] - 1
             nodes = stack[active, top]
-            slots = tree.tin[nodes] - lane_tin_root[active]
+            slots = tin[nodes] - lane_tin_root[active]
             banks = np.asarray(self.banking.bank_of_slot(slots), dtype=np.int64)
 
             # Winner per (batch, bank) = lowest rotated-priority rank.
@@ -380,8 +383,8 @@ class VectorizedLockstep:
                     # Sec. 4.2: continue from the winner's node when it is
                     # beneath the requested one; drop the subtree otherwise.
                     sub_ok = elidable & (
-                        (tree.tin[nodes] <= tree.tin[winner_node])
-                        & (tree.tin[winner_node] < tree.tout[nodes])
+                        (tin[nodes] <= tin[winner_node])
+                        & (tin[winner_node] < tout[nodes])
                     )
                     skip = elidable & ~sub_ok
                     dlanes = active[sub_ok]

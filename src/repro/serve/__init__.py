@@ -5,9 +5,10 @@ callers* rather than replaying figure grids.  Three layers:
 
 - :class:`QueryService` — the synchronous core: a request queue,
   same-cloud coalescing keyed by geometry digest, one **merged frontier
-  sweep** per coalesced group (:meth:`repro.runtime.BatchedBallQuery.
-  query_merged`), per-request result demux, and throughput / latency /
-  coalesce-factor statistics.  Results are bit-identical to serving each
+  sweep** per flush over a forest of its static clouds' trees
+  (:meth:`repro.runtime.BatchedBallQuery.query_merged`; each dynamic
+  cloud sweeps on its own), per-request result demux, and throughput /
+  latency / coalesce-factor statistics.  Results are bit-identical to serving each
   request alone, which the serving parity suite pins down.
 - :class:`AsyncQueryFrontend` — the asyncio front-end: ``await
   submit(...)`` parks a request and returns its result when the

@@ -6,10 +6,11 @@ few merged frontier sweeps as the stream allows.  Requests accumulate in
 an arrival-ordered queue; :meth:`QueryService.flush` groups the queue by
 **geometry digest** (same cloud ⇒ same K-d tree, built or fetched once
 through the shared :class:`~repro.runtime.session.SearchSession`),
-concatenates each group's query batches with per-query radii and a
-request-id vector, answers the whole group with one
-:meth:`~repro.runtime.batched.BatchedBallQuery.query_merged` advance, and
-demuxes the per-request results back onto the callers' tickets.
+concatenates the query batches of every static group with per-query
+radii, start roots and a request-id vector, answers them all with one
+:meth:`~repro.runtime.batched.BatchedBallQuery.query_merged` advance over
+a :class:`~repro.runtime.forest.Forest` of their trees, and demuxes the
+per-request results back onto the callers' tickets.
 
 Requests queue in ``_RequestWindow``, the one queue both serving tiers
 use: it validates a request at submit, checks a cloud array once per
@@ -21,9 +22,10 @@ cloud it indexes, so no caller's later write reaches a cached tree.
 Coalescing is a pure batching transform: row independence of the merged
 sweep makes every served result bit-identical to running the request
 alone (``tests/test_serve.py`` pins this).  What changes is the cost —
-one Python-level frontier advance per *group* instead of per *request* —
-which is where the ≥3x serving throughput over sequential submission
-comes from (``benchmarks/test_serve_perf.py``).
+one Python-level frontier advance per *flush* (plus one per dynamic
+cloud) instead of per *request* — which is where the ≥3x serving
+throughput over sequential submission comes from
+(``benchmarks/test_serve_perf.py``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..kdtree.build import KdTree
-from ..runtime.batched import BatchedBallQuery, check_max_neighbors
+from ..runtime.batched import BatchedBallQuery, check_max_neighbors, sweep_room
+from ..runtime.forest import Forest
 from ..runtime.session import SearchSession, geometry_digest
 
 __all__ = [
@@ -308,60 +311,47 @@ class QueryService:
         """Serve everything queued; returns the merged sweeps *executed*.
 
         Requests are grouped in arrival order — static requests by
-        geometry digest, dynamic requests by handle — and each group is
-        answered by one merged advance over its concatenated queries
-        (:meth:`~repro.runtime.batched.BatchedBallQuery.query_merged` for
-        a frozen cloud, :meth:`~repro.kdtree.dynamic.DynamicKdTree
-        .query_merged` for a mutating one), then demuxed back onto the
-        tickets.  Pending updates to a dynamic cloud are applied by its
-        lazy refresh here — between flushes, never mid-sweep.
+        geometry digest, dynamic requests by handle.  Each static
+        request's cloud is digested here, once per distinct array memory
+        (see :meth:`_RequestWindow.close`), and checked for finiteness
+        once per group: a cloud written non-finite after submit fails its
+        group's tickets with ``validate_points``' ``ValueError`` and is
+        never built.  The trees of every other static group come from one
+        :meth:`~repro.runtime.session.SearchSession.trees_for` call (one
+        forest build), and those groups share one
+        :meth:`~repro.runtime.batched.BatchedBallQuery.query_merged`
+        sweep over a :class:`~repro.runtime.forest.Forest` of their trees,
+        each row starting at its own tree's root; one static group sweeps
+        its tree directly.  Groups join that sweep in arrival order while
+        its int64 DFS keys hold their rows
+        (:func:`~repro.runtime.batched.sweep_room`), and a group that does
+        not fit starts the next one, so a group that fits no sweep fails
+        alone.  Each dynamic group runs its own
+        :meth:`~repro.kdtree.dynamic.DynamicKdTree.query_merged`, whose
+        lazy refresh applies pending updates — between flushes, never
+        mid-sweep.
 
-        Each static request's cloud is digested here, once per distinct
-        array memory (see :meth:`_RequestWindow.close`), and checked for
-        finiteness once per group: a cloud written non-finite after submit
-        fails its group's tickets with ``validate_points``' ``ValueError``
-        and is never built.  The trees of every other static group come
-        from one :meth:`~repro.runtime.session.SearchSession.trees_for`
-        call, so all the cold clouds of a flush share one forest build;
-        the sweeps stay one per group.  If that shared build raises, every
-        static group waiting on it settles with its error, and the
-        dynamic groups are still served.
-
-        A group that fails settles its tickets with the error and executes
-        nothing, so it contributes neither to the return value nor to
-        ``stats.sweeps`` — its requests are counted in
-        ``stats.failed_requests`` instead; a failed sweep settles only its
-        own group.  ``stats.flushes`` only counts calls that served at
-        least one request.
+        Errors are contained per build and per sweep: if the shared build
+        raises, every static group waiting on it settles with its error;
+        if a sweep raises, every group in that sweep does, and the other
+        sweeps, dynamic groups included, are still served.  A failed
+        request counts in ``stats.failed_requests``, not in the return
+        value or ``stats.sweeps``; ``stats.flushes`` counts only calls
+        that served at least one request.
         """
         t0 = self._clock()
         groups = self._window.close()
         if not groups:
             return 0
-        trees, failed = self._static_trees(groups)
         executed = 0
-        for key, members in groups.items():
-            if key in failed:
-                self._fail(members, failed[key])
-                continue
+        for sweep in self._sweeps(groups):
+            members = [p for _, group in sweep for p in group]
             try:
-                sizes = [len(p.queries) for p in members]
-                merged_queries = np.concatenate([p.queries for p in members])
-                radii = np.repeat([p.ticket.radius for p in members], sizes)
-                request_ids = np.repeat(np.arange(len(members)), sizes)
-                ks = np.asarray([p.ticket.max_neighbors for p in members])
-                if isinstance(key, tuple):
-                    engine = self.session.dynamic(key[1])
-                else:
-                    engine = BatchedBallQuery(trees[key])
-                results = engine.query_merged(
-                    merged_queries, radii, request_ids, ks
-                )
-            except Exception as exc:  # repro: allow[broad-except] -- error containment is the contract: one cloud group's failure settles its own tickets and must not take down the other groups in the flush
-                # Contain the blast radius to this cloud group: its
-                # tickets settle with the error (an internal failure such
-                # as a malformed custom tree), other groups still get
-                # served.
+                results = self._run_sweep(sweep, members)
+            except Exception as exc:  # repro: allow[broad-except] -- error containment is the contract: one sweep's failure settles the tickets of the groups it serves and must not take down the other sweeps of the flush
+                # An internal failure such as a malformed custom tree:
+                # this sweep's tickets settle with the error, the other
+                # sweeps are still served.
                 self._fail(members, exc)
                 continue
             now = self._clock()
@@ -372,7 +362,7 @@ class QueryService:
                 self.stats.wait_time += now - p.ticket.submitted_at
             self.stats.sweeps += 1
             self.stats.requests += len(members)
-            self.stats.queries += int(sum(sizes))
+            self.stats.queries += sum(len(p.queries) for p in members)
             self.stats.max_coalesced = max(self.stats.max_coalesced, len(members))
             executed += 1
         if executed:
@@ -380,16 +370,60 @@ class QueryService:
         self.stats.serve_time += self._clock() - t0
         return executed
 
-    def _static_trees(self, groups) -> Tuple[Dict[str, KdTree], Dict[str, Exception]]:
-        """Each static group's tree, all from one ``trees_for`` call, or
-        the error that fails the group (see :meth:`flush`).
+    def _sweeps(self, groups) -> List[List[Tuple[object, List[_Pending]]]]:
+        """The flush's sweeps, each a list of ``(tree, requests)`` static
+        groups or one ``(dynamic handle, requests)`` group (see
+        :meth:`flush`)."""
+        sweeps: List[List[Tuple[object, List[_Pending]]]] = []
+        height = rows = 0
+        for key, tree in self._static_trees(groups).items():
+            members = groups[key]
+            size = sum(len(p.queries) for p in members)
+            joined = max(height, tree.height)
+            if sweeps and rows + size <= sweep_room(joined):
+                sweeps[-1].append((tree, members))
+                height, rows = joined, rows + size
+            else:
+                sweeps.append([(tree, members)])
+                height, rows = tree.height, size
+        sweeps.extend(
+            [(key[1], members)]
+            for key, members in groups.items()
+            if isinstance(key, tuple)
+        )
+        return sweeps
+
+    def _run_sweep(
+        self, sweep, members: List[_Pending]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """One merged sweep: each of ``members``' ``(indices, counts)``."""
+        sizes = [len(p.queries) for p in members]
+        queries = np.concatenate([p.queries for p in members])
+        radii = np.repeat([p.ticket.radius for p in members], sizes)
+        request_ids = np.repeat(np.arange(len(members)), sizes)
+        ks = np.asarray([p.ticket.max_neighbors for p in members])
+        source = sweep[0][0]
+        if not isinstance(source, KdTree):  # a dynamic handle
+            engine = self.session.dynamic(source)
+            return engine.query_merged(queries, radii, request_ids, ks)
+        if len(sweep) == 1:
+            return BatchedBallQuery(source).query_merged(queries, radii, request_ids, ks)
+        forest = Forest.of([tree for tree, _ in sweep])
+        request_roots = np.repeat(forest.roots, [len(group) for _, group in sweep])
+        results = BatchedBallQuery(forest.tree).query_merged(
+            queries, radii, request_ids, ks, np.repeat(request_roots, sizes)
+        )
+        return [(forest.point_id.take(indices), counts) for indices, counts in results]
+
+    def _static_trees(self, groups) -> Dict[str, KdTree]:
+        """Each static group's tree, all from one ``trees_for`` call; a
+        group that gets none settles here (see :meth:`flush`).
 
         A group's key is the digest of the bytes about to be searched, so
         it keys the tree cache without a re-hash; equal bytes share
         finiteness, so one check covers the group.
         """
         clouds: Dict[str, np.ndarray] = {}
-        failed: Dict[str, Exception] = {}
         for key, members in groups.items():
             if isinstance(key, tuple):
                 continue
@@ -398,14 +432,16 @@ class QueryService:
                 if not np.isfinite(points).all():
                     validate_points(points)  # written since submit: raises
             except ValueError as exc:
-                failed[key] = exc
+                self._fail(members, exc)
                 continue
             clouds[key] = points
         try:
             built = self.session.trees_for(list(clouds.values()), list(clouds))
         except Exception as exc:  # repro: allow[broad-except] -- the shared build serves every static group of the flush: its failure settles those groups' tickets, and the dynamic groups must still be served
-            return {}, {**failed, **dict.fromkeys(clouds, exc)}
-        return dict(zip(clouds, built)), failed
+            for key in clouds:
+                self._fail(groups[key], exc)
+            return {}
+        return dict(zip(clouds, built))
 
     def _fail(self, members: List[_Pending], exc: Exception) -> None:
         """Settle one group's tickets with ``exc``."""

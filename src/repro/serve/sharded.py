@@ -2,16 +2,17 @@
 
 :class:`QueryService` + :class:`~repro.serve.AsyncQueryFrontend` coalesce
 brilliantly but live in one process behind one GIL: a flood of *distinct*
-clouds flushes its digest groups serially.  :class:`ShardedQueryService`
-is the horizontal promotion — a dispatcher in the caller's process routes
-every request **by geometry digest** to one of N long-lived serving
-worker processes (:mod:`repro.serve.worker`), each owning a shard of the
+clouds is swept by one process.  :class:`ShardedQueryService` is the
+horizontal promotion — a dispatcher in the caller's process routes every
+request **by geometry digest** to one of N long-lived serving worker
+processes (:mod:`repro.serve.worker`), each owning a shard of the
 registered clouds and serving its batches through its own in-process
 coalescing :class:`QueryService`.  Distinct clouds land on distinct
 shards and flush genuinely in parallel; same-cloud requests still land on
-the same shard and still coalesce into one merged sweep, so the sharded
-tier's results are bit-identical to the single-process service by
-construction (the sharded parity suite pins this).
+the same shard and still coalesce, and each shard sweeps all the clouds
+of a batch as one merged sweep, so the sharded tier's results are
+bit-identical to the single-process service by construction (the sharded
+parity suite pins this).
 
 Both tiers queue through one request window (``_RequestWindow`` in
 :mod:`repro.serve.service`): settings and queries are validated at

@@ -27,11 +27,13 @@ from repro.core import ApproxSetting, TreeBufferBanking
 from repro.core.approx_search import approximate_ball_query
 from repro.core.pipeline import ApproximationPipeline
 from repro.kdtree import build_kdtree
+from repro.kdtree.build import KdTree
 from repro.kdtree.dynamic_reference import pair_d2
 from repro.runtime import (
     Forest,
     QueryRequest,
     SearchJob,
+    VectorizedLockstep,
     approximate_search,
     euler_tour,
     frontier_sweep,
@@ -254,6 +256,8 @@ class TestForestLayout:
     def test_each_tree_comes_back_rebased(self, rng):
         trees = mixed_trees(rng)
         forest = Forest.of(trees)
+        assert forest.tree.tin is None and forest.tree.tout is None
+        forest_tin, forest_tout = euler_tour(forest)
         sizes = [t.num_nodes for t in trees]
         assert forest.roots.tolist() == np.cumsum([0] + sizes[:-1]).tolist()
         assert forest.tree.num_nodes == sum(sizes)
@@ -276,27 +280,89 @@ class TestForestLayout:
                     np.where(child >= 0, child + root, -1),
                 )
             tin, tout = euler_tour(tree)
-            np.testing.assert_array_equal(forest.tree.tin[nodes], tin + root)
-            np.testing.assert_array_equal(forest.tree.tout[nodes], tout + root)
+            np.testing.assert_array_equal(forest_tin[nodes], tin + root)
+            np.testing.assert_array_equal(forest_tout[nodes], tout + root)
 
-    def test_one_euler_pass_per_forest(self, rng, monkeypatch):
+    def test_one_euler_pass_per_forest(self, rng, euler_passes):
         # The intervals of every tree come from one level loop over the
-        # whole forest, not one per tree.
-        passes = []
-        real = forest_mod._preorder
-
-        def recording(left, right, size, roots):
-            passes.append(len(roots))
-            return real(left, right, size, roots)
-
-        monkeypatch.setattr(forest_mod, "_preorder", recording)
+        # whole forest, not one per tree, on first use, cached onto
+        # forest.tree.
+        passes, _ = euler_passes
         trees = mixed_trees(rng)
-        Forest.of(trees)
+        forest = Forest.of(trees)
+        assert passes == []  # the layout holds nodes only
+        tin, tout = euler_tour(forest)
+        assert passes == [len(trees)]
+        assert forest.tree.tin is tin and forest.tree.tout is tout
+        assert euler_tour(forest)[0] is tin
         assert passes == [len(trees)]
 
     def test_rejects_an_empty_forest(self):
         with pytest.raises(ValueError, match="at least one tree"):
             Forest.of([])
+
+
+@pytest.fixture
+def euler_passes(monkeypatch):
+    """``(passes, walks)``: the root count of every ``_preorder`` pass,
+    and the trees ``KdTree._ensure_euler`` (the one-root stack walk) ran
+    on."""
+    passes, walks = [], []
+    real_preorder = forest_mod._preorder
+    real_walk = KdTree._ensure_euler
+
+    def preorder(left, right, size, roots):
+        passes.append(len(roots))
+        return real_preorder(left, right, size, roots)
+
+    def walk(tree):
+        walks.append(tree)
+        return real_walk(tree)
+
+    monkeypatch.setattr(forest_mod, "_preorder", preorder)
+    monkeypatch.setattr(KdTree, "_ensure_euler", walk)
+    return passes, walks
+
+
+class TestEulerOnFirstUse:
+    """Only the lockstep engine reads Euler intervals, so only its run
+    computes them: one pass over the forest, never a one-root walk."""
+
+    def test_serving_flush_and_dynamic_query_run_no_pass(self, rng, euler_passes):
+        from repro.kdtree.dynamic import DynamicKdTree
+        from repro.serve import QueryService
+
+        passes, walks = euler_passes
+        service = QueryService()
+        clouds = [rng.normal(size=(120, 3)) for _ in range(3)]
+        tickets = [service.submit(c, c[:4], 0.3, 4) for c in clouds]
+        assert service.flush() == 1  # one sweep over a forest of 3 trees
+        assert all(t.error is None for t in tickets)
+        dyn = DynamicKdTree(rng.normal(size=(200, 3)), buffer_cap=16, max_segments=8)
+        for shift in (2.0, -2.0):
+            dyn.insert(rng.normal(size=(20, 3)) + shift)
+            dyn.refresh()  # each spill is a segment of its own
+        dyn.query_merged(rng.normal(size=(6, 3)), np.full(6, 0.8), np.zeros(6), [5])
+        assert len(dyn._segments) > 1  # its sweep ran over a forest
+        assert (passes, walks) == ([], [])
+
+    def test_lockstep_run_runs_one_pass(self, rng, euler_passes):
+        passes, walks = euler_passes
+        trees = mixed_trees(rng)
+        forest = Forest.of(trees)
+        engine = VectorizedLockstep(forest, banking=TreeBufferBanking(4), num_pes=4)
+        roots = forest.roots[[0, 0, 3, 3, 4]]
+        queries = rng.normal(size=(5, 3)) * 0.5
+        for _ in range(2):
+            engine.run(queries, roots, np.full(5, 6), 0.8, elide_depth=2)
+        assert passes == [len(trees)]
+        assert walks == []
+        want = [euler_tour(tree) for tree in trees]  # a pass per tree
+        for field, values in zip(("tin", "tout"), zip(*want)):
+            np.testing.assert_array_equal(
+                getattr(forest.tree, field),
+                np.concatenate([v + r for v, r in zip(values, forest.roots.tolist())]),
+            )
 
 
 class TestForestSweep:

@@ -21,7 +21,13 @@ from repro.core.approx_search import approximate_ball_query
 from repro.core.split_tree import SplitTree
 from repro.kdtree import SubtreeSearch, build_kdtree
 from repro.kdtree.stats import TraversalStats
-from repro.runtime import Forest, SearchJob, VectorizedLockstep, approximate_search
+from repro.runtime import (
+    Forest,
+    SearchJob,
+    VectorizedLockstep,
+    approximate_search,
+    euler_tour,
+)
 from repro.runtime import lockstep as lockstep_module
 
 
@@ -302,11 +308,12 @@ class TestEngineLevelEquivalence:
         # every tree of a forest.
         trees = [build_kdtree(rng.normal(size=(n, 3))) for n in (257, 40)]
         forest = Forest.of(trees)
+        tin, _ = euler_tour(forest)
         for tree, offset in zip(trees, forest.roots):
             split = SplitTree(tree, 3)
             for root in split.subtree_roots:
                 nodes = split.subtree_nodes(int(root)) + offset
-                slots = forest.tree.tin[nodes] - forest.tree.tin[int(root) + offset]
+                slots = tin[nodes] - tin[int(root) + offset]
                 assert np.array_equal(slots, np.arange(len(nodes)))
 
     def test_rejects_bad_arguments(self, rng):

@@ -331,7 +331,8 @@ class WindowContract:
             service.submit(as_list, pts[:2], 0.3, 4)
             service.submit(as_f32, pts[:2], 0.3, 4)
         assert len(cloud_checks) == 8
-        assert service.flush() == 2  # float32 rounding makes another cloud
+        # float32 rounding makes another cloud; both share one sweep.
+        assert service.flush() == 1
 
 
 class TestQueryService(WindowContract):
@@ -378,9 +379,10 @@ class TestQueryService(WindowContract):
             cloud = a if i % 2 == 0 else b
             requests.append((cloud, cloud[: 5 + i], 0.3, 6))
         tickets = [service.submit(*request) for request in requests]
-        assert service.flush() == 2  # one merged sweep per distinct cloud
-        assert service.stats.sweeps == 2
-        assert service.stats.max_coalesced == 4
+        # Two cloud groups, one merged sweep over a forest of their trees.
+        assert service.flush() == 1
+        assert service.stats.sweeps == 1
+        assert service.stats.max_coalesced == 8
         assert_request_parity(requests, [t.result() for t in tickets])
 
     def test_request_is_served_against_its_cloud_at_flush(self, rng):
@@ -554,18 +556,70 @@ class TestQueryService(WindowContract):
         np.testing.assert_array_equal(good.result()[1], want_cnt)
 
     def test_distinct_cloud_flush_builds_one_forest(self, rng, call_rows):
-        # Every cold cloud of a flush shares one tree build; the sweeps
-        # stay one per cloud group.
+        # Every cold cloud of a flush shares one tree build and one
+        # frontier sweep over the forest of their trees.
+        import repro.runtime.batched as batched
         import repro.runtime.treebuild as treebuild
 
         builds = call_rows(treebuild, "vectorized_build_forest", "clouds")
+        sweeps = call_rows(batched, "frontier_sweep", "queries")
         clouds = [rng.normal(size=(200, 3)) for _ in range(8)]
         requests = [(c, c[:5], 0.3, 4) for c in clouds]
         service = QueryService()
         tickets = [service.submit(*request) for request in requests]
-        assert service.flush() == 8
+        assert service.flush() == 1
         assert builds == [8]
+        assert sweeps == [40]
         assert_request_parity(requests, [t.result() for t in tickets])
+
+    def test_group_past_the_merged_keys_is_served_as_alone(self, rng, call_rows):
+        # A height-50 chain keys at most 2**13 rows per sweep.  Groups join
+        # the flush's sweep in arrival order while its keys hold their
+        # rows, so the chain fills the first sweep to the limit and the
+        # next group starts another; every result is the one served alone.
+        import repro.runtime.batched as batched
+        from repro.runtime.session import geometry_digest
+
+        chain = linear_chain_tree(50)
+        sweeps = call_rows(batched, "frontier_sweep", "queries")
+        before, after = rng.normal(size=(90, 3)), rng.normal(size=(70, 3))
+        rows = 2**13 - 4  # with the first group's 4, the chain's key limit
+        along = np.column_stack(
+            [rng.uniform(-1.0, 50.0, rows), rng.normal(scale=0.3, size=(rows, 2))]
+        )
+        service = QueryService()
+        service.session.trees.put(geometry_digest(chain.points), chain)
+        first = service.submit(before, before[:4], 0.3, 4)
+        on_chain = service.submit(chain.points, along, 1.2, 3)
+        last = service.submit(after, after[:5], 0.3, 4)
+        assert service.flush() == 2
+        assert sweeps == [2**13, 5]
+        want_idx, want_cnt = BatchedBallQuery(chain).query(along, 1.2, 3)
+        np.testing.assert_array_equal(on_chain.result()[0], want_idx)
+        np.testing.assert_array_equal(on_chain.result()[1], want_cnt)
+        assert_request_parity(
+            [(before, before[:4], 0.3, 4), (after, after[:5], 0.3, 4)],
+            [first.result(), last.result()],
+        )
+
+    def test_zero_hit_rows_pad_from_their_own_tree(self, rng):
+        # Two clouds in one sweep get the same far-away query: each row is
+        # padded with its own cloud's nearest point, not the other's.  The
+        # second cloud is the first reversed, so the two ids differ.
+        a = rng.normal(size=(100, 3))
+        b = a[::-1].copy()
+        far = np.array([[40.0, -7.0, 12.0]])
+        service = QueryService()
+        tickets = [service.submit(c, far, 0.2, 3) for c in (a, b)]
+        empty = service.submit(b, np.zeros((0, 3)), 0.2, 5)
+        assert service.flush() == 1
+        nearest = [knn_search(build_kdtree(c), far[0], 1)[0] for c in (a, b)]
+        assert nearest[0] != nearest[1]
+        for ticket, want in zip(tickets, nearest):
+            idx, cnt = ticket.result()
+            assert cnt.tolist() == [0]
+            assert idx.tolist() == [[want] * 3]
+        assert tuple(arr.shape for arr in empty.result()) == ((0, 5), (0,))
 
     def test_cloud_written_nonfinite_after_submit_is_never_built(
         self, rng, monkeypatch
@@ -587,7 +641,7 @@ class TestQueryService(WindowContract):
         service = QueryService()
         tickets = [service.submit(*request) for request in requests]
         clouds[1][5, 2] = np.nan
-        assert service.flush() == 2
+        assert service.flush() == 1
         assert built == [[100, 102]]
         with pytest.raises(ValueError, match=r"^points must be finite"):
             tickets[1].result()
@@ -620,6 +674,34 @@ class TestQueryService(WindowContract):
             with pytest.raises(RuntimeError, match="builder failed"):
                 ticket.result()
         assert service.stats.failed_requests == 2
+        for got, expected in zip(dynamic.result(), want.result()):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_failed_shared_sweep_settles_static_groups_only(self, rng, monkeypatch):
+        # The flush's static groups share one sweep: if it raises, each of
+        # them settles with its error, while a co-queued dynamic group
+        # (swept on its own) is still served.
+        pts = rng.normal(size=(150, 3))
+        service = QueryService()
+        handle = service.register_dynamic(pts)
+        want = service.submit_dynamic(handle, pts[:6], 0.4, 5)
+        service.flush()
+        calls = []
+
+        def failing(self, queries, *args, **kwargs):
+            calls.append(len(queries))
+            raise RuntimeError("sweep failed")
+
+        monkeypatch.setattr(BatchedBallQuery, "query_merged", failing)
+        clouds = (pts + 1.0, pts - 1.0, pts * 2.0)
+        static = [service.submit(c, c[:3], 0.3, 4) for c in clouds]
+        dynamic = service.submit_dynamic(handle, pts[:6], 0.4, 5)
+        assert service.flush() == 1
+        assert calls == [9]
+        for ticket in static:
+            with pytest.raises(RuntimeError, match="sweep failed"):
+                ticket.result()
+        assert service.stats.failed_requests == 3
         for got, expected in zip(dynamic.result(), want.result()):
             np.testing.assert_array_equal(got, expected)
 

@@ -141,11 +141,13 @@ class TestRegisterHandles:
         # no geometry (the job payload carries None).
         pts = rng.normal(size=(80, 3))
         with ShardedQueryService(num_workers=2) as service:
-            service.register(pts)
+            handle = service.register(pts)
             service.submit(pts, pts[:4], 0.3, 4)
             unregistered = pts + 3.0
             service.submit(unregistered, pts[:4], 0.3, 4)
-            assert service.flush() == 2
+            # A shard sweeps all its static clouds at once.
+            digests = (handle, geometry_digest(unregistered))
+            assert service.flush() == len({service._slot_for(d) for d in digests})
         assert [job[2] is None for job in sent_jobs] == [True, False]
 
     def test_unknown_handle_rejected_at_dispatch(self, rng):
@@ -339,13 +341,17 @@ class TestShardedLifecycleAndStats:
         with ShardedQueryService(num_workers=2) as service:
             tickets = [service.submit(*r) for r in requests]
             executed = service.flush()
+            # One merged sweep per shard, over all of its clouds.
+            per_shard = np.bincount(
+                [service._slot_for(geometry_digest(c)) for c in clouds], minlength=2
+            )
         stats = service.stats
-        assert executed == 5  # one merged sweep per distinct cloud
-        assert stats.sweeps == 5
+        assert executed == np.count_nonzero(per_shard)
+        assert stats.sweeps == executed
         assert stats.requests == 10
         assert stats.queries == 40
-        assert stats.coalesce_factor == 2.0
-        assert stats.max_coalesced == 2
+        assert stats.coalesce_factor == 10 / executed
+        assert stats.max_coalesced == 2 * per_shard.max()
         assert stats.failed_requests == 0
         assert stats.mean_wait > 0 and stats.wait_time > 0
         assert stats.serve_time > 0 and stats.throughput > 0
