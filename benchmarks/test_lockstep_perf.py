@@ -20,6 +20,11 @@ lane (it is *not* marked slow) and checks identity before speed:
   records its numbers and asserts no speed floor, and also records the
   suite's one ``VectorizedLockstep.run``: its iterations (the longest
   sub-tree batch's cycles), lanes, time and time per simulated cycle.
+  Its ``suite_stages`` entry splits a suite batch into the stages the
+  Fig. 14 perf passes moved: the cycle loop, Mesorasi's search
+  (``ExhaustiveSplitSearchEngine.run``), the stall-mode aggregation
+  ledger (``point_buffer_stall_stats``) and the top-phase accounting
+  (``vectorized_top_phase``), each the least of three suites.
 
 All write their numbers to ``BENCH_lockstep.json``.
 """
@@ -30,8 +35,11 @@ import time
 import numpy as np
 import pytest
 
+import repro.accel.aggregation as aggregation_module
+import repro.accel.search_engine as search_engine_module
 from artifacts import write_bench_artifact
 from repro.accel import (
+    ExhaustiveSplitSearchEngine,
     NeighborSearchEngine,
     PointCloudAccelerator,
     evaluation_hardware,
@@ -238,9 +246,19 @@ def suite_runs():
     return runs
 
 
+SUITE_STAGES = (
+    # (stage, owner, attribute): the function each stage's time is spent in.
+    ("cycle_loop", VectorizedLockstep, "run"),
+    ("mesorasi_search", ExhaustiveSplitSearchEngine, "run"),
+    ("stall_ledger", aggregation_module, "point_buffer_stall_stats"),
+    ("top_phase", search_engine_module, "vectorized_top_phase"),
+)
+
+
 def test_suite_forest_matches_per_network_runs(monkeypatch):
     runs = suite_runs()
     cycle_loops = []  # (seconds, lanes, iterations) per VectorizedLockstep.run
+    stage_runs = []  # seconds per stage, one dict per suite batch
     real_run = VectorizedLockstep.run
 
     def timed_run(self, *args, **kwargs):
@@ -251,7 +269,20 @@ def test_suite_forest_matches_per_network_runs(monkeypatch):
         cycle_loops.append((seconds, lanes, int(outcome.group_cycles.max())))
         return outcome
 
+    def timed(stage, real):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                if stage_runs:
+                    stage_runs[-1][stage] += time.perf_counter() - t0
+
+        return wrapper
+
     monkeypatch.setattr(VectorizedLockstep, "run", timed_run)
+    for stage, owner, name in SUITE_STAGES:
+        monkeypatch.setattr(owner, name, timed(stage, getattr(owner, name)))
 
     def per_network():
         return [
@@ -260,6 +291,7 @@ def test_suite_forest_matches_per_network_runs(monkeypatch):
         ]
 
     def suite_batch():
+        stage_runs.append(dict.fromkeys([stage for stage, _, _ in SUITE_STAGES], 0.0))
         return run_networks(runs)
 
     # Identity first (this also builds every tree into the shared session,
@@ -269,9 +301,15 @@ def test_suite_forest_matches_per_network_runs(monkeypatch):
 
     per_network_time = best_of(per_network, repeats=3)
     cycle_loops.clear()
+    stage_runs.clear()
     batch_time = best_of(suite_batch, repeats=3)
     assert len(cycle_loops) == 3  # one cycle loop per suite
+    assert all(all(seconds > 0 for seconds in run.values()) for run in stage_runs)
     loop_time, lanes, iterations = min(cycle_loops)
+    stage_ms = {
+        f"ms_{stage}": round(min(run[stage] for run in stage_runs) * 1e3, 3)
+        for stage in stage_runs[0]
+    }
     write_bench_artifact(
         "lockstep",
         {
@@ -288,6 +326,11 @@ def test_suite_forest_matches_per_network_runs(monkeypatch):
                 "lanes": lanes,
                 "ms": round(loop_time * 1e3, 3),
                 "us_per_cycle": round(loop_time * 1e6 / iterations, 2),
+            },
+            "suite_stages": {
+                "stage": "a warm-tree Fig. 14 suite batch, least of 3 per stage",
+                "ms_suite_batch": round(batch_time * 1e3, 3),
+                **stage_ms,
             },
         },
     )

@@ -45,7 +45,7 @@ from ..kdtree.build import NODE_BYTES, KdTree
 from ..memsim.dram import DramModel
 from ..memsim.energy import EnergyBreakdown
 from ..runtime.approx import SearchJob
-from ..runtime.batched import pack_rows
+from ..runtime.batched import pack_rows, squared_distances
 from ..runtime.treebuild import VectorizedSplitTree
 from .accelerator import NetworkResult, PointCloudAccelerator
 from .pe import PIPELINE_DEPTH
@@ -159,7 +159,7 @@ class ExhaustiveSplitSearchEngine:
         current = np.full(m, tree.root, dtype=np.int64)
         for _ in range(ht):
             point = tree.point_id[current]
-            d2 = ((queries - tree.points[point]) ** 2).sum(axis=1)
+            d2 = squared_distances(queries, tree.points[point])
             hit = np.flatnonzero(d2 <= r2)
             hit_rows.append(hit)
             hit_points.append(point[hit])
@@ -188,7 +188,7 @@ class ExhaustiveSplitSearchEngine:
             node_points = tree.points[tree.point_id[nodes]]
             sub_queries = queries[q_ids]
             # (Q, S) exhaustive distance scan.
-            d2 = ((sub_queries[:, None, :] - node_points[None, :, :]) ** 2).sum(axis=2)
+            d2 = squared_distances(sub_queries[:, None, :], node_points[None, :, :])
             within = d2 <= r2
             local, slot = np.nonzero(within)
             hit_rows.append(q_ids[local])

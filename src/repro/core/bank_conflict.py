@@ -167,6 +167,10 @@ def point_buffer_stall_stats(
     a stalled retry.  Returns the total cycles and accumulates the ledger
     into ``stats``; the index matrix itself is untouched — stalling
     changes timing, never data.
+
+    Each group's distinct ids come from one row-wise sort: an id is new
+    where it differs from its left neighbor (a plain ``np.unique`` of
+    int64 keys takes NumPy's much slower hash path).
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.ndim != 2:
@@ -177,24 +181,21 @@ def point_buffer_stall_stats(
     nb = banking.num_banks
     cycles = 0
     for start in range(0, k, num_ports):
-        chunk = indices[:, start : start + num_ports]
-        if chunk.size == 0:
-            continue
-        lo = int(chunk.min())
-        span = int(chunk.max()) - lo + 1
-        keys = np.arange(m, dtype=np.int64)[:, None] * span + (chunk - lo)
-        uniq = np.unique(keys)  # distinct (row, id) pairs
-        uniq_banks = banking.bank_of_point(uniq % span + lo)
-        per_bank = np.bincount(
-            (uniq // span) * nb + uniq_banks, minlength=m * nb
-        ).reshape(m, nb)  # (M, nb): distinct ids per bank per group
+        chunk = np.sort(indices[:, start : start + num_ports], axis=1)
+        distinct = np.ones(chunk.shape, dtype=bool)
+        np.not_equal(chunk[:, 1:], chunk[:, :-1], out=distinct[:, 1:])
+        rows = distinct.nonzero()[0]
+        uniq_banks = banking.bank_of_point(chunk[distinct])
+        per_bank = np.bincount(rows * nb + uniq_banks, minlength=m * nb).reshape(
+            m, nb
+        )  # (M, nb): distinct ids per bank per group
         group_cycles = int(per_bank.max(axis=1).sum())
         cycles += group_cycles
         if stats is not None:
             stats.accesses += chunk.size
-            stats.reads_served += len(uniq)  # energy-bearing reads only
-            stats.broadcasts += chunk.size - len(uniq)
-            stats.conflicted += len(uniq) - int((per_bank > 0).sum())
+            stats.reads_served += len(rows)  # energy-bearing reads only
+            stats.broadcasts += chunk.size - len(rows)
+            stats.conflicted += len(rows) - int(np.count_nonzero(per_bank))
             stats.cycles += group_cycles
     return cycles
 

@@ -295,7 +295,8 @@ class DynamicKdTree:
             return
         if np.any((slots < 0) | (slots >= self._n)):
             raise ValueError("slot id out of range")
-        if len(np.unique(slots)) != len(slots):
+        ordered = np.sort(slots)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("duplicate slot id in remove batch")
         if not self._alive[slots].all():
             raise ValueError("slot already removed")

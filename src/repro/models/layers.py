@@ -45,6 +45,7 @@ from ..core.pipeline import ApproximationPipeline
 from ..nn.layers import MLP
 from ..nn.module import Module
 from ..nn.tensor import Tensor
+from ..runtime.batched import squared_distances
 from ..runtime.epoch import QueryRequest
 from ..runtime.session import geometry_digest
 
@@ -68,16 +69,17 @@ def _fps_greedy_batched(pts: np.ndarray, num_samples: int, start: int) -> np.nda
 
     Row ``b`` is bit-identical to the historical per-sample loop: every
     per-row operation (squared-distance sum, first-argmax, elementwise
-    minimum) matches the per-sample arithmetic exactly.
+    minimum) matches the per-sample arithmetic exactly (``squared_distances``
+    is the per-sample ``((a - b) ** 2).sum(axis=-1)`` bit for bit).
     """
     rows = np.arange(pts.shape[0])
     chosen = np.empty((pts.shape[0], num_samples), dtype=np.int64)
     chosen[:, 0] = start
-    dist = ((pts - pts[:, start][:, None, :]) ** 2).sum(axis=-1)  # (B, N)
+    dist = squared_distances(pts, pts[:, start][:, None, :])  # (B, N)
     for i in range(1, num_samples):
         nxt = dist.argmax(axis=1)
         chosen[:, i] = nxt
-        dist = np.minimum(dist, ((pts - pts[rows, nxt][:, None, :]) ** 2).sum(axis=-1))
+        np.minimum(dist, squared_distances(pts, pts[rows, nxt][:, None, :]), out=dist)
     return chosen
 
 
@@ -137,7 +139,7 @@ def interpolation_plan(
     lead = dense.shape[:-2]
     flat_dense = dense.reshape((-1,) + dense.shape[-2:])
     flat_coarse = coarse.reshape((-1,) + coarse.shape[-2:])
-    d2 = ((flat_dense[:, :, None, :] - flat_coarse[:, None, :, :]) ** 2).sum(axis=-1)
+    d2 = squared_distances(flat_dense[:, :, None, :], flat_coarse[:, None, :, :])
     part = np.argpartition(d2, k - 1, axis=-1)[..., :k]
     order = np.argsort(np.take_along_axis(d2, part, axis=-1), kind="stable", axis=-1)
     idx = np.take_along_axis(part, order, axis=-1)  # (L, N, k)

@@ -42,7 +42,12 @@ from ..core.bank_conflict import TreeBufferBanking
 from ..core.config import ApproxSetting
 from ..core.split_tree import descend_step
 from ..kdtree.build import KdTree
-from .batched import batched_nearest_node, check_max_neighbors, pack_rows
+from .batched import (
+    batched_nearest_node,
+    check_max_neighbors,
+    pack_rows,
+    squared_distances,
+)
 from .forest import Forest
 from .lockstep import LockstepResult, VectorizedLockstep
 
@@ -141,7 +146,7 @@ def approximate_search(
         visited.append(act)
         pts = forest.tree.points[cur]
         q = allq[act]
-        d2 = ((q - pts) ** 2).sum(axis=1)
+        d2 = squared_distances(q, pts)
         hit = d2 <= row_r2[act]
         hit_rows.append(act[hit])
         hit_points.append(forest.point_id[cur[hit]])

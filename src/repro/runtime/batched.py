@@ -95,6 +95,7 @@ __all__ = [
     "nearest_padding",
     "pack_rows",
     "request_rows",
+    "squared_distances",
     "sweep_room",
 ]
 
@@ -125,6 +126,27 @@ def sweep_room(height: int) -> int:
     ``height`` takes: its int64 DFS keys hold ``rows * 2**height <=
     2**63``.  Past the DFS-rank depth limit it takes none (-1)."""
     return 1 << (63 - height) if height <= _MAX_RANK_DEPTH else -1
+
+
+def squared_distances(a, b) -> np.ndarray:
+    """``((a - b) ** 2).sum(axis=-1)`` of 3-D points, bit for bit.
+
+    ``a`` and ``b`` broadcast against each other, with coordinates on
+    their last axis.  The three squared coordinate differences are added
+    in that order, as the trailing-axis sum adds them, without NumPy's
+    slow reduction over an axis of 3 and without the ``(..., 3)``
+    difference of the broadcast shape.  The sweeps' ``einsum`` in-ball
+    tests keep their own summation order, which
+    :func:`~repro.kdtree.dynamic_reference.pair_d2` shares.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    d2 = a[..., 0] - b[..., 0]
+    d2 *= d2
+    for axis in (1, 2):
+        diff = a[..., axis] - b[..., axis]
+        diff *= diff
+        d2 += diff
+    return d2
 
 
 def check_max_neighbors(max_neighbors) -> np.ndarray:

@@ -195,35 +195,40 @@ class VectorizedLockstep:
             )
         return traversal, sram
 
-    def _push_children(self, stack, sp, rows, top, nodes, delta, radius, pruned, log):
-        """A served visit's pushes onto the ``rows`` of ``stack``, whose
-        node was popped from position ``top``: the far child when the
-        splitting plane lies within ``radius`` (its subtree size is added
-        to ``pruned`` otherwise), then the near child on top.  ``delta``
-        is query minus node point; the split value is the node point's
-        coordinate, so the plane distance is one of its entries.  Sets
-        ``sp[rows]`` and returns it."""
+    def _push_children(
+        self, stack, width, sp, rows, top, nodes, delta, radius, pruned, log
+    ):
+        """A served visit's pushes onto the ``rows`` of the flat ``(rows,
+        width)`` ``stack``, whose node was popped from position ``top``:
+        the far child when the splitting plane lies within ``radius`` (its
+        subtree size is added to ``pruned`` otherwise), then the near child
+        on top.  ``delta`` is query minus node point; the split value is
+        the node point's coordinate, so the plane distance is one of its
+        entries.  Sets ``sp[rows]`` and returns it."""
         tree = self.tree
-        diff = delta[np.arange(len(rows)), tree.split_dim[nodes]]
-        left, right = tree.left[nodes], tree.right[nodes]
+        entry = np.arange(len(rows)) * delta.shape[1] + tree.split_dim.take(nodes)
+        diff = delta.take(entry)
+        left, right = tree.left.take(nodes), tree.right.take(nodes)
         near = np.where(diff <= 0, left, right)
         far = left + right - near
         far_exists = far >= 0
         within = np.abs(diff) <= radius
         push_far = far_exists & within
-        cut = far_exists & ~within
-        if np.count_nonzero(cut):
-            pruned[rows[cut]] += tree.subtree_size[far[cut]]
-        frows = rows[push_far]
-        stack[frows, top[push_far]] = far[push_far]
-        top = top + push_far
+        cut = (far_exists & ~within).nonzero()[0]
+        if len(cut):
+            pruned[rows.take(cut)] += tree.subtree_size.take(far.take(cut))
+        pos = rows * width + top
+        far_at = push_far.nonzero()[0]
+        stack[pos.take(far_at)] = far.take(far_at)
+        pos += push_far
         has_near = near >= 0
-        nrows = rows[has_near]
-        stack[nrows, top[has_near]] = near[has_near]
+        near_at = has_near.nonzero()[0]
+        stack[pos.take(near_at)] = near.take(near_at)
+        top = top + push_far
         top += has_near
         sp[rows] = top
-        log.append(frows)
-        log.append(nrows)
+        log.append(rows.take(far_at))
+        log.append(rows.take(near_at))
         return top
 
     # ------------------------------------------------------------------
@@ -277,12 +282,15 @@ class VectorizedLockstep:
         lanes = ngroups * num_pes
         lane_group = np.repeat(np.arange(ngroups, dtype=np.int64), num_pes)
         lane_tin_root = np.repeat(tin[roots[group_start]], num_pes)
-        stack = np.zeros((lanes, self.height + 2), dtype=np.int64)
+        # The (lanes, width) stack matrix, flat: lane l's slot t is
+        # stack[l * width + t], read with take() and written by flat index.
+        width = self.height + 2
+        stack = np.zeros(lanes * width, dtype=np.int64)
         sp = np.zeros(lanes, dtype=np.int64)
         lane_mach = np.full(lanes, -1, dtype=np.int64)
         room = capacity.copy()  # result-buffer entries left per machine
         g_cycles = np.zeros(ngroups, dtype=np.int64)
-        lane_state = (lane_group, queue, capacity, roots, lane_mach, stack, sp)
+        lane_state = (lane_group, queue, capacity, roots, lane_mach, stack, width, sp)
 
         # Event logs (lane ids per cycle), counted once after the loop.
         access_log: List[np.ndarray] = []
@@ -317,14 +325,14 @@ class VectorizedLockstep:
 
             # ---- one lockstep cycle for every batch with active lanes.
             access_log.append(active)
-            agroup = lane_group[active]  # sorted: lanes are batch-major
-            first = np.searchsorted(agroup, agroup)
-            in_group = np.searchsorted(agroup, agroup, "right") - first
+            agroup = lane_group.take(active)  # sorted: lanes are batch-major
+            first = agroup.searchsorted(agroup)
+            in_group = agroup.searchsorted(agroup, "right") - first
             g_cycles[agroup] += 1  # once per distinct batch
-            rank = (lane_arange[:num_active] - first - g_cycles[agroup]) % in_group
-            top = sp[active] - 1
-            nodes = stack[active, top]
-            slots = tin[nodes] - lane_tin_root[active]
+            rank = (lane_arange[:num_active] - first - g_cycles.take(agroup)) % in_group
+            top = sp.take(active) - 1
+            nodes = stack.take(active * width + top)
+            slots = tin.take(nodes) - lane_tin_root.take(active)
             banks = np.asarray(self.banking.bank_of_slot(slots), dtype=np.int64)
 
             # Winner per (batch, bank) = lowest rotated-priority rank.
@@ -337,42 +345,46 @@ class VectorizedLockstep:
             cell = agroup * nb + banks
             claim = rank * num_nodes + nodes
             np.minimum.at(best, cell, claim)
-            won = best[cell]
+            won = best.take(cell)
             best[cell] = _UNBOUNDED
             winner_node = won % num_nodes
             visit = winner_node == nodes
             bcast_log.append(active[visit & (won != claim)])
+            amach = lane_mach.take(active)
             if elide is not None:
-                elidable = ~visit & (tree.depth[nodes] >= elide[lane_mach[active]])
+                elidable = ~visit & (tree.depth.take(nodes) >= elide.take(amach))
                 num_elided = np.count_nonzero(elidable)
             else:
                 num_elided = 0
 
             # ---- served fetches (won or broadcast): the normal visit.
-            vlanes = active[visit]
-            vnodes = nodes[visit]
-            vtop = top[visit]
+            served = visit.nonzero()[0]
+            vlanes = active.take(served)
+            vnodes = nodes.take(served)
+            vtop = top.take(served)
             served_log.append(vlanes)
-            vmach = lane_mach[vlanes]
+            vmach = amach.take(served)
             # take() gathers (n, 3) rows several times faster than [].
             delta = queries.take(vmach, 0) - tree.points.take(vnodes, 0)
-            in_ball = np.einsum("ij,ij->i", delta, delta) <= r2[vmach]
+            in_ball = np.einsum("ij,ij->i", delta, delta) <= r2.take(vmach)
             freed = []
-            if np.count_nonzero(in_ball):
-                hit_mach = vmach[in_ball]
+            hits = in_ball.nonzero()[0]
+            if len(hits):
+                hit_mach = vmach.take(hits)
                 room[hit_mach] -= 1
                 hit_mach_log.append(hit_mach)
-                hit_pid_log.append(self.point_id[vnodes[in_ball]])
-                full_now = in_ball & (room[vmach] == 0)
+                hit_pid_log.append(self.point_id.take(vnodes.take(hits)))
+                full_now = in_ball & (room.take(vmach) == 0)
                 if np.count_nonzero(full_now):
                     # A filling visit ends its machine and pushes no children.
                     freed.append(vlanes[full_now])
-                    push = ~full_now
-                    vlanes, vnodes, vtop = vlanes[push], vnodes[push], vtop[push]
-                    vmach, delta = vmach[push], delta[push]
+                    push = (~full_now).nonzero()[0]
+                    vlanes, vnodes = vlanes.take(push), vnodes.take(push)
+                    vtop, vmach = vtop.take(push), vmach.take(push)
+                    delta = delta.take(push, 0)
             if len(vlanes):
                 vsp = self._push_children(
-                    stack, sp, vlanes, vtop, vnodes, delta, radius[vmach],
+                    stack, width, sp, vlanes, vtop, vnodes, delta, radius.take(vmach),
                     lane_pruned, push_log,
                 )
                 freed.append(vlanes[vsp == 0])
@@ -382,29 +394,34 @@ class VectorizedLockstep:
                 if descend:
                     # Sec. 4.2: continue from the winner's node when it is
                     # beneath the requested one; drop the subtree otherwise.
-                    sub_ok = elidable & (
-                        (tin[nodes] <= tin[winner_node])
-                        & (tin[winner_node] < tout[nodes])
+                    tin_winner = tin.take(winner_node)
+                    sub_ok = (
+                        elidable
+                        & (tin.take(nodes) <= tin_winner)
+                        & (tin_winner < tout.take(nodes))
                     )
                     skip = elidable & ~sub_ok
-                    dlanes = active[sub_ok]
-                    if len(dlanes):
+                    moved = sub_ok.nonzero()[0]
+                    if len(moved):
+                        dlanes = active.take(moved)
+                        dnodes = winner_node.take(moved)
                         elided_log.append(dlanes)
                         push_log.append(dlanes)
                         size = tree.subtree_size
                         lane_skipped[dlanes] += (
-                            size[nodes[sub_ok]] - size[winner_node[sub_ok]]
+                            size.take(nodes.take(moved)) - size.take(dnodes)
                         )
                         # pop + push == replace the top of stack in place
-                        stack[dlanes, top[sub_ok]] = winner_node[sub_ok]
+                        stack[dlanes * width + top.take(moved)] = dnodes
                 else:
                     skip = elidable
-                slanes = active[skip]
-                if len(slanes):
+                dropped = skip.nonzero()[0]
+                if len(dropped):
+                    slanes = active.take(dropped)
                     elided_log.append(slanes)
-                    stop = top[skip]
+                    stop = top.take(dropped)
                     sp[slanes] = stop
-                    lane_skipped[slanes] += tree.subtree_size[nodes[skip]]
+                    lane_skipped[slanes] += tree.subtree_size.take(nodes.take(dropped))
                     freed.append(slanes[stop == 0])
 
             # ---- free lanes whose machine finished this cycle; refill
@@ -474,10 +491,11 @@ class VectorizedLockstep:
         )
         num_machines = len(roots)
         r2 = radius * radius
-        stack = np.zeros((num_machines, self.height + 2), dtype=np.int64)
+        width = self.height + 2
+        stack = np.zeros(num_machines * width, dtype=np.int64)  # flat
         sp = np.zeros(num_machines, dtype=np.int64)
-        alive = capacity != 0  # capacity-0 machines are done at creation
-        stack[alive, 0] = roots[alive]
+        alive = (capacity != 0).nonzero()[0]  # capacity 0: done at creation
+        stack[alive * width] = roots.take(alive)
         sp[alive] = 1
         hits_cnt = np.zeros(num_machines, dtype=np.int64)
         visit_log: List[np.ndarray] = []
@@ -490,8 +508,8 @@ class VectorizedLockstep:
             act = np.flatnonzero(sp > 0)
             if len(act) == 0:
                 break
-            top = sp[act] - 1
-            nodes = stack[act, top]
+            top = sp.take(act) - 1
+            nodes = stack.take(act * width + top)
             visit_log.append(act)
             delta = queries.take(act, 0) - self.tree.points.take(nodes, 0)
             in_ball = np.einsum("ij,ij->i", delta, delta) <= r2[act]
@@ -508,7 +526,7 @@ class VectorizedLockstep:
             plane = act[push]
             if len(plane):
                 self._push_children(
-                    stack, sp, plane, top[push], nodes[push], delta[push],
+                    stack, width, sp, plane, top[push], nodes[push], delta[push],
                     radius[plane], mach_pruned, push_log,
                 )
 
@@ -536,7 +554,7 @@ class VectorizedLockstep:
         )
 
 
-def _refill(cand, lane_group, queue, capacity, roots, lane_mach, stack, sp):
+def _refill(cand, lane_group, queue, capacity, roots, lane_mach, stack, width, sp):
     """One pop attempt per candidate lane, in lane order (the reference's
     per-iteration refill pass over free PE slots).
 
@@ -545,25 +563,26 @@ def _refill(cand, lane_group, queue, capacity, roots, lane_mach, stack, sp):
     pending machine; ``queue`` is each batch's ``(next, end)`` machine
     pointers.  A popped machine that is already done — its result buffer
     was filled by top-tree hits — is discarded and leaves the lane empty
-    for this cycle.  Returns the number of machines popped and the lanes
-    so left empty in a batch that still has pending machines (they must
-    be candidates of the next refill even if nothing else frees).
+    for this cycle.  ``stack`` is the flat ``(lanes, width)`` stack
+    matrix.  Returns the number of machines popped and the lanes so left
+    empty in a batch that still has pending machines (they must be
+    candidates of the next refill even if nothing else frees).
     """
     pend, pend_end = queue
-    group = lane_group[cand]
-    mach = pend[group] + np.arange(len(cand)) - np.searchsorted(group, group)
-    pop = mach < pend_end[group]
-    cand, group, mach = cand[pop], group[pop], mach[pop]
+    group = lane_group.take(cand)
+    mach = pend.take(group) + np.arange(len(cand)) - group.searchsorted(group)
+    pop = (mach < pend_end.take(group)).nonzero()[0]
+    cand, group, mach = cand.take(pop), group.take(pop), mach.take(pop)
     last = np.ones(len(mach), dtype=bool)  # each batch's last pop
     last[:-1] = group[1:] != group[:-1]
     pend[group[last]] = mach[last] + 1
-    live = capacity[mach] != 0
+    live = capacity.take(mach) != 0
     lanes_now, mach_now = cand[live], mach[live]
     lane_mach[lanes_now] = mach_now
-    stack[lanes_now, 0] = roots[mach_now]
+    stack[lanes_now * width] = roots.take(mach_now)
     sp[lanes_now] = 1
     dead = ~live
-    retry = cand[dead][pend[group[dead]] < pend_end[group[dead]]]
+    retry = cand[dead][pend.take(group[dead]) < pend_end.take(group[dead])]
     return len(mach), retry
 
 

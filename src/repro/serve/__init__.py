@@ -36,9 +36,14 @@ callers* rather than replaying figure grids.  Three layers:
   ``submit_dynamic``), with every frame's results pinned bit-identical
   between rebuild-from-scratch-per-frame, incremental maintenance, and
   (optionally) the sharded tier.
+
+The asyncio front-end and the sharded tier load on first access, so a
+caller of the synchronous service never imports asyncio or
+multiprocessing.
 """
 
-from .frontend import AsyncQueryFrontend
+import importlib
+
 from .service import (
     QueryService,
     QueryTicket,
@@ -47,7 +52,6 @@ from .service import (
     validate_queries,
     validate_settings,
 )
-from .sharded import ShardedQueryService, ShardedStats
 from .trace import (
     DriftFrame,
     TraceReport,
@@ -74,3 +78,16 @@ __all__ = [
     "validate_queries",
     "validate_settings",
 ]
+
+# The tiers that load on first access, by the submodule that defines them.
+_LAZY = {
+    "AsyncQueryFrontend": "frontend",
+    "ShardedQueryService": "sharded",
+    "ShardedStats": "sharded",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

@@ -20,21 +20,23 @@ per flush (``"sequential"``), then all of them concurrently through the
 :func:`replay_drift_trace` rebuilds the index every frame
 (``"rebuild"``), then maintains it incrementally (``"incremental"``).
 ``num_workers`` adds the sharded multi-process tier (``"sharded"``) to
-either stream.  Both return one :class:`TraceReport`.
+either stream.  Both return one :class:`TraceReport`.  The asyncio
+front-end and the sharded tier are imported by the replicas that run
+them, so importing this module loads neither asyncio nor multiprocessing.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .frontend import AsyncQueryFrontend
 from .service import QueryService
-from .sharded import ShardedQueryService
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .sharded import ShardedQueryService
 
 __all__ = [
     "DriftFrame",
@@ -202,6 +204,8 @@ def _settled(tickets) -> Served:
 
 def _sharded(num_workers: int, clock, replica) -> Iterator:
     """``replica`` run against a sharded tier that stops when it ends."""
+    from .sharded import ShardedQueryService
+
     with ShardedQueryService(num_workers=num_workers, clock=clock) as tier:
         yield from replica(tier)
 
@@ -242,6 +246,10 @@ def replay_trace(
         yield _settled(tickets)
 
     def coalesced() -> Iterator:
+        import asyncio
+
+        from .frontend import AsyncQueryFrontend
+
         service = warm()
         yield service.stats
 

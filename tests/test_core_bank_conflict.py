@@ -1,13 +1,18 @@
 """Unit tests for bank-conflict modeling and aggregation elision."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     PointBufferBanking,
     TreeBufferBanking,
     aggregation_conflict_rate,
     apply_aggregation_elision,
+    point_buffer_stall_stats,
 )
 from repro.memsim import SramStats
 
@@ -126,3 +131,58 @@ class TestConflictRate:
         indices = np.full((10, 16), 7)
         rate = aggregation_conflict_rate(indices, PointBufferBanking(16), 16)
         assert rate == 0.0
+
+
+def unique_stall_oracle(indices, banking, num_ports, stats):
+    """The stall-and-retry ledger with ``np.unique`` over fused ``(row,
+    id)`` keys: the distinct-id count the sort-based ledger must equal."""
+    m, k = indices.shape
+    nb = banking.num_banks
+    cycles = 0
+    for start in range(0, k, num_ports):
+        chunk = indices[:, start : start + num_ports]
+        lo = int(chunk.min())
+        span = int(chunk.max()) - lo + 1
+        uniq = np.unique(np.arange(m)[:, None] * span + (chunk - lo))
+        banks = banking.bank_of_point(uniq % span + lo)
+        per_bank = np.bincount((uniq // span) * nb + banks, minlength=m * nb)
+        group_cycles = int(per_bank.reshape(m, nb).max(axis=1).sum())
+        cycles += group_cycles
+        stats.accesses += chunk.size
+        stats.reads_served += len(uniq)
+        stats.broadcasts += chunk.size - len(uniq)
+        stats.conflicted += len(uniq) - int((per_bank > 0).sum())
+        stats.cycles += group_cycles
+    return cycles
+
+
+class TestStallLedgerOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(1, 24),
+        k=st.integers(1, 40),
+        num_ports=st.integers(1, 17),
+        num_banks=st.integers(1, 32),
+        id_span=st.sampled_from([1, 2, 3, 8, 64, 5000]),
+        dup_share=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**31),
+    )
+    # A single row; K not a multiple of num_ports; all-duplicate rows.
+    @example(rows=1, k=16, num_ports=16, num_banks=16, id_span=5000, dup_share=0.0, seed=1)
+    @example(rows=1, k=13, num_ports=5, num_banks=4, id_span=3, dup_share=0.0, seed=2)
+    @example(rows=9, k=32, num_ports=16, num_banks=16, id_span=64, dup_share=1.0, seed=3)
+    def test_sorted_ledger_matches_unique_oracle(
+        self, rows, k, num_ports, num_banks, id_span, dup_share, seed
+    ):
+        # Small id spans make duplicate-heavy rows; dup_share of the rows
+        # repeat one id across every port (all-duplicate rows).
+        rng = np.random.default_rng(seed)
+        indices = rng.integers(0, id_span, size=(rows, k)) + int(rng.integers(0, 10**6))
+        all_dup = rng.random(rows) < dup_share
+        indices[all_dup] = indices[all_dup, :1]
+        banking = PointBufferBanking(num_banks)
+        got, want = SramStats(), SramStats()
+        cycles = point_buffer_stall_stats(indices, banking, num_ports, stats=got)
+        assert cycles == unique_stall_oracle(indices, banking, num_ports, want)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert all(type(v) is int for v in dataclasses.asdict(got).values())

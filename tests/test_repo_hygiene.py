@@ -27,6 +27,11 @@ Every public function, class and method in ``src/`` has a caller outside
 ``examples/`` or ``perfbench/`` names it outside its own body.  A
 definition kept without one (an oracle, a test instrument) is listed with
 its reason.
+
+No module in ``src/`` calls a bare ``np.unique`` (one asking for none of
+``return_index``, ``return_inverse`` or ``return_counts``): NumPy 2.4
+answers that call for integers through a hash table, ~20x slower than one
+sort and an adjacent-difference mask, the idiom used instead.
 """
 
 import ast
@@ -233,3 +238,51 @@ def test_uncalled_definition_scan_reports_an_uncalled_function(tmp_path):
     caller.write_text("from pkg.mod import Box\n\nBox().size()\n")
     found = _uncalled_definitions(package, [module, caller])
     assert found == ["mod.py:unused", "mod.py:recursive"]
+
+
+UNIQUE_FLAGS = ("return_index", "return_inverse", "return_counts")
+
+
+def _hash_path_uniques(path: Path):
+    """``np.unique`` calls in ``path`` that ask for no index, inverse or
+    counts (by keyword, or by the three positional flags)."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        func = getattr(node, "func", None)
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(func, ast.Attribute)
+            and func.attr == "unique"
+            and getattr(func.value, "id", None) in ("np", "numpy")
+        ):
+            continue
+        flags = node.args[1:4]
+        flags += [kw.value for kw in node.keywords if kw.arg in UNIQUE_FLAGS]
+        if all(isinstance(flag, ast.Constant) and not flag.value for flag in flags):
+            yield f"{path.as_posix()}:{node.lineno}"
+
+
+def test_no_module_takes_the_unique_hash_path():
+    modules = sorted(PACKAGE_ROOT.rglob("*.py"))
+    assert len(modules) > 50  # the scan found the package
+    offenders = [call for path in modules for call in _hash_path_uniques(path)]
+    assert not offenders, (
+        "bare np.unique takes NumPy's hash path; sort and mask adjacent "
+        f"differences instead: {offenders}"
+    )
+
+
+def test_unique_scan_reports_a_bare_call(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(textwrap.dedent(
+        """
+        import numpy as np
+
+        a = np.unique(x)
+        b = np.unique(x, return_counts=True)
+        c = np.unique(x, return_inverse=False, axis=0)
+        d = np.unique(x, True)
+        e = np.unique(x, return_index=flag)
+        """
+    ))
+    found = [call.rsplit(":", 1)[1] for call in _hash_path_uniques(module)]
+    assert found == ["4", "6"]

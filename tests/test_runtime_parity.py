@@ -15,14 +15,22 @@ layers of checking:
    must still be a genuine in-radius point.
 3. **Degenerate inputs** — duplicate points, empty neighborhoods,
    single-point clouds, queries far outside the cloud, coincident clouds.
+
+The batched module's squared-distance helper, which the top-tree descents,
+Mesorasi's scans and the samplers share, is pinned bit for bit to the
+trailing-axis sum it replaces.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import ApproximationPipeline, ApproxSetting
 from repro.kdtree import ball_query, brute_radius_search, build_kdtree
 from repro.runtime import BatchedBallQuery, SearchSession
+from repro.runtime.batched import squared_distances
 
 
 def assert_bit_identical(tree, queries, radius, k):
@@ -189,4 +197,40 @@ class TestDegenerateInputs:
         # An integral float is an integer K.
         np.testing.assert_array_equal(
             engine.query(tree.points[:3], 0.5, 4.0)[0], engine.query(tree.points[:3], 0.5, 4)[0]
+        )
+
+
+# Coordinates from 1e-8 to 1e9 in magnitude, both signs, and signed zeros.
+COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(
+        lambda mantissa, exponent: mantissa * 10.0**exponent,
+        st.floats(-10, 10, allow_subnormal=False),
+        st.integers(-8, 8),
+    ),
+)
+
+
+class TestSquaredDistances:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bit_equal_to_trailing_axis_sum(self, data):
+        shapes = data.draw(
+            hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=5)
+        )
+        a, b = (
+            data.draw(hnp.arrays(np.float64, shape + (3,), elements=COORDS))
+            for shape in shapes.input_shapes
+        )
+        want = np.asarray(((a - b) ** 2).sum(axis=-1))
+        got = np.asarray(squared_distances(a, b))
+        assert got.shape == want.shape == shapes.result_shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_signed_zero_coordinates(self):
+        a = np.array([[-0.0, 0.0, -0.0], [1e-8, -1e8, 0.0]])
+        b = np.array([[0.0, -0.0, -0.0], [-1e-8, 1e8, -0.0]])
+        want = ((a - b) ** 2).sum(axis=-1)
+        np.testing.assert_array_equal(
+            squared_distances(a, b).view(np.int64), want.view(np.int64)
         )

@@ -12,6 +12,9 @@ DFS-rank depth guard) and the asyncio front-end's batching behavior
 """
 
 import asyncio
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -951,3 +954,31 @@ class TestTraceReplay:
             synthetic_trace(num_requests=0)
         with pytest.raises(ValueError):
             synthetic_trace(queries_per_request=0)
+
+
+class TestLazyTiers:
+    def test_serve_import_loads_neither_asyncio_nor_multiprocessing(self):
+        # A fresh interpreter: this process has loaded both tiers already.
+        code = (
+            "import sys\n"
+            "import repro.serve, repro.serve.trace\n"
+            "loaded = {'asyncio', 'multiprocessing'} & set(sys.modules)\n"
+            "assert not loaded, sorted(loaded)\n"
+            "from repro.serve import AsyncQueryFrontend, ShardedQueryService\n"
+            "assert ShardedQueryService.__module__ == 'repro.serve.sharded'\n"
+            "assert AsyncQueryFrontend.__module__ == 'repro.serve.frontend'\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_unknown_name_raises_attribute_error(self):
+        import repro.serve
+
+        with pytest.raises(AttributeError, match="no attribute 'Nope'"):
+            repro.serve.Nope
